@@ -3,21 +3,30 @@
 Everything here is deliberately low-tech: outward-rounded double-precision
 interval arithmetic (one ``nextafter`` nudge per inexact primitive) plus
 branch-and-bound subdivision.  No affine arithmetic, no Taylor models.  Two
-standard first-order refinements keep the subdivision counts small:
+standard first-order refinements and one exact range keep the subdivision
+counts small:
 
 * monotonicity pruning: when an interval Jacobian entry has fixed sign over
   a subbox, the extremum lives on the corresponding face, so the subbox is
   collapsed along that axis before it is ever split;
 * mean-value form: f(mid) + J(box) . (box - mid), intersected with the
   plain evaluation, which shrinks overestimation quadratically in the box
-  width near smooth extrema.
+  width near smooth extrema;
+* exact one-dimensional range of the x-update: F1 = (x + g(q)) / 2 with the
+  concave parabola g(q) = q - c1 q^2 ranged exactly over q = x+y+z.  The
+  maximum of F1 is reached on the whole plane q = 1/(2 c1), where the two
+  forms above overestimate every box; the upper end of this range is exact
+  on every box whose x = x_hi face meets that plane, so the search need not
+  tile it.
 
 The public ``interval_eval`` deliberately uses only the plain evaluation
 (plus the exact one-dimensional range of the y-update), because plain
 interval extensions are inclusion-monotone: a subbox never produces a wider
 enclosure than its parent, which is the contract callers rely on when they
 subdivide by hand.  The mean-value intersection does not have that property
-and stays internal to ``bound_extremum``.
+and stays internal to ``bound_extremum``.  So does the exact x-update range,
+which leaves the public enclosures, and the batch kernels the horseshoe
+covers are built from, as they were.
 """
 from __future__ import annotations
 
@@ -374,13 +383,44 @@ def _mvf_range(p: Params, t6, comp: str):
     return acc
 
 
+def _g_dn(q: float, c1: float) -> float:
+    return _dn(q - _up(_up(q * q) * c1))
+
+
+def _g_up(q: float, c1: float) -> float:
+    return _up(q - _dn(_dn(q * q) * c1))
+
+
+def _range_f1_sharp(p: Params, t6):
+    """F1 = (x + g(q)) / 2 with g(q) = q - c1 q^2 ranged exactly over q = x+y+z.
+
+    g is a concave parabola with peak 1/(4 c1) at q* = 1/(2 c1), so, as for
+    psi in ``_range_f2``, its sharp range needs only the endpoints and, when
+    q* may lie inside, the peak.  Summing the x and g enclosures is sound
+    whatever the dependence between x and q, and exact on every box that
+    meets the maximiser plane q = q* at x = x_hi.
+    """
+    q = _add(_add((t6[0], t6[1]), (t6[2], t6[3])), (t6[4], t6[5]))
+    qstar = 0.5 / p.c1
+    lo = min(_g_dn(q[0], p.c1), _g_dn(q[1], p.c1))
+    if q[1] < _dn(qstar):  # strictly left of the peak: increasing
+        hi = _g_up(q[1], p.c1)
+    elif q[0] > _up(qstar):  # strictly right: decreasing
+        hi = _g_up(q[0], p.c1)
+    else:  # peak may be inside; its exact value is 1/(4 c1)
+        hi = _up(0.25 / p.c1)
+    return _mul_pow2(_add((t6[0], t6[1]), (lo, hi)), 0.5)
+
+
 def _tight_range(p: Params, t6, comp: str):
-    naive = _RANGES[comp](p, t6)
+    base = _RANGES[comp](p, t6)
+    if comp == "F1":
+        base = _isect(base, _range_f1_sharp(p, t6))
     try:
         mv = _mvf_range(p, t6, comp)
     except DomainError:
-        return naive
-    return _isect(naive, mv)
+        return base
+    return _isect(base, mv)
 
 
 # ---------------------------------------------------------------------------

@@ -456,12 +456,13 @@ def main(argv=None) -> int:
     except _CliError as exc:
         sys.stderr.write(f"triopoly {args.command}: error: {exc}\n")
         return _USAGE_EXIT
-    except (InvalidBoxError, ValueError) as exc:
-        sys.stderr.write(f"triopoly {args.command}: invalid input: {exc}\n")
-        return _USAGE_EXIT
+    # DomainError subclasses ValueError, so it must be caught first
     except (DomainError, ConvergenceError, ArithmeticError) as exc:
         sys.stderr.write(f"triopoly {args.command}: runtime failure: {exc}\n")
         return _RUNTIME_EXIT
+    except (InvalidBoxError, ValueError) as exc:
+        sys.stderr.write(f"triopoly {args.command}: invalid input: {exc}\n")
+        return _USAGE_EXIT
 
 
 if __name__ == "__main__":

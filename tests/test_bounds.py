@@ -22,7 +22,8 @@ from triopoly.bounds import (
     interval_jacobian,
     verify_C_rigorous,
 )
-from triopoly.core import eval_jacobian, eval_map_xyz, State
+from triopoly.bounds import _range_f1, _range_f1_sharp
+from triopoly.core import eval_jacobian, eval_map_xyz, Params, State
 
 P, B = PAPER_PARAMS, PAPER_BOX
 
@@ -215,6 +216,87 @@ def test_report_records_strategy_and_serialises():
     assert d["enclosure"][0] <= d["best_value"] <= d["enclosure"][1]
 
 
+@st.composite
+def _f1_case(draw):
+    """Random Params and an in-domain box placed relative to q* = 1/(2 c1)."""
+    pos = lambda lo, hi: draw(st.floats(min_value=lo, max_value=hi))
+    p = Params(pos(0.1, 1.0), pos(0.1, 1.0), pos(0.1, 1.0), pos(1.0, 20.0))
+    widths = [pos(1e-6, 0.15) for _ in range(3)]
+    shares = [pos(0.05, 1.0) for _ in range(3)]
+    qstar, total = 0.5 / p.c1, sum(widths)
+    where = draw(st.sampled_from(["straddle", "left", "right"]))
+    if where == "straddle":
+        q_lo = qstar - pos(0.05, 0.95) * total
+    elif where == "left":  # q* >= 0.5 > total, so q_lo > 0
+        q_lo = (qstar - total) * pos(0.2, 0.99)
+    else:
+        q_lo = qstar + pos(1e-3, 1.0)
+    lows = [q_lo * s / sum(shares) for s in shares]
+    return p, tuple(v for lo, w in zip(lows, widths) for v in (lo, lo + w))
+
+
+def _split(t6, x, s):
+    """Point (x, y, z) of the box with y + z = s, for s in [y_l+z_l, y_r+z_r]."""
+    wy, wz = t6[3] - t6[2], t6[5] - t6[4]
+    r = min(max(s - t6[2] - t6[4], 0.0), wy + wz)
+    y = min(t6[2] + r * wy / (wy + wz), t6[3])
+    return x, y, min(t6[4] + r * wz / (wy + wz), t6[5])
+
+
+def _f1_candidates(p, t6):
+    """Corners plus the maximiser of F1 along each edge of the (x, y+z) rectangle.
+
+    F1 = (2x + s - c1 (x+s)^2)/2 is concave in (x, s = y+z) without a
+    critical point, so its min is at a corner and its max on one of these.
+    """
+    xs, ss = (t6[0], t6[1]), (t6[2] + t6[4], t6[3] + t6[5])
+    pairs = [(x, s) for x in xs for s in ss]
+    pairs += [(x, min(max(0.5 / p.c1 - x, ss[0]), ss[1])) for x in xs]
+    pairs += [(min(max(1.0 / p.c1 - s, xs[0]), xs[1]), s) for s in ss]
+    return [_split(t6, x, s) for x, s in pairs]
+
+
+def _exact_f1(p, x, y, z):
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    return (2 * x + y + z - Fraction(p.c1) * (x + y + z) ** 2) / 2
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_f1_case(), st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=8))
+def test_sharp_f1_range_is_sound_and_no_wider_than_plain(case, fracs):
+    p, t6 = case
+    lo, hi = _range_f1_sharp(p, t6)
+    plain = _range_f1(p, t6)
+    assert plain[0] <= lo <= hi <= plain[1]
+    at = lambda j, u: min(t6[2 * j] + u * (t6[2 * j + 1] - t6[2 * j]), t6[2 * j + 1])
+    points = _f1_candidates(p, t6)
+    for u, v, w in fracs:
+        x = at(0, u)
+        points.append((x, at(1, v), at(2, w)))
+        s = 0.5 / p.c1 - x
+        if t6[2] + t6[4] <= s <= t6[3] + t6[5]:
+            points.append(_split(t6, x, s))  # on the plane q = q*
+    for pt in points:
+        assert lo <= _exact_f1(p, *pt) <= hi
+        v = eval_map_xyz(p, *pt)[0]
+        assert lo - 4 * math.ulp(v) <= v <= hi + 4 * math.ulp(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_f1_case())
+def test_bound_extremum_f1_is_tight_on_random_boxes(case):
+    p, t6 = case
+    values = [eval_map_xyz(p, *pt)[0] for pt in _f1_candidates(p, t6)]
+    for which, want in (("max", max(values)), ("min", min(values))):
+        rep = bound_extremum(p, IntervalBox.from_bounds(*t6), "F1", which, tol=1e-8)
+        assert rep.status == "ok"
+        assert rep.width <= 1e-8
+        assert rep.enclosure.lo - 1e-14 <= want <= rep.enclosure.hi + 1e-14
+
+
 def test_verify_C_rigorous_agrees_with_analytic_on_paper_box():
     from triopoly.certificate import check_C_analytic
 
@@ -234,11 +316,22 @@ def test_verify_C_rigorous_flags_violation():
 
 
 def test_loose_tolerance_never_returns_a_false_pass():
+    from triopoly.certificate import check_C_analytic
+
     icert = verify_C_rigorous(P, B, tol=1.0)
+    acert = check_C_analytic(P, B)
     statuses = {c.cid: c.status for c in icert.conditions}
-    assert statuses["C4"] == "inconclusive"
     assert "fail" not in statuses.values()
-    assert icert.verdict == "inconclusive"
+    for cid, status in statuses.items():
+        if status == "pass":
+            assert acert.condition(cid).status == "pass"
+    # x-image genuinely leaves the box: max F1 = (x_r + 1/(4 c1))/2 > x_r
+    bad = B.replace(x_r=0.6249)
+    assert check_C_analytic(P, bad).condition("C4").status == "fail"
+    loose = verify_C_rigorous(P, bad, tol=1.0)
+    assert loose.condition("C4").status != "pass"
+    assert loose.verdict != "certified"
+    assert verify_C_rigorous(P, bad, tol=1e-8).condition("C4").status == "fail"
 
 
 def test_exact_bottom_face_certification():

@@ -101,6 +101,16 @@ class TestCertify:
         _, out, _ = run(capsys, "certify", "--preset", "paper")
         assert "0.57666666680000001" in out
 
+    def test_domain_escape_is_a_runtime_failure_exit_4(self, capsys):
+        # a well-formed box on which x+z < 0: the interval engine's domain
+        # check raises DomainError, a runtime failure, not invalid input
+        code, out, err = run(capsys, "certify", "--engine", "interval",
+                             "--params", PAPER_PARAMS_ARG,
+                             "--box=-0.5,0.6,0.3,0.45,0.0,0.39")
+        assert code == 4
+        assert "runtime failure" in err
+        assert out == ""
+
 
 class TestConfigFile:
     def test_config_supplies_params_and_box(self, capsys, tmp_path):
