@@ -15,13 +15,13 @@ the same table.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 
 import numpy as np
 
 from triopoly import PAPER_PARAMS, search_boxes
+from triopoly.jsonio import write_csv
 
 
 def main(argv=None) -> int:
@@ -56,12 +56,8 @@ def main(argv=None) -> int:
         print(f"{alpha:7.3f} {hits:5d} {margin:24.17g} {violated:>9s}")
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for row in rows:
-                w.writerow([f"{row[0]:.17g}", row[1], f"{row[2]:.17g}",
-                            row[3], row[4]])
+        write_csv(args.out, header, ([f"{row[0]:.17g}", row[1], f"{row[2]:.17g}",
+                                      row[3], row[4]] for row in rows))
         print(f"\nwrote {args.out}")
 
     first_hit = next((r[0] for r in rows if r[1] > 0), None)

@@ -25,14 +25,13 @@ def main(argv=None) -> int:
     ap.add_argument("--policy", default="perturbed-nash",
                     choices=("nash", "perturbed-nash"))
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", help="CSV destination (default: stdout)")
     args = ap.parse_args(argv)
 
     lo, hi = (float(s) for s in args.alpha_range.split(","))
     table = bifurcation_scan(PAPER_PARAMS, (lo, hi), args.samples,
                              s0_policy=args.policy, transient=args.transient,
-                             seed=args.seed, threads=args.threads)
+                             seed=args.seed)
     table.to_csv(args.out if args.out else sys.stdout)
 
     first_chaotic = next((r.alpha for r in table.rows

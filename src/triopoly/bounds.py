@@ -60,7 +60,14 @@ __all__ = [
     "ROUNDING_STRATEGY",
 ]
 
-ROUNDING_STRATEGY = "outward 1-ulp nextafter per inexact primitive; extended-precision point path"
+# The extended-precision point path is sound only where long double keeps
+# at least the 64-bit significand of x87 extended precision; where it is
+# plain double (aarch64 macOS, Windows), points take the outward kernels.
+_EXTENDED_POINTS = np.finfo(np.longdouble).nmant >= 63
+
+ROUNDING_STRATEGY = "outward 1-ulp nextafter per inexact primitive; " + (
+    "extended-precision point path" if _EXTENDED_POINTS else "outward point path"
+)
 
 _INF = math.inf
 
@@ -457,25 +464,22 @@ def interval_eval(p: Params, ib: IntervalBox) -> tuple[Interval, Interval, Inter
 
     Raises DomainError when a positivity precondition (x+z > 0 or
     x+y+z > 0) can be violated inside the box.  Fully degenerate boxes take
-    an extended-precision path so point enclosures stay a few ulps wide.
+    an extended-precision path, where long double is wide enough, so point
+    enclosures stay a few ulps wide.
     """
     t6 = ib.as_tuple6()
     _precheck(p, t6)
+    if ib.is_point and _EXTENDED_POINTS:
+        encl = _point_eval_extended(p, t6[0], t6[2], t6[4])
+    else:
+        encl = (_range_f1(p, t6), _range_f2(p, t6), _range_f3(p, t6))
     if ib.is_point:
-        ext = _point_eval_extended(p, t6[0], t6[2], t6[4])
         # hull in the plain double evaluation so the enclosure also covers
         # what eval_map reports (its own rounding can exceed the true-value
         # enclosure by an ulp or two)
         dbl = eval_map_xyz(p, t6[0], t6[2], t6[4])
-        return tuple(
-            Interval(min(lo, _dn(v)), max(hi, _up(v)))
-            for (lo, hi), v in zip(ext, dbl)
-        )
-    return (
-        Interval(*_range_f1(p, t6)),
-        Interval(*_range_f2(p, t6)),
-        Interval(*_range_f3(p, t6)),
-    )
+        encl = [(min(lo, _dn(v)), max(hi, _up(v))) for (lo, hi), v in zip(encl, dbl)]
+    return tuple(Interval(*pair) for pair in encl)
 
 
 def interval_jacobian(p: Params, ib: IntervalBox) -> list[list[Interval]]:

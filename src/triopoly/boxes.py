@@ -1,10 +1,11 @@
 """Axis-aligned candidate boxes and their oriented/half-box views.
 
 A Box is the closed parallelepiped [x_l,x_r] x [y_l,y_r] x [z_l,z_r].  The
-certificate geometry orients it along z: the bottom face z = z_l and top
-face z = z_r are the "exit" faces the image must be pushed through, and the
-midplane z = (z_l+z_r)/2 splits it into the two half-boxes that carry the
-two symbols.
+certificate geometry orients it along z, and only along z, the folding
+direction of the map: the bottom face z = z_l and top face z = z_r are the
+"exit" faces the image must be pushed through, and the midplane
+z = (z_l+z_r)/2 splits it into the two half-boxes that carry the two
+symbols.
 """
 from __future__ import annotations
 
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 import math
 
 __all__ = ["InvalidBoxError", "Box", "OrientedBox", "HalfBoxes"]
-
-_AXES = ("x", "y", "z")
 
 
 class InvalidBoxError(ValueError):
@@ -94,57 +93,47 @@ class Box:
 
 @dataclass(frozen=True)
 class OrientedBox:
-    """A Box plus the axis carrying the orientation (left/right face pair).
+    """A Box oriented along z: bottom (left) face z_l, top (right) face z_r.
 
-    The certified stretching geometry of this package is along z (axis 2);
-    other axes are accepted for face bookkeeping but the certificate and
-    horseshoe machinery require axis == 2.
+    ``axis`` names the orientation and must be 2 (z), the folding
+    direction of the map; the stretching certificate has no other
+    geometry.
     """
 
     box: Box
     axis: int = 2
 
     def __post_init__(self) -> None:
-        if self.axis not in (0, 1, 2):
-            raise ValueError(f"axis must be 0, 1 or 2, got {self.axis}")
-
-    @property
-    def axis_name(self) -> str:
-        return _AXES[self.axis]
+        if self.axis != 2:
+            raise ValueError(
+                f"boxes are oriented along z (axis 2), the folding direction "
+                f"of the map; got axis {self.axis!r}"
+            )
 
     def face_values(self) -> tuple[float, float]:
-        """Coordinate values of the left (lo) and right (hi) faces."""
-        return self.box.bounds(self.axis)
+        """z of the left (bottom) and right (top) faces."""
+        return self.box.z_l, self.box.z_r
 
     def on_left_face(self, pt, tol: float = 0.0) -> bool:
-        lo, _ = self.face_values()
-        return abs(pt[self.axis] - lo) <= tol and self.box.contains(*pt, slack=tol)
+        return abs(pt[2] - self.box.z_l) <= tol and self.box.contains(*pt, slack=tol)
 
     def on_right_face(self, pt, tol: float = 0.0) -> bool:
-        _, hi = self.face_values()
-        return abs(pt[self.axis] - hi) <= tol and self.box.contains(*pt, slack=tol)
-
-    def halves(self) -> "HalfBoxes":
-        return HalfBoxes.from_oriented(self)
+        return abs(pt[2] - self.box.z_r) <= tol and self.box.contains(*pt, slack=tol)
 
 
 @dataclass(frozen=True)
 class HalfBoxes:
-    """The two symbol-carrying halves split at the oriented midplane."""
+    """The two symbol-carrying halves split at the midplane z = mid."""
 
     lower: Box  # symbol 0
     upper: Box  # symbol 1
-    axis: int
     mid: float
 
     @classmethod
     def from_oriented(cls, ob: OrientedBox) -> "HalfBoxes":
-        lo, hi = ob.face_values()
-        mid = 0.5 * (lo + hi)
-        name = _AXES[ob.axis]
-        lower = ob.box.replace(**{f"{name}_r": mid})
-        upper = ob.box.replace(**{f"{name}_l": mid})
-        return cls(lower=lower, upper=upper, axis=ob.axis, mid=mid)
+        b = ob.box
+        mid = b.z_mid
+        return cls(lower=b.replace(z_r=mid), upper=b.replace(z_l=mid), mid=mid)
 
     def half(self, index: int) -> Box:
         if index == 0:
@@ -159,9 +148,9 @@ class HalfBoxes:
         Returns (symbol, tie): a point exactly on the midplane is assigned
         symbol 1 and flagged as a tie.
         """
-        v = pt[self.axis]
-        if v < self.mid:
+        z = pt[2]
+        if z < self.mid:
             return 0, False
-        if v > self.mid:
+        if z > self.mid:
             return 1, False
         return 1, True

@@ -23,7 +23,6 @@ against the rigorous interval oracle in :mod:`triopoly.bounds`.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -174,20 +173,6 @@ class Certificate:
             "min_margin": self.min_margin,
             "conditions": [c.as_dict() for c in self.conditions],
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(_sanitize(self.as_dict()), indent=indent, allow_nan=False)
-
-
-def _sanitize(obj):
-    """Replace non-finite floats so the JSON stays standard."""
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_sanitize(v) for v in obj]
-    return obj
 
 
 def derive_verdict(conditions) -> str:

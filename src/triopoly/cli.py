@@ -17,7 +17,6 @@ invocations with identical seeds produce byte-identical outputs.
 """
 from __future__ import annotations
 
-import csv
 import sys
 
 import argparse
@@ -36,7 +35,7 @@ from .horseshoe import (
     random_crossing_path,
     vertical_segment_path,
 )
-from .jsonio import dumps17
+from .jsonio import dumps17, open_sink, write_csv
 from .presets import get_preset
 from .search import search_boxes
 from .symbolic import count_periodic_words, find_periodic_orbit, orbits_to_csv
@@ -183,7 +182,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=_parse_int)
         sp.add_argument("--engine", choices=_ENGINES)
         sp.add_argument("--out", help="output file (default: stdout); a prefix for horseshoe")
-        sp.add_argument("--threads", type=_parse_int)
+        sp.add_argument("--threads", type=_parse_int,
+                        help="accepted for compatibility; has no effect")
         sp.add_argument("--preset", choices=("paper", "paper-raw"),
                         help="bundled fixture: reference parameters plus the corrected "
                              "candidate box; 'paper-raw' keeps the misprinted bound "
@@ -287,16 +287,13 @@ def _require(args, *dests) -> None:
             raise _CliError(f"{args.command} requires {flag} (flag, config or preset)")
 
 
-def _emit_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _csv_sink(out: str | None):
+def _sink(out: str | None):
     return sys.stdout if out is None else out
+
+
+def _emit_text(text: str, out: str | None) -> None:
+    with open_sink(_sink(out)) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +322,7 @@ def _cmd_search(args) -> int:
         max_hits=args.max_hits,
         threads=args.threads,
     )
-    res.to_json_lines(_csv_sink(args.out))
+    res.to_json_lines(_sink(args.out))
     return 0
 
 
@@ -355,8 +352,7 @@ def _cmd_horseshoe(args) -> int:
         "seed": args.seed,
         "reports": [r.as_dict() for r in reports],
     }
-    with open(f"{prefix}-stretch.json", "w") as fh:
-        fh.write(dumps17(doc, indent=2) + "\n")
+    _emit_text(dumps17(doc, indent=2) + "\n", f"{prefix}-stretch.json")
     ok = sum(1 for r in reports if r.status == "ok")
     sys.stdout.write(
         f"wrote {prefix}-k0.csv ({k0.cell_count} cells), "
@@ -386,14 +382,19 @@ def _cmd_periodic(args) -> int:
             results.extend(count_periodic_words(args.params, ob, k, tol=args.tol,
                                                 dedupe_cyclic=args.dedupe_cyclic,
                                                 cert=cert))
-    orbits_to_csv(results, _csv_sink(args.out))
+    orbits_to_csv(results, _sink(args.out))
+    stalled = [r.word for r in results if not r.converged]
+    if stalled:
+        sys.stderr.write(f"triopoly periodic: runtime failure: Newton did not converge "
+                         f"for word(s) {', '.join(stalled)}\n")
+        return _RUNTIME_EXIT
     return 0
 
 
 def _cmd_simulate(args) -> int:
     _require(args, "params", "start", "steps")
     record = simulate(args.params, args.start, args.steps, transient=args.transient)
-    record.to_csv(_csv_sink(args.out))
+    record.to_csv(_sink(args.out))
     return 0
 
 
@@ -401,20 +402,10 @@ def _cmd_lyapunov(args) -> int:
     _require(args, "params", "start", "steps")
     spectrum = lyapunov_spectrum(args.params, args.start, args.steps,
                                  transient=args.transient)
-    sink = _csv_sink(args.out)
-    if hasattr(sink, "write"):
-        _write_lyapunov(sink, spectrum)
-    else:
-        with open(sink, "w", newline="") as fh:
-            _write_lyapunov(fh, spectrum)
+    write_csv(_sink(args.out), ["lambda1", "lambda2", "lambda3", "steps", "escaped", "note"],
+              [[*(f"{v:.17g}" for v in spectrum.exponents),
+                spectrum.steps, spectrum.escaped, spectrum.note]])
     return 0
-
-
-def _write_lyapunov(fh, spectrum) -> None:
-    w = csv.writer(fh)
-    w.writerow(["lambda1", "lambda2", "lambda3", "steps", "escaped", "note"])
-    w.writerow([*(f"{v:.17g}" for v in spectrum.exponents),
-                spectrum.steps, spectrum.escaped, spectrum.note])
 
 
 def _cmd_bifurcate(args) -> int:
@@ -422,7 +413,7 @@ def _cmd_bifurcate(args) -> int:
     table = bifurcation_scan(args.params, args.alpha_range, args.samples,
                              s0_policy=args.policy, transient=args.transient,
                              seed=args.seed, threads=args.threads)
-    table.to_csv(_csv_sink(args.out))
+    table.to_csv(_sink(args.out))
     return 0
 
 

@@ -9,9 +9,7 @@ sanity-check the certified statements against plain numerics.
 """
 from __future__ import annotations
 
-import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -26,6 +24,7 @@ from .core import (
     fixed_point_residual,
     interior_fixed_point,
 )
+from .jsonio import write_csv
 
 __all__ = [
     "OrbitRecord",
@@ -102,16 +101,9 @@ class OrbitRecord:
 
     def to_csv(self, path_or_file) -> None:
         """Columns step,x,y,z; step is the absolute iteration index."""
-        if hasattr(path_or_file, "write"):
-            self._write_rows(csv.writer(path_or_file))
-            return
-        with open(path_or_file, "w", newline="") as fh:
-            self._write_rows(csv.writer(fh))
-
-    def _write_rows(self, w) -> None:
-        w.writerow(["step", "x", "y", "z"])
-        for i, row in enumerate(self.points):
-            w.writerow([self.transient + i] + [f"{v:.17g}" for v in row])
+        write_csv(path_or_file, ["step", "x", "y", "z"],
+                  ([self.transient + i] + [f"{v:.17g}" for v in row]
+                   for i, row in enumerate(self.points)))
 
 
 def simulate(
@@ -385,20 +377,17 @@ class BifurcationTable:
         return tuple(r.alpha for r in self.rows)
 
     def to_csv(self, path_or_file) -> None:
-        if hasattr(path_or_file, "write"):
-            self._write_rows(csv.writer(path_or_file))
-            return
-        with open(path_or_file, "w", newline="") as fh:
-            self._write_rows(csv.writer(fh))
-
-    def _write_rows(self, w) -> None:
+        """Non-finite values and the padding of short z tails are blank cells."""
         width = max((len(r.z_values) for r in self.rows), default=0)
-        w.writerow(["alpha", "escaped", "lyap1"] + [f"z{i:02d}" for i in range(width)])
-        for r in self.rows:
-            zs = [f"{v:.17g}" if math.isfinite(v) else "" for v in r.z_values]
-            zs += [""] * (width - len(zs))
-            ly = f"{r.lyap1:.17g}" if math.isfinite(r.lyap1) else ""
-            w.writerow([f"{r.alpha:.17g}", int(r.escaped), ly] + zs)
+        write_csv(path_or_file,
+                  ["alpha", "escaped", "lyap1"] + [f"z{i:02d}" for i in range(width)],
+                  ([f"{r.alpha:.17g}", int(r.escaped), _cell(r.lyap1)]
+                   + [_cell(v) for v in r.z_values] + [""] * (width - len(r.z_values))
+                   for r in self.rows))
+
+
+def _cell(v: float) -> str:
+    return f"{v:.17g}" if math.isfinite(v) else ""
 
 
 def _policy_start(policy, p: Params, rng: np.random.Generator) -> State:
@@ -432,8 +421,9 @@ def bifurcation_scan(
 
     Per-alpha escapes are recorded and the scan continues.  Seeding is
     per-alpha (spawned from one root seed), so the table is identical for
-    identical arguments regardless of the thread count; threads only
-    overlap the numpy QR calls, the scalar iteration is sequential.
+    identical arguments.  ``threads`` is accepted and has no effect; it
+    must be at least 1.  The samples run one after another: the work is
+    Python-level iteration, which threads do not speed up.
     """
     a_lo, a_hi = float(alpha_range[0]), float(alpha_range[1])
     if not (0.0 < a_lo <= a_hi <= 20.0):
@@ -442,6 +432,8 @@ def bifurcation_scan(
         raise ValueError("need at least two samples")
     if z_values < 1 or n_record < 1:
         raise ValueError("z_values and n_record must be positive")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     alphas = np.linspace(a_lo, a_hi, samples)
     children = np.random.SeedSequence(seed).spawn(samples)
 
@@ -457,11 +449,7 @@ def bifurcation_scan(
         ly = lyapunov_spectrum(pa, rec.final, lyap_steps, safety=safety)
         return BifurcationRow(a, False, ly.exponents[0], tuple(float(v) for v in tail))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(samples)))
-    else:
-        rows = [one(i) for i in range(samples)]
+    rows = [one(i) for i in range(samples)]
     policy_name = s0_policy if isinstance(s0_policy, str) else getattr(
         s0_policy, "__name__", type(s0_policy).__name__
     )

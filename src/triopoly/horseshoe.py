@@ -16,8 +16,6 @@ the midplane condition predicts.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -28,6 +26,7 @@ from .boxes import Box, HalfBoxes, OrientedBox
 from .bounds import batch_image_enclosure
 from .certificate import Certificate, certify_box
 from .core import Params, State, eval_jacobian, eval_map_xyz, fixed_point_residual
+from .jsonio import write_csv
 
 __all__ = [
     "KSetEnclosure",
@@ -53,14 +52,9 @@ class ConvergenceError(RuntimeError):
         self.best_residual = best_residual
 
 
-@lru_cache(maxsize=16)
-def _cached_certificate(p: Params, b: Box) -> Certificate:
-    return certify_box(p, b, engine="analytic")
-
-
 def _require_certified(p: Params, b: Box, cert: Certificate | None) -> Certificate:
     if cert is None:
-        cert = _cached_certificate(p, b)
+        cert = certify_box(p, b, engine="analytic")
     if not cert.passed:
         bad = [c.cid for c in cert.conditions if c.status != "pass"]
         raise ValueError(
@@ -159,16 +153,8 @@ class KSetEnclosure:
             yield IntervalBox.from_bounds(*row)
 
     def to_csv(self, path_or_file) -> None:
-        if hasattr(path_or_file, "write"):
-            self._write_rows(csv.writer(path_or_file))
-            return
-        with open(path_or_file, "w", newline="") as fh:
-            self._write_rows(csv.writer(fh))
-
-    def _write_rows(self, w) -> None:
-        w.writerow(["x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi"])
-        for row in self.cells:
-            w.writerow([f"{v:.17g}" for v in row])
+        write_csv(path_or_file, ["x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi"],
+                  ([f"{v:.17g}" for v in row] for row in self.cells))
 
     def to_json_dict(self) -> dict:
         d = {
@@ -255,6 +241,8 @@ def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int) -> np.ndarray:
     return excluded
 
 
+# periodic-orbit and fixed-point searches ask for the same cover once per
+# word and per half; building it is the dominant cost, so it is built once
 @lru_cache(maxsize=8)
 def _build_covers_cached(p: Params, b: Box, resolution: int):
     mid = b.z_mid
@@ -288,11 +276,6 @@ def build_K_enclosures(
     """
     if not isinstance(resolution, int) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
-    if ob.axis != 2:
-        raise ValueError(
-            "covers are implemented for z-oriented boxes only; the folding "
-            "direction of this map is the third coordinate"
-        )
     _require_certified(p, ob.box, cert)
     return _build_covers_cached(p, ob.box, resolution)
 
@@ -430,9 +413,6 @@ class StretchReport:
             "note": self.note,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
 
 def _first_linear_crossing(ts, vs, level) -> float | None:
     """First parameter where the piecewise-linear samples reach ``level``."""
@@ -480,8 +460,6 @@ def check_path_stretching(
     bracketed excursions are the stretching witnesses.
     """
     b = ob.box
-    if ob.axis != 2:
-        raise ValueError("stretching check expects a z-oriented box")
     cert = _require_certified(p, b, cert)
 
     z0, z1 = float(path.points[0][2]), float(path.points[-1][2])

@@ -1,17 +1,23 @@
-"""JSON emission with fixed 17-significant-digit floats.
+"""File output: the package's only module that writes files.
 
-The stock encoder prints floats through ``repr`` (shortest round-trip).
-File outputs of this package promise a fixed 17-significant-digit format
-instead, so numbers survive tools that re-parse and re-print them with
-their own ideas about precision.  Non-finite floats have no JSON spelling
-and are emitted as ``null``.
+``open_sink`` turns a path or an open text file into a writable stream,
+``write_csv`` writes a header and rows through it, and ``dumps17`` is the
+one JSON emitter.  Callers format their own cells.
+
+The stock JSON encoder prints floats through ``repr`` (shortest
+round-trip).  File outputs of this package promise a fixed
+17-significant-digit format instead, so numbers survive tools that
+re-parse and re-print them with their own ideas about precision.
+Non-finite floats have no JSON spelling and are emitted as ``null``.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
+from contextlib import contextmanager
 
-__all__ = ["dumps17"]
+__all__ = ["dumps17", "open_sink", "write_csv"]
 
 
 def _float_text(v: float) -> str:
@@ -76,3 +82,27 @@ def dumps17(obj, indent: int | None = None) -> str:
     out: list[str] = []
     _emit(obj, out, indent, 0)
     return "".join(out)
+
+
+@contextmanager
+def open_sink(path_or_file):
+    """Yield a writable text stream for ``path_or_file``.
+
+    An object with a ``write`` method is yielded as it is and left open;
+    anything else is a path, opened for writing with ``newline=""`` (so
+    the bytes written are the bytes requested on every platform) and
+    closed on exit.
+    """
+    if hasattr(path_or_file, "write"):
+        yield path_or_file
+        return
+    with open(path_or_file, "w", newline="") as fh:
+        yield fh
+
+
+def write_csv(path_or_file, header, rows) -> None:
+    """Write one header row, then ``rows``, as CSV to a path or open file."""
+    with open_sink(path_or_file) as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)

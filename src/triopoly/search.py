@@ -32,7 +32,6 @@ conditions instead of at sampling artefacts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,7 @@ from .certificate import (
     certify_box,
 )
 from .core import Params
-from .jsonio import dumps17
+from .jsonio import dumps17, open_sink
 
 __all__ = ["NearMiss", "SearchResult", "search_boxes", "RANK_IDS"]
 
@@ -198,15 +197,6 @@ class _Scan:
     def miss(self) -> NearMiss | None:
         return self.frontier if self.frontier is not None else self.fallback
 
-    def absorb(self, other: "_Scan") -> None:
-        self.hits.extend(other.hits)
-        self.evaluated += other.evaluated
-        for slot in ("frontier", "fallback"):
-            theirs = getattr(other, slot)
-            ours = getattr(self, slot)
-            if theirs is not None and (ours is None or theirs.margin > ours.margin):
-                setattr(self, slot, theirs)
-
 
 def _rank_margin(cert: Certificate) -> float:
     vals = [r.margin for r in cert.conditions if r.cid in RANK_IDS and r.margin is not None]
@@ -248,26 +238,12 @@ def _eval_candidate(p: Params, vec, min_margin: float, scan: _Scan) -> float | N
     return margin
 
 
-def _scan_chunk(p, rows, base, scale, min_margin) -> _Scan:
-    scan = _Scan()
+def _scan_rows(p, rows, base, scale, min_margin, scan: _Scan) -> None:
+    """Decode each unit-cube row into a candidate and evaluate it into ``scan``."""
     for u in rows:
         vec = _decode_near(u, base, scale) if base is not None else _decode_skeleton(u, p)
         if vec is not None:
             _eval_candidate(p, vec, min_margin, scan)
-    return scan
-
-
-def _scan_unit_points(p, rows, base, scale, min_margin, threads) -> _Scan:
-    total = _Scan()
-    if threads <= 1 or len(rows) < 2 * threads:
-        total.absorb(_scan_chunk(p, rows, base, scale, min_margin))
-        return total
-    chunks = np.array_split(rows, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda c: _scan_chunk(p, c, base, scale, min_margin), chunks)
-        for part in parts:      # map preserves order; result is thread-count invariant
-            total.absorb(part)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +349,7 @@ class SearchResult:
 
     def to_json_lines(self, path_or_file) -> None:
         """One JSON object per line: run header, ranked hits, summary."""
-        if hasattr(path_or_file, "write"):
-            self._write_lines(path_or_file)
-            return
-        with open(path_or_file, "w") as fh:
+        with open_sink(path_or_file) as fh:
             self._write_lines(fh)
 
     def _write_lines(self, fh) -> None:
@@ -427,7 +400,8 @@ def search_boxes(
     ``scale``) of an existing box, which must sit on the exit plane
     z = 0.  The ``max_hits`` best corner-passing candidates are handed to
     :func:`certify_box` under ``engine``; only full passes are returned,
-    ranked by (margin, lexicographic bounds).
+    ranked by (margin, lexicographic bounds).  ``threads`` is accepted and
+    has no effect; it must be at least 1.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; known: {_STRATEGIES}")
@@ -449,12 +423,10 @@ def search_boxes(
     note = ""
 
     if strategy == "grid":
-        rows = _grid_rows(budget)
-        scan.absorb(_scan_unit_points(p, rows, base, scale, min_margin, threads))
+        _scan_rows(p, _grid_rows(budget), base, scale, min_margin, scan)
     elif strategy == "random":
         rng = np.random.default_rng(seed)
-        rows = rng.random((budget, 5))
-        scan.absorb(_scan_unit_points(p, rows, base, scale, min_margin, threads))
+        _scan_rows(p, rng.random((budget, 5)), base, scale, min_margin, scan)
     else:
         if base is not None:
             start, climb_budget = base, budget
@@ -462,8 +434,7 @@ def search_boxes(
             boot = budget // 2
             if boot > 0:
                 rng = np.random.default_rng(seed)
-                scan.absorb(_scan_unit_points(p, rng.random((boot, 5)), None, scale,
-                                              min_margin, threads))
+                _scan_rows(p, rng.random((boot, 5)), None, scale, min_margin, scan)
             pool = scan.hits or ([] if scan.miss is None else [(scan.miss.margin, scan.miss.box)])
             if not pool:
                 why = ("refine without a seed box needs budget >= 2 for its bootstrap pass"

@@ -8,7 +8,6 @@ means the point is not shadowing the invariant set at that depth.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +17,7 @@ from .boxes import HalfBoxes, OrientedBox
 from .certificate import Certificate
 from .core import DomainError, Params, State, eval_jacobian, eval_map_xyz, fixed_points
 from .horseshoe import _require_certified, build_K_enclosures
+from .jsonio import write_csv
 
 __all__ = [
     "Itinerary",
@@ -293,17 +293,8 @@ def count_periodic_words(
 
 def orbits_to_csv(results: list[PeriodicOrbitResult], path_or_file) -> None:
     """Write one row per word; path_or_file is a filename or open text file."""
-    if hasattr(path_or_file, "write"):
-        _write_orbit_rows(csv.writer(path_or_file), results)
-        return
-    with open(path_or_file, "w", newline="") as fh:
-        _write_orbit_rows(csv.writer(fh), results)
-
-
-def _write_orbit_rows(w, results: list[PeriodicOrbitResult]) -> None:
-    w.writerow(["word", "x", "y", "z", "residual", "converged", "realized"])
-    for r in results:
-        w.writerow(r.as_row())
+    write_csv(path_or_file, ["word", "x", "y", "z", "residual", "converged", "realized"],
+              (r.as_row() for r in results))
 
 
 def entropy_lower_bound(certified: bool, m: int = 2) -> float:

@@ -22,6 +22,7 @@ from triopoly.bounds import (
     interval_jacobian,
     verify_C_rigorous,
 )
+from triopoly import bounds as bounds_mod
 from triopoly.bounds import _range_f1, _range_f1_sharp
 from triopoly.core import eval_jacobian, eval_map_xyz, Params, State
 
@@ -99,6 +100,33 @@ def test_point_enclosures_across_the_box():
         ):
             assert iv.contains(v)
             assert iv.width < 2e-15
+
+
+def _exact_f1_f3(p, x, y, z):
+    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    c1, c3, a = Fraction(p.c1), Fraction(p.c3), Fraction(p.alpha)
+    q = x + y + z
+    return (2 * x + y + z - c1 * q * q) / 2, z * (1 - a * c3 + a * (x + y) / (q * q))
+
+
+unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit, unit, unit, st.sampled_from([P, Params(0.3, 0.8, 0.45, 9.5)]))
+def test_point_enclosures_without_extended_long_double(u, v, w, p):
+    """Where long double is plain double the point path must fall back to
+    the outward double kernels and stay sound."""
+    x, y, z = (lo + (hi - lo) * t for (lo, hi), t in zip(map(B.bounds, range(3)), (u, v, w)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds_mod, "_EXTENDED_POINTS", False)
+        f1, f2, f3 = interval_eval(p, IntervalBox.point(x, y, z))
+    for iv, v in zip((f1, f2, f3), eval_map_xyz(p, x, y, z)):
+        assert iv.contains(v)
+        assert iv.width < 1e-12
+    e1, e3 = _exact_f1_f3(p, x, y, z)
+    assert Fraction(f1.lo) <= e1 <= Fraction(f1.hi)
+    assert Fraction(f3.lo) <= e3 <= Fraction(f3.hi)
 
 
 def test_f3_enclosure_spans_zero_on_paper_box():

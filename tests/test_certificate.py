@@ -17,6 +17,7 @@ from triopoly.certificate import (
     check_C_analytic,
     check_H,
 )
+from triopoly.jsonio import dumps17
 
 # condition id -> binding margin over the reference configuration
 EXPECTED_MARGINS = {
@@ -87,7 +88,7 @@ def test_c2_reduction_slope_is_negative_where_used():
 
 def test_certificate_json_schema():
     cert = certify_box(PAPER_PARAMS, PAPER_BOX, engine="analytic")
-    doc = json.loads(cert.to_json())
+    doc = json.loads(dumps17(cert.as_dict()))
     assert doc["schema_version"] == 1
     assert doc["kind"] == "chaos-certificate"
     assert doc["verdict"] == "certified"

@@ -257,6 +257,14 @@ class TestPeriodic:
         assert code == 1
         assert "certif" in err
 
+    def test_stalled_newton_writes_csv_then_exits_4(self, capsys):
+        code, out, err = run(capsys, "periodic", "--preset", "paper",
+                             "--word", "0000001")
+        assert code == 4
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[1][0] == "0000001" and rows[1][5] == "False"
+        assert "0000001" in err and "runtime failure" in err
+
 
 class TestHorseshoe:
     def test_writes_three_files(self, capsys, tmp_path):
@@ -287,3 +295,21 @@ class TestHorseshoe:
         capsys.readouterr()
         assert (tmp_path / "a-stretch.json").read_bytes() == \
                (tmp_path / "b-stretch.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "paper", "--start", "0.6,0.4,0.2", "--steps", "5"],
+    ["lyapunov", "--preset", "paper", "--start", "0.6,0.4,0.2", "--steps", "200"],
+    ["bifurcate", "--params", "0.4,0.55,0.6,10", "--alpha-range", "9,10.5",
+     "--samples", "4", "--transient", "100"],
+    ["periodic", "--preset", "paper", "--word", "01"],
+    ["search", "--preset", "paper", "--budget", "300", "--seed", "3"],
+], ids=lambda argv: argv[0])
+def test_stdout_and_out_file_carry_the_same_bytes(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "out"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    with open(path, newline="") as fh:
+        assert fh.read() == out

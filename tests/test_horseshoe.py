@@ -17,6 +17,7 @@ from triopoly.horseshoe import (
     random_crossing_path,
     vertical_segment_path,
 )
+from triopoly.jsonio import dumps17
 
 P = PAPER_PARAMS
 OB = OrientedBox(PAPER_BOX)
@@ -225,7 +226,7 @@ class TestPathStretching:
 
     def test_report_json(self):
         rep = check_path_stretching(P, OB, vertical_segment_path(OB))
-        d = json.loads(rep.to_json())
+        d = json.loads(dumps17(rep.as_dict()))
         assert d["status"] == "ok"
         assert d["disjoint"] is True
         assert len(d["crossings"]) == 2

@@ -1,0 +1,57 @@
+"""Smoke runs of the experiment scripts at tiny sizes."""
+import csv
+import runpy
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _main(name):
+    return runpy.run_path(str(SCRIPTS / name), run_name="script_under_test")["main"]
+
+
+def _header(path):
+    with open(path, newline="") as fh:
+        return next(csv.reader(fh))
+
+
+def test_alpha_feasibility_scan(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    code = _main("alpha_feasibility_scan.py")(
+        ["--alpha-range", "15,16", "--samples", "2", "--budget", "300", "--out", str(out)])
+    assert code == 0
+    assert _header(out) == ["alpha", "hits", "best_margin", "violated", "evaluated"]
+    assert "wrote" in capsys.readouterr().out
+
+
+def test_bifurcation_sweep(tmp_path, capsys):
+    out = tmp_path / "bif.csv"
+    code = _main("bifurcation_sweep.py")(
+        ["--alpha-range", "8,9", "--samples", "3", "--transient", "50", "--out", str(out)])
+    assert code == 0
+    assert _header(out)[:4] == ["alpha", "escaped", "lyap1", "z00"]
+
+
+def test_bifurcation_sweep_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit):
+        _main("bifurcation_sweep.py")(["--threads", "2"])
+
+
+def test_certify_reference_box(capsys):
+    code = _main("certify_reference_box.py")(["--budget", "10000"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "id    engine    status" in out
+    assert "merged verdict: certified" in out
+
+
+def test_export_horseshoe_covers(tmp_path, capsys):
+    prefix = tmp_path / "cov"
+    code = _main("export_horseshoe_covers.py")(
+        ["--resolutions", "8", "--export-prefix", str(prefix)])
+    assert code == 0
+    for k in (0, 1):
+        assert _header(f"{prefix}-k{k}.csv") == ["x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi"]
+    assert "disjoint" in capsys.readouterr().out
