@@ -1,10 +1,15 @@
 """Rigorous interval bounds for the map: the second, independent engine.
 
 Everything here is deliberately low-tech: outward-rounded double-precision
-interval arithmetic (one ``nextafter`` nudge per inexact primitive) plus
-branch-and-bound subdivision.  No affine arithmetic, no Taylor models.  Two
-standard first-order refinements and one exact range keep the subdivision
-counts small:
+interval arithmetic (one outward nudge per inexact primitive) plus
+branch-and-bound subdivision.  The scalar kernels nudge with
+``math.nextafter``; the vector kernels of the horseshoe covers use the
+branch-free successor/predecessor bound a +- (phi |a| + eta) of Rump,
+Zimmermann, Boldo & Melquiond (BIT 49, 2009), which equals ``nextafter``
+except for 2^-1022 <= |a| <= 2^-1020, and the bound of +-inf toward the
+finite range, where it lands one ulp further out.  No affine arithmetic,
+no Taylor models.  Two standard first-order refinements and one exact range
+keep the subdivision counts small:
 
 * monotonicity pruning: when an interval Jacobian entry has fixed sign over
   a subbox, the extremum lives on the corresponding face, so the subbox is
@@ -65,7 +70,10 @@ __all__ = [
 # plain double (aarch64 macOS, Windows), points take the outward kernels.
 _EXTENDED_POINTS = np.finfo(np.longdouble).nmant >= 63
 
-ROUNDING_STRATEGY = "outward 1-ulp nextafter per inexact primitive; " + (
+ROUNDING_STRATEGY = (
+    "outward per inexact primitive: scalar 1-ulp nextafter, vector "
+    "Rump-Zimmermann-Boldo-Melquiond successor/predecessor; "
+) + (
     "extended-precision point path" if _EXTENDED_POINTS else "outward point path"
 )
 
@@ -353,8 +361,8 @@ def _jac_row(p: Params, t6, comp: str):
         if d[0] <= 0.0:
             raise DomainError("x+z can reach <= 0: dF2 undefined inside box")
         # g(D) = 1/(2 sqrt(c2 D)) - 1 is decreasing in D
-        g_lo = _dn(1.0 / _up(2.0 * _up(math.sqrt(_up(p.c2 * d[1])))) - 1.0)
-        g_hi = _up(1.0 / _dn(2.0 * _dn(math.sqrt(_dn(p.c2 * d[0])))) - 1.0)
+        g_lo = _dn(_dn(1.0 / _up(2.0 * _up(math.sqrt(_up(p.c2 * d[1]))))) - 1.0)
+        g_hi = _up(_up(1.0 / _dn(2.0 * _dn(math.sqrt(_dn(p.c2 * d[0]))))) - 1.0)
         g = (g_lo, g_hi)
         return g, (0.0, 0.0), g
     if comp == "F3":
@@ -847,12 +855,31 @@ def verify_C_rigorous(
 # vectorised kernels for gridded covers (used by the horseshoe module)
 # ---------------------------------------------------------------------------
 
+# a + (phi |a| + eta) in round-to-nearest is at or above the successor of
+# a (Rump, Zimmermann, Boldo & Melquiond, BIT 49, 2009, Algorithm 2) and
+# equal to it outside 2^-1022 <= |a| <= 2^-1020.  The clamp to the finite
+# range keeps inf - inf from making a NaN of the bound toward +-max.
+_PHI = 2.0 ** -53 * (1.0 + 2.0 ** -52)
+_ETA = 2.0 ** -1074
+_MAX = float(np.finfo(np.float64).max)
+
+
 def _v_up(a):
-    return np.nextafter(a, np.inf)
+    a = np.maximum(a, -_MAX)
+    c = np.abs(a)
+    c *= _PHI
+    c += _ETA
+    c += a
+    return c
 
 
 def _v_dn(a):
-    return np.nextafter(a, -np.inf)
+    a = np.minimum(a, _MAX)
+    c = np.abs(a)
+    c *= _PHI
+    c += _ETA
+    np.subtract(a, c, out=c)
+    return c
 
 
 def _v_add(alo, ahi, blo, bhi):
@@ -959,8 +986,8 @@ def _batch_jac(p: Params, cells: np.ndarray):
     c1qlo, c1qhi = _v_mul_f(qlo, qhi, p.c1)
     out["11"] = (_v_dn(1.0 - c1qhi), _v_up(1.0 - c1qlo))
     out["12"] = (_v_dn(0.5 - c1qhi), _v_up(0.5 - c1qlo))
-    g_lo = _v_dn(1.0 / _v_up(2.0 * _v_up(np.sqrt(_v_up(p.c2 * dhi)))) - 1.0)
-    g_hi = _v_up(1.0 / _v_dn(2.0 * _v_dn(np.sqrt(_v_dn(p.c2 * dlo)))) - 1.0)
+    g_lo = _v_dn(_v_dn(1.0 / _v_up(2.0 * _v_up(np.sqrt(_v_up(p.c2 * dhi))))) - 1.0)
+    g_hi = _v_up(_v_up(1.0 / _v_dn(2.0 * _v_dn(np.sqrt(_v_dn(p.c2 * dlo))))) - 1.0)
     out["21"] = (g_lo, g_hi)
     q2lo, q2hi = _v_sqr_pos(qlo, qhi)
     q3lo, q3hi = _v_mul(qlo, qhi, q2lo, q2hi)
@@ -973,7 +1000,7 @@ def _batch_jac(p: Params, cells: np.ndarray):
     ulo, uhi = _v_mul_f(ulo, uhi, p.alpha)
     ulo, uhi = _v_div_pos(ulo, uhi, q3lo, q3hi)
     ac3 = p.alpha * p.c3
-    out["33"] = (_v_dn(1.0 - _up(ac3) + ulo), _v_up(1.0 - _dn(ac3) + uhi))
+    out["33"] = (_v_dn(_dn(1.0 - _up(ac3)) + ulo), _v_up(_up(1.0 - _dn(ac3)) + uhi))
     return out
 
 

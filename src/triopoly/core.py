@@ -26,6 +26,7 @@ __all__ = [
     "State",
     "eval_map",
     "eval_map_xyz",
+    "eval_map_arrays",
     "eval_jacobian",
     "fixed_points",
     "interior_fixed_point",
@@ -95,7 +96,10 @@ class State:
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """Dekker's exact product: returns (fl(a*b), a*b - fl(a*b))."""
+    """Dekker's exact product: returns (fl(a*b), a*b - fl(a*b)).
+
+    Elementwise on float64 arrays too: only + - * are used.
+    """
     prod = a * b
     c = 134217729.0 * a  # Veltkamp split at 2**27 + 1
     ah = c - (c - a)
@@ -107,16 +111,17 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return prod, err
 
 
-def _psi(d: float, c2: float) -> float:
+def _psi(d: float, c2: float, sqrt=math.sqrt) -> float:
     """sqrt(d/c2) - d with a compensated square root.
 
     The difference is an order of magnitude smaller than either term near
     the interesting boxes, so the naive expression loses ~10 ulps to the
     sqrt rounding alone.  One Newton-style correction recovered with exact
-    products brings the result back within about an ulp.
+    products brings the result back within about an ulp.  With
+    ``sqrt=np.sqrt`` it runs elementwise on arrays, to the same bits.
     """
     r = d / c2
-    s = math.sqrt(r)
+    s = sqrt(r)
     p_hi, p_lo = _two_prod(r, c2)
     div_err = ((d - p_hi) - p_lo) / c2  # d/c2 - fl(d/c2), to first order
     q_hi, q_lo = _two_prod(s, s)
@@ -136,6 +141,27 @@ def eval_map_xyz(p: Params, x: float, y: float, z: float) -> tuple[float, float,
     f1 = (2.0 * x + y + z - p.c1 * (q * q)) / 2.0
     f2 = _psi(d, p.c2)
     f3 = z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / (q * q))
+    return f1, f2, f3
+
+
+def eval_map_arrays(p: Params, x: np.ndarray, y: np.ndarray,
+                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eval_map_xyz`` over float64 arrays, bit for bit the same per point.
+
+    The same operations run in the same order; IEEE double arithmetic and
+    the correctly rounded square root make each element equal the scalar
+    result.  Raises DomainError when any point is off the domain.
+    """
+    d = x + z
+    q = x + y + z
+    if np.any(d <= 0.0):
+        raise DomainError(f"x + z = {d[d <= 0.0][0]} <= 0: square root undefined")
+    if np.any(q <= 0.0):
+        raise DomainError(f"x + y + z = {q[q <= 0.0][0]} <= 0: aggregate share undefined")
+    q2 = q * q
+    f1 = (2.0 * x + y + z - p.c1 * q2) / 2.0
+    f2 = _psi(d, p.c2, np.sqrt)
+    f3 = z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / q2)
     return f1, f2, f3
 
 

@@ -15,7 +15,9 @@ import numpy as np
 
 from .boxes import HalfBoxes, OrientedBox
 from .certificate import Certificate
-from .core import DomainError, Params, State, eval_jacobian, eval_map_xyz, fixed_points
+from .core import (
+    DomainError, Params, State, eval_jacobian, eval_map_arrays, eval_map_xyz, fixed_points,
+)
 from .horseshoe import _require_certified, build_K_enclosures
 from .jsonio import write_csv
 
@@ -156,19 +158,25 @@ def _newton_periodic(p: Params, start: np.ndarray, k: int, tol: float,
     return None, best
 
 
-def _grid_itinerary(p: Params, halves: HalfBoxes, b, pt, k: int) -> str | None:
-    cur = tuple(pt)
-    out = []
+def _itinerary_codes(p: Params, b, pts, k: int) -> np.ndarray:
+    """k-step half-box itineraries of the rows of ``pts``, all at once.
+
+    Each itinerary is a k-bit integer, first symbol most significant
+    (``format(code, f"0{k}b")`` is the word); -1 marks a point whose orbit
+    leaves the box within k symbols, or the map domain within k steps.
+    Symbols follow ``HalfBoxes.symbol_of``: z at or above the midplane is 1.
+    """
+    x, y, z = np.array(pts, dtype=float).reshape(-1, 3).T.copy()
+    codes = np.zeros(x.size, dtype=np.int64)
+    alive = np.ones(x.size, dtype=bool)
     for _ in range(k):
-        if not b.contains(*cur):
-            return None
-        sym, _ = halves.symbol_of(cur)
-        out.append(str(sym))
-        try:
-            cur = eval_map_xyz(p, *cur)
-        except DomainError:
-            return None
-    return "".join(out)
+        alive &= ((b.x_l <= x) & (x <= b.x_r) & (b.y_l <= y) & (y <= b.y_r)
+                  & (b.z_l <= z) & (z <= b.z_r))
+        codes = 2 * codes + (z >= b.z_mid)
+        alive &= (x + z > 0.0) & (x + y + z > 0.0)
+        i = np.flatnonzero(alive)
+        x[i], y[i], z[i] = eval_map_arrays(p, x[i], y[i], z[i])
+    return np.where(alive, codes, -1)
 
 
 def find_periodic_orbit(
@@ -193,18 +201,14 @@ def find_periodic_orbit(
         raise ValueError("tol must be positive")
     cert = _require_certified(p, ob.box, cert)
     b = ob.box
-    halves = HalfBoxes.from_oriented(ob)
     covers = build_K_enclosures(p, ob, resolution, cert=cert)
     cover = covers[int(word[0])]
     centres = 0.5 * (cover.cells[:, 0::2] + cover.cells[:, 1::2])
 
-    matching = []
-    for c in centres:
-        gi = _grid_itinerary(p, halves, b, c, k)
-        if gi == word:
-            matching.append(c)
+    target = int(word, 2)
+    matching = centres[_itinerary_codes(p, b, centres, k) == target]
     # coarse grids can miss deep words entirely; fall back to every start
-    starts = matching if matching else list(centres)
+    starts = list(matching) if matching.size else list(centres)
     # the map's fixed points are period-k points for every k and the only
     # representatives of the constant words; Newton from cover centres can
     # drain into a neighbouring orbit instead, so seed them explicitly
@@ -235,25 +239,22 @@ def find_periodic_orbit(
         orbit = [s]
         for _ in range(k - 1):
             orbit.append(np.array(eval_map_xyz(p, *orbit[-1])))
-        for j, pt in enumerate(orbit):
-            if not b.contains(*pt):
-                continue
-            gi = _grid_itinerary(p, halves, b, pt, k)
-            if gi == word:
-                st = State(*pt)
-                res_j = float(np.max(np.abs(_iterate_k(p, np.asarray(pt), k)[0] - pt)))
-                if res_j < tol:
-                    return PeriodicOrbitResult(
-                        word=word,
-                        point=st,
-                        residual=res_j,
-                        realized=gi,
-                        converged=True,
-                    )
+        in_phase = _itinerary_codes(p, b, orbit, k) == target
+        for pt in (orbit[j] for j in np.flatnonzero(in_phase)):
+            res_j = float(np.max(np.abs(_iterate_k(p, np.asarray(pt), k)[0] - pt)))
+            if res_j < tol:
+                return PeriodicOrbitResult(
+                    word=word,
+                    point=State(*pt),
+                    residual=res_j,
+                    realized=word,
+                    converged=True,
+                )
     pt = State(*best_point) if best_point is not None else None
     realized = ""
-    if pt is not None and b.contains(*pt.as_tuple()):
-        realized = _grid_itinerary(p, halves, b, pt.as_tuple(), k) or ""
+    if pt is not None:
+        code = int(_itinerary_codes(p, b, [pt.as_tuple()], k)[0])
+        realized = format(code, f"0{k}b") if code >= 0 else ""
     return PeriodicOrbitResult(
         word=word,
         point=pt,

@@ -394,3 +394,107 @@ def test_batch_enclosures_are_sound_and_no_wider_than_scalar():
             im = eval_map_xyz(P, x, y, z)
             for j in range(3):
                 assert lo[i, j] <= im[j] <= hi[i, j]
+
+
+# -- vector outward rounding: a +- (phi |a| + eta) -----------------------------
+
+_TINY = 2.0 ** -1022  # smallest normal
+_MAXF = float(np.finfo(np.float64).max)
+_SPECIAL = (
+    [0.0, -0.0, math.inf, -math.inf, _MAXF, -_MAXF, 5e-324, -5e-324, _TINY, -_TINY,
+     _TINY - 5e-324, 4 * _TINY, math.nextafter(4 * _TINY, math.inf), 1.0, -1.0]
+    + [s * 2.0 ** e for e in range(-1074, 1024, 13) for s in (1.0, -1.0)]
+)
+
+
+def _assert_outward(a):
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore"):
+        up, dn = bounds_mod._v_up(a), bounds_mod._v_dn(a)
+        nup, ndn = np.nextafter(a, np.inf), np.nextafter(a, -np.inf)
+    assert not np.isnan(up).any() and not np.isnan(dn).any()
+    # never inside the nextafter bound
+    assert (up >= nup).all() and (dn <= ndn).all()
+    # finite wherever nextafter's is finite (+-max overflow there too)
+    assert np.isfinite(up[np.isfinite(nup)]).all()
+    assert np.isfinite(dn[np.isfinite(ndn)]).all()
+    # equal to it for finite inputs away from the two lowest normal binades;
+    # at most one ulp further out inside them and for +-inf
+    same = np.isfinite(a) & ~((np.abs(a) >= _TINY) & (np.abs(a) <= 4 * _TINY))
+    assert np.array_equal(up[same], nup[same]) and np.array_equal(dn[same], ndn[same])
+    assert (up[~same] <= np.nextafter(nup[~same], np.inf)).all()
+    assert (dn[~same] >= np.nextafter(ndn[~same], -np.inf)).all()
+
+
+def test_vector_rounding_special_values():
+    _assert_outward(_SPECIAL)
+    # one element at a time too: no reliance on array-wide state
+    for v in _SPECIAL:
+        _assert_outward([v])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+def test_vector_rounding_is_outward_of_nextafter(values):
+    _assert_outward(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(min_value=-4 * _TINY, max_value=4 * _TINY), min_size=1, max_size=40))
+def test_vector_rounding_near_the_underflow_range(values):
+    _assert_outward(values)
+
+
+def test_vector_rounding_of_infinities():
+    a = np.array([math.inf, -math.inf])
+    up, dn = bounds_mod._v_up(a), bounds_mod._v_dn(a)
+    assert up[0] == math.inf and dn[1] == -math.inf
+    # the lower bound of +inf and the upper bound of -inf are finite, as
+    # with nextafter, not inf - inf = nan
+    assert dn[0] == math.nextafter(_MAXF, 0.0) and up[1] == -dn[0]
+
+
+# -- Jacobian entries against a 60-digit oracle --------------------------------
+
+@st.composite
+def _jac_case(draw):
+    """Random Params and an in-domain box, with corner and interior points."""
+    pos = lambda lo, hi: draw(st.floats(min_value=lo, max_value=hi))
+    p = Params(pos(0.05, 2.0), pos(0.05, 2.0), pos(0.05, 2.0), pos(0.5, 30.0))
+    lows = [pos(1e-3, 1.0), pos(0.0, 1.0), draw(st.sampled_from([0.0, pos(0.0, 1.0)]))]
+    t6 = tuple(v for lo in lows for v in (lo, lo + pos(1e-9, 0.5)))
+    fracs = draw(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=4))
+    at = lambda j, u: min(t6[2 * j] + u * (t6[2 * j + 1] - t6[2 * j]), t6[2 * j + 1])
+    points = [(x, y, z) for x in t6[0:2] for y in t6[2:4] for z in t6[4:6]]
+    points += [(at(0, u), at(1, v), at(2, w)) for u, v, w in fracs]
+    return p, t6, points
+
+
+def _exact_jac(mp, p, x, y, z):
+    """Entries 21, 31 and 33 of the Jacobian at a point, in mpmath."""
+    c2, c3, al = mp.mpf(p.c2), mp.mpf(p.c3), mp.mpf(p.alpha)
+    x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
+    a, q = x + y, x + y + z
+    return {
+        "21": 1 / (2 * mp.sqrt(c2 * (x + z))) - 1,
+        "31": al * z * (q - 2 * a) / q ** 3,
+        "33": 1 - al * c3 + al * a * (q - 2 * z) / q ** 3,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jac_case())
+def test_jacobian_entries_contain_the_exact_derivative(case):
+    mpmath = pytest.importorskip("mpmath")
+    p, t6, points = case
+    f2 = bounds_mod._jac_row(p, t6, "F2")
+    f3 = bounds_mod._jac_row(p, t6, "F3")
+    scalar = {"21": f2[0], "31": f3[0], "33": f3[2]}
+    batch = bounds_mod._batch_jac(p, np.array([t6]))
+    with mpmath.workdps(60):
+        for pt in points:
+            exact = _exact_jac(mpmath.mp, p, *pt)
+            for key, want in exact.items():
+                assert scalar[key][0] <= want <= scalar[key][1], (key, pt)
+                lo, hi = batch[key]
+                assert lo[0] <= want <= hi[0], (key, pt)

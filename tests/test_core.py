@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from triopoly import (
     DomainError,
@@ -20,7 +20,7 @@ from triopoly import (
     fixed_point_residual,
     fixed_points,
 )
-from triopoly.core import boundary_fixed_point, interior_fixed_point
+from triopoly.core import boundary_fixed_point, eval_map_arrays, interior_fixed_point
 
 # image of (1, 1, 1) under the reference parameters, recomputed independently
 F_111 = (0.1999999999999999, -0.09307482150881545, -5.4222222222222216)
@@ -159,3 +159,41 @@ def test_map_is_deterministic(x, y, z):
     a = eval_map_xyz(PAPER_PARAMS, x, y, z)
     b = eval_map_xyz(PAPER_PARAMS, x, y, z)
     assert a == b
+
+
+# no coordinate in (0, 1e-9): there (x+y+z)^2 can underflow to 0, where the
+# scalar map divides by zero and the array map yields inf
+_coord = st.floats(min_value=-0.5, max_value=2.0).filter(lambda v: v == 0.0 or abs(v) > 1e-9)
+
+
+@st.composite
+def _params(draw):
+    pos = lambda lo, hi: draw(st.floats(min_value=lo, max_value=hi))
+    return Params(pos(0.01, 3.0), pos(0.01, 3.0), pos(0.01, 3.0), pos(0.1, 40.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_params(), st.lists(st.tuples(_coord, _coord, _coord), min_size=1, max_size=24))
+def test_eval_map_arrays_is_eval_map_xyz_bit_for_bit(p, pts):
+    on, off = [], []
+    for pt in pts:
+        try:
+            on.append((pt, eval_map_xyz(p, *pt)))
+        except DomainError:
+            off.append(pt)
+    if off:
+        with pytest.raises(DomainError):
+            eval_map_arrays(p, *np.array(pts).T)
+        # a point on the x + z = 0 or x + y + z = 0 plane alone raises too
+        with pytest.raises(DomainError):
+            eval_map_arrays(p, *np.array(off[:1]).T)
+    if on:
+        got = np.column_stack(eval_map_arrays(p, *np.array([pt for pt, _ in on]).T))
+        want = np.array([f for _, f in on])
+        assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
+
+
+@pytest.mark.parametrize("x,y,z", [(0.0, 1.0, 0.0), (-0.3, 1.0, 0.2), (0.5, -1.0, 0.2)])
+def test_eval_map_arrays_domain_errors(x, y, z):
+    with pytest.raises(DomainError):
+        eval_map_arrays(PAPER_PARAMS, np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))

@@ -1,4 +1,5 @@
 """Covers of the two return sets and the path-stretching checker."""
+import hashlib
 import io
 import json
 
@@ -8,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triopoly import PAPER_BOX, PAPER_PARAMS, Box, OrientedBox
-from triopoly.core import Params, boundary_fixed_point, interior_fixed_point
+from triopoly.core import Params, boundary_fixed_point, eval_map_xyz, interior_fixed_point
 from triopoly.horseshoe import (
+    RETAIN_MARGIN,
     PathSample,
+    _centre_maps_inside,
+    _grid_cells,
     build_K_enclosures,
     check_path_stretching,
     locate_fixed_point_in,
@@ -105,6 +109,47 @@ class TestKEnclosures:
         d = k0.to_json_dict()
         assert d["index"] == 0 and d["cell_count"] == k0.cell_count
         json.dumps(d)
+
+    def test_paper_covers_at_res_16_are_frozen(self):
+        """sha256 of the little-endian cell bytes of the paper-box covers.
+
+        Any change to the grid, the enclosures, their rounding or the split
+        rule that moves a single bound of a single cell changes these.
+        """
+        k0, k1 = build_K_enclosures(P, OB, 16)
+        digest = lambda k: hashlib.sha256(k.cells.astype("<f8").tobytes()).hexdigest()
+        assert (k0.cell_count, k1.cell_count) == (870, 1359)
+        assert digest(k0) == "68dd9723c07ff19a6b76014de556af5c74cc741f813db4078bf839f35a97e944"
+        assert digest(k1) == "1b0e3e7502965cea55d93b3bda6feb285338d357c598f52ac35ed6d756089139"
+
+    @pytest.mark.parametrize("n", [(1, 1, 1), (2, 3, 5), (7, 4, 3), (16, 16, 8)])
+    def test_grid_cells_in_z_y_x_order(self, n):
+        nx, ny, nz = n
+        b = PAPER_BOX
+        got = _grid_cells(b, nx, ny, b.z_mid, b.z_r, nz)
+        xe = np.linspace(b.x_l, b.x_r, nx + 1)
+        ye = np.linspace(b.y_l, b.y_r, ny + 1)
+        ze = np.linspace(b.z_mid, b.z_r, nz + 1)
+        want = np.array([
+            (xe[kx], xe[kx + 1], ye[ky], ye[ky + 1], ze[kz], ze[kz + 1])
+            for kz in range(nz) for ky in range(ny) for kx in range(nx)
+        ])
+        assert got.shape == (nx * ny * nz, 6)
+        assert got.tobytes() == want.tobytes()
+
+    def test_centre_test_matches_per_cell_map(self):
+        b = PAPER_BOX
+        cells = _grid_cells(b, 12, 12, b.z_l, b.z_r, 12)
+        want = []
+        for row in cells:
+            fx, fy, fz = eval_map_xyz(P, *(0.5 * (row[0::2] + row[1::2])))
+            want.append(
+                b.x_l + RETAIN_MARGIN < fx < b.x_r - RETAIN_MARGIN
+                and b.y_l + RETAIN_MARGIN < fy < b.y_r - RETAIN_MARGIN
+                and b.z_l + RETAIN_MARGIN < fz < b.z_r - RETAIN_MARGIN
+            )
+        got = _centre_maps_inside(P, cells, b)
+        assert got.tolist() == want and 0 < got.sum() < got.size
 
     def test_interval_boxes_iterate_all_cells(self):
         k0, _ = build_K_enclosures(P, OB, 8)

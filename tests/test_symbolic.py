@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triopoly import Box, OrientedBox, PAPER_BOX, PAPER_PARAMS
+from triopoly import Box, HalfBoxes, OrientedBox, PAPER_BOX, PAPER_PARAMS
 from triopoly.core import (
     DomainError,
     State,
@@ -17,6 +17,7 @@ from triopoly.core import (
 )
 from triopoly.symbolic import (
     MAX_WORD_LENGTH,
+    _itinerary_codes,
     Itinerary,
     count_periodic_words,
     entropy_lower_bound,
@@ -227,3 +228,46 @@ def test_itinerary_symbols_match_per_step_membership(x, y, z, n):
         if it.exit_step == step + 1:
             assert not PAPER_BOX.contains(*cur)
             break
+
+
+def _itinerary_by_point(p, b, pt, k):
+    """Per-point reference: the word, or None once the orbit leaves the box
+    within k symbols or the domain within k steps."""
+    halves = HalfBoxes.from_oriented(OrientedBox(b))
+    out = ""
+    for _ in range(k):
+        if not b.contains(*pt):
+            return None
+        out += str(halves.symbol_of(pt)[0])
+        try:
+            pt = eval_map_xyz(p, *pt)
+        except DomainError:
+            return None
+    return out
+
+
+@given(
+    pts=st.lists(
+        st.tuples(st.floats(0.5, 0.7), st.floats(0.3, 0.5), st.floats(-0.05, 0.45)),
+        min_size=1, max_size=12,
+    ),
+    k=st.integers(1, MAX_WORD_LENGTH),
+)
+@settings(max_examples=60, deadline=None)
+def test_itinerary_codes_match_per_point_itineraries(pts, k):
+    mid = PAPER_BOX.z_mid
+    pts = pts + [(0.6, 0.4, mid), (0.6, 0.4, PAPER_BOX.z_r)]  # a tie, a top-face point
+    codes = _itinerary_codes(P, PAPER_BOX, pts, k)
+    for pt, code in zip(pts, codes):
+        want = _itinerary_by_point(P, PAPER_BOX, pt, k)
+        assert (format(int(code), f"0{k}b") if code >= 0 else None) == want
+
+
+def test_itinerary_codes_drop_orbits_leaving_the_domain():
+    # x + z = 0 inside a box reaching down to it: the first map step is off-domain
+    b = Box(-0.1, 0.5, 0.1, 0.5, 0.0, 0.4)
+    pts = [(0.0, 0.3, 0.0), (0.3, 0.3, 0.1)]
+    codes = _itinerary_codes(P, b, pts, 1)
+    want = [_itinerary_by_point(P, b, pt, 1) for pt in pts]
+    assert want[0] is None and codes[0] == -1
+    assert want[1] is not None and format(int(codes[1]), "01b") == want[1]
