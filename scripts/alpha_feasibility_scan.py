@@ -10,7 +10,8 @@ last empty row and the first row with hits; at the default budget that
 bracket is (15, 16] with the reference cost parameters.
 
 Writes a CSV (alpha, hits, best_margin, violated, evaluated) and prints
-the same table.
+the same table, plus the sub-inequality (H2a ... H5e) that killed the most
+candidates at each alpha and its share of the failed ones.
 """
 from __future__ import annotations
 
@@ -38,10 +39,16 @@ def main(argv=None) -> int:
     lo, hi = (float(s) for s in args.alpha_range.split(","))
     alphas = np.linspace(lo, hi, args.samples)
 
-    rows = []
+    rows, killers = [], []
     for alpha in alphas:
         p = dataclasses.replace(PAPER_PARAMS, alpha=float(alpha))
         res = search_boxes(p, "random", args.budget, seed=args.seed)
+        if res.killed_by:
+            top = max(res.killed_by, key=res.killed_by.get)
+            share = res.killed_by[top] / sum(res.killed_by.values())
+            killers.append(f"{top} {share:4.0%}")
+        else:
+            killers.append("-")
         if len(res):
             rows.append([alpha, len(res), res.margins[0], "", res.evaluated])
         elif res.near_miss is not None:
@@ -51,9 +58,9 @@ def main(argv=None) -> int:
             rows.append([alpha, 0, float("nan"), "no candidate", res.evaluated])
 
     header = ["alpha", "hits", "best_margin", "violated", "evaluated"]
-    print(f"{'alpha':>7s} {'hits':>5s} {'best_margin':>24s} {'violated':>9s}")
-    for alpha, hits, margin, violated, _ in rows:
-        print(f"{alpha:7.3f} {hits:5d} {margin:24.17g} {violated:>9s}")
+    print(f"{'alpha':>7s} {'hits':>5s} {'best_margin':>24s} {'violated':>9s} {'top killer':>10s}")
+    for (alpha, hits, margin, violated, _), killer in zip(rows, killers):
+        print(f"{alpha:7.3f} {hits:5d} {margin:24.17g} {violated:>9s} {killer:>10s}")
 
     if args.out:
         write_csv(args.out, header, ([f"{row[0]:.17g}", row[1], f"{row[2]:.17g}",

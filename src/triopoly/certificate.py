@@ -228,15 +228,82 @@ def _record_from_subchecks(cid, subchecks, engine, note="") -> ConditionRecord:
     )
 
 
-def _guarded_sqrt(v: float) -> Optional[float]:
-    if v < 0.0:
-        return None
-    return math.sqrt(v)
+def _sqrt_or_nan(v: float) -> float:
+    return math.sqrt(v) if v >= 0.0 else math.nan
 
 
 # ---------------------------------------------------------------------------
 # the (H) layer
 # ---------------------------------------------------------------------------
+
+def h_inequalities(p: Params, xl, xr, yl, yr, zl, zr, sqrt=math.sqrt):
+    """Both sides of every atomic (H2)-(H5) inequality on the box corners.
+
+    The one definition of the H layer: :func:`check_H` builds its records
+    from it over floats, and the box search judges whole candidate arrays
+    with it (``sqrt=np.sqrt``), to the same bits per element.
+
+    Returns ``(atoms, operands)``.  ``atoms`` lists
+    ``(condition, id, relation, lhs, rhs, note, root)`` in record order;
+    relation ``">"`` is strict (passes when lhs - rhs > min_margin) and
+    ``">="`` weak (passes when lhs - rhs >= 0).  ``root`` is the key in
+    ``operands`` of the square-root operand the sides depend on, or None;
+    a negative operand leaves those atoms undefined, so ``sqrt`` must
+    return NaN there rather than raise.  The H2 atoms are omitted when
+    alpha*c3 <= 1, where the escape bound does not exist.
+    """
+    s_ll = xl + yl
+    s_rr = xr + yr
+    atoms = []
+    operands = {}
+
+    # H2: x_l+y_l > z_r >= sqrt(alpha/(alpha*c3-1)*(x_l+y_l)) - (x_l+y_l) > 0
+    if p.gradient_bound_defined:
+        operands["x_l+y_l"] = p.alpha / (p.alpha * p.c3 - 1.0) * s_ll
+        bound = sqrt(operands["x_l+y_l"]) - s_ll
+        atoms += [
+            ("H2", "H2a", ">", s_ll, zr, "x_l+y_l > z_r", None),
+            ("H2", "H2b", ">=", zr, bound, "z_r >= escape bound", "x_l+y_l"),
+            ("H2", "H2c", ">", bound, 0.0, "escape bound > 0", "x_l+y_l"),
+        ]
+
+    # H3: 2*(sqrt(alpha/(alpha*c3+1)*(x_r+y_r)) - (x_r+y_r)) > z_r
+    operands["x_r+y_r"] = p.alpha / (p.alpha * p.c3 + 1.0) * s_rr
+    reentry = 2.0 * (sqrt(operands["x_r+y_r"]) - s_rr)
+    atoms.append(("H3", "H3", ">", reentry, zr, "re-entry bound > z_r", "x_r+y_r"))
+
+    # H4: the x-cross-section inequalities.
+    inv_c1 = 1.0 / p.c1
+    half = 0.5 * inv_c1
+    quarter = 0.25 * inv_c1
+    operands["y_l+z_l"] = (yl + zl) / p.c1
+    atoms += [
+        ("H4", "H4a", ">", inv_c1 - xr, yr + zr, "1/c1 - x_r > y_r+z_r", None),
+        ("H4", "H4b", ">", yr + zr, half - xl, "y_r+z_r > 1/(2c1) - x_l", None),
+        ("H4", "H4c", ">", half - xl, 0.0, "1/(2c1) - x_l > 0", None),
+        ("H4", "H4d", ">", half - xr, yl + zl, "1/(2c1) - x_r > y_l+z_l", None),
+        ("H4", "H4e", ">=", xr, quarter, "x_r >= 1/(4c1)", None),
+        ("H4", "H4f", ">=", half * (1.0 - p.c1 * (yl + yr + zl + zr)), xl,
+         "vertex-sum bound >= x_l", None),
+        ("H4", "H4g", ">", xl, 0.0, "x_l > 0", None),
+        ("H4", "H4h", ">=", sqrt(operands["y_l+z_l"]) - (yl + zl), xl,
+         "sqrt((y_l+z_l)/c1) - (y_l+z_l) >= x_l", "y_l+z_l"),
+    ]
+
+    # H5: the y-cross-section inequalities through psi(D) = sqrt(D/c2) - D.
+    operands["x_l+z_l"] = (xl + zl) / p.c2
+    operands["x_r+z_r"] = (xr + zr) / p.c2
+    lo_val = sqrt(operands["x_l+z_l"]) - (xl + zl)
+    hi_val = sqrt(operands["x_r+z_r"]) - (xr + zr)
+    atoms += [
+        ("H5", "H5a", ">", xl + zl, 0.25 / p.c2, "x_l+z_l > 1/(4c2)", None),
+        ("H5", "H5b", ">=", yr, lo_val, "y_r >= psi(x_l+z_l)", "x_l+z_l"),
+        ("H5", "H5c", ">", lo_val, 0.0, "psi(x_l+z_l) > 0", "x_l+z_l"),
+        ("H5", "H5d", ">=", hi_val, yl, "psi(x_r+z_r) >= y_l", "x_r+z_r"),
+        ("H5", "H5e", ">", yl, 0.0, "y_l > 0", None),
+    ]
+    return atoms, operands
+
 
 def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certificate:
     """Evaluate the five hypothesis groups on the box corners.
@@ -244,10 +311,10 @@ def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certif
     H2's lower bound for z_r involves sqrt(alpha/(alpha*c3 - 1) * (x_l+y_l))
     and is undefined when alpha*c3 <= 1; that yields an ``inapplicable``
     H2 record rather than a failure, since no verdict either way follows.
+    A negative square-root operand replaces the atoms that depend on it
+    by one undefined (failing) sub-check.
     """
     xl, xr, yl, yr, zl, zr = b.as_tuple()
-    s_ll = xl + yl
-    s_rr = xr + yr
 
     # H1: the bottom face must sit exactly on the exit plane z = 0.
     h1_margin = -abs(zl)
@@ -263,8 +330,23 @@ def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certif
         note="" if zl == 0.0 else "bottom face must lie on z = 0",
     )
 
-    # H2: x_l+y_l > z_r >= sqrt(alpha/(alpha*c3-1)*(x_l+y_l)) - (x_l+y_l) > 0
-    if p.alpha * p.c3 <= 1.0:
+    atoms, operands = h_inequalities(p, xl, xr, yl, yr, zl, zr, _sqrt_or_nan)
+    subs = {cid: [] for cid in H_IDS[1:]}
+    undefined = set()
+    for cid, sid, relation, lhs, rhs, note, root in atoms:
+        if root is not None and operands[root] < 0.0:
+            if root not in undefined:
+                undefined.add(root)
+                subs[cid].append(
+                    _undefined(sid, relation, f"sqrt of negative operand ({root} < 0)"))
+        elif relation == ">":
+            subs[cid].append(_strict(sid, lhs, rhs, min_margin, note))
+        else:
+            subs[cid].append(_weak(sid, lhs, rhs, note))
+
+    if p.gradient_bound_defined:
+        h2 = _record_from_subchecks("H2", subs["H2"], "analytic")
+    else:
         h2 = ConditionRecord(
             cid="H2",
             status=INAPPLICABLE,
@@ -275,74 +357,12 @@ def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certif
             engine="analytic",
             note=f"alpha*c3 = {p.alpha * p.c3} <= 1: escape bound undefined",
         )
-    else:
-        root = _guarded_sqrt(p.alpha / (p.alpha * p.c3 - 1.0) * s_ll)
-        subs = [_strict("H2a", s_ll, zr, min_margin, "x_l+y_l > z_r")]
-        if root is None:
-            subs.append(_undefined("H2b", ">=", "sqrt of negative operand (x_l+y_l < 0)"))
-        else:
-            bound = root - s_ll
-            subs.append(_weak("H2b", zr, bound, "z_r >= escape bound"))
-            subs.append(_strict("H2c", bound, 0.0, min_margin, "escape bound > 0"))
-        h2 = _record_from_subchecks("H2", subs, "analytic")
-
-    # H3: 2*(sqrt(alpha/(alpha*c3+1)*(x_r+y_r)) - (x_r+y_r)) > z_r
-    root = _guarded_sqrt(p.alpha / (p.alpha * p.c3 + 1.0) * s_rr)
-    if root is None:
-        subs = [_undefined("H3", ">", "sqrt of negative operand (x_r+y_r < 0)")]
-    else:
-        subs = [_strict("H3", 2.0 * (root - s_rr), zr, min_margin, "re-entry bound > z_r")]
-    h3 = _record_from_subchecks("H3", subs, "analytic")
-
-    # H4: the x-cross-section inequalities.
-    inv_c1 = 1.0 / p.c1
-    half = 0.5 * inv_c1
-    quarter = 0.25 * inv_c1
-    subs4 = [
-        _strict("H4a", inv_c1 - xr, yr + zr, min_margin, "1/c1 - x_r > y_r+z_r"),
-        _strict("H4b", yr + zr, half - xl, min_margin, "y_r+z_r > 1/(2c1) - x_l"),
-        _strict("H4c", half - xl, 0.0, min_margin, "1/(2c1) - x_l > 0"),
-        _strict("H4d", half - xr, yl + zl, min_margin, "1/(2c1) - x_r > y_l+z_l"),
-        _weak("H4e", xr, quarter, "x_r >= 1/(4c1)"),
-        _weak(
-            "H4f",
-            half * (1.0 - p.c1 * (yl + yr + zl + zr)),
-            xl,
-            "vertex-sum bound >= x_l",
-        ),
-        _strict("H4g", xl, 0.0, min_margin, "x_l > 0"),
-    ]
-    root = _guarded_sqrt((yl + zl) / p.c1)
-    if root is None:
-        subs4.append(_undefined("H4h", ">=", "sqrt of negative operand (y_l+z_l < 0)"))
-    else:
-        subs4.append(_weak("H4h", root - (yl + zl), xl, "sqrt((y_l+z_l)/c1) - (y_l+z_l) >= x_l"))
-    h4 = _record_from_subchecks("H4", subs4, "analytic")
-
-    # H5: the y-cross-section inequalities through psi(D) = sqrt(D/c2) - D.
-    def psi(dv: float) -> Optional[float]:
-        r = _guarded_sqrt(dv / p.c2)
-        return None if r is None else r - dv
-
-    subs5 = [_strict("H5a", xl + zl, 0.25 / p.c2, min_margin, "x_l+z_l > 1/(4c2)")]
-    lo_val = psi(xl + zl)
-    hi_val = psi(xr + zr)
-    if lo_val is None:
-        subs5.append(_undefined("H5b", ">=", "sqrt of negative operand (x_l+z_l < 0)"))
-    else:
-        subs5.append(_weak("H5b", yr, lo_val, "y_r >= psi(x_l+z_l)"))
-        subs5.append(_strict("H5c", lo_val, 0.0, min_margin, "psi(x_l+z_l) > 0"))
-    if hi_val is None:
-        subs5.append(_undefined("H5d", ">=", "sqrt of negative operand (x_r+z_r < 0)"))
-    else:
-        subs5.append(_weak("H5d", hi_val, yl, "psi(x_r+z_r) >= y_l"))
-    subs5.append(_strict("H5e", yl, 0.0, min_margin, "y_l > 0"))
-    h5 = _record_from_subchecks("H5", subs5, "analytic")
-
+    records = [h1, h2] + [_record_from_subchecks(cid, subs[cid], "analytic")
+                          for cid in ("H3", "H4", "H5")]
     return Certificate(
         params=p,
         box=b,
-        conditions=[h1, h2, h3, h4, h5],
+        conditions=records,
         engine="analytic",
         min_margin=min_margin,
     )

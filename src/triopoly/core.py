@@ -130,6 +130,11 @@ def _psi(d: float, c2: float, sqrt=math.sqrt) -> float:
     return (s - d) + corr
 
 
+def _underflow(d: float, q: float) -> str:
+    return (f"x + z = {d}, x + y + z = {q}: a divisor built from them "
+            f"underflows to 0")
+
+
 def eval_map_xyz(p: Params, x: float, y: float, z: float) -> tuple[float, float, float]:
     """Plain-float hot path for the map.  Raises DomainError off-domain."""
     d = x + z
@@ -139,8 +144,11 @@ def eval_map_xyz(p: Params, x: float, y: float, z: float) -> tuple[float, float,
     if q <= 0.0:
         raise DomainError(f"x + y + z = {q} <= 0: aggregate share undefined")
     f1 = (2.0 * x + y + z - p.c1 * (q * q)) / 2.0
-    f2 = _psi(d, p.c2)
-    f3 = z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / (q * q))
+    try:
+        f2 = _psi(d, p.c2)
+        f3 = z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / (q * q))
+    except ZeroDivisionError:
+        raise DomainError(_underflow(d, q)) from None
     return f1, f2, f3
 
 
@@ -150,7 +158,8 @@ def eval_map_arrays(p: Params, x: np.ndarray, y: np.ndarray,
 
     The same operations run in the same order; IEEE double arithmetic and
     the correctly rounded square root make each element equal the scalar
-    result.  Raises DomainError when any point is off the domain.
+    result.  Raises DomainError when any point is off the domain, or
+    where the scalar map would divide by an underflowed zero.
     """
     d = x + z
     q = x + y + z
@@ -159,6 +168,9 @@ def eval_map_arrays(p: Params, x: np.ndarray, y: np.ndarray,
     if np.any(q <= 0.0):
         raise DomainError(f"x + y + z = {q[q <= 0.0][0]} <= 0: aggregate share undefined")
     q2 = q * q
+    tiny = (q2 == 0.0) | (d / p.c2 == 0.0)
+    if np.any(tiny):
+        raise DomainError(_underflow(d[tiny][0], q[tiny][0]))
     f1 = (2.0 * x + y + z - p.c1 * q2) / 2.0
     f2 = _psi(d, p.c2, np.sqrt)
     f3 = z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / q2)
@@ -195,9 +207,12 @@ def eval_jacobian(p: Params, s: State) -> np.ndarray:
     q3 = q * q * q
     j11 = 1.0 - p.c1 * q
     j12 = 0.5 - p.c1 * q
-    j21 = 1.0 / (2.0 * math.sqrt(p.c2 * d)) - 1.0
-    j31 = p.alpha * z * (q - 2.0 * a) / q3
-    j33 = 1.0 - p.alpha * p.c3 + p.alpha * a * (q - 2.0 * z) / q3
+    try:
+        j21 = 1.0 / (2.0 * math.sqrt(p.c2 * d)) - 1.0
+        j31 = p.alpha * z * (q - 2.0 * a) / q3
+        j33 = 1.0 - p.alpha * p.c3 + p.alpha * a * (q - 2.0 * z) / q3
+    except ZeroDivisionError:
+        raise DomainError(_underflow(d, q)) from None
     return np.array(
         [
             [j11, j12, j12],

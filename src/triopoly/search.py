@@ -18,7 +18,21 @@ by box bounds.  H1 is excluded from the rank on purpose: with z_l pinned
 its margin is identically zero and carries no information.  Every ranked
 survivor is re-judged by ``certify_box``; only full passes are returned.
 An empty result is a legitimate outcome and carries the best near-miss
-together with the condition that killed it.
+together with the condition that killed it, and ``killed_by`` counts, per
+sub-inequality (H2a ... H5e), the candidates it killed.
+
+Candidates are never judged one object at a time.  Unit-cube rows are
+decoded in chunks of 16384 as (n, 5) arrays; ``_judge`` evaluates the
+H inequalities of :func:`triopoly.certificate.h_inequalities` (the same
+definition ``check_H`` builds its records from) over the whole chunk and
+replays the record, rank and binding-failure rules of ``check_H`` per
+row, bit for bit; ``_Scan.absorb`` folds the verdicts in row order into
+the hit list, the two near-miss slots and the kill counts.  ``Box`` and
+``NearMiss`` objects are built only for hits and slot winners, and
+certificates only for the ``max_hits`` hits that ``certify_box``
+re-judges.  The refine climb is sequential; it judges the probes it
+would make until the next improvement as one block and folds only the
+ones it reaches.
 
 The skeleton decoder turns a point of the unit cube into a candidate by
 walking the coordinates in dependency order and interpolating each one
@@ -36,14 +50,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box, InvalidBoxError
-from .certificate import (
-    DEFAULT_MIN_MARGIN,
-    SCHEMA_VERSION,
-    Certificate,
-    check_H,
-    certify_box,
-)
+from .boxes import Box
+from .certificate import DEFAULT_MIN_MARGIN, SCHEMA_VERSION, certify_box, h_inequalities
 from .core import Params
 from .jsonio import dumps17, open_sink
 
@@ -53,6 +61,7 @@ __all__ = ["NearMiss", "SearchResult", "search_boxes", "RANK_IDS"]
 RANK_IDS = ("H2", "H3", "H4", "H5")
 
 _PAD = 1e-9          # interior padding for open windows
+_CHUNK = 16384       # rows decoded and judged per array pass
 _STRATEGIES = ("grid", "random", "refine")
 
 
@@ -64,24 +73,22 @@ def _vec_of(b: Box) -> tuple[float, ...]:
     return (b.x_l, b.x_r - b.x_l, b.y_l, b.y_r - b.y_l, b.z_r)
 
 
-def _box_of(vec) -> Box | None:
+def _box_of(vec) -> Box:
+    """The Box of a candidate row already judged valid."""
     x_l, wx, y_l, wy, z_r = (float(v) for v in vec)
-    try:
-        return Box(x_l=x_l, x_r=x_l + wx, y_l=y_l, y_r=y_l + wy, z_l=0.0, z_r=z_r)
-    except InvalidBoxError:
-        return None
+    return Box(x_l=x_l, x_r=x_l + wx, y_l=y_l, y_r=y_l + wy, z_l=0.0, z_r=z_r)
 
 
-def _lerp(lo: float, hi: float, u: float) -> float:
+def _lerp(lo, hi, u):
     return lo + (hi - lo) * u
 
 
-def _decode_near(u, base: tuple[float, ...], scale: float) -> tuple[float, ...]:
-    return tuple(v * (1.0 + scale * (2.0 * float(ui) - 1.0)) for v, ui in zip(base, u))
+def _decode_near(u: np.ndarray, base: np.ndarray, scale: float) -> np.ndarray:
+    return np.asarray(base) * (1.0 + scale * (2.0 * u - 1.0))
 
 
-def _decode_skeleton(u, p: Params) -> tuple[float, ...] | None:
-    """Map a unit-cube point to a candidate honouring the corner skeleton.
+def _decode_skeleton(u: np.ndarray, p: Params) -> np.ndarray | None:
+    """Map (n, 5) unit-cube rows to candidates honouring the corner skeleton.
 
     Windows, in draw order (B = 1/c1; all with z_l = 0):
 
@@ -96,63 +103,63 @@ def _decode_skeleton(u, p: Params) -> tuple[float, ...] | None:
                min(x_l + y_l, re-entry ceiling, B - x_r - y_r,
                    B - 2 x_l - y_l - y_r, psi-preimage of y_l minus x_r))
 
-    Returns None only when the parameter geometry admits no window at all.
+    Every row runs the same float operations in the same order; the
+    clamps of closed windows are ``np.where`` selections.  Returns None
+    only when the parameter geometry admits no window at all.
     """
     B = 1.0 / p.c1
     A = 0.25 / p.c2
     if A >= 0.25 * B:
         return None
-    x_l = _lerp(A, 0.25 * B, float(u[0]))
-    x_r = _lerp(max(x_l, 0.25 * B), 0.5 * B, float(u[1]))
+    u0, u1, u2, u3, u4 = u.T
+    x_l = _lerp(A, 0.25 * B, u0)
+    x_r = _lerp(np.maximum(x_l, 0.25 * B), 0.5 * B, u1)
 
-    root = math.sqrt(max(0.0, B - 4.0 * x_l))
+    root = np.sqrt(np.maximum(0.0, B - 4.0 * x_l))
     t_lo = 0.5 * (math.sqrt(B) - root)
     t_hi = 0.5 * (math.sqrt(B) + root)
     # the H5 preimage bound can never exceed 1/(4 c2), so larger y_l is dead
-    lo = max(t_lo * t_lo, _PAD)
-    hi = min(t_hi * t_hi, 0.5 * B - x_r, 0.25 / p.c2 - _PAD)
-    y_l = _lerp(lo, hi, float(u[2])) if hi > lo else 0.5 * (lo + hi)
-    if y_l <= 0.0:
-        y_l = _PAD
+    lo = np.maximum(t_lo * t_lo, _PAD)
+    hi = np.minimum(np.minimum(t_hi * t_hi, 0.5 * B - x_r), 0.25 / p.c2 - _PAD)
+    y_l = np.where(hi > lo, _lerp(lo, hi, u2), 0.5 * (lo + hi))
+    y_l = np.where(y_l <= 0.0, _PAD, y_l)
 
     s_ll = x_l + y_l
-    q_escape = p.alpha / (p.alpha * p.c3 - 1.0) if p.alpha * p.c3 > 1.0 else None
     q_reentry = p.alpha / (p.alpha * p.c3 + 1.0)
-    floor = (math.sqrt(q_escape * s_ll) - s_ll) if q_escape is not None else 0.0
-    c0 = max(_PAD, floor)
-    psi = math.sqrt(x_l / p.c2) - x_l
-    y_flo = max(y_l + _PAD, psi, 0.5 * B - x_l - s_ll + _PAD)
-    if q_reentry > 2.0 * c0:
-        t = 0.5 * (math.sqrt(q_reentry) + math.sqrt(q_reentry - 2.0 * c0))
-        y_fhi = t * t - x_r
+    if p.alpha * p.c3 > 1.0:
+        floor = np.sqrt(p.alpha / (p.alpha * p.c3 - 1.0) * s_ll) - s_ll
     else:
-        y_fhi = y_flo            # empty: clamp to the floor
+        floor = 0.0
+    c0 = np.maximum(_PAD, floor)
+    psi = np.sqrt(x_l / p.c2) - x_l
+    y_flo = np.maximum(np.maximum(y_l + _PAD, psi), 0.5 * B - x_l - s_ll + _PAD)
+    with np.errstate(invalid="ignore"):     # NaN only in rows the clamp replaces
+        t = 0.5 * (math.sqrt(q_reentry) + np.sqrt(q_reentry - 2.0 * c0))
+    y_fhi = np.where(q_reentry > 2.0 * c0, t * t - x_r, y_flo)  # else empty: clamp
     # on inversion keep the mandatory lower bounds satisfied, so that the
     # contradiction surfaces in the z window
-    y_r = _lerp(y_flo, y_fhi, float(u[3])) if y_fhi > y_flo else y_flo
-    if y_r <= y_l:
-        y_r = y_l + _PAD
+    y_r = np.where(y_fhi > y_flo, _lerp(y_flo, y_fhi, u3), y_flo)
+    y_r = np.where(y_r <= y_l, y_l + _PAD, y_r)
 
     s_rr = x_r + y_r
-    gamma = 2.0 * (math.sqrt(q_reentry * s_rr) - s_rr) if s_rr > 0.0 else 0.0
+    with np.errstate(invalid="ignore"):
+        gamma = np.where(s_rr > 0.0, 2.0 * (np.sqrt(q_reentry * s_rr) - s_rr), 0.0)
     # level where the y_l preimage bound meets x_r + z (upper branch)
-    t = 0.5 * (math.sqrt(1.0 / p.c2) + math.sqrt(max(0.0, 1.0 / p.c2 - 4.0 * y_l)))
-    geo_lo = max(_PAD, 0.5 * B - x_l - y_r)
-    geo_hi = min(s_ll, B - x_r - y_r, B - 2.0 * x_l - y_l - y_r, t * t - x_r)
-    z_lo = max(geo_lo, floor)
-    z_hi = min(geo_hi, gamma)
-    if z_hi > z_lo:
-        z_r = _lerp(z_lo, z_hi, float(u[4]))
-    elif geo_hi > geo_lo:
-        # geometrically fine, killed by the escape/re-entry pair: probe the
-        # midpoint of that pair clamped into the geometric window, so the
-        # near-miss blames the conditions the parameters actually move
-        z_r = min(max(0.5 * (floor + gamma), geo_lo), geo_hi)
-    else:
-        z_r = 0.5 * (geo_lo + geo_hi)
-    if z_r <= 0.0:
-        z_r = _PAD
-    return (x_l, x_r - x_l, y_l, y_r - y_l, z_r)
+    t = 0.5 * (math.sqrt(1.0 / p.c2) + np.sqrt(np.maximum(0.0, 1.0 / p.c2 - 4.0 * y_l)))
+    geo_lo = np.maximum(_PAD, 0.5 * B - x_l - y_r)
+    geo_hi = np.minimum(np.minimum(np.minimum(s_ll, B - x_r - y_r),
+                                   B - 2.0 * x_l - y_l - y_r), t * t - x_r)
+    z_lo = np.maximum(geo_lo, floor)
+    z_hi = np.minimum(geo_hi, gamma)
+    # geometrically fine but killed by the escape/re-entry pair: probe the
+    # midpoint of that pair clamped into the geometric window, so the
+    # near-miss blames the conditions the parameters actually move
+    z_r = np.where(z_hi > z_lo, _lerp(z_lo, z_hi, u4),
+                   np.where(geo_hi > geo_lo,
+                            np.minimum(np.maximum(0.5 * (floor + gamma), geo_lo), geo_hi),
+                            0.5 * (geo_lo + geo_hi)))
+    z_r = np.where(z_r <= 0.0, _PAD, z_r)
+    return np.stack((x_l, x_r - x_l, y_l, y_r - y_l, z_r), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -177,73 +184,203 @@ class NearMiss:
         }
 
 
+_STATUS = ("pass", "fail", "inapplicable")
+
+
+@dataclass(frozen=True)
+class _Judged:
+    """Per-row corner verdicts of one block of candidates."""
+
+    valid: np.ndarray      # the row makes a Box
+    rank: np.ndarray       # maximin H2..H5 margin, -inf when none is defined
+    passed: np.ndarray     # every condition passes
+    frontier: np.ndarray   # H4 and H5 pass: only H2/H3 can fail
+    worst: np.ndarray      # index into RANK_IDS of the binding failure
+    status: np.ndarray     # (4, n) _STATUS codes of H2..H5
+    margin: np.ndarray     # (4, n) their record margins, where ``defined``
+    defined: np.ndarray    # (4, n) the record has a margin (check_H: not None)
+    kill: np.ndarray       # index into kill_ids of the sub-check that killed the row
+    kill_ids: tuple
+
+
+def _first_min(m: np.ndarray, ok: np.ndarray):
+    """Per column of ``m``, the row that Python's ``min`` by value picks
+    among the entries where ``ok``, and whether there is one.
+
+    ``min`` takes the first entry and then only a strictly smaller one, so
+    the first of equal values wins (0.0 and -0.0 are equal), a leading NaN
+    stays and a later NaN never wins.  Only elementwise operations and
+    reductions along the short axis are used.
+    """
+    k, n = m.shape
+    rows = np.arange(k)[:, None]
+    nan = np.isnan(m)
+    any_nan = nan.any()
+    if any_nan:
+        first = np.minimum.reduce(np.where(ok, rows, k), axis=0)
+        found = first < k
+        first[~found] = 0
+        lead = found & nan[first, np.arange(n)]
+        ok = ok & ~nan
+    clean = np.where(ok, m, np.inf)
+    low = np.minimum.reduce(clean, axis=0)
+    pick = np.minimum.reduce(np.where(ok & (clean == low), rows, k), axis=0)
+    if any_nan:
+        pick = np.where(lead, first, pick)
+    else:
+        found = pick < k
+    return np.where(found, pick, 0), found
+
+
+def _judge(p: Params, cand: np.ndarray, min_margin: float) -> _Judged:
+    """Judge (n, 5) candidate rows against the H layer in one array pass.
+
+    Replays ``check_H`` and the scalar ranking rules row by row, ties and
+    NaN included: each record's margin is that of the first smallest of its
+    defined sub-checks (``min`` by key), the rank is ``min`` over the
+    records' margins, and the binding failure is the first non-passing
+    record, replaced only by a later one with a strictly smaller margin.
+    The sub-check that killed a row is the failing one with the smallest
+    margin inside its binding failure (an undefined one when none failing
+    has a margin; "H2" itself when H2 is inapplicable).
+    """
+    n = len(cand)
+    cols = np.arange(n)
+    x_l, wx, y_l, wy, z_r = cand.T
+    with np.errstate(all="ignore"):
+        x_r = x_l + wx
+        y_r = y_l + wy
+        valid = (np.isfinite(np.stack((x_l, x_r, y_l, y_r, z_r))).all(axis=0)
+                 & (x_l < x_r) & (y_l < y_r) & (0.0 < z_r))
+        atoms, operands = h_inequalities(p, x_l, x_r, y_l, y_r, 0.0, z_r, np.sqrt)
+        negative = {k: v < 0.0 for k, v in operands.items()}
+        never = np.zeros(n, dtype=bool)
+        undef = np.array([never if a[6] is None else negative[a[6]] for a in atoms])
+        m = np.array([lhs - rhs for _, _, _, lhs, rhs, _, _ in atoms])
+        strict = np.array([a[2] == ">" for a in atoms])[:, None]
+        good = ~undef & np.where(strict, m > min_margin, m >= 0.0)
+    cids = [a[0] for a in atoms]
+    kill_ids = ("H2",) + tuple(a[1] for a in atoms)
+    del atoms, operands, negative     # release the per-atom sides before the folds
+    status = np.full((len(RANK_IDS), n), 2)      # H2 stays inapplicable without atoms
+    margin = np.full((len(RANK_IDS), n), np.nan)
+    has = np.zeros((len(RANK_IDS), n), dtype=bool)
+    kill = np.zeros((len(RANK_IDS), n), dtype=np.intp)
+    for k, cid in enumerate(RANK_IDS):
+        if cid not in cids:
+            continue
+        lo = cids.index(cid)
+        sl = slice(lo, lo + cids.count(cid))
+        status[k] = np.where(good[sl].all(axis=0), 0, 1)
+        i, has[k] = _first_min(m[sl], ~undef[sl])
+        margin[k] = m[sl][i, cols]
+        i, failed = _first_min(m[sl], ~undef[sl] & ~good[sl])
+        kill[k] = 1 + lo + np.where(failed, i, undef[sl].argmax(axis=0))
+
+    i, ranked = _first_min(margin, has)
+    nonpass = status != 0
+    w, w_any = _first_min(margin, nonpass & has)
+    worst = np.where(w_any, w, nonpass.argmax(axis=0))
+    return _Judged(
+        valid=valid,
+        rank=np.where(ranked, margin[i, cols], -np.inf),
+        passed=~nonpass.any(axis=0),
+        frontier=~nonpass[2] & ~nonpass[3],
+        worst=worst,
+        status=status,
+        margin=margin,
+        defined=has,
+        kill=kill[worst, cols],
+        kill_ids=kill_ids,
+    )
+
+
+def _slot_row(rank: np.ndarray, rows: np.ndarray, slot: NearMiss | None) -> int | None:
+    """Row that ends up in a near-miss slot after offering it ``rows`` in order.
+
+    The slot takes its first offer and then changes only on a strictly
+    larger margin, so the first row wins ties and a NaN never replaces
+    anything (nor is replaced).  Returns None when the slot keeps ``slot``.
+    """
+    idx = np.flatnonzero(rows)
+    if idx.size == 0:
+        return None
+    best, winner = (slot.margin, None) if slot is not None else (rank[idx[0]], idx[0])
+    if math.isnan(best):
+        return winner
+    m = rank[idx]
+    k = int(np.argmax(np.where(np.isnan(m), -np.inf, m)))
+    return idx[k] if m[k] > best else winner
+
+
 @dataclass
 class _Scan:
-    """Accumulator for one pass of corner evaluations.
+    """Accumulator for the corner evaluations of one search.
 
     Two near-miss slots: ``frontier`` holds the best candidate whose only
     failures are the parameter-driven escape/re-entry pair (H2, H3), and
     ``fallback`` the best overall.  Reporting prefers the frontier one:
     a candidate that flunks the parameter-independent geometry says
-    nothing about what moving alpha would change.
+    nothing about what moving alpha would change.  ``killed`` counts the
+    sub-check that killed each failed candidate, by ``kill_ids``.
     """
 
+    p: Params
+    min_margin: float
     hits: list = field(default_factory=list)      # (margin, Box)
     frontier: NearMiss | None = None
     fallback: NearMiss | None = None
     evaluated: int = 0
+    kill_ids: tuple = ()
+    killed: np.ndarray | None = None
 
     @property
     def miss(self) -> NearMiss | None:
         return self.frontier if self.frontier is not None else self.fallback
 
+    def judge(self, cand: np.ndarray) -> _Judged:
+        return _judge(self.p, cand, self.min_margin)
 
-def _rank_margin(cert: Certificate) -> float:
-    vals = [r.margin for r in cert.conditions if r.cid in RANK_IDS and r.margin is not None]
-    return min(vals) if vals else float("-inf")
+    def absorb(self, cand: np.ndarray, j: _Judged, upto: int | None = None) -> None:
+        """Fold the first ``upto`` (default: all) judged rows in row order."""
+        rows = j.valid if upto is None else j.valid & (np.arange(len(cand)) < upto)
+        self.evaluated += int(np.count_nonzero(rows))
+        for i in np.flatnonzero(rows & j.passed):
+            self.hits.append((float(j.rank[i]), _box_of(cand[i])))
+        failed = rows & ~j.passed
+        i = _slot_row(j.rank, failed & j.frontier, self.frontier)
+        if i is not None:
+            self.frontier = self._near_miss(cand, j, i)
+        i = _slot_row(j.rank, failed, self.fallback)
+        if i is not None:
+            self.fallback = self._near_miss(cand, j, i)
+        counts = np.bincount(j.kill[failed], minlength=len(j.kill_ids))
+        if self.killed is None:
+            self.kill_ids, self.killed = j.kill_ids, counts
+        else:
+            self.killed += counts
 
+    @staticmethod
+    def _near_miss(cand, j: _Judged, i: int) -> NearMiss:
+        w = j.worst[i]
+        return NearMiss(box=_box_of(cand[i]), margin=float(j.rank[i]),
+                        violated=RANK_IDS[w], status=_STATUS[j.status[w, i]])
 
-def _binding_failure(cert: Certificate):
-    worst = None
-    for r in cert.conditions:
-        if r.status == "pass":
-            continue
-        if worst is None:
-            worst = r
-        elif r.margin is not None and (worst.margin is None or r.margin < worst.margin):
-            worst = r
-    return worst
-
-
-def _eval_candidate(p: Params, vec, min_margin: float, scan: _Scan) -> float | None:
-    b = _box_of(vec)
-    if b is None:
-        return None
-    cert = check_H(p, b, min_margin)
-    scan.evaluated += 1
-    margin = _rank_margin(cert)
-    if cert.verdict == "certified":
-        scan.hits.append((margin, b))
-        return margin
-    failing = [r for r in cert.conditions if r.status != "pass"]
-    worst = _binding_failure(cert)
-    if worst is None:
-        return margin
-    miss = NearMiss(box=b, margin=margin, violated=worst.cid, status=worst.status)
-    if all(r.cid in ("H2", "H3") for r in failing):
-        if scan.frontier is None or margin > scan.frontier.margin:
-            scan.frontier = miss
-    if scan.fallback is None or margin > scan.fallback.margin:
-        scan.fallback = miss
-    return margin
+    def killed_by(self) -> dict:
+        if self.killed is None:
+            return {}
+        return {sid: int(c) for sid, c in zip(self.kill_ids, self.killed) if c}
 
 
-def _scan_rows(p, rows, base, scale, min_margin, scan: _Scan) -> None:
-    """Decode each unit-cube row into a candidate and evaluate it into ``scan``."""
-    for u in rows:
-        vec = _decode_near(u, base, scale) if base is not None else _decode_skeleton(u, p)
-        if vec is not None:
-            _eval_candidate(p, vec, min_margin, scan)
+def _scan_rows(rows: np.ndarray, base, scale: float, scan: _Scan) -> None:
+    """Decode unit-cube rows into candidates and fold them into ``scan``,
+    one chunk of rows at a time."""
+    for start in range(0, len(rows), _CHUNK):
+        block = rows[start:start + _CHUNK]
+        cand = _decode_near(block, base, scale) if base is not None else _decode_skeleton(block, scan.p)
+        if cand is None:
+            return
+        scan.absorb(cand, scan.judge(cand))
 
 
 # ---------------------------------------------------------------------------
@@ -259,34 +396,50 @@ def _grid_rows(budget: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _refine(p, vec0, budget, min_margin, scan: _Scan,
-            step0: float = 0.05, step_floor: float = 1e-9):
+def _refine(vec0, budget, scan: _Scan, step0: float = 0.05, step_floor: float = 1e-9):
     """Greedy coordinate descent on the maximin margin.
 
     Multiplicative trial steps v -> v (1 +- h) per coordinate, first
     improvement accepted; h is halved (the bisection) whenever a full
     sweep yields none.  Every probe is a budgeted corner evaluation and
     feeds the shared hit/near-miss pool.
+
+    The climb is sequential, but until something improves its next
+    probes are known: the rest of the sweep, then full sweeps at halved
+    steps down to the floor.  Those are judged as one block, and only the
+    rows the climb reaches (up to the first improvement, within the
+    budget) are folded into ``scan``; the rest is judged again from the
+    improved vector.
     """
-    best = _eval_candidate(p, vec0, min_margin, scan)
-    if best is None:
+    cand = np.array([vec0], dtype=float)
+    j = scan.judge(cand)
+    scan.absorb(cand, j)
+    if not j.valid[0]:
         return
-    vec = tuple(float(v) for v in vec0)
-    h = step0
-    while scan.evaluated < budget and h > step_floor:
-        improved = False
-        for i in range(5):
-            for sgn in (1.0, -1.0):
-                if scan.evaluated >= budget:
-                    return
-                trial = list(vec)
-                trial[i] = vec[i] * (1.0 + sgn * h)
-                margin = _eval_candidate(p, tuple(trial), min_margin, scan)
-                if margin is not None and margin > best:
-                    best, vec = margin, tuple(trial)
-                    improved = True
-        if not improved:
-            h *= 0.5
+    vec, best = cand[0], j.rank[0]
+    h, t0, improved = step0, 0, False     # next trial t: coordinate t // 2, sign (+, -)[t % 2]
+    while True:
+        steps, hh, imp = [], h, improved  # h of each sweep while nothing improves
+        while hh > step_floor:
+            steps.append(hh)
+            hh, imp = (hh if imp else 0.5 * hh), False
+        if not steps:
+            return
+        t = np.concatenate([np.arange(t0, 10), np.tile(np.arange(10), len(steps) - 1)])
+        step = np.concatenate([np.full(10 - t0, steps[0]), np.repeat(steps[1:], 10)])
+        trials = np.repeat(vec[None, :], len(t), axis=0)
+        trials[np.arange(len(t)), t // 2] = vec[t // 2] * (1.0 + np.where(t % 2, -1.0, 1.0) * step)
+        j = scan.judge(trials)
+        before = scan.evaluated + np.cumsum(j.valid) - j.valid
+        reached = int(np.count_nonzero(before < budget))
+        better = np.flatnonzero(j.valid[:reached] & (j.rank[:reached] > best))
+        if better.size == 0:
+            scan.absorb(trials, j, reached)
+            return
+        r = int(better[0])
+        scan.absorb(trials, j, r + 1)
+        vec, best, h = trials[r], j.rank[r], float(step[r])
+        t0, improved = (int(t[r]) + 1, True) if t[r] < 9 else (0, False)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +451,11 @@ class SearchResult:
     """Ranked passing boxes with certificates; sequence of (Box, Certificate).
 
     ``len(result) == 0`` is a valid outcome, in which case ``near_miss``
-    points at the closest failed candidate.
+    points at the closest failed candidate.  ``killed_by`` maps each
+    sub-inequality id that killed a candidate to the number it killed:
+    the failing sub-check with the smallest margin inside the candidate's
+    binding failure ("H2" when H2 is inapplicable).  It is a readout of
+    the run and is not written to the JSON lines.
     """
 
     hits: tuple        # ((Box, Certificate), ...)
@@ -313,6 +470,7 @@ class SearchResult:
     near: Box | None
     near_miss: NearMiss | None
     note: str = ""
+    killed_by: dict = field(default_factory=dict)   # sub-check id -> failed candidates
 
     def __len__(self) -> int:
         return len(self.hits)
@@ -419,14 +577,14 @@ def search_boxes(
         raise ValueError(f"threads must be at least 1, got {threads}")
 
     base = _vec_of(near) if near is not None else None
-    scan = _Scan()
+    scan = _Scan(p, min_margin)
     note = ""
 
     if strategy == "grid":
-        _scan_rows(p, _grid_rows(budget), base, scale, min_margin, scan)
+        _scan_rows(_grid_rows(budget), base, scale, scan)
     elif strategy == "random":
         rng = np.random.default_rng(seed)
-        _scan_rows(p, rng.random((budget, 5)), base, scale, min_margin, scan)
+        _scan_rows(rng.random((budget, 5)), base, scale, scan)
     else:
         if base is not None:
             start, climb_budget = base, budget
@@ -434,7 +592,7 @@ def search_boxes(
             boot = budget // 2
             if boot > 0:
                 rng = np.random.default_rng(seed)
-                _scan_rows(p, rng.random((boot, 5)), None, scale, min_margin, scan)
+                _scan_rows(rng.random((boot, 5)), None, scale, scan)
             pool = scan.hits or ([] if scan.miss is None else [(scan.miss.margin, scan.miss.box)])
             if not pool:
                 why = ("refine without a seed box needs budget >= 2 for its bootstrap pass"
@@ -443,11 +601,11 @@ def search_boxes(
                 return SearchResult(
                     hits=(), margins=(), params=p, strategy=strategy, seed=seed,
                     budget=budget, evaluated=scan.evaluated, engine=engine, scale=scale,
-                    near=near, near_miss=None, note=why,
+                    near=near, near_miss=None, note=why, killed_by=scan.killed_by(),
                 )
             start = _vec_of(max(pool, key=lambda t: t[0])[1])
             climb_budget = budget
-        _refine(p, start, climb_budget, min_margin, scan)
+        _refine(start, climb_budget, scan)
 
     if base is None and scan.evaluated == 0 and strategy != "refine":
         note = "parameter geometry admits no candidate window (1/(4 c2) >= 1/(4 c1))"
@@ -479,4 +637,5 @@ def search_boxes(
         near=near,
         near_miss=scan.miss,
         note=note,
+        killed_by=scan.killed_by(),
     )

@@ -161,9 +161,7 @@ def test_map_is_deterministic(x, y, z):
     assert a == b
 
 
-# no coordinate in (0, 1e-9): there (x+y+z)^2 can underflow to 0, where the
-# scalar map divides by zero and the array map yields inf
-_coord = st.floats(min_value=-0.5, max_value=2.0).filter(lambda v: v == 0.0 or abs(v) > 1e-9)
+_coord = st.floats(min_value=-0.5, max_value=2.0)
 
 
 @st.composite
@@ -197,3 +195,17 @@ def test_eval_map_arrays_is_eval_map_xyz_bit_for_bit(p, pts):
 def test_eval_map_arrays_domain_errors(x, y, z):
     with pytest.raises(DomainError):
         eval_map_arrays(PAPER_PARAMS, np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))
+
+
+# (x+y+z)^2 and (x+y+z)^3 underflow to 0 although x + y + z > 0
+_UNDERFLOW = (Params(1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 8.79e-197))
+
+
+def test_underflowed_divisor_is_a_domain_error():
+    p, (x, y, z) = _UNDERFLOW
+    with pytest.raises(DomainError):
+        eval_map_xyz(p, x, y, z)
+    with pytest.raises(DomainError):
+        eval_jacobian(p, State(x, y, z))
+    with pytest.raises(DomainError):
+        eval_map_arrays(p, np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))

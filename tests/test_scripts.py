@@ -23,7 +23,11 @@ def test_alpha_feasibility_scan(tmp_path, capsys):
         ["--alpha-range", "15,16", "--samples", "2", "--budget", "300", "--out", str(out)])
     assert code == 0
     assert _header(out) == ["alpha", "hits", "best_margin", "violated", "evaluated"]
-    assert "wrote" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "wrote" in text
+    assert "top killer" in text
+    rows = [line.split() for line in text.splitlines() if line.startswith(" 1")]
+    assert len(rows) == 2 and all(r[4].startswith(("H2", "H3", "H4", "H5")) for r in rows)
 
 
 def test_bifurcation_sweep(tmp_path, capsys):
