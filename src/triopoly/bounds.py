@@ -2,14 +2,24 @@
 
 Everything here is deliberately low-tech: outward-rounded double-precision
 interval arithmetic (one outward nudge per inexact primitive) plus
-branch-and-bound subdivision.  The scalar kernels nudge with
-``math.nextafter``; the vector kernels of the horseshoe covers use the
-branch-free successor/predecessor bound a +- (phi |a| + eta) of Rump,
-Zimmermann, Boldo & Melquiond (BIT 49, 2009), which equals ``nextafter``
-except for 2^-1022 <= |a| <= 2^-1020, and the bound of +-inf toward the
-finite range, where it lands one ulp further out.  No affine arithmetic,
-no Taylor models.  Two standard first-order refinements and one exact range
-keep the subdivision counts small:
+branch-and-bound subdivision.  Each enclosure -- the plain ranges of F1, F2
+and F3, the three Jacobian rows and the mean-value form -- is written once,
+over an arithmetic passed in as a parameter, and an interval is a (lo, hi)
+pair of whatever that arithmetic works on.  There are two arithmetics, and
+their primitives are the only code kept per arithmetic:
+
+* ``_SCALAR`` works on float pairs and nudges with ``math.nextafter``.  The
+  branch-and-bound and the public wrappers use it.  Its product with an
+  exact [0, 0] is exactly [0, 0], which keeps the bottom face of (C1) exact.
+* ``_VECTOR`` works on pairs of numpy arrays, one row per cell, and nudges
+  with the branch-free successor/predecessor bound a +- (phi |a| + eta) of
+  Rump, Zimmermann, Boldo & Melquiond (BIT 49, 2009), which equals
+  ``nextafter`` except for 2^-1022 <= |a| <= 2^-1020, and the bound of +-inf
+  toward the finite range, where it lands one ulp further out.  The
+  horseshoe covers use it through ``batch_image_enclosure``.
+
+No affine arithmetic, no Taylor models.  Two standard first-order
+refinements and one exact range keep the subdivision counts small:
 
 * monotonicity pruning: when an interval Jacobian entry has fixed sign over
   a subbox, the extremum lives on the corresponding face, so the subbox is
@@ -29,15 +39,17 @@ The public ``interval_eval`` deliberately uses only the plain evaluation
 interval extensions are inclusion-monotone: a subbox never produces a wider
 enclosure than its parent, which is the contract callers rely on when they
 subdivide by hand.  The mean-value intersection does not have that property
-and stays internal to ``bound_extremum``.  So does the exact x-update range,
-which leaves the public enclosures, and the batch kernels the horseshoe
-covers are built from, as they were.
+and stays internal to ``bound_extremum`` and the batch enclosures.  The
+exact x-update range is internal to ``bound_extremum`` alone, which leaves
+the public enclosures, and the batch enclosures the horseshoe covers are
+built from, as they were.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,24 +101,15 @@ def _dn(v: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# float-pair kernels (lo, hi) -- the hot path
+# scalar arithmetic: float pairs (lo, hi) -- the branch-and-bound's hot path
 # ---------------------------------------------------------------------------
 
 def _add(a, b):
     return _dn(a[0] + b[0]), _up(a[1] + b[1])
 
 
-def _add_f(a, v: float):
-    # adding an exact scalar still rounds
-    return _dn(a[0] + v), _up(a[1] + v)
-
-
 def _sub(a, b):
     return _dn(a[0] - b[1]), _up(a[1] - b[0])
-
-
-def _neg(a):
-    return -a[1], -a[0]
 
 
 def _mul(a, b):
@@ -122,19 +125,12 @@ def _mul(a, b):
 
 
 def _mul_f(a, v: float):
-    """Multiply by an exact positive scalar."""
+    """Multiply by an exact scalar."""
     if v == 0.0:
         return 0.0, 0.0
     if v > 0:
         return _dn(a[0] * v), _up(a[1] * v)
     return _dn(a[1] * v), _up(a[0] * v)
-
-
-def _mul_pow2(a, v: float):
-    # scaling by a power of two is exact in binary floating point
-    if v > 0:
-        return a[0] * v, a[1] * v
-    return a[1] * v, a[0] * v
 
 
 def _div_pos(a, b):
@@ -161,6 +157,93 @@ def _sqrt(a):
     if a[0] < 0.0:
         raise DomainError(f"interval sqrt of {a} undefined")
     return _dn(math.sqrt(a[0])), _up(math.sqrt(a[1]))
+
+
+def _where(c, a, b):
+    return a if c else b
+
+
+_SCALAR = SimpleNamespace(
+    up=_up, dn=_dn, add=_add, sub=_sub, mul=_mul, mul_f=_mul_f, div_pos=_div_pos,
+    sqr=_sqr, sqrt=math.sqrt, min=min, where=_where, any=bool, all=bool,
+)
+
+
+# ---------------------------------------------------------------------------
+# vector arithmetic: array pairs (lo, hi), one row per cell
+# ---------------------------------------------------------------------------
+
+# a + (phi |a| + eta) in round-to-nearest is at or above the successor of
+# a (Rump, Zimmermann, Boldo & Melquiond, BIT 49, 2009, Algorithm 2) and
+# equal to it outside 2^-1022 <= |a| <= 2^-1020.  The clamp to the finite
+# range keeps inf - inf from making a NaN of the bound toward +-max.
+_PHI = 2.0 ** -53 * (1.0 + 2.0 ** -52)
+_ETA = 2.0 ** -1074
+_MAX = float(np.finfo(np.float64).max)
+
+
+def _v_up(a):
+    a = np.maximum(a, -_MAX)
+    c = np.abs(a)
+    c *= _PHI
+    c += _ETA
+    c += a
+    return c
+
+
+def _v_dn(a):
+    a = np.minimum(a, _MAX)
+    c = np.abs(a)
+    c *= _PHI
+    c += _ETA
+    np.subtract(a, c, out=c)
+    return c
+
+
+def _v_add(a, b):
+    return _v_dn(a[0] + b[0]), _v_up(a[1] + b[1])
+
+
+def _v_sub(a, b):
+    return _v_dn(a[0] - b[1]), _v_up(a[1] - b[0])
+
+
+def _v_mul(a, b):
+    p1, p2, p3, p4 = a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]
+    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
+    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
+    return _v_dn(lo), _v_up(hi)
+
+
+def _v_mul_f(a, v: float):
+    if v >= 0:
+        return _v_dn(a[0] * v), _v_up(a[1] * v)
+    return _v_dn(a[1] * v), _v_up(a[0] * v)
+
+
+def _v_div_pos(a, b):
+    q1, q2, q3, q4 = a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1]
+    lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
+    hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
+    return _v_dn(lo), _v_up(hi)
+
+
+def _v_sqr(a):
+    # every squared operand is the positive sum x+y+z
+    return _v_dn(a[0] * a[0]), _v_up(a[1] * a[1])
+
+
+_VECTOR = SimpleNamespace(
+    up=_v_up, dn=_v_dn, add=_v_add, sub=_v_sub, mul=_v_mul, mul_f=_v_mul_f,
+    div_pos=_v_div_pos, sqr=_v_sqr, sqrt=np.sqrt, min=np.minimum, where=np.where,
+    any=np.any, all=np.all,
+)
+
+
+def _mul_pow2(a, v: float):
+    # scaling by a positive power of two is exact in binary floating point,
+    # in either arithmetic
+    return a[0] * v, a[1] * v
 
 
 def _isect(a, b):
@@ -277,165 +360,158 @@ class IntervalBox:
 
 
 # ---------------------------------------------------------------------------
-# map kernels on 6-tuples (xl, xh, yl, yh, zl, zh)
+# map kernels, written once over an arithmetic A; a box is a 6-tuple
+# (xl, xh, yl, yh, zl, zh) of floats or of columns
 # ---------------------------------------------------------------------------
 
-def _precheck(p: Params, t6) -> None:
-    d_lo = _dn(t6[0] + t6[4])
-    q_lo = _dn(_dn(t6[0] + t6[2]) + t6[4])
-    if d_lo <= 0.0:
-        raise DomainError(f"x+z can reach {d_lo} <= 0 inside the box: sqrt undefined")
-    if q_lo <= 0.0:
-        raise DomainError(f"x+y+z can reach {q_lo} <= 0 inside the box: share undefined")
+def _sums(A, t6):
+    """The axes of a box and the sums a = x+y, q = x+y+z, d = x+z, as pairs.
+
+    Every kernel works from these.
+    """
+    x, y, z = (t6[0], t6[1]), (t6[2], t6[3]), (t6[4], t6[5])
+    a = A.add(x, y)
+    return x, y, z, a, A.add(a, z), A.add(x, z)
 
 
-def _range_f1(p: Params, t6):
-    x = (t6[0], t6[1])
-    y = (t6[2], t6[3])
-    z = (t6[4], t6[5])
-    q = _add(_add(x, y), z)
-    num = _sub(_add(_add(_mul_pow2(x, 2.0), y), z), _mul_f(_sqr(q), p.c1))
+def _checked_sums(A, t6):
+    """``_sums``, raising DomainError where the map is undefined in the box.
+
+    That is where x+z or x+y+z can reach 0, in any row.  The kernels take
+    it as given, and so may every subbox of a box that passed.
+    """
+    s = _sums(A, t6)
+    if A.any(s[5][0] <= 0.0):
+        raise DomainError(f"x+z can reach {np.min(s[5][0])} <= 0 inside the box: sqrt undefined")
+    if A.any(s[4][0] <= 0.0):
+        raise DomainError(f"x+y+z can reach {np.min(s[4][0])} <= 0 inside the box: share undefined")
+    return s
+
+
+def _one_minus_ac3(p: Params):
+    ac3 = p.alpha * p.c3
+    return _dn(1.0 - _up(ac3)), _up(1.0 - _dn(ac3))
+
+
+def _range_f1(A, p: Params, s):
+    x, y, z, a, q, d = s
+    num = A.sub(A.add(A.add(_mul_pow2(x, 2.0), y), z), A.mul_f(A.sqr(q), p.c1))
     return _mul_pow2(num, 0.5)
 
 
-def _psi_dn(d: float, c2: float) -> float:
-    return _dn(_dn(math.sqrt(_dn(d / c2))) - d)
+def _psi(A, d, c2: float, r):
+    """psi(D) = sqrt(D/c2) - D, every step rounded by r (A.dn or A.up)."""
+    return r(r(A.sqrt(r(d / c2))) - d)
 
 
-def _psi_up(d: float, c2: float) -> float:
-    return _up(_up(math.sqrt(_up(d / c2))) - d)
-
-
-def _range_f2(p: Params, t6):
+def _range_f2(A, p: Params, s):
     """Exact 1-d range of psi(D) = sqrt(D/c2) - D over D = x+z, rounded out.
 
     psi increases up to D* = 1/(4 c2) (where its value is D* itself) and
     decreases afterwards, so the sharp range needs only the endpoints and,
     when D* may lie inside, the critical value.
     """
-    d = _add((t6[0], t6[1]), (t6[4], t6[5]))
-    if d[0] < 0.0:
-        raise DomainError("x+z can be negative inside the box")
+    d = s[5]
     dstar = 0.25 / p.c2
-    lo = min(_psi_dn(d[0], p.c2), _psi_dn(d[1], p.c2))
-    if d[1] < _dn(dstar):  # strictly left of the peak: increasing
-        hi = _psi_up(d[1], p.c2)
-    elif d[0] > _up(dstar):  # strictly right: decreasing
-        hi = _psi_up(d[0], p.c2)
-    else:  # peak may be inside; its exact value is 1/(4 c2)
-        hi = _up(_up(dstar))
+    lo = A.min(_psi(A, d[0], p.c2, A.dn), _psi(A, d[1], p.c2, A.dn))
+    left = d[1] < _dn(dstar)  # strictly left of the peak: increasing
+    right = d[0] > _up(dstar)  # strictly right: decreasing
+    # otherwise the peak may be inside; its exact value is 1/(4 c2)
+    hi = A.where(left | right, _psi(A, A.where(left, d[1], d[0]), p.c2, A.up),
+                 _up(_up(dstar)))
     return lo, hi
 
 
-def _range_f3(p: Params, t6):
-    x = (t6[0], t6[1])
-    y = (t6[2], t6[3])
-    z = (t6[4], t6[5])
-    a = _add(x, y)
-    q = _add(a, z)
-    if q[0] <= 0.0:
-        raise DomainError("x+y+z can reach <= 0 inside the box")
-    ac3 = p.alpha * p.c3
-    base = (_dn(1.0 - _up(ac3)), _up(1.0 - _dn(ac3)))
-    term = _div_pos(_mul_f(a, p.alpha), _sqr(q))
-    inner = _add(base, term)
-    return _mul(z, inner)
+def _range_f3(A, p: Params, s):
+    x, y, z, a, q, d = s
+    term = A.div_pos(A.mul_f(a, p.alpha), A.sqr(q))
+    return A.mul(z, A.add(_one_minus_ac3(p), term))
 
 
 _RANGES = {"F1": _range_f1, "F2": _range_f2, "F3": _range_f3}
 
 
-def _jac_row(p: Params, t6, comp: str):
-    """Interval enclosures of one Jacobian row over a box, as 3 pairs."""
-    x = (t6[0], t6[1])
-    y = (t6[2], t6[3])
-    z = (t6[4], t6[5])
+def _jac_row(A, p: Params, s, comp: str):
+    """Interval enclosures of one Jacobian row over a box, as 3 pairs.
+
+    An entry that is exactly zero is None.
+    """
+    x, y, z, a, q, d = s
     if comp == "F1":
-        q = _add(_add(x, y), z)
-        c1q = _mul_f(q, p.c1)
-        jx = _sub((1.0, 1.0), c1q)
-        jy = _sub((0.5, 0.5), c1q)
-        return jx, jy, jy
+        c1q = A.mul_f(q, p.c1)
+        jy = A.sub((0.5, 0.5), c1q)
+        return A.sub((1.0, 1.0), c1q), jy, jy
     if comp == "F2":
-        d = _add(x, z)
-        if d[0] <= 0.0:
-            raise DomainError("x+z can reach <= 0: dF2 undefined inside box")
         # g(D) = 1/(2 sqrt(c2 D)) - 1 is decreasing in D
-        g_lo = _dn(_dn(1.0 / _up(2.0 * _up(math.sqrt(_up(p.c2 * d[1]))))) - 1.0)
-        g_hi = _up(_up(1.0 / _dn(2.0 * _dn(math.sqrt(_dn(p.c2 * d[0]))))) - 1.0)
-        g = (g_lo, g_hi)
-        return g, (0.0, 0.0), g
+        g = (A.dn(A.dn(1.0 / A.up(2.0 * A.up(A.sqrt(A.up(p.c2 * d[1]))))) - 1.0),
+             A.up(A.up(1.0 / A.dn(2.0 * A.dn(A.sqrt(A.dn(p.c2 * d[0]))))) - 1.0))
+        return g, None, g
     if comp == "F3":
-        a = _add(x, y)
-        q = _add(a, z)
-        if q[0] <= 0.0:
-            raise DomainError("x+y+z can reach <= 0: dF3 undefined inside box")
-        q3 = _mul(q, _sqr(q))
-        jxy = _div_pos(_mul_f(_mul(z, _sub(q, _mul_pow2(a, 2.0))), p.alpha), q3)
-        ac3 = p.alpha * p.c3
-        base = (_dn(1.0 - _up(ac3)), _up(1.0 - _dn(ac3)))
-        jz = _add(base, _div_pos(_mul_f(_mul(a, _sub(q, _mul_pow2(z, 2.0))), p.alpha), q3))
-        return jxy, jxy, jz
+        q3 = A.mul(q, A.sqr(q))
+        jxy = A.div_pos(A.mul_f(A.mul(z, A.sub(q, _mul_pow2(a, 2.0))), p.alpha), q3)
+        u = A.div_pos(A.mul_f(A.mul(a, A.sub(q, _mul_pow2(z, 2.0))), p.alpha), q3)
+        return jxy, jxy, A.add(_one_minus_ac3(p), u)
     raise ValueError(f"unknown component {comp!r}")
 
 
-def _mvf_range(p: Params, t6, comp: str):
-    """Mean-value form enclosure: f(mid) + sum_j J_j(box) * (box_j - mid_j)."""
-    mids = (
-        0.5 * (t6[0] + t6[1]),
-        0.5 * (t6[2] + t6[3]),
-        0.5 * (t6[4] + t6[5]),
-    )
-    centre = (mids[0], mids[0], mids[1], mids[1], mids[2], mids[2])
-    acc = _RANGES[comp](p, centre)
-    row = _jac_row(p, t6, comp)
-    for j in range(3):
-        lo, hi = t6[2 * j] , t6[2 * j + 1]
-        if lo == hi:
-            continue
-        dev = (_dn(lo - mids[j]), _up(hi - mids[j]))
-        acc = _add(acc, _mul(row[j], dev))
-    return acc
+def _mean_value(A, p: Params, t6, s, comps):
+    """Mean-value form f(m) + sum_j J_j(box) (box_j - m_j) of each of ``comps``.
+
+    ``s`` holds the sums of the box ``t6`` and m is its midpoint.  Returns
+    the forms and the plain enclosures f(m) they start from.  An axis that
+    is degenerate in every row adds nothing, nor does a zero entry, so both
+    are skipped.
+    """
+    xm, ym, zm = 0.5 * (t6[0] + t6[1]), 0.5 * (t6[2] + t6[3]), 0.5 * (t6[4] + t6[5])
+    at_mid = _sums(A, (xm, xm, ym, ym, zm, zm))
+    devs = []
+    for lo, hi, m in ((t6[0], t6[1], xm), (t6[2], t6[3], ym), (t6[4], t6[5], zm)):
+        devs.append(None if A.all(lo == hi) else (A.dn(lo - m), A.up(hi - m)))
+    forms, centre = [], []
+    for comp in comps:
+        acc = _RANGES[comp](A, p, at_mid)
+        centre.append(acc)
+        for entry, dev in zip(_jac_row(A, p, s, comp), devs):
+            if entry is not None and dev is not None:
+                acc = A.add(acc, A.mul(entry, dev))
+        forms.append(acc)
+    return forms, centre
 
 
-def _g_dn(q: float, c1: float) -> float:
-    return _dn(q - _up(_up(q * q) * c1))
+def _g(q: float, c1: float, r, o) -> float:
+    """g(q) = q - c1 q^2 rounded by r, its subtracted term by the opposite o."""
+    return r(q - o(o(q * q) * c1))
 
 
-def _g_up(q: float, c1: float) -> float:
-    return _up(q - _dn(_dn(q * q) * c1))
-
-
-def _range_f1_sharp(p: Params, t6):
+def _range_f1_sharp(p: Params, s):
     """F1 = (x + g(q)) / 2 with g(q) = q - c1 q^2 ranged exactly over q = x+y+z.
 
     g is a concave parabola with peak 1/(4 c1) at q* = 1/(2 c1), so, as for
     psi in ``_range_f2``, its sharp range needs only the endpoints and, when
     q* may lie inside, the peak.  Summing the x and g enclosures is sound
     whatever the dependence between x and q, and exact on every box that
-    meets the maximiser plane q = q* at x = x_hi.
+    meets the maximiser plane q = q* at x = x_hi.  Scalar only.
     """
-    q = _add(_add((t6[0], t6[1]), (t6[2], t6[3])), (t6[4], t6[5]))
+    x, q = s[0], s[4]
     qstar = 0.5 / p.c1
-    lo = min(_g_dn(q[0], p.c1), _g_dn(q[1], p.c1))
+    lo = min(_g(q[0], p.c1, _dn, _up), _g(q[1], p.c1, _dn, _up))
     if q[1] < _dn(qstar):  # strictly left of the peak: increasing
-        hi = _g_up(q[1], p.c1)
+        hi = _g(q[1], p.c1, _up, _dn)
     elif q[0] > _up(qstar):  # strictly right: decreasing
-        hi = _g_up(q[0], p.c1)
+        hi = _g(q[0], p.c1, _up, _dn)
     else:  # peak may be inside; its exact value is 1/(4 c1)
         hi = _up(0.25 / p.c1)
-    return _mul_pow2(_add((t6[0], t6[1]), (lo, hi)), 0.5)
+    return _mul_pow2(_add(x, (lo, hi)), 0.5)
 
 
-def _tight_range(p: Params, t6, comp: str):
-    base = _RANGES[comp](p, t6)
+def _tight_range(p: Params, t6, s, comp: str):
+    """The refined enclosure of comp over t6 (with sums s), and the plain
+    one at its midpoint."""
+    base = _RANGES[comp](_SCALAR, p, s)
     if comp == "F1":
-        base = _isect(base, _range_f1_sharp(p, t6))
-    try:
-        mv = _mvf_range(p, t6, comp)
-    except DomainError:
-        return base
-    return _isect(base, mv)
+        base = _isect(base, _range_f1_sharp(p, s))
+    (form,), (centre,) = _mean_value(_SCALAR, p, t6, s, (comp,))
+    return _isect(base, form), centre
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +552,11 @@ def interval_eval(p: Params, ib: IntervalBox) -> tuple[Interval, Interval, Inter
     enclosures stay a few ulps wide.
     """
     t6 = ib.as_tuple6()
-    _precheck(p, t6)
+    s = _checked_sums(_SCALAR, t6)
     if ib.is_point and _EXTENDED_POINTS:
         encl = _point_eval_extended(p, t6[0], t6[2], t6[4])
     else:
-        encl = (_range_f1(p, t6), _range_f2(p, t6), _range_f3(p, t6))
+        encl = [kernel(_SCALAR, p, s) for kernel in _RANGES.values()]
     if ib.is_point:
         # hull in the plain double evaluation so the enclosure also covers
         # what eval_map reports (its own rounding can exceed the true-value
@@ -492,12 +568,11 @@ def interval_eval(p: Params, ib: IntervalBox) -> tuple[Interval, Interval, Inter
 
 def interval_jacobian(p: Params, ib: IntervalBox) -> list[list[Interval]]:
     """3x3 matrix of Jacobian-entry enclosures over the box."""
-    t6 = ib.as_tuple6()
-    _precheck(p, t6)
-    rows = []
-    for comp in ("F1", "F2", "F3"):
-        rows.append([Interval(*pair) for pair in _jac_row(p, t6, comp)])
-    return rows
+    s = _checked_sums(_SCALAR, ib.as_tuple6())
+    return [
+        [Interval(*(pair or (0.0, 0.0))) for pair in _jac_row(_SCALAR, p, s, comp)]
+        for comp in _RANGES
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -547,20 +622,18 @@ def _collapse(p: Params, t6, comp: str, want_max: bool):
     Sound for extremum *values*: if df/dx_j >= 0 everywhere on the box, the
     maximum over the box is attained on the x_j = hi face, so the box can
     be replaced by that face.  Iterates because collapsing one axis tightens
-    the remaining derivative enclosures.
+    the remaining derivative enclosures.  Returns the box and its sums.
     """
     t6 = list(t6)
     for _ in range(3):
         changed = False
-        try:
-            row = _jac_row(p, tuple(t6), comp)
-        except DomainError:
-            break
+        s = _sums(_SCALAR, t6)
+        row = _jac_row(_SCALAR, p, s, comp)
         for j in range(3):
             lo_i, hi_i = 2 * j, 2 * j + 1
             if t6[lo_i] == t6[hi_i]:
                 continue
-            dlo, dhi = row[j]
+            dlo, dhi = row[j] or (0.0, 0.0)
             if dlo >= 0.0:  # increasing: extremum on the hi face for a max
                 v = t6[hi_i] if want_max else t6[lo_i]
             elif dhi <= 0.0:
@@ -571,14 +644,8 @@ def _collapse(p: Params, t6, comp: str, want_max: bool):
             t6[hi_i] = v
             changed = True
         if not changed:
-            break
-    return tuple(t6)
-
-
-def _point_value(p: Params, x: float, y: float, z: float, comp: str):
-    """Tight certified enclosure of one component at a point (plain kernels)."""
-    t6 = (x, x, y, y, z, z)
-    return _RANGES[comp](p, t6)
+            return tuple(t6), s
+    return tuple(t6), _sums(_SCALAR, t6)
 
 
 def bound_extremum(
@@ -607,7 +674,7 @@ def bound_extremum(
         raise ValueError("budget must be >= 1")
     want_max = which == "max"
     t6 = region.as_tuple6()
-    _precheck(p, t6)
+    _checked_sums(_SCALAR, t6)  # every subbox passes where the region does
 
     def signed(e):  # enclosure of +-f oriented as a max problem
         return e if want_max else (-e[1], -e[0])
@@ -615,10 +682,9 @@ def bound_extremum(
     def mid_of(t):
         return (0.5 * (t[0] + t[1]), 0.5 * (t[2] + t[3]), 0.5 * (t[4] + t[5]))
 
-    start = _collapse(p, t6, component, want_max)
-    e0 = signed(_tight_range(p, start, component))
+    start, s = _collapse(p, t6, component, want_max)
+    e0, pv = map(signed, _tight_range(p, start, s, component))
     m0 = mid_of(start)
-    pv = signed(_point_value(p, *m0, component))
     incumbent, best_point = pv[0], m0
 
     seq = 0
@@ -635,19 +701,23 @@ def bound_extremum(
         if expansions >= budget:
             status = "inconclusive"
             break
-        expansions += 1
         widths = (cur[1] - cur[0], cur[3] - cur[2], cur[5] - cur[4])
         axis = max(range(3), key=lambda j: (widths[j], -j))
         lo_i, hi_i = 2 * axis, 2 * axis + 1
         cut = 0.5 * (cur[lo_i] + cur[hi_i])
+        if not cur[lo_i] < cut < cur[hi_i]:
+            # its children would be the box itself: it cannot be split, and
+            # it holds the largest upper bound, so nothing can lower that
+            status = "inconclusive"
+            break
+        expansions += 1
         for child in (
             cur[:hi_i] + (cut,) + cur[hi_i + 1:],
             cur[:lo_i] + (cut,) + cur[lo_i + 1:],
         ):
-            child = _collapse(p, child, component, want_max)
-            e = signed(_tight_range(p, child, component))
+            child, s = _collapse(p, child, component, want_max)
+            e, pv = map(signed, _tight_range(p, child, s, component))
             cm = mid_of(child)
-            pv = signed(_point_value(p, *cm, component))
             if pv[0] > incumbent:
                 incumbent, best_point = pv[0], cm
             if e[1] > incumbent:
@@ -800,9 +870,7 @@ def verify_C_rigorous(
     # C1: bottom face, exact when z_l = 0 thanks to the factored z-update.
     if b.z_l == 0.0:
         bottom = IntervalBox(full.ix, full.iy, Interval(0.0, 0.0))
-        t6 = bottom.as_tuple6()
-        _precheck(p, t6)
-        f3 = _range_f3(p, t6)
+        f3 = _range_f3(_SCALAR, p, _checked_sums(_SCALAR, bottom.as_tuple6()))
         exact = f3 == (0.0, 0.0)
         conditions.append(
             ConditionRecord(
@@ -852,182 +920,24 @@ def verify_C_rigorous(
 
 
 # ---------------------------------------------------------------------------
-# vectorised kernels for gridded covers (used by the horseshoe module)
+# batch enclosures for gridded covers (used by the horseshoe module)
 # ---------------------------------------------------------------------------
-
-# a + (phi |a| + eta) in round-to-nearest is at or above the successor of
-# a (Rump, Zimmermann, Boldo & Melquiond, BIT 49, 2009, Algorithm 2) and
-# equal to it outside 2^-1022 <= |a| <= 2^-1020.  The clamp to the finite
-# range keeps inf - inf from making a NaN of the bound toward +-max.
-_PHI = 2.0 ** -53 * (1.0 + 2.0 ** -52)
-_ETA = 2.0 ** -1074
-_MAX = float(np.finfo(np.float64).max)
-
-
-def _v_up(a):
-    a = np.maximum(a, -_MAX)
-    c = np.abs(a)
-    c *= _PHI
-    c += _ETA
-    c += a
-    return c
-
-
-def _v_dn(a):
-    a = np.minimum(a, _MAX)
-    c = np.abs(a)
-    c *= _PHI
-    c += _ETA
-    np.subtract(a, c, out=c)
-    return c
-
-
-def _v_add(alo, ahi, blo, bhi):
-    return _v_dn(alo + blo), _v_up(ahi + bhi)
-
-
-def _v_sub(alo, ahi, blo, bhi):
-    return _v_dn(alo - bhi), _v_up(ahi - blo)
-
-
-def _v_mul(alo, ahi, blo, bhi):
-    p1, p2, p3, p4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
-    lo = np.minimum(np.minimum(p1, p2), np.minimum(p3, p4))
-    hi = np.maximum(np.maximum(p1, p2), np.maximum(p3, p4))
-    return _v_dn(lo), _v_up(hi)
-
-
-def _v_mul_f(alo, ahi, v: float):
-    if v >= 0:
-        return _v_dn(alo * v), _v_up(ahi * v)
-    return _v_dn(ahi * v), _v_up(alo * v)
-
-
-def _v_div_pos(alo, ahi, blo, bhi):
-    q1, q2, q3, q4 = alo / blo, alo / bhi, ahi / blo, ahi / bhi
-    lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
-    hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
-    return _v_dn(lo), _v_up(hi)
-
-
-def _v_sqr_pos(alo, ahi):
-    # all our squared quantities are positive aggregates
-    return _v_dn(alo * alo), _v_up(ahi * ahi)
-
 
 def batch_image_enclosure(p: Params, cells: np.ndarray, refine: bool = True):
     """Image enclosures for an (n, 6) array of cells [xl,xh,yl,yh,zl,zh].
 
-    Returns (lo, hi) arrays of shape (n, 3).  Vectorised mirror of the
-    scalar kernels; with ``refine`` the mean-value form is intersected in,
-    which is what makes midplane-adjacent exclusions succeed at coarse
-    grids.  Preconditions (positivity of x+z and x+y+z across every cell)
-    are the caller's responsibility here; cells must come from a domain-
-    checked box.
+    Returns (lo, hi) arrays of shape (n, 3): the kernels of the scalar path
+    run over the cell columns in the vector arithmetic.  With ``refine`` the
+    mean-value form is intersected in, which is what makes midplane-adjacent
+    exclusions succeed at coarse grids.  Raises DomainError when x+z or
+    x+y+z can reach 0 in any cell.
     """
-    xl, xh = cells[:, 0], cells[:, 1]
-    yl, yh = cells[:, 2], cells[:, 3]
-    zl, zh = cells[:, 4], cells[:, 5]
-
-    def naive(xl, xh, yl, yh, zl, zh):
-        alo, ahi = _v_add(xl, xh, yl, yh)
-        qlo, qhi = _v_add(alo, ahi, zl, zh)
-        if np.any(qlo <= 0) or np.any(_v_add(xl, xh, zl, zh)[0] < 0):
-            raise DomainError("cell grid leaves the map domain")
-        # F1
-        q2lo, q2hi = _v_sqr_pos(qlo, qhi)
-        c1q2lo, c1q2hi = _v_mul_f(q2lo, q2hi, p.c1)
-        nlo, nhi = _v_add(2.0 * xl, 2.0 * xh, yl, yh)
-        nlo, nhi = _v_add(nlo, nhi, zl, zh)
-        nlo, nhi = _v_sub(nlo, nhi, c1q2lo, c1q2hi)
-        f1 = (0.5 * nlo, 0.5 * nhi)
-        # F2 sharp via psi monotonicity
-        dlo, dhi = _v_add(xl, xh, zl, zh)
-        psi_at = lambda d, up: (
-            _v_up(_v_up(np.sqrt(_v_up(d / p.c2))) - d)
-            if up
-            else _v_dn(_v_dn(np.sqrt(_v_dn(d / p.c2))) - d)
-        )
-        lo2 = np.minimum(psi_at(dlo, False), psi_at(dhi, False))
-        dstar = 0.25 / p.c2
-        hi_inc = psi_at(dhi, True)
-        hi_dec = psi_at(dlo, True)
-        hi_crit = np.full_like(lo2, _up(_up(dstar)))
-        hi2 = np.where(dhi < _dn(dstar), hi_inc, np.where(dlo > _up(dstar), hi_dec, hi_crit))
-        # F3
-        ac3 = p.alpha * p.c3
-        blo, bhi = _dn(1.0 - _up(ac3)), _up(1.0 - _dn(ac3))
-        tlo, thi = _v_mul_f(alo, ahi, p.alpha)
-        tlo, thi = _v_div_pos(tlo, thi, q2lo, q2hi)
-        ilo, ihi = _v_add(tlo, thi, np.full_like(tlo, blo), np.full_like(thi, bhi))
-        f3 = _v_mul(zl, zh, ilo, ihi)
-        return f1, (lo2, hi2), f3
-
-    f1, f2, f3 = naive(xl, xh, yl, yh, zl, zh)
-    lo = np.stack([f1[0], f2[0], f3[0]], axis=1)
-    hi = np.stack([f1[1], f2[1], f3[1]], axis=1)
-
+    t6 = tuple(cells[:, k] for k in range(6))
+    s = _checked_sums(_VECTOR, t6)
+    encl = [kernel(_VECTOR, p, s) for kernel in _RANGES.values()]
     if refine:
-        mlo, mhi = _batch_mvf(p, cells)
-        lo = np.maximum(lo, mlo)
-        hi = np.minimum(hi, mhi)
-    return lo, hi
-
-
-def _batch_jac(p: Params, cells: np.ndarray):
-    """Vectorised Jacobian-entry enclosures; returns dict of (lo, hi)."""
-    xl, xh = cells[:, 0], cells[:, 1]
-    yl, yh = cells[:, 2], cells[:, 3]
-    zl, zh = cells[:, 4], cells[:, 5]
-    alo, ahi = _v_add(xl, xh, yl, yh)
-    qlo, qhi = _v_add(alo, ahi, zl, zh)
-    dlo, dhi = _v_add(xl, xh, zl, zh)
-    out = {}
-    c1qlo, c1qhi = _v_mul_f(qlo, qhi, p.c1)
-    out["11"] = (_v_dn(1.0 - c1qhi), _v_up(1.0 - c1qlo))
-    out["12"] = (_v_dn(0.5 - c1qhi), _v_up(0.5 - c1qlo))
-    g_lo = _v_dn(_v_dn(1.0 / _v_up(2.0 * _v_up(np.sqrt(_v_up(p.c2 * dhi))))) - 1.0)
-    g_hi = _v_up(_v_up(1.0 / _v_dn(2.0 * _v_dn(np.sqrt(_v_dn(p.c2 * dlo))))) - 1.0)
-    out["21"] = (g_lo, g_hi)
-    q2lo, q2hi = _v_sqr_pos(qlo, qhi)
-    q3lo, q3hi = _v_mul(qlo, qhi, q2lo, q2hi)
-    tlo, thi = _v_sub(qlo, qhi, 2.0 * alo, 2.0 * ahi)
-    tlo, thi = _v_mul(zl, zh, tlo, thi)
-    tlo, thi = _v_mul_f(tlo, thi, p.alpha)
-    out["31"] = _v_div_pos(tlo, thi, q3lo, q3hi)
-    ulo, uhi = _v_sub(qlo, qhi, 2.0 * zl, 2.0 * zh)
-    ulo, uhi = _v_mul(alo, ahi, ulo, uhi)
-    ulo, uhi = _v_mul_f(ulo, uhi, p.alpha)
-    ulo, uhi = _v_div_pos(ulo, uhi, q3lo, q3hi)
-    ac3 = p.alpha * p.c3
-    out["33"] = (_v_dn(_dn(1.0 - _up(ac3)) + ulo), _v_up(_up(1.0 - _dn(ac3)) + uhi))
-    return out
-
-
-def _batch_mvf(p: Params, cells: np.ndarray):
-    """Vectorised mean-value form enclosures for all three components."""
-    mids = 0.5 * (cells[:, 0::2] + cells[:, 1::2])  # (n, 3)
-    centre = np.repeat(mids, 2, axis=1)
-    clo, chi = batch_image_enclosure(p, centre, refine=False)
-    jac = _batch_jac(p, cells)
-    devlo = _v_dn(cells[:, 0::2] - mids)
-    devhi = _v_up(cells[:, 1::2] - mids)
-    rows = {
-        0: ("11", "12", "12"),
-        1: ("21", None, "21"),
-        2: ("31", "31", "33"),
-    }
-    lo = clo.copy()
-    hi = chi.copy()
-    for comp, keys in rows.items():
-        acc_lo = clo[:, comp].copy()
-        acc_hi = chi[:, comp].copy()
-        for j, key in enumerate(keys):
-            if key is None:
-                continue
-            jlo, jhi = jac[key]
-            plo, phi = _v_mul(jlo, jhi, devlo[:, j], devhi[:, j])
-            acc_lo, acc_hi = _v_add(acc_lo, acc_hi, plo, phi)
-        lo[:, comp] = acc_lo
-        hi[:, comp] = acc_hi
-    return lo, hi
+        encl = [
+            (np.maximum(e[0], m[0]), np.minimum(e[1], m[1]))
+            for e, m in zip(encl, _mean_value(_VECTOR, p, t6, s, _RANGES)[0])
+        ]
+    return np.stack([e[0] for e in encl], axis=1), np.stack([e[1] for e in encl], axis=1)

@@ -4,12 +4,13 @@ Soundness checks compare against exact rational arithmetic (fractions) or
 against closed forms of the extrema that the analytic engine derives; the
 two engines share no code beyond the map definition itself.
 """
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from triopoly import PAPER_BOX, PAPER_PARAMS, DomainError
 from triopoly.bounds import (
@@ -23,8 +24,10 @@ from triopoly.bounds import (
     verify_C_rigorous,
 )
 from triopoly import bounds as bounds_mod
-from triopoly.bounds import _range_f1, _range_f1_sharp
+from triopoly.bounds import _SCALAR, _VECTOR, _jac_row, _range_f1, _range_f1_sharp, _sums
+from triopoly.certificate import certify_box
 from triopoly.core import eval_jacobian, eval_map_xyz, Params, State
+from triopoly.jsonio import dumps17
 
 P, B = PAPER_PARAMS, PAPER_BOX
 
@@ -296,8 +299,9 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 @given(_f1_case(), st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=8))
 def test_sharp_f1_range_is_sound_and_no_wider_than_plain(case, fracs):
     p, t6 = case
-    lo, hi = _range_f1_sharp(p, t6)
-    plain = _range_f1(p, t6)
+    s = _sums(_SCALAR, t6)
+    lo, hi = _range_f1_sharp(p, s)
+    plain = _range_f1(_SCALAR, p, s)
     assert plain[0] <= lo <= hi <= plain[1]
     at = lambda j, u: min(t6[2 * j] + u * (t6[2 * j + 1] - t6[2 * j]), t6[2 * j + 1])
     points = _f1_candidates(p, t6)
@@ -458,16 +462,25 @@ def test_vector_rounding_of_infinities():
 
 @st.composite
 def _jac_case(draw):
-    """Random Params and an in-domain box, with corner and interior points."""
+    """Random Params and an in-domain box, with corner and interior points.
+
+    About one axis in five is degenerate.
+    """
     pos = lambda lo, hi: draw(st.floats(min_value=lo, max_value=hi))
     p = Params(pos(0.05, 2.0), pos(0.05, 2.0), pos(0.05, 2.0), pos(0.5, 30.0))
     lows = [pos(1e-3, 1.0), pos(0.0, 1.0), draw(st.sampled_from([0.0, pos(0.0, 1.0)]))]
-    t6 = tuple(v for lo in lows for v in (lo, lo + pos(1e-9, 0.5)))
+    widths = [pos(1e-9, 0.5) if draw(st.integers(0, 4)) else 0.0 for _ in range(3)]
+    t6 = tuple(v for lo, w in zip(lows, widths) for v in (lo, lo + w))
     fracs = draw(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=4))
     at = lambda j, u: min(t6[2 * j] + u * (t6[2 * j + 1] - t6[2 * j]), t6[2 * j + 1])
     points = [(x, y, z) for x in t6[0:2] for y in t6[2:4] for z in t6[4:6]]
     points += [(at(0, u), at(1, v), at(2, w)) for u, v, w in fracs]
     return p, t6, points
+
+
+def _columns(t6):
+    """A box as the one-row columns the vector arithmetic works on."""
+    return tuple(np.array([v]) for v in t6)
 
 
 def _exact_jac(mp, p, x, y, z):
@@ -487,10 +500,14 @@ def _exact_jac(mp, p, x, y, z):
 def test_jacobian_entries_contain_the_exact_derivative(case):
     mpmath = pytest.importorskip("mpmath")
     p, t6, points = case
-    f2 = bounds_mod._jac_row(p, t6, "F2")
-    f3 = bounds_mod._jac_row(p, t6, "F3")
+    s = _sums(_SCALAR, t6)
+    f2 = _jac_row(_SCALAR, p, s, "F2")
+    f3 = _jac_row(_SCALAR, p, s, "F3")
     scalar = {"21": f2[0], "31": f3[0], "33": f3[2]}
-    batch = bounds_mod._batch_jac(p, np.array([t6]))
+    s = _sums(_VECTOR, _columns(t6))
+    f2 = _jac_row(_VECTOR, p, s, "F2")
+    f3 = _jac_row(_VECTOR, p, s, "F3")
+    batch = {"21": f2[0], "31": f3[0], "33": f3[2]}
     with mpmath.workdps(60):
         for pt in points:
             exact = _exact_jac(mpmath.mp, p, *pt)
@@ -498,3 +515,148 @@ def test_jacobian_entries_contain_the_exact_derivative(case):
                 assert scalar[key][0] <= want <= scalar[key][1], (key, pt)
                 lo, hi = batch[key]
                 assert lo[0] <= want <= hi[0], (key, pt)
+
+
+# -- one kernel set, two arithmetics -------------------------------------------
+
+_COMPS = ("F1", "F2", "F3")
+
+
+def _kernels(A, p, box):
+    """Every shared kernel of one box in arithmetic A, as (name, pair) items;
+    a zero Jacobian entry is None."""
+    s = _sums(A, box)
+    forms, centre = bounds_mod._mean_value(A, p, box, s, _COMPS)
+    out = []
+    for k, comp in enumerate(_COMPS):
+        out.append((f"{comp} plain", bounds_mod._RANGES[comp](A, p, s)))
+        for j, entry in enumerate(_jac_row(A, p, s, comp)):
+            out.append((f"d{comp}/d{'xyz'[j]}", entry))
+        out.append((f"{comp} mean-value", forms[k]))
+        out.append((f"{comp} at the midpoint", centre[k]))
+    return out
+
+
+def _bits(pair):
+    return np.array([np.ravel(v)[0] for v in pair], dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_jac_case())
+def test_vector_arithmetic_gives_the_scalar_bits_on_one_row(case):
+    """The vector kernels on a one-row array are the scalar ones, bit for bit.
+
+    Two known differences are kept out of the draws.  The scalar product
+    with an exact [0, 0] is exactly [0, 0], where the vector one rounds out
+    to the smallest subnormals, so no box has z = [0, 0].  The vector
+    rounding lands one ulp beyond nextafter for 2^-1022 <= |a| <= 2^-1020,
+    so every nonzero bound is at least 1e-100, which keeps the kernels'
+    intermediates out of that range.
+    """
+    p, t6, _ = case
+    assume(not t6[4] == t6[5] == 0.0)
+    assume(all(v == 0.0 or v >= 1e-100 for v in t6))
+    scalar = _kernels(_SCALAR, p, t6)
+    vector = _kernels(_VECTOR, p, _columns(t6))
+    for (name, a), (_, b) in zip(scalar, vector):
+        if a is None or b is None:
+            assert a is b, name
+        else:
+            assert _bits(a) == _bits(b), (name, a, b)
+
+
+def _exact_image(mp, p, x, y, z):
+    """F1, F2 and F3 at a point, in mpmath."""
+    c1, c2, c3, al = (mp.mpf(v) for v in (p.c1, p.c2, p.c3, p.alpha))
+    x, y, z = mp.mpf(x), mp.mpf(y), mp.mpf(z)
+    q, d = x + y + z, x + z
+    return (
+        (2 * x + y + z - c1 * q ** 2) / 2,
+        mp.sqrt(d / c2) - d,
+        z * (1 - al * c3 + al * (x + y) / q ** 2),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_jac_case())
+def test_value_enclosures_contain_the_exact_image(case):
+    """Plain ranges and mean-value forms in both arithmetics, the refined
+    range of the branch-and-bound and the batch enclosures all contain the
+    60-digit image at corners and interior points."""
+    mpmath = pytest.importorskip("mpmath")
+    p, t6, points = case
+    over_box = {}
+    at_mid = {}
+    for name, A, box in (("scalar", _SCALAR, t6), ("vector", _VECTOR, _columns(t6))):
+        s = _sums(A, box)
+        over_box[name + " plain"] = [bounds_mod._RANGES[c](A, p, s) for c in _COMPS]
+        over_box[name + " mean-value"], at_mid[name] = bounds_mod._mean_value(A, p, box, s, _COMPS)
+    tight = [bounds_mod._tight_range(p, t6, _sums(_SCALAR, t6), c) for c in _COMPS]
+    over_box["tight"] = [e for e, _ in tight]
+    at_mid["tight"] = [c for _, c in tight]
+    lo, hi = batch_image_enclosure(p, np.array([t6]))
+    over_box["batch"] = list(zip(lo[0], hi[0]))
+    mid = tuple(0.5 * (t6[2 * j] + t6[2 * j + 1]) for j in range(3))
+    with mpmath.workdps(60):
+        for pt, encl in [(pt, over_box) for pt in points] + [(mid, at_mid)]:
+            for k, want in enumerate(_exact_image(mpmath.mp, p, *pt)):
+                for name, pairs in encl.items():
+                    lo_k, hi_k = (float(np.ravel(v)[0]) for v in pairs[k])
+                    assert lo_k <= want <= hi_k, (name, _COMPS[k], pt)
+
+
+# -- frozen certificate bytes ---------------------------------------------------
+
+def _perturbed(seed):
+    """The paper box with its five free bounds moved by up to +-2 %."""
+    f = 1.0 + 0.02 * np.random.default_rng(seed).uniform(-1.0, 1.0, 5)
+    return B.replace(x_l=B.x_l * f[0], x_r=B.x_r * f[1], y_l=B.y_l * f[2],
+                     y_r=B.y_r * f[3], z_r=B.z_r * f[4])
+
+
+_FROZEN_BOXES = {
+    "paper": B,
+    "c4-fail": B.replace(x_r=0.6249),
+    "z_l>0": B.replace(z_l=0.01),  # C1 goes through bound_extremum
+    "perturbed-1": _perturbed(1),  # C3' fails
+    "perturbed-2": _perturbed(2),  # C5 fails
+}
+
+_FROZEN_CERTS = {
+    ("paper", "interval"): "6bf7aaec38eaf3b056a1a86f856f8a8ffb986ab8c88296407c9f2ab832b98fc6",
+    ("paper", "both"): "587c7fdb1a7d8b7ccafadf71d78c21cadc744b346d372ebca60a9996b6d3e30c",
+    ("c4-fail", "interval"): "c5bcf92b5e6cf75e4dd8c502bd0c0f4fbdb14660a79a8307f10b433c1671806a",
+    ("c4-fail", "both"): "e7432d2e5c07be3513b11c99948382e20647ad5717ec6a40245a36719bd0c037",
+    ("z_l>0", "interval"): "2e8b4a989c8d3743419faa11e6e8133fc9d1475e552e8b00c9672b8c1ea33484",
+    ("z_l>0", "both"): "6271f10052401b7d7476a6b91d1a2a162678aac34e2291b6709c177f8a7e35d5",
+    ("perturbed-1", "interval"): "4757af79bfad5e7d9ed0c3347fae583a42f91e3c8fb00048bc4659cfe2bb4d28",
+    ("perturbed-1", "both"): "64a5a55873b22f4d6b11fb6d32a19ac671130483870a073cea9983cc2a918819",
+    ("perturbed-2", "interval"): "c6e542599b110a39634a7751c3a828a16ef366a2c3b0efeb2732ccf68b8821f3",
+    ("perturbed-2", "both"): "d22b69103f8e47c4309d3a0440bdfd5f6996b09c33ca4882c0cfede99a9caefe",
+}
+
+
+@pytest.mark.parametrize("name, engine", list(_FROZEN_CERTS))
+def test_certificate_bytes_are_frozen(name, engine):
+    """sha256 of the serialised certificate: every enclosure, margin and
+    expansion count of the interval engine, bit for bit."""
+    cert = certify_box(P, _FROZEN_BOXES[name], engine=engine)
+    digest = hashlib.sha256(dumps17(cert.as_dict()).encode()).hexdigest()
+    assert digest == _FROZEN_CERTS[name, engine]
+
+
+def test_unsplittable_box_stops_at_once():
+    """A popped box that cannot be split would be pushed back unchanged
+    until the budget ran out; it holds the largest upper bound, so the
+    search stops there."""
+    rep = bound_extremum(P, IntervalBox.point(0.3, 0.2, 0.1), "F3", "max",
+                         tol=1e-18, budget=20_000)
+    assert rep.status == "inconclusive"
+    assert rep.subdivisions <= 3
+    v = eval_map_xyz(P, 0.3, 0.2, 0.1)[2]
+    assert rep.enclosure.contains(v)
+    # one ulp wide in x: the midpoint is an endpoint
+    x = 0.3
+    narrow = IntervalBox.from_bounds(x, math.nextafter(x, 1.0), 0.2, 0.2, 0.1, 0.1)
+    rep = bound_extremum(P, narrow, "F1", "max", tol=1e-18, budget=20_000)
+    assert rep.status == "inconclusive" and rep.subdivisions <= 3

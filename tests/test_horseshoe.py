@@ -122,6 +122,13 @@ class TestKEnclosures:
         assert digest(k0) == "68dd9723c07ff19a6b76014de556af5c74cc741f813db4078bf839f35a97e944"
         assert digest(k1) == "1b0e3e7502965cea55d93b3bda6feb285338d357c598f52ac35ed6d756089139"
 
+    def test_paper_covers_at_res_32_are_frozen(self):
+        k0, k1 = build_K_enclosures(P, OB, 32)
+        digest = lambda k: hashlib.sha256(k.cells.astype("<f8").tobytes()).hexdigest()
+        assert (k0.cell_count, k1.cell_count) == (6430, 9606)
+        assert digest(k0) == "13a156f6aca2f8caf3c7cd5139e534925a582ac9b56304d112e729d0f370a4b8"
+        assert digest(k1) == "2983e630cd8e58e837bc1206859178723ab4ff0e434054261a8a779c1c0860c4"
+
     @pytest.mark.parametrize("n", [(1, 1, 1), (2, 3, 5), (7, 4, 3), (16, 16, 8)])
     def test_grid_cells_in_z_y_x_order(self, n):
         nx, ny, nz = n
