@@ -287,9 +287,6 @@ class Interval:
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
 
-    def encloses(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def as_pair(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
@@ -310,9 +307,6 @@ class Interval:
 
     def sqrt(self) -> "Interval":
         return Interval(*_sqrt(self.as_pair()))
-
-    def sqr(self) -> "Interval":
-        return Interval(*_sqr(self.as_pair()))
 
 
 def _as_pair(v) -> tuple[float, float]:
@@ -758,75 +752,56 @@ def _report_dict(rep: BoundReport) -> dict:
     }
 
 
-def _one_sided(cid, rep: BoundReport, threshold: float, direction: str,
-               strict: bool, min_margin: float) -> ConditionRecord:
-    """Turn an extremum enclosure into a condition verdict.
+def _side(cid, rep: BoundReport, threshold: float, relation: str,
+          need: float = 0.0) -> SubCheck:
+    """Decide one side of an extremum enclosure against a threshold.
 
-    direction "<=": require extremum <= threshold (rep must be a max);
-    direction ">": require extremum > threshold (rep must be a min); the
-    strict case certifies only with margin above ``min_margin``.
+    "<=" requires the extremum at or below ``threshold`` (``rep`` is a
+    max, judged by its upper end); ">=" and ">" require it at or above,
+    resp. above by more than ``need`` (``rep`` is a min, judged by its
+    lower end).  The far end of the enclosure on the wrong side refutes
+    the inequality; anything in between is inconclusive.
     """
     lo, hi = rep.enclosure.lo, rep.enclosure.hi
-    if direction == "<=":
-        if hi <= threshold:
-            status, margin = PASS, threshold - hi
-        elif lo > threshold:
-            status, margin = FAIL, threshold - lo
-        else:
-            status, margin = INCONCLUSIVE, threshold - hi
-        lhs, rhs, rel = hi, threshold, "<="
-    elif direction == ">":
-        need = min_margin if strict else 0.0
-        if lo - threshold > need:
-            status, margin = PASS, lo - threshold
-        elif hi <= threshold:
-            status, margin = FAIL, hi - threshold
-        else:
-            status, margin = INCONCLUSIVE, lo - threshold
-        lhs, rhs, rel = lo, threshold, ">"
-    else:  # ">="
-        if lo >= threshold:
-            status, margin = PASS, lo - threshold
-        elif hi < threshold:
-            status, margin = FAIL, hi - threshold
-        else:
-            status, margin = INCONCLUSIVE, lo - threshold
-        lhs, rhs, rel = lo, threshold, ">="
+    if relation == "<=":
+        lhs, decide, refute = hi, threshold - hi, threshold - lo
+    else:
+        lhs, decide, refute = lo, lo - threshold, hi - threshold
+    if relation == ">":
+        passed, failed = decide > need, refute <= 0.0
+    else:
+        passed, failed = decide >= 0.0, refute < 0.0
+    if passed:
+        status, margin = PASS, decide
+    elif failed:
+        status, margin = FAIL, refute
+    else:
+        status, margin = INCONCLUSIVE, decide
+    return SubCheck(cid, lhs, threshold, relation, margin, status)
+
+
+def _one_sided(cid, rep: BoundReport, threshold: float, relation: str,
+               need: float = 0.0) -> ConditionRecord:
+    """Turn an extremum enclosure into a condition verdict (see ``_side``)."""
+    sub = _side(cid, rep, threshold, relation, need)
     return ConditionRecord(
         cid=cid,
-        status=status,
-        lhs=lhs,
-        rhs=rhs,
-        relation=rel,
-        margin=margin,
+        status=sub.status,
+        lhs=sub.lhs,
+        rhs=sub.rhs,
+        relation=sub.relation,
+        margin=sub.margin,
         engine="interval",
-        subchecks=[SubCheck(cid, lhs, rhs, rel, margin, status)],
+        subchecks=[sub],
         interval={rep.which: _report_dict(rep)},
     )
 
 
 def _two_sided(cid, rep_min: BoundReport, rep_max: BoundReport,
                lo_lim: float, hi_lim: float) -> ConditionRecord:
-    subs = []
-    stats = []
-    # min side
-    if rep_min.enclosure.lo >= lo_lim:
-        st, mg = PASS, rep_min.enclosure.lo - lo_lim
-    elif rep_min.enclosure.hi < lo_lim:
-        st, mg = FAIL, rep_min.enclosure.hi - lo_lim
-    else:
-        st, mg = INCONCLUSIVE, rep_min.enclosure.lo - lo_lim
-    subs.append(SubCheck(cid + "min", rep_min.enclosure.lo, lo_lim, ">=", mg, st))
-    stats.append(st)
-    # max side
-    if rep_max.enclosure.hi <= hi_lim:
-        st, mg = PASS, hi_lim - rep_max.enclosure.hi
-    elif rep_max.enclosure.lo > hi_lim:
-        st, mg = FAIL, hi_lim - rep_max.enclosure.lo
-    else:
-        st, mg = INCONCLUSIVE, hi_lim - rep_max.enclosure.hi
-    subs.append(SubCheck(cid + "max", rep_max.enclosure.hi, hi_lim, "<=", mg, st))
-    stats.append(st)
+    subs = [_side(cid + "min", rep_min, lo_lim, ">="),
+            _side(cid + "max", rep_max, hi_lim, "<=")]
+    stats = [sub.status for sub in subs]
     if FAIL in stats:
         status = FAIL
     elif INCONCLUSIVE in stats:
@@ -889,15 +864,15 @@ def verify_C_rigorous(
     else:
         rep = bound_extremum(p, IntervalBox(full.ix, full.iy, Interval.point(b.z_l)),
                              "F3", "max", tol, budget)
-        conditions.append(_one_sided("C1", rep, b.z_l, "<=", False, min_margin))
+        conditions.append(_one_sided("C1", rep, b.z_l, "<="))
 
     # C2: max F3 over the top face <= 0.
     rep = bound_extremum(p, top, "F3", "max", tol, budget)
-    conditions.append(_one_sided("C2", rep, 0.0, "<=", False, min_margin))
+    conditions.append(_one_sided("C2", rep, 0.0, "<="))
 
     # C3': min F3 over the midplane > z_r (strict).
     rep = bound_extremum(p, midplane, "F3", "min", tol, budget)
-    conditions.append(_one_sided("C3p", rep, b.z_r, ">", True, min_margin))
+    conditions.append(_one_sided("C3p", rep, b.z_r, ">", min_margin))
 
     # C4: range of F1 over the whole box inside [x_l, x_r].
     rep_min = bound_extremum(p, full, "F1", "min", tol, budget)

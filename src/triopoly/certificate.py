@@ -19,7 +19,9 @@ That is the stretching-along-paths property on two symbols, and it forces a
 topological horseshoe: periodic points of every word and entropy >= log 2.
 
 ``certify_box`` merges the layers and optionally cross-checks the C layer
-against the rigorous interval oracle in :mod:`triopoly.bounds`.
+against the rigorous interval oracle in :mod:`triopoly.bounds`.  Both
+layers here are decided in round-to-nearest floats, not under outward
+rounding; only that interval oracle rounds outward (ROADMAP item 1).
 """
 from __future__ import annotations
 
@@ -411,7 +413,8 @@ def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) 
 
     A violated monotonicity precondition yields ``inapplicable`` naming the
     precondition, so callers can distinguish "condition is false" from
-    "this reduction cannot decide".
+    "this reduction cannot decide".  The closed forms, the preconditions
+    and the margins are all evaluated in round-to-nearest floats.
     """
     xl, xr, yl, yr, zl, zr = b.as_tuple()
     z_mid = b.z_mid
@@ -540,8 +543,14 @@ def certify_box(
         "both"      run both; each C record carries the interval enclosure
                     and passes only with no engine contradicting
 
-    The H layer is always analytic: it is finite float arithmetic on the
-    box corners, there is nothing to enclose.
+    The H layer always comes from ``check_H``.  It and the analytic C layer
+    are decided in round-to-nearest floats: their sums, divisions and
+    square roots round, and no enclosure bounds that error.  Only
+    ``engine="interval"`` (and the interval half of "both") rounds
+    outward, and only for the C layer.  So a ``pass`` is proved only for a
+    C condition that the interval engine passes; an H pass, or an analytic
+    C pass, is a float verdict.  Deciding those under outward rounding too
+    is ROADMAP item 1.
     """
     if engine not in ("analytic", "interval", "both"):
         raise ValueError(f"unknown engine {engine!r}")

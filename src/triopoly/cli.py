@@ -164,7 +164,7 @@ _PER_COMMAND = {
         "policy": (str, "perturbed-nash"),
         "transient": (_parse_int, 1000),
     },
-    "demo-logistic": {"mu": (_parse_float, None), "samples": (_parse_int, 10_000)},
+    "demo-logistic": {"mu": (_parse_float, None)},
 }
 
 
@@ -231,7 +231,6 @@ def _build_parser() -> _Parser:
 
     sp = add("demo-logistic", "covering-interval demo on the logistic family")
     sp.add_argument("--mu", type=_parse_float)
-    sp.add_argument("--samples", type=_parse_int)
 
     return parser
 
@@ -419,7 +418,7 @@ def _cmd_bifurcate(args) -> int:
 
 def _cmd_demo_logistic(args) -> int:
     _require(args, "mu")
-    report = logistic_sap_demo(args.mu, samples=args.samples)
+    report = logistic_sap_demo(args.mu)
     _emit_text(dumps17(report.as_dict(), indent=2) + "\n", args.out)
     return 0
 

@@ -254,6 +254,17 @@ def fixed_point_residual(p: Params, s: State) -> float:
 def fixed_points(p: Params) -> list[State]:
     """Both closed-form fixed points, interior first.
 
+    They are all the fixed points on the domain x+z > 0, x+y+z > 0.  With
+    Q = x+y+z > 0, the three components of F(s) = s read
+
+        z' = z  gives  z = 0  or  x+y = c3*Q^2,
+        x' = x  gives  y+z = c1*Q^2,
+        y' = y  gives  sqrt((x+z)/c2) = Q,  so  x+z = c2*Q^2.
+
+    If z != 0, summing the three identities gives 2Q = (c1+c2+c3)*Q^2, so
+    Q = 2/(c1+c2+c3): the interior point.  If z = 0, then x = c2*Q^2 and
+    y = c1*Q^2 add up to Q, so Q = 1/(c1+c2): the boundary point.
+
     Warns (does not raise) when a closed-form coordinate is non-positive;
     the formulas still solve F(s) = s but the point then sits outside the
     economically meaningful quadrant.

@@ -1,11 +1,16 @@
-"""Exploratory, non-rigorous dynamics for the triopoly map.
+"""Exploratory dynamics for the triopoly map, and a logistic prototype.
 
-Everything here is floating-point simulation: orbit records with escape
+The triopoly part is floating-point simulation: orbit records with escape
 detection, QR-iteration Lyapunov exponents, stability classification of
-the interior rest point, bifurcation scans in the adjustment rate alpha,
-and a one-dimensional covering-interval demo on the logistic family.
-None of it feeds the certification engines; it exists to explore and to
-sanity-check the certified statements against plain numerics.
+the interior rest point, and bifurcation scans in the adjustment rate
+alpha.  None of it feeds the certification engines; it exists to explore
+and to sanity-check the certified statements against plain numerics.
+
+The one-dimensional covering-interval demo on the logistic family is the
+exception: its verdict is a proof.  Two intervals cover their hull under
+f^m as soon as their endpoint images bracket the hull (intermediate value
+theorem), and those endpoint images are decided in exact rational
+arithmetic.
 """
 from __future__ import annotations
 
@@ -461,9 +466,9 @@ def bifurcation_scan(
 #
 # The one-dimensional analogue of the box certification: two disjoint
 # subintervals whose images under an iterate of f(x) = mu x (1 - x) each
-# cover the hull of the pair.  Found by brute-force scanning the monotone
-# branches of the iterate; no structure of the quadratic is assumed beyond
-# smoothness, so the same scan reports absence honestly.
+# cover the hull of the pair.  Found by scanning pairs of monotone branches
+# of the iterate, cut at its closed-form critical points; a scan that finds
+# no pair reports absence.
 
 
 def _logistic_orbit_value(mu: float, x: float, m: int) -> float:
@@ -484,39 +489,28 @@ def _exact_orbit_value(mu: float, x: float, m: int) -> Fraction:
     return xq
 
 
-def _logistic_derivative(mu: float, x: float, m: int) -> float:
-    d = 1.0
-    for _ in range(m):
-        d *= mu * (1.0 - 2.0 * x)
-        x = mu * x * (1.0 - x)
-    return d
+def _critical_points(mu: float, m: int) -> list[float]:
+    """Critical points of f^m inside (0, 1), increasing.
 
-
-def _critical_points(mu: float, m: int, grid: int = 4096) -> list[float]:
-    xs = np.linspace(0.0, 1.0, grid + 1)
-    ds = np.array([_logistic_derivative(mu, float(x), m) for x in xs])
-    crits: list[float] = []
-    for i in range(grid):
-        a, b = float(xs[i]), float(xs[i + 1])
-        da, db = float(ds[i]), float(ds[i + 1])
-        if da == 0.0 and 0.0 < a < 1.0:
-            crits.append(a)
-            continue
-        if da * db < 0.0:
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                dm = _logistic_derivative(mu, mid, m)
-                if dm == 0.0:
-                    a = b = mid
-                    break
-                if (dm > 0.0) == (da > 0.0):
-                    a, da = mid, dm
-                else:
-                    b = mid
-            crits.append(0.5 * (a + b))
+    (f^m)'(x) is the product of f'(f^j(x)) over j < m, so it vanishes
+    exactly where f^j(x) = 1/2 for some j < m.  Each level of preimages of
+    1/2 comes from the last by f^-1(t) = 1/2 -+ sqrt(1/4 - t/mu), which
+    is real and inside [0, 1] for 0 <= t <= mu/4.
+    """
+    level = [0.5]
+    crits = [0.5]
+    for _ in range(m - 1):
+        nxt = []
+        for t in level:
+            r = 0.25 - t / mu
+            if 0.0 <= r <= 0.25:
+                w = math.sqrt(r)
+                nxt += [0.5 - w, 0.5 + w]
+        level = nxt
+        crits += level
     out: list[float] = []
-    for c in crits:
-        if not out or c - out[-1] > 1e-12:
+    for c in sorted(crits):
+        if 0.0 < c < 1.0 and (not out or c - out[-1] > 1e-12):
             out.append(c)
     return out
 
@@ -593,7 +587,6 @@ class CoveringIntervals:
     i1: tuple[float, float]
     hull: tuple[float, float]
     verified: bool
-    samples: int
 
     def as_dict(self) -> dict:
         return {
@@ -603,7 +596,6 @@ class CoveringIntervals:
             "i1": list(self.i1),
             "hull": list(self.hull),
             "verified": self.verified,
-            "samples": self.samples,
         }
 
 
@@ -625,13 +617,15 @@ def _interval_on_branch(mu: float, m: int, br: _Branch,
     return (u, v)
 
 
-def verify_covering(mu: float, cert: CoveringIntervals, samples: int = 10_000) -> bool:
-    """Sampling check of every claim in the certificate.
+def verify_covering(mu: float, cert: CoveringIntervals) -> bool:
+    """Exact check of every claim in the certificate.
 
-    Monotonicity of f^m along each interval plus the endpoint inequalities
-    imply the images cover the hull; disjointness and ordering are checked
-    directly.  Every sampled constraint must hold, there is no tolerance;
-    the endpoint inequalities are decided in exact rational arithmetic.
+    The intervals must be disjoint and ordered inside the hull, and on each
+    interval one endpoint image must lie at or below the hull's low end and
+    the other at or above its high end.  f^m is continuous, so by the
+    intermediate value theorem the image of the interval then covers the
+    hull, whatever f^m does in between.  The endpoint images are decided in
+    exact rational arithmetic; there is no tolerance.
     """
     (u0, v0), (u1, v1) = cert.i0, cert.i1
     h_lo, h_hi = cert.hull
@@ -639,18 +633,13 @@ def verify_covering(mu: float, cert: CoveringIntervals, samples: int = 10_000) -
         return False
     m = cert.iterate
     for (u, v) in (cert.i0, cert.i1):
-        xs = np.linspace(u, v, samples)
-        ys = np.array([_logistic_orbit_value(mu, float(x), m) for x in xs])
-        diffs = np.diff(ys)
-        if not (np.all(diffs >= 0.0) or np.all(diffs <= 0.0)):
-            return False
         eu, ev = _exact_orbit_value(mu, u, m), _exact_orbit_value(mu, v, m)
         if not (min(eu, ev) <= Fraction(h_lo) and max(eu, ev) >= Fraction(h_hi)):
             return False
     return True
 
 
-def find_covering_pair(mu: float, m: int, samples: int = 10_000) -> CoveringIntervals | None:
+def find_covering_pair(mu: float, m: int) -> CoveringIntervals | None:
     """First disjoint covering pair among the monotone branches of f^m.
 
     Branch pairs are scanned left to right; for each pair the candidate
@@ -676,10 +665,9 @@ def find_covering_pair(mu: float, m: int, samples: int = 10_000) -> CoveringInte
             if i0 is None or i1 is None or not i0[1] < i1[0]:
                 continue
             cert = CoveringIntervals(
-                mu=mu, iterate=m, i0=i0, i1=i1, hull=(h_lo, h_hi),
-                verified=False, samples=samples,
+                mu=mu, iterate=m, i0=i0, i1=i1, hull=(h_lo, h_hi), verified=False,
             )
-            return replace(cert, verified=verify_covering(mu, cert, samples))
+            return replace(cert, verified=verify_covering(mu, cert))
     return None
 
 
@@ -704,7 +692,7 @@ class LogisticSapReport:
         }
 
 
-def logistic_sap_demo(mu: float, samples: int = 10_000) -> LogisticSapReport:
+def logistic_sap_demo(mu: float) -> LogisticSapReport:
     """Covering-interval scan of the logistic map at both low iterates.
 
     The first iterate admits a pair only when the hump exits the unit
@@ -716,6 +704,6 @@ def logistic_sap_demo(mu: float, samples: int = 10_000) -> LogisticSapReport:
         raise ValueError("mu must be positive")
     return LogisticSapReport(
         mu=mu,
-        first=find_covering_pair(mu, 1, samples),
-        second=find_covering_pair(mu, 2, samples),
+        first=find_covering_pair(mu, 1),
+        second=find_covering_pair(mu, 2),
     )

@@ -3,8 +3,10 @@
 The box R, oriented along z, is cut at the midplane into halves R0 and R1.
 The sets K_i = {s in R_i : F(s) in R} are what the stretching argument
 actually uses; this module builds rigorous grid covers of them, checks the
-stretching behaviour along explicit sampled paths, and locates one fixed
-point inside each half.
+stretching behaviour along explicit sampled paths, and names the fixed
+point inside each half.  The map has exactly two fixed points on its
+domain, both in closed form (``core.fixed_points``), so no solver is
+needed: each half gets the closed form that lies in it.
 
 Covers are computed by exclusion: a grid cell is dropped only when its
 rigorous image enclosure misses the box entirely (so no point of the cell
@@ -26,7 +28,7 @@ from .boxes import Box, HalfBoxes, OrientedBox
 from .bounds import batch_image_enclosure
 from .certificate import Certificate, certify_box
 from .core import (
-    Params, State, eval_jacobian, eval_map_arrays, eval_map_xyz, fixed_point_residual,
+    Params, State, eval_map_arrays, eval_map_xyz, fixed_point_residual, fixed_points,
 )
 from .jsonio import write_csv
 
@@ -590,82 +592,34 @@ def check_path_stretching(
 # fixed points inside the halves
 # ---------------------------------------------------------------------------
 
-def _newton_fixed_point(p: Params, start: tuple[float, float, float],
-                        max_iter: int = 60) -> tuple[State | None, float]:
-    s = np.array(start, dtype=float)
-    best = math.inf
-    eye = np.eye(3)
-    for _ in range(max_iter):
-        try:
-            f = np.array(eval_map_xyz(p, *s), dtype=float)
-        except Exception:
-            return None, best
-        r = f - s
-        res = float(np.max(np.abs(r)))
-        best = min(best, res)
-        if res < 1e-13:
-            return State(*s), res
-        try:
-            jac = eval_jacobian(p, State(*s)) - eye
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        # damp long steps; the box is small and Newton overshoot would
-        # throw the iterate out of the domain
-        nrm = float(np.max(np.abs(step)))
-        if nrm > 0.25:
-            step *= 0.25 / nrm
-        s = s + step
-    try:
-        res = float(np.max(np.abs(np.array(eval_map_xyz(p, *s)) - s)))
-    except Exception:
-        return None, best
-    if res < 1e-10:
-        return State(*s), res
-    return None, min(best, res)
-
-
 def locate_fixed_point_in(
     p: Params,
     ob: OrientedBox,
     index: int,
     tol: float = 1e-10,
-    resolution: int = 16,
     cert: Certificate | None = None,
 ) -> State:
     """Fixed point of the map inside half-box ``index`` of a certified box.
 
-    Newton iteration started from the K-cover cell centres; membership in
-    the requested half is verified on the result.  Raises ConvergenceError
-    with the best residual when every start fails, which on a certified box
-    indicates a numerics problem rather than absence (existence is what the
-    certificate proves).
+    The map has exactly two fixed points on its domain, the closed forms of
+    ``core.fixed_points``; this returns the one that lies in the requested
+    half with residual below ``tol``.  Raises ConvergenceError with the
+    best residual of a member in the half when none qualifies, which on a
+    certified box indicates a numerics problem rather than absence
+    (existence is what the certificate proves).
     """
     if index not in (0, 1):
         raise ValueError("index must be 0 or 1")
-    cert = _require_certified(p, ob.box, cert)
-    covers = build_K_enclosures(p, ob, resolution, cert=cert)
-    cover = covers[index]
-    halves = HalfBoxes.from_oriented(ob)
-    half = halves.half(index)
+    _require_certified(p, ob.box, cert)
+    half = HalfBoxes.from_oriented(ob).half(index)
     best = math.inf
-    if not cover.is_empty:
-        centres = 0.5 * (cover.cells[:, 0::2] + cover.cells[:, 1::2])
-        # deterministic start order: innermost cells first tend to converge
-        # in one or two steps, but any order works
-        for c in centres:
-            s, res = _newton_fixed_point(p, (c[0], c[1], c[2]))
-            best = min(best, res)
-            if s is None or res >= tol:
-                continue
-            if abs(s.z - ob.box.z_l) < 1e-13:
-                # the bottom plane is exactly invariant; Newton's last step
-                # can leave z a few ulps off it, so try landing it exactly
-                snapped = State(s.x, s.y, ob.box.z_l)
-                if fixed_point_residual(p, snapped) < tol:
-                    s = snapped
-            if half.contains(s.x, s.y, s.z, slack=1e-12):
-                return s
+    for s in fixed_points(p):
+        if not half.contains(s.x, s.y, s.z, slack=1e-12):
+            continue
+        res = fixed_point_residual(p, s)
+        best = min(best, res)
+        if res < tol:
+            return s
     raise ConvergenceError(
         f"no fixed point located in half {index} at tol {tol}", best_residual=best
     )

@@ -222,6 +222,17 @@ class TestDynamicsCommands:
         doc = json.loads(out)
         assert doc["first_iterate"] is None
         assert doc["second_iterate"]["verified"] is True
+        assert "samples" not in doc["second_iterate"]
+
+    def test_demo_logistic_has_no_samples_option(self, capsys, tmp_path):
+        # coverings are decided from exact endpoint images, nothing is sampled
+        code, _, _ = run(capsys, "demo-logistic", "--mu", "3.88", "--samples", "5")
+        assert code == 3
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("mu = 3.88\nsamples = 5\n")
+        code, _, err = run(capsys, "demo-logistic", "--config", str(cfg))
+        assert code == 3
+        assert "samples" in err
 
 
 class TestPeriodic:

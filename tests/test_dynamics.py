@@ -1,6 +1,7 @@
 """Exploratory-dynamics layer: orbits, exponents, stability, scans, demo."""
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from triopoly.core import (
     interior_fixed_point,
 )
 from triopoly.dynamics import (
+    CoveringIntervals,
+    _critical_points,
     bifurcation_scan,
     classify_eigenvalues,
     classify_equilibrium,
@@ -335,8 +338,6 @@ class TestLogisticDemo:
         assert rep.first is None
 
     def test_verifier_rejects_tampering(self):
-        from dataclasses import replace
-
         cert = logistic_sap_demo(3.88).second
         widened = replace(cert, i0=(cert.i0[0], cert.i1[0] + 1e-3))
         assert not verify_covering(3.88, widened)
@@ -356,10 +357,31 @@ class TestLogisticDemo:
         with pytest.raises(ValueError):
             find_covering_pair(1.0, 0)
 
+    def test_covering_needs_only_bracketing_endpoints(self):
+        # i0 contains the critical point of f^2 where f(x) = 1/2, so f^2 is
+        # not monotone on it; its endpoint images still bracket the hull,
+        # which by the intermediate value theorem is all a covering needs
+        mu = 3.88
+        crit = 0.5 - math.sqrt(0.25 - 0.5 / mu)
+        cert = CoveringIntervals(mu=mu, iterate=2, i0=(0.14, 0.49), i1=(0.51, 0.8),
+                                 hull=(0.14, 0.85), verified=False)
+        assert cert.i0[0] < crit < cert.i0[1]
+        assert verify_covering(mu, cert)
+        # both endpoint images of i0 above the hull: nothing brackets it
+        assert not verify_covering(mu, replace(cert, i0=(0.14, 0.2)))
+
+    def test_critical_points_are_preimages_of_one_half(self):
+        mu = 3.88
+        r = math.sqrt(0.25 - 0.5 / mu)
+        assert _critical_points(mu, 1) == [0.5]
+        assert _critical_points(mu, 2) == [0.5 - r, 0.5, 0.5 + r]
+        # the hump of f stays below 1/2 for mu < 2: no second-level preimages
+        assert _critical_points(1.5, 2) == [0.5]
+
     @given(mu=st.floats(0.5, 4.5), m=st.integers(1, 2))
     @settings(max_examples=20, deadline=None)
     def test_any_found_pair_verifies(self, mu, m):
-        cert = find_covering_pair(mu, m, samples=400)
+        cert = find_covering_pair(mu, m)
         if cert is None:
             return
         assert cert.verified

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triopoly import PAPER_BOX, PAPER_PARAMS, Box, OrientedBox
-from triopoly.core import Params, boundary_fixed_point, eval_map_xyz, interior_fixed_point
+from triopoly import PAPER_BOX, PAPER_PARAMS, Box, OrientedBox, certify_box, horseshoe
+from triopoly.core import (
+    Params, boundary_fixed_point, eval_map_xyz, fixed_points, interior_fixed_point,
+)
 from triopoly.horseshoe import (
     RETAIN_MARGIN,
+    ConvergenceError,
     PathSample,
     _centre_maps_inside,
     _grid_cells,
@@ -312,6 +315,33 @@ class TestLocateFixedPoint:
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError):
             locate_fixed_point_in(P, OB, 2)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+    def test_is_a_closed_form_and_builds_no_cover(self, seed, monkeypatch):
+        def no_cover(*args, **kwargs):
+            raise AssertionError("locating a fixed point must not build a cover")
+
+        monkeypatch.setattr(horseshoe, "build_K_enclosures", no_cover)
+        monkeypatch.setattr(horseshoe, "_build_covers_cached", no_cover)
+        box = PAPER_BOX
+        if seed is not None:
+            # the five free bounds moved by up to +-0.2 %
+            f = 1.0 + 0.002 * np.random.default_rng(seed).uniform(-1.0, 1.0, 5)
+            box = box.replace(x_l=box.x_l * f[0], x_r=box.x_r * f[1], y_l=box.y_l * f[2],
+                              y_r=box.y_r * f[3], z_r=box.z_r * f[4])
+        assert certify_box(P, box).passed
+        bits = lambda s: tuple(v.hex() for v in s.as_tuple())
+        closed = [bits(s) for s in fixed_points(P)]
+        got = [bits(locate_fixed_point_in(P, OrientedBox(box), i)) for i in (0, 1)]
+        assert got[0] in closed and got[1] in closed
+        assert got[0] != got[1]
+
+    def test_no_qualifying_member_raises_with_its_residual(self):
+        from triopoly.core import fixed_point_residual
+
+        with pytest.raises(ConvergenceError) as info:
+            locate_fixed_point_in(P, OB, 1, tol=0.0)
+        assert info.value.best_residual == fixed_point_residual(P, interior_fixed_point(P))
 
     def test_uncertified_box_refused(self):
         with pytest.raises(ValueError, match="certif"):
