@@ -130,7 +130,6 @@ _SHARED = {
     "seed": (_parse_int, 0),
     "engine": (str, "analytic"),
     "out": (str, None),
-    "threads": (_parse_int, 1),
     "preset": (str, None),
 }
 
@@ -182,8 +181,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--seed", type=_parse_int)
         sp.add_argument("--engine", choices=_ENGINES)
         sp.add_argument("--out", help="output file (default: stdout); a prefix for horseshoe")
-        sp.add_argument("--threads", type=_parse_int,
-                        help="accepted for compatibility; has no effect")
         sp.add_argument("--preset", choices=("paper", "paper-raw"),
                         help="bundled fixture: reference parameters plus the corrected "
                              "candidate box; 'paper-raw' keeps the misprinted bound "
@@ -319,7 +316,6 @@ def _cmd_search(args) -> int:
         engine=args.engine,
         tol=args.tol,
         max_hits=args.max_hits,
-        threads=args.threads,
     )
     res.to_json_lines(_sink(args.out))
     return 0
@@ -411,7 +407,7 @@ def _cmd_bifurcate(args) -> int:
     _require(args, "params", "alpha_range", "samples")
     table = bifurcation_scan(args.params, args.alpha_range, args.samples,
                              s0_policy=args.policy, transient=args.transient,
-                             seed=args.seed, threads=args.threads)
+                             seed=args.seed)
     table.to_csv(_sink(args.out))
     return 0
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -245,27 +244,6 @@ def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int) -> np.ndarray:
     return excluded
 
 
-# periodic-orbit and fixed-point searches ask for the same cover once per
-# word and per half; building it is the dominant cost, so it is built once
-@lru_cache(maxsize=8)
-def _build_covers_cached(p: Params, b: Box, resolution: int):
-    mid = b.z_mid
-    nz_half = max(1, (resolution + 1) // 2)
-    covers = []
-    for index, (z0, z1) in enumerate(((b.z_l, mid), (mid, b.z_r))):
-        cells = _grid_cells(b, resolution, resolution, z0, z1, nz_half)
-        excluded = _excludable(p, cells, b, MAX_SPLIT_DEPTH)
-        covers.append(
-            KSetEnclosure(
-                index=index,
-                resolution=resolution,
-                box=b,
-                cells=cells[~excluded].copy(),
-            )
-        )
-    return tuple(covers)
-
-
 def build_K_enclosures(
     p: Params,
     ob: OrientedBox,
@@ -281,7 +259,15 @@ def build_K_enclosures(
     if not isinstance(resolution, int) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
     _require_certified(p, ob.box, cert)
-    return _build_covers_cached(p, ob.box, resolution)
+    b = ob.box
+    nz_half = max(1, (resolution + 1) // 2)
+    covers = []
+    for index, (z0, z1) in enumerate(((b.z_l, b.z_mid), (b.z_mid, b.z_r))):
+        cells = _grid_cells(b, resolution, resolution, z0, z1, nz_half)
+        excluded = _excludable(p, cells, b, MAX_SPLIT_DEPTH)
+        covers.append(KSetEnclosure(index=index, resolution=resolution, box=b,
+                                    cells=cells[~excluded]))
+    return tuple(covers)
 
 
 # ---------------------------------------------------------------------------

@@ -5,20 +5,24 @@ which agrees with the K-set coding on the invariant set since K_i sits
 inside R_i.  Midplane ties get symbol 1 and an explicit flag; certified
 configurations have no invariant points on the midplane, so a tie always
 means the point is not shadowing the invariant set at that depth.
+
+Periodic words are the numerical witnesses of the certificate's claim
+that a periodic point lies behind every periodic symbol sequence.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boxes import HalfBoxes, OrientedBox
 from .certificate import Certificate
 from .core import (
-    DomainError, Params, State, eval_jacobian, eval_map_arrays, eval_map_xyz, fixed_points,
+    DomainError, Params, State, eval_jacobian, eval_map_arrays, eval_map_xyz,
+    fixed_point_residual,
 )
-from .horseshoe import _require_certified, build_K_enclosures
+from .horseshoe import ConvergenceError, _require_certified, locate_fixed_point_in
 from .jsonio import write_csv
 
 __all__ = [
@@ -116,48 +120,6 @@ class PeriodicOrbitResult:
                 f"{self.residual:.17g}", self.converged, self.realized]
 
 
-def _iterate_k(p: Params, s: np.ndarray, k: int):
-    """F^k(s) and the chain-rule Jacobian of F^k at s."""
-    jac = np.eye(3)
-    cur = s.copy()
-    for _ in range(k):
-        st = State(cur[0], cur[1], cur[2])
-        jac = eval_jacobian(p, st) @ jac
-        cur = np.array(eval_map_xyz(p, *cur))
-    return cur, jac
-
-
-def _newton_periodic(p: Params, start: np.ndarray, k: int, tol: float,
-                     max_iter: int = 80) -> tuple[np.ndarray | None, float]:
-    s = start.copy()
-    eye = np.eye(3)
-    best = math.inf
-    best_s = None
-    for _ in range(max_iter):
-        try:
-            fk, jac = _iterate_k(p, s, k)
-        except DomainError:
-            break
-        r = fk - s
-        res = float(np.max(np.abs(r)))
-        if res < best:
-            best, best_s = res, s.copy()
-        if res < 1e-13:
-            return s, res
-        a = jac - eye
-        try:
-            step = np.linalg.solve(a, -r)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(a, -r, rcond=None)
-        nrm = float(np.max(np.abs(step)))
-        if nrm > 0.1:
-            step *= 0.1 / nrm
-        s = s + step
-    if best_s is not None and best < tol:
-        return best_s, best
-    return None, best
-
-
 def _itinerary_codes(p: Params, b, pts, k: int) -> np.ndarray:
     """k-step half-box itineraries of the rows of ``pts``, all at once.
 
@@ -179,91 +141,92 @@ def _itinerary_codes(p: Params, b, pts, k: int) -> np.ndarray:
     return np.where(alive, codes, -1)
 
 
+def _shoot(p: Params, halves: HalfBoxes, word: str) -> np.ndarray | None:
+    """Multiple-shooting Newton for a periodic orbit with itinerary ``word``.
+
+    Solves G(s_0, ..., s_{k-1}) = (F(s_i) - s_{i+1 mod k})_i = 0 from node i
+    at the centre of half ``word[i]``.  The Jacobian of G has the blocks
+    DF(s_i) on its diagonal and -I on its cyclic superdiagonal, so F^k is
+    never chained (Galias & Zgliczynski, Physica D 115, 1998).  Returns s_0,
+    or None when an iterate leaves the map domain or the system is singular.
+    """
+    k = len(word)
+    s = np.array([[0.5 * (lo + hi) for lo, hi in map(halves.half(int(c)).bounds, range(3))]
+                  for c in word])
+    superdiagonal = -np.kron(np.roll(np.eye(k), 1, axis=1), np.eye(3))
+    for _ in range(80):
+        try:
+            g = np.column_stack(eval_map_arrays(p, *s.T)) - np.roll(s, -1, axis=0)
+            if np.max(np.abs(g)) < 1e-13:
+                break
+            jac = superdiagonal.copy()
+            for i, si in enumerate(s):
+                jac[3 * i:3 * i + 3, 3 * i:3 * i + 3] += eval_jacobian(p, State(*si))
+            step = np.linalg.solve(jac, -g.ravel()).reshape(k, 3)
+        except (DomainError, np.linalg.LinAlgError):
+            return None
+        nrm = float(np.max(np.abs(step)))
+        if nrm > 0.1:
+            step *= 0.1 / nrm
+        s = s + step
+    return s[0]
+
+
+def _return_residual(p: Params, s: State, k: int) -> float:
+    """max|F^k(s) - s|; inf when the orbit leaves the map domain."""
+    cur = s.as_tuple()
+    try:
+        for _ in range(k):
+            cur = eval_map_xyz(p, *cur)
+    except DomainError:
+        return math.inf
+    return max(abs(a - b) for a, b in zip(cur, s.as_tuple()))
+
+
 def find_periodic_orbit(
     p: Params,
     ob: OrientedBox,
     w,
     tol: float = 1e-10,
-    resolution: int = 16,
     cert: Certificate | None = None,
 ) -> PeriodicOrbitResult:
-    """Periodic point realizing the symbol word w, by multi-start Newton.
+    """Periodic point realizing the symbol word w.
 
-    Starts are centres of the K-cover cells (for the first symbol of w)
-    whose forward grid itineraries match w; Newton then solves F^k(s) = s
-    with the analytic Jacobian chained over the k steps.  On success the
-    realized itinerary equals w exactly (the orbit is rotated into phase if
-    Newton lands on a cyclic shift).
+    A constant word is realized by the closed-form fixed point of its half
+    (``horseshoe.locate_fixed_point_in``).  Every other word is solved by
+    one multiple-shooting Newton (``_shoot``) seeded at the centres of the
+    halves the word names.  ``residual`` is max|F^k(s) - s| at the returned
+    point s and ``realized`` its k-step itinerary; the word is converged when
+    the residual is below ``tol`` and the itinerary equals the word.
     """
     word = normalize_word(w)
     k = len(word)
     if tol <= 0:
         raise ValueError("tol must be positive")
     cert = _require_certified(p, ob.box, cert)
-    b = ob.box
-    covers = build_K_enclosures(p, ob, resolution, cert=cert)
-    cover = covers[int(word[0])]
-    centres = 0.5 * (cover.cells[:, 0::2] + cover.cells[:, 1::2])
-
-    target = int(word, 2)
-    matching = centres[_itinerary_codes(p, b, centres, k) == target]
-    # coarse grids can miss deep words entirely; fall back to every start
-    starts = list(matching) if matching.size else list(centres)
-    # the map's fixed points are period-k points for every k and the only
-    # representatives of the constant words; Newton from cover centres can
-    # drain into a neighbouring orbit instead, so seed them explicitly
-    for fp in fixed_points(p):
-        t = fp.as_tuple()
-        if b.contains(*t):
-            starts.append(np.asarray(t, dtype=float))
-
-    best_res = math.inf
-    best_point = None
-    for c in starts:
-        s, res = _newton_periodic(p, np.asarray(c, dtype=float), k, tol)
-        if s is None:
-            best_res = min(best_res, res)
-            continue
-        if res < best_res:
-            best_res, best_point = res, s
-        if res >= tol:
-            continue
-        if abs(s[2] - b.z_l) < 1e-13:
-            # the bottom plane is exactly invariant; land on it exactly so
-            # closed-box membership of the orbit is unambiguous
-            snapped = np.array([s[0], s[1], b.z_l])
-            res_snap = float(np.max(np.abs(_iterate_k(p, snapped, k)[0] - snapped)))
-            if res_snap < tol:
-                s, res = snapped, res_snap
-        # rotate to the phase whose itinerary matches w exactly
-        orbit = [s]
-        for _ in range(k - 1):
-            orbit.append(np.array(eval_map_xyz(p, *orbit[-1])))
-        in_phase = _itinerary_codes(p, b, orbit, k) == target
-        for pt in (orbit[j] for j in np.flatnonzero(in_phase)):
-            res_j = float(np.max(np.abs(_iterate_k(p, np.asarray(pt), k)[0] - pt)))
-            if res_j < tol:
-                return PeriodicOrbitResult(
-                    word=word,
-                    point=State(*pt),
-                    residual=res_j,
-                    realized=word,
-                    converged=True,
-                )
-    pt = State(*best_point) if best_point is not None else None
+    if word == word[0] * k:
+        try:
+            pt = locate_fixed_point_in(p, ob, int(word[0]), tol, cert)
+            residual = fixed_point_residual(p, pt)
+        except ConvergenceError as exc:
+            pt, residual = None, exc.best_residual
+    else:
+        s0 = _shoot(p, HalfBoxes.from_oriented(ob), word)
+        pt = None if s0 is None else State(*s0)
+        residual = math.inf if pt is None else _return_residual(p, pt, k)
     realized = ""
     if pt is not None:
-        code = int(_itinerary_codes(p, b, [pt.as_tuple()], k)[0])
+        code = int(_itinerary_codes(p, ob.box, [pt.as_tuple()], k)[0])
         realized = format(code, f"0{k}b") if code >= 0 else ""
+    converged = residual < tol and realized == word
     return PeriodicOrbitResult(
         word=word,
         point=pt,
-        residual=best_res,
+        residual=residual,
         realized=realized,
-        converged=False,
-        note="Newton did not reach the requested tolerance from any start; "
-             "existence is certificate-guaranteed, so this is a numerics "
-             "failure worth investigating",
+        converged=converged,
+        note="" if converged else "no point with this itinerary met tol; the "
+             "certificate guarantees one, so this is a numerics failure",
     )
 
 

@@ -11,7 +11,10 @@ import json
 
 import pytest
 
+from triopoly import PAPER_BOX, PAPER_PARAMS
 from triopoly.cli import main
+from triopoly.core import eval_map_xyz
+from triopoly.symbolic import _itinerary_codes
 
 PAPER_BOX_ARG = "0.5766666668,0.6316666668,0.3366666668,0.4516666668,0.0,0.3951779684"
 PAPER_PARAMS_ARG = "0.4,0.55,0.6,17"
@@ -183,6 +186,16 @@ class TestSearch:
                          "--strategy", "anneal")
         assert code == 3
 
+    def test_threads_flag_and_config_key_are_gone(self, capsys, tmp_path):
+        code, _, err = run(capsys, "search", "--preset", "paper", "--threads", "2")
+        assert code == 3
+        assert "--threads" in err
+        cfg = tmp_path / "search.cfg"
+        cfg.write_text("threads = 2\n")
+        code, _, err = run(capsys, "search", "--preset", "paper", "--config", str(cfg))
+        assert code == 3
+        assert "threads" in err
+
 
 class TestDynamicsCommands:
     def test_simulate_emits_orbit_csv(self, capsys):
@@ -269,12 +282,21 @@ class TestPeriodic:
         assert "certif" in err
 
     def test_stalled_newton_writes_csv_then_exits_4(self, capsys):
+        # the 2-cycle is found, but no float residual is below 1e-300
         code, out, err = run(capsys, "periodic", "--preset", "paper",
-                             "--word", "0000001")
+                             "--word", "01", "--tol", "1e-300")
         assert code == 4
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[1][0] == "0000001" and rows[1][5] == "False"
-        assert "0000001" in err and "runtime failure" in err
+        assert rows[1][0] == "01" and rows[1][5] == "False"
+        assert "01" in err and "runtime failure" in err
+        # the reported residual and itinerary are those of the reported point
+        pt = tuple(float(v) for v in rows[1][1:4])
+        residual = float(rows[1][4])
+        assert residual > 0.0
+        img = eval_map_xyz(PAPER_PARAMS, *eval_map_xyz(PAPER_PARAMS, *pt))
+        assert residual == max(abs(a - b) for a, b in zip(img, pt))
+        code = _itinerary_codes(PAPER_PARAMS, PAPER_BOX, [pt], 2)[0]
+        assert rows[1][6] == format(int(code), "02b")
 
 
 class TestHorseshoe:

@@ -322,7 +322,6 @@ class TestLocateFixedPoint:
             raise AssertionError("locating a fixed point must not build a cover")
 
         monkeypatch.setattr(horseshoe, "build_K_enclosures", no_cover)
-        monkeypatch.setattr(horseshoe, "_build_covers_cached", no_cover)
         box = PAPER_BOX
         if seed is not None:
             # the five free bounds moved by up to +-0.2 %

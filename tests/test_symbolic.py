@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triopoly import Box, HalfBoxes, OrientedBox, PAPER_BOX, PAPER_PARAMS
+from triopoly import Box, HalfBoxes, OrientedBox, PAPER_BOX, PAPER_PARAMS, certify_box, horseshoe
 from triopoly.core import (
     DomainError,
     State,
     boundary_fixed_point,
     eval_map_xyz,
+    fixed_points,
     interior_fixed_point,
 )
 from triopoly.symbolic import (
@@ -182,6 +183,35 @@ class TestCountPeriodicWords:
             count_periodic_words(P, OB, 0)
         with pytest.raises(ValueError):
             count_periodic_words(P, OB, MAX_WORD_LENGTH + 1)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+    def test_every_word_of_length_5_and_6_is_realized(self, seed):
+        box = PAPER_BOX
+        if seed is not None:
+            # the five free bounds moved by up to +-0.2 %
+            f = 1.0 + 0.002 * np.random.default_rng(seed).uniform(-1.0, 1.0, 5)
+            box = box.replace(x_l=box.x_l * f[0], x_r=box.x_r * f[1], y_l=box.y_l * f[2],
+                              y_r=box.y_r * f[3], z_r=box.z_r * f[4])
+        cert = certify_box(P, box)
+        assert cert.passed
+        bits = lambda s: tuple(v.hex() for v in s.as_tuple())
+        closed = [bits(s) for s in fixed_points(P)]
+        for k in (5, 6):
+            results = count_periodic_words(P, OrientedBox(box), k, cert=cert)
+            assert [r.word for r in results] == [format(i, f"0{k}b") for i in range(2**k)]
+            for r in results:
+                assert r.converged and r.realized == r.word, r
+            assert bits(results[0].point) in closed and results[0].point.z == 0.0
+            assert bits(results[-1].point) in closed
+
+    def test_builds_no_cover(self, monkeypatch):
+        def no_cover(*args, **kwargs):
+            raise AssertionError("periodic words must not build a cover")
+
+        monkeypatch.setattr(horseshoe, "build_K_enclosures", no_cover)
+        monkeypatch.setattr(horseshoe, "_excludable", no_cover)
+        results = count_periodic_words(P, OB, 4)
+        assert all(r.converged for r in results)
 
     def test_csv_export(self):
         results = count_periodic_words(P, OB, 2)
