@@ -9,9 +9,9 @@ symbols.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import copy
 import math
+from dataclasses import dataclass
 
 __all__ = ["InvalidBoxError", "Box", "OrientedBox", "HalfBoxes"]
 
@@ -41,6 +41,10 @@ class Box:
             raise InvalidBoxError(f"need y_l < y_r, got [{self.y_l}, {self.y_r}]")
         if not (self.z_l < self.z_r):
             raise InvalidBoxError(f"need z_l < z_r, got [{self.z_l}, {self.z_r}]")
+        if not (self.z_l < self.z_mid < self.z_r):
+            raise InvalidBoxError(
+                f"z-extent [{self.z_l}, {self.z_r}] too thin to split at its "
+                f"midplane (z_mid = {self.z_mid})")
 
     # -- geometry helpers -------------------------------------------------
 
@@ -133,7 +137,7 @@ class HalfBoxes:
     def from_oriented(cls, ob: OrientedBox) -> "HalfBoxes":
         b = ob.box
         mid = b.z_mid
-        return cls(lower=b.replace(z_r=mid), upper=b.replace(z_l=mid), mid=mid)
+        return cls(lower=_half(b, b.z_l, mid), upper=_half(b, mid, b.z_r), mid=mid)
 
     def half(self, index: int) -> Box:
         if index == 0:
@@ -154,3 +158,16 @@ class HalfBoxes:
         if z > self.mid:
             return 1, False
         return 1, True
+
+
+def _half(b: Box, z_l: float, z_r: float) -> Box:
+    """The part of the valid box b with z in [z_l, z_r], one of its halves.
+
+    Its bounds are ordered because b splits at its midplane; it is not
+    held to that rule itself, since a half is never split again and the
+    halves of a box a few floats thick have no float strictly inside.
+    """
+    half = copy.copy(b)
+    object.__setattr__(half, "z_l", z_l)
+    object.__setattr__(half, "z_r", z_r)
+    return half

@@ -28,6 +28,10 @@ __all__ = [
     "eval_map_xyz",
     "eval_map_arrays",
     "eval_jacobian",
+    "map_arrays",
+    "jacobian_arrays",
+    "map_off_domain",
+    "jacobian_off_domain",
     "fixed_points",
     "interior_fixed_point",
     "boundary_fixed_point",
@@ -98,15 +102,19 @@ class State:
 def _two_prod(a: float, b: float) -> tuple[float, float]:
     """Dekker's exact product: returns (fl(a*b), a*b - fl(a*b)).
 
-    Elementwise on float64 arrays too: only + - * are used.
+    Elementwise on float64 arrays too: only + - * are used.  A square
+    (``b is a``) splits its factor once.
     """
     prod = a * b
     c = 134217729.0 * a  # Veltkamp split at 2**27 + 1
     ah = c - (c - a)
     al = a - ah
-    c = 134217729.0 * b
-    bh = c - (c - b)
-    bl = b - bh
+    if b is a:
+        bh, bl = ah, al
+    else:
+        c = 134217729.0 * b
+        bh = c - (c - b)
+        bl = b - bh
     err = ((ah * bh - prod) + ah * bl + al * bh) + al * bl
     return prod, err
 
@@ -135,14 +143,43 @@ def _underflow(d: float, q: float) -> str:
             f"underflows to 0")
 
 
+def _domain_error(d: float, q: float) -> DomainError:
+    """The error for a point with x + z = d, x + y + z = q off the domain."""
+    if d <= 0.0:
+        return DomainError(f"x + z = {d} <= 0: square root undefined")
+    if q <= 0.0:
+        return DomainError(f"x + y + z = {q} <= 0: aggregate share undefined")
+    return DomainError(_underflow(d, q))
+
+
+def map_off_domain(d, q, c2):
+    """Where the map is undefined, from d = x + z and q = x + y + z.
+
+    Off the domain (d <= 0 or q <= 0), or on it but with a divisor that
+    underflows to 0: (x+y+z)^2 in the z-update, or d/c2, whose square
+    root divides the compensation term of the y-update.  These are
+    exactly the points where ``eval_map_xyz`` raises.  Elementwise on
+    arrays.
+    """
+    return (d <= 0.0) | (q <= 0.0) | (q * q == 0.0) | (d / c2 == 0.0)
+
+
+def jacobian_off_domain(d, q, c2):
+    """Where ``eval_jacobian`` raises, from d = x + z and q = x + y + z.
+
+    Besides d <= 0 or q <= 0, the divisors sqrt(c2*d) and (x+y+z)^3 may
+    underflow to 0; sqrt(c2*d) is 0 exactly when c2*d is.  Elementwise on
+    arrays.
+    """
+    return (d <= 0.0) | (q <= 0.0) | (c2 * d == 0.0) | (q * q * q == 0.0)
+
+
 def eval_map_xyz(p: Params, x: float, y: float, z: float) -> tuple[float, float, float]:
     """Plain-float hot path for the map.  Raises DomainError off-domain."""
     d = x + z
     q = x + y + z
-    if d <= 0.0:
-        raise DomainError(f"x + z = {d} <= 0: square root undefined")
-    if q <= 0.0:
-        raise DomainError(f"x + y + z = {q} <= 0: aggregate share undefined")
+    if d <= 0.0 or q <= 0.0:
+        raise _domain_error(d, q)
     f1 = (2.0 * x + y + z - p.c1 * (q * q)) / 2.0
     try:
         f2 = _psi(d, p.c2)
@@ -152,35 +189,64 @@ def eval_map_xyz(p: Params, x: float, y: float, z: float) -> tuple[float, float,
     return f1, f2, f3
 
 
-def eval_map_arrays(p: Params, x: np.ndarray, y: np.ndarray,
-                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def map_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+               alpha=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eval_map_arrays`` without its check: the caller passes only
+    points where ``map_off_domain`` is false."""
+    if alpha is None:
+        alpha = p.alpha
+    q = x + y + z
+    q2 = q * q
+    f1 = (2.0 * x + y + z - p.c1 * q2) / 2.0
+    f2 = _psi(x + z, p.c2, np.sqrt)
+    f3 = z * (1.0 - alpha * p.c3 + alpha * (x + y) / q2)
+    return f1, f2, f3
+
+
+def eval_map_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                    alpha=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``eval_map_xyz`` over float64 arrays, bit for bit the same per point.
 
     The same operations run in the same order; IEEE double arithmetic and
     the correctly rounded square root make each element equal the scalar
-    result.  Raises DomainError when any point is off the domain, or
-    where the scalar map would divide by an underflowed zero.
+    result.  ``alpha``, an array like ``x``, gives each point its own
+    adjustment rate in place of ``p.alpha``.  Raises DomainError when any
+    point is off the domain, or where the scalar map would divide by an
+    underflowed zero (``map_off_domain``).
     """
     d = x + z
     q = x + y + z
-    if np.any(d <= 0.0):
-        raise DomainError(f"x + z = {d[d <= 0.0][0]} <= 0: square root undefined")
-    if np.any(q <= 0.0):
-        raise DomainError(f"x + y + z = {q[q <= 0.0][0]} <= 0: aggregate share undefined")
-    q2 = q * q
-    tiny = (q2 == 0.0) | (d / p.c2 == 0.0)
-    if np.any(tiny):
-        raise DomainError(_underflow(d[tiny][0], q[tiny][0]))
-    f1 = (2.0 * x + y + z - p.c1 * q2) / 2.0
-    f2 = _psi(d, p.c2, np.sqrt)
-    f3 = z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / q2)
-    return f1, f2, f3
+    bad = map_off_domain(d, q, p.c2)
+    if np.any(bad):
+        raise _domain_error(d[bad][0], q[bad][0])
+    return map_arrays(p, x, y, z, alpha)
 
 
 def eval_map(p: Params, s: State) -> State:
     """One step of the triopoly map."""
     f1, f2, f3 = eval_map_xyz(p, s.x, s.y, s.z)
     return State(f1, f2, f3)
+
+
+def _jacobian_entries(p: Params, alpha, x, y, z, sqrt=math.sqrt):
+    """The five distinct Jacobian entries (j11, j12, j21, j31, j33) at (x, y, z).
+
+    One formula for floats and, with ``sqrt=np.sqrt``, elementwise for
+    arrays, to the same bits; ``alpha`` stands in for ``p.alpha``.  On
+    floats a divisor that underflows to 0 raises ZeroDivisionError; on
+    arrays the caller excludes those points first (``jacobian_off_domain``).
+    """
+    a = x + y
+    d = x + z
+    q = x + y + z
+    q3 = q * q * q
+    cq = p.c1 * q
+    j11 = 1.0 - cq
+    j12 = 0.5 - cq
+    j21 = 1.0 / (2.0 * sqrt(p.c2 * d)) - 1.0
+    j31 = alpha * z * (q - 2.0 * a) / q3
+    j33 = 1.0 - alpha * p.c3 + alpha * a * (q - 2.0 * z) / q3
+    return j11, j12, j21, j31, j33
 
 
 def eval_jacobian(p: Params, s: State) -> np.ndarray:
@@ -203,14 +269,8 @@ def eval_jacobian(p: Params, s: State) -> np.ndarray:
         raise DomainError(f"x + z = {d} <= 0: dF2 undefined")
     if q <= 0.0:
         raise DomainError(f"x + y + z = {q} <= 0: dF3 undefined")
-    a = x + y
-    q3 = q * q * q
-    j11 = 1.0 - p.c1 * q
-    j12 = 0.5 - p.c1 * q
     try:
-        j21 = 1.0 / (2.0 * math.sqrt(p.c2 * d)) - 1.0
-        j31 = p.alpha * z * (q - 2.0 * a) / q3
-        j33 = 1.0 - p.alpha * p.c3 + p.alpha * a * (q - 2.0 * z) / q3
+        j11, j12, j21, j31, j33 = _jacobian_entries(p, p.alpha, x, y, z)
     except ZeroDivisionError:
         raise DomainError(_underflow(d, q)) from None
     return np.array(
@@ -220,6 +280,21 @@ def eval_jacobian(p: Params, s: State) -> np.ndarray:
             [j31, j31, j33],
         ]
     )
+
+
+def jacobian_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
+                    alpha=None) -> np.ndarray:
+    """``eval_jacobian`` at each point of float64 arrays, as an (n, 3, 3)
+    stack, bit for bit the same per point.
+
+    ``alpha``, an array like ``x``, gives each point its own adjustment
+    rate.  Nothing is checked: the caller passes only points where
+    ``jacobian_off_domain`` is false.
+    """
+    j11, j12, j21, j31, j33 = _jacobian_entries(
+        p, p.alpha if alpha is None else alpha, x, y, z, np.sqrt)
+    entries = np.array((j11, j12, j12, j21, np.zeros_like(j21), j21, j31, j31, j33))
+    return np.ascontiguousarray(entries.T).reshape(-1, 3, 3)
 
 
 def interior_fixed_point(p: Params) -> State:

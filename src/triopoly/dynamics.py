@@ -6,6 +6,13 @@ the interior rest point, and bifurcation scans in the adjustment rate
 alpha.  None of it feeds the certification engines; it exists to explore
 and to sanity-check the certified statements against plain numerics.
 
+``simulate`` and ``lyapunov_spectrum`` follow one orbit in scalar floats.
+``bifurcation_scan`` steps all its alpha samples in lockstep instead: the
+live rows advance as arrays through the map, its Jacobian and one
+stacked QR per step, and each row gets the bits ``simulate`` and then
+``lyapunov_spectrum`` give at its alpha.  One orbit stays scalar because
+a numpy step on one row costs about ten scalar steps.
+
 The one-dimensional covering-interval demo on the logistic family is the
 exception: its verdict is a proof.  Two intervals cover their hull under
 f^m as soon as their endpoint images bracket the hull (intermediate value
@@ -25,9 +32,14 @@ from .core import (
     Params,
     State,
     eval_jacobian,
+    eval_map_arrays,
     eval_map_xyz,
     fixed_point_residual,
     interior_fixed_point,
+    jacobian_arrays,
+    jacobian_off_domain,
+    map_arrays,
+    map_off_domain,
 )
 from .jsonio import write_csv
 
@@ -409,6 +421,114 @@ def _policy_start(policy, p: Params, rng: np.random.Generator) -> State:
     raise ValueError(f"unknown start policy {policy!r}")
 
 
+def _inside_rows(x, y, z, lo: float, hi: float) -> np.ndarray:
+    """``_inside`` elementwise over arrays (a nan coordinate is outside)."""
+    return (lo <= np.minimum(np.minimum(x, y), z)) & (np.maximum(np.maximum(x, y), z) <= hi)
+
+
+def _residual_rows(f, s) -> np.ndarray:
+    """``fixed_point_residual`` per column, from the image f of the (3, m) states s."""
+    r = np.abs(f[0] - s[0])
+    r = np.maximum(r, np.abs(f[1] - s[1]))
+    return np.maximum(r, np.abs(f[2] - s[2]))
+
+
+def _keep(mask: np.ndarray, *arrays) -> tuple:
+    """Each array's rows where ``mask`` holds."""
+    return tuple(a[mask] for a in arrays)
+
+
+def _record_rows(p: Params, alpha: np.ndarray, s: np.ndarray, transient: int, n: int,
+                 kz: int, lo: float, hi: float):
+    """``simulate(p_i, s_i, n, transient, (lo, hi))`` for unpinned starts
+    s_i (columns of the (3, m) array ``s``; p_i has rate ``alpha[i]``), all
+    rows stepping together.
+
+    Returns the indices of the rows that did not escape, their last
+    ``kz`` recorded z, their final states and the images of those.  A row
+    escapes as in ``simulate``: outside the cube before a step, off the
+    map's domain at one (``map_off_domain``), or outside the cube after
+    the last one.  Escaped rows are dropped when they escape.
+    """
+    rows = np.arange(s.shape[1])
+    x, y, z = s
+    tail = np.empty((rows.size, kz))
+    rec_from = transient + n - kz
+    for step in range(transient + n):
+        ok = _inside_rows(x, y, z, lo, hi) & ~map_off_domain(x + z, x + y + z, p.c2)
+        if not ok.all():
+            rows, x, y, z, alpha, tail = _keep(ok, rows, x, y, z, alpha, tail)
+        if not rows.size:
+            return rows, tail, s[:, :0], s[:, :0]
+        if step >= rec_from:
+            tail[:, step - rec_from] = z
+        final = (x, y, z)
+        x, y, z = map_arrays(p, x, y, z, alpha)
+    ok = _inside_rows(x, y, z, lo, hi)
+    return rows[ok], tail[ok], np.array(final)[:, ok], np.array((x, y, z))[:, ok]
+
+
+def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, pinned: np.ndarray,
+                       n: int, lo: float, hi: float) -> np.ndarray:
+    """``lyapunov_spectrum(p_i, s_i, n, safety=(lo, hi)).largest`` for every
+    column s_i of the (3, m) array ``s``, all rows stepping together.
+
+    ``pinned`` marks the starts ``lyapunov_spectrum`` pins to a rest
+    point: they keep their state.  Each row keeps its own QR frame; one
+    stacked QR per step gives every row the bits of its own 3x3 QR.  A
+    row whose Jacobian is undefined (``jacobian_off_domain``), or whose
+    orbit leaves the domain or the cube, stops with the partial estimate
+    of the steps it made; one that stops inside the QR warm-up averages
+    all of them.
+    """
+    warmup = min(256, n // 4)
+    out = np.full(s.shape[1], math.nan)
+    rows = np.arange(s.shape[1])
+    x, y, z = s
+    moving = ~pinned
+    any_pinned, pinned_only = not moving.all(), not moving.any()
+    frame = np.tile(np.eye(3), (rows.size, 1, 1))
+    acc = np.zeros((rows.size, 3))   # sum of log |R_ii| since the warm-up, or within it
+
+    def drop(stop: np.ndarray, seen: int) -> None:
+        """Finish the rows in ``stop`` after ``seen`` QR factors; keep the rest."""
+        nonlocal rows, x, y, z, alpha, moving, frame, acc, any_pinned, pinned_only
+        used = seen - warmup if seen > warmup else seen
+        if used:
+            out[rows[stop]] = np.sort(acc[stop] / used, axis=1)[:, -1]
+        rows, x, y, z, alpha, moving, frame, acc = _keep(
+            ~stop, rows, x, y, z, alpha, moving, frame, acc)
+        any_pinned, pinned_only = not moving.all(), not moving.any()
+
+    for step in range(n):
+        d, q = x + z, x + y + z
+        stop = jacobian_off_domain(d, q, p.c2)
+        if stop.any():
+            drop(stop, step)
+            if not rows.size:
+                return out
+            d, q = x + z, x + y + z
+        if step == warmup:
+            acc[:] = 0.0
+        frame, r = np.linalg.qr(jacobian_arrays(p, x, y, z, alpha) @ frame)
+        acc += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+        if pinned_only:
+            continue
+        fx, fy, fz = map_arrays(p, x, y, z, alpha)
+        stop = map_off_domain(d, q, p.c2) | ~_inside_rows(fx, fy, fz, lo, hi)
+        if any_pinned:
+            stop &= moving
+            x, y, z = np.where(moving, fx, x), np.where(moving, fy, y), np.where(moving, fz, z)
+        else:
+            x, y, z = fx, fy, fz
+        if stop.any():
+            drop(stop, step + 1)
+            if not rows.size:
+                return out
+    drop(np.ones(rows.size, dtype=bool), n)
+    return out
+
+
 def bifurcation_scan(
     p_base: Params,
     alpha_range: tuple[float, float],
@@ -424,11 +544,17 @@ def bifurcation_scan(
 ) -> BifurcationTable:
     """Sweep alpha over a closed subinterval of (0, 20].
 
+    Each row is what ``simulate`` (``n_record`` states after
+    ``transient``) and then ``lyapunov_spectrum`` (``lyap_steps`` steps
+    from the last recorded state) give at its alpha, bit for bit.
     Per-alpha escapes are recorded and the scan continues.  Seeding is
     per-alpha (spawned from one root seed), so the table is identical for
-    identical arguments.  ``threads`` is accepted and has no effect; it
-    must be at least 1.  The samples run one after another: the work is
-    Python-level iteration, which threads do not speed up.
+    identical arguments.
+
+    The samples run in lockstep: every map step, Jacobian and QR factor
+    of all live rows is one array operation, and a row leaves the arrays
+    when it escapes.  ``threads`` is accepted and has no effect; it must
+    be at least 1.
     """
     a_lo, a_hi = float(alpha_range[0]), float(alpha_range[1])
     if not (0.0 < a_lo <= a_hi <= 20.0):
@@ -439,26 +565,55 @@ def bifurcation_scan(
         raise ValueError("z_values and n_record must be positive")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if transient < 0:
+        raise ValueError("transient must be non-negative")
+    lo, hi = float(safety[0]), float(safety[1])
+    if not lo < hi:
+        raise ValueError("safety region must have lo < hi")
     alphas = np.linspace(a_lo, a_hi, samples)
     children = np.random.SeedSequence(seed).spawn(samples)
+    c1, c2, c3 = p_base.c1, p_base.c2, p_base.c3
+    s0 = np.array([
+        _policy_start(s0_policy, Params(c1, c2, c3, float(a)), np.random.default_rng(child)).as_tuple()
+        for a, child in zip(alphas, children)
+    ]).T
+    pinned = _residual_rows(eval_map_arrays(p_base, *s0, alpha=alphas), s0) < FIXED_POINT_PIN
 
-    def one(i: int) -> BifurcationRow:
-        a = float(alphas[i])
-        pa = Params(p_base.c1, p_base.c2, p_base.c3, a)
-        rng = np.random.default_rng(children[i])
-        s0 = _policy_start(s0_policy, pa, rng)
-        rec = simulate(pa, s0, n_record, transient=transient, safety=safety)
-        if rec.escaped or rec.final is None:
-            return BifurcationRow(a, True, math.nan, ())
-        tail = rec.points[-z_values:, 2]
-        ly = lyapunov_spectrum(pa, rec.final, lyap_steps, safety=safety)
-        return BifurcationRow(a, False, ly.exponents[0], tuple(float(v) for v in tail))
+    # recorded phase: a pinned start is its own constant orbit
+    kz = min(z_values, n_record)
+    tails = np.repeat(s0[2][:, None], kz, axis=1)
+    escaped = ~(pinned & _inside_rows(*s0, lo, hi))
+    moving = np.flatnonzero(~pinned)
+    with np.errstate(all="ignore"):     # as in float arithmetic: inf and nan, no warnings
+        kept, tail, final, image = _record_rows(p_base, alphas[moving], s0[:, moving],
+                                                transient, n_record, kz, lo, hi)
+    kept = moving[kept]
+    escaped[kept] = False
+    tails[kept] = tail
 
-    rows = [one(i) for i in range(samples)]
+    # Lyapunov phase from each surviving row's last recorded state
+    lyap1 = np.full(samples, math.nan)
+    live = np.flatnonzero(~escaped)
+    if live.size:
+        if lyap_steps < 1:
+            raise ValueError("need at least one step")
+        start = s0.copy()
+        start[:, kept] = final
+        again = pinned.copy()
+        again[kept] = _residual_rows(image, final) < FIXED_POINT_PIN
+        with np.errstate(all="ignore"):
+            lyap1[live] = _largest_exponents(p_base, alphas[live], start[:, live], again[live],
+                                             lyap_steps, lo, hi)
+
+    rows = tuple(
+        BifurcationRow(float(a), True, math.nan, ()) if esc
+        else BifurcationRow(float(a), False, float(l1), tuple(float(v) for v in t))
+        for a, esc, l1, t in zip(alphas, escaped, lyap1, tails)
+    )
     policy_name = s0_policy if isinstance(s0_policy, str) else getattr(
         s0_policy, "__name__", type(s0_policy).__name__
     )
-    return BifurcationTable(rows=tuple(rows), seed=seed, s0_policy=policy_name, base=p_base)
+    return BifurcationTable(rows=rows, seed=seed, s0_policy=policy_name, base=p_base)
 
 
 # ---------------------------------------------------------------------------

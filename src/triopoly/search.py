@@ -30,9 +30,10 @@ row, bit for bit; ``_Scan.absorb`` folds the verdicts in row order into
 the hit list, the two near-miss slots and the kill counts.  ``Box`` and
 ``NearMiss`` objects are built only for hits and slot winners, and
 certificates only for the ``max_hits`` hits that ``certify_box``
-re-judges.  The refine climb is sequential; it judges the probes it
-would make until the next improvement as one block and folds only the
-ones it reaches.
+re-judges.  The refine climb is sequential; it ranks the probes it
+would make until the next improvement in growing blocks (``_ranks``,
+the rank part of ``_judge``), and judges and folds the ones it reached
+in large blocks afterwards.
 
 The skeleton decoder turns a point of the unit cube into a candidate by
 walking the coordinates in dependency order and interpolating each one
@@ -62,6 +63,7 @@ RANK_IDS = ("H2", "H3", "H4", "H5")
 
 _PAD = 1e-9          # interior padding for open windows
 _CHUNK = 16384       # rows decoded and judged per array pass
+_FIRST_BLOCK = 32    # refine probes ranked in the first block after an improvement
 _STRATEGIES = ("grid", "random", "refine")
 
 
@@ -232,6 +234,62 @@ def _first_min(m: np.ndarray, ok: np.ndarray):
     return np.where(found, pick, 0), found
 
 
+def _sub_checks(p: Params, cand: np.ndarray):
+    """The H sub-checks of (n, 5) candidate rows, one atom per row of the
+    (atoms, n) arrays.
+
+    Returns ``(valid, atoms, m, undef)``: whether each row makes a Box,
+    the atoms of :func:`h_inequalities` (ids and relations; their sides
+    are dropped), lhs - rhs per atom and row, and where an atom is
+    undefined (its square-root operand is negative).
+    """
+    n = len(cand)
+    x_l, wx, y_l, wy, z_r = cand.T
+    with np.errstate(all="ignore"):
+        x_r = x_l + wx
+        y_r = y_l + wy
+        # Box's rules with z_l = 0; 0 < z_r / 2 is its split rule z_l < z_mid < z_r
+        valid = (np.isfinite(np.stack((x_l, x_r, y_l, y_r, z_r))).all(axis=0)
+                 & (x_l < x_r) & (y_l < y_r) & (0.0 < 0.5 * z_r))
+        atoms, operands = h_inequalities(p, x_l, x_r, y_l, y_r, 0.0, z_r, np.sqrt)
+        negative = {k: v < 0.0 for k, v in operands.items()}
+        never = np.zeros(n, dtype=bool)
+        undef = np.array([never if a[6] is None else negative[a[6]] for a in atoms])
+        m = np.array([lhs - rhs for _, _, _, lhs, rhs, _, _ in atoms])
+    return valid, [a[:3] for a in atoms], m, undef
+
+
+def _records(atoms) -> list:
+    """(index into RANK_IDS, slice of its atoms) of each H record with atoms."""
+    cids = [a[0] for a in atoms]
+    return [(k, slice(cids.index(cid), cids.index(cid) + cids.count(cid)))
+            for k, cid in enumerate(RANK_IDS) if cid in cids]
+
+
+def _record_margins(atoms, m: np.ndarray, undef: np.ndarray):
+    """Each record's margin, whether it has one, and each row's rank.
+
+    A record's margin is that of the first smallest of its defined
+    sub-checks (``min`` by key); the rank is ``min`` over the records'
+    margins, -inf when no record has one.
+    """
+    n = m.shape[1]
+    cols = np.arange(n)
+    margin = np.full((len(RANK_IDS), n), np.nan)
+    has = np.zeros((len(RANK_IDS), n), dtype=bool)
+    for k, sl in _records(atoms):
+        i, has[k] = _first_min(m[sl], ~undef[sl])
+        margin[k] = m[sl][i, cols]
+    i, ranked = _first_min(margin, has)
+    return margin, has, np.where(ranked, margin[i, cols], -np.inf)
+
+
+def _ranks(p: Params, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``valid`` and ``rank`` of ``_judge``, without the pass/fail verdicts."""
+    valid, atoms, m, undef = _sub_checks(p, cand)
+    return valid, _record_margins(atoms, m, undef)[2]
+
+
 def _judge(p: Params, cand: np.ndarray, min_margin: float) -> _Judged:
     """Judge (n, 5) candidate rows against the H layer in one array pass.
 
@@ -244,46 +302,26 @@ def _judge(p: Params, cand: np.ndarray, min_margin: float) -> _Judged:
     margin inside its binding failure (an undefined one when none failing
     has a margin; "H2" itself when H2 is inapplicable).
     """
+    valid, atoms, m, undef = _sub_checks(p, cand)
     n = len(cand)
     cols = np.arange(n)
-    x_l, wx, y_l, wy, z_r = cand.T
-    with np.errstate(all="ignore"):
-        x_r = x_l + wx
-        y_r = y_l + wy
-        valid = (np.isfinite(np.stack((x_l, x_r, y_l, y_r, z_r))).all(axis=0)
-                 & (x_l < x_r) & (y_l < y_r) & (0.0 < z_r))
-        atoms, operands = h_inequalities(p, x_l, x_r, y_l, y_r, 0.0, z_r, np.sqrt)
-        negative = {k: v < 0.0 for k, v in operands.items()}
-        never = np.zeros(n, dtype=bool)
-        undef = np.array([never if a[6] is None else negative[a[6]] for a in atoms])
-        m = np.array([lhs - rhs for _, _, _, lhs, rhs, _, _ in atoms])
-        strict = np.array([a[2] == ">" for a in atoms])[:, None]
+    strict = np.array([a[2] == ">" for a in atoms])[:, None]
+    with np.errstate(invalid="ignore"):
         good = ~undef & np.where(strict, m > min_margin, m >= 0.0)
-    cids = [a[0] for a in atoms]
-    kill_ids = ("H2",) + tuple(a[1] for a in atoms)
-    del atoms, operands, negative     # release the per-atom sides before the folds
+    margin, has, rank = _record_margins(atoms, m, undef)
     status = np.full((len(RANK_IDS), n), 2)      # H2 stays inapplicable without atoms
-    margin = np.full((len(RANK_IDS), n), np.nan)
-    has = np.zeros((len(RANK_IDS), n), dtype=bool)
     kill = np.zeros((len(RANK_IDS), n), dtype=np.intp)
-    for k, cid in enumerate(RANK_IDS):
-        if cid not in cids:
-            continue
-        lo = cids.index(cid)
-        sl = slice(lo, lo + cids.count(cid))
+    for k, sl in _records(atoms):
         status[k] = np.where(good[sl].all(axis=0), 0, 1)
-        i, has[k] = _first_min(m[sl], ~undef[sl])
-        margin[k] = m[sl][i, cols]
         i, failed = _first_min(m[sl], ~undef[sl] & ~good[sl])
-        kill[k] = 1 + lo + np.where(failed, i, undef[sl].argmax(axis=0))
+        kill[k] = 1 + sl.start + np.where(failed, i, undef[sl].argmax(axis=0))
 
-    i, ranked = _first_min(margin, has)
     nonpass = status != 0
     w, w_any = _first_min(margin, nonpass & has)
     worst = np.where(w_any, w, nonpass.argmax(axis=0))
     return _Judged(
         valid=valid,
-        rank=np.where(ranked, margin[i, cols], -np.inf),
+        rank=rank,
         passed=~nonpass.any(axis=0),
         frontier=~nonpass[2] & ~nonpass[3],
         worst=worst,
@@ -291,7 +329,7 @@ def _judge(p: Params, cand: np.ndarray, min_margin: float) -> _Judged:
         margin=margin,
         defined=has,
         kill=kill[worst, cols],
-        kill_ids=kill_ids,
+        kill_ids=("H2",) + tuple(a[1] for a in atoms),
     )
 
 
@@ -406,10 +444,11 @@ def _refine(vec0, budget, scan: _Scan, step0: float = 0.05, step_floor: float = 
 
     The climb is sequential, but until something improves its next
     probes are known: the rest of the sweep, then full sweeps at halved
-    steps down to the floor.  Those are judged as one block, and only the
-    rows the climb reaches (up to the first improvement, within the
-    budget) are folded into ``scan``; the rest is judged again from the
-    improved vector.
+    steps down to the floor.  It ranks them in blocks that start at
+    ``_FIRST_BLOCK`` rows and double, up to the first improvement within
+    the budget, and starts again from the improved vector.  Only the
+    rank decides the climb, so the probes it reached are judged and
+    folded into ``scan`` later, in row order, ``_CHUNK`` rows at a time.
     """
     cand = np.array([vec0], dtype=float)
     j = scan.judge(cand)
@@ -417,6 +456,8 @@ def _refine(vec0, budget, scan: _Scan, step0: float = 0.05, step_floor: float = 
     if not j.valid[0]:
         return
     vec, best = cand[0], j.rank[0]
+    evaluated = scan.evaluated      # with the reached probes not yet folded
+    queue, queued = [], 0           # those probes, in order
     h, t0, improved = step0, 0, False     # next trial t: coordinate t // 2, sign (+, -)[t % 2]
     while True:
         steps, hh, imp = [], h, improved  # h of each sweep while nothing improves
@@ -424,22 +465,47 @@ def _refine(vec0, budget, scan: _Scan, step0: float = 0.05, step_floor: float = 
             steps.append(hh)
             hh, imp = (hh if imp else 0.5 * hh), False
         if not steps:
-            return
+            break
         t = np.concatenate([np.arange(t0, 10), np.tile(np.arange(10), len(steps) - 1)])
         step = np.concatenate([np.full(10 - t0, steps[0]), np.repeat(steps[1:], 10)])
-        trials = np.repeat(vec[None, :], len(t), axis=0)
-        trials[np.arange(len(t)), t // 2] = vec[t // 2] * (1.0 + np.where(t % 2, -1.0, 1.0) * step)
-        j = scan.judge(trials)
-        before = scan.evaluated + np.cumsum(j.valid) - j.valid
-        reached = int(np.count_nonzero(before < budget))
-        better = np.flatnonzero(j.valid[:reached] & (j.rank[:reached] > best))
-        if better.size == 0:
-            scan.absorb(trials, j, reached)
-            return
-        r = int(better[0])
-        scan.absorb(trials, j, r + 1)
-        vec, best, h = trials[r], j.rank[r], float(step[r])
-        t0, improved = (int(t[r]) + 1, True) if t[r] < 9 else (0, False)
+        lo, size, r = 0, _FIRST_BLOCK, None
+        while r is None and lo < len(t):
+            tb, sb = t[lo:lo + size], step[lo:lo + size]
+            trials = np.repeat(vec[None, :], len(tb), axis=0)
+            trials[np.arange(len(tb)), tb // 2] = vec[tb // 2] * (1.0 + np.where(tb % 2, -1.0, 1.0) * sb)
+            valid, rank = _ranks(scan.p, trials)
+            before = evaluated + np.cumsum(valid) - valid
+            reached = int(np.count_nonzero(before < budget))
+            better = np.flatnonzero(valid[:reached] & (rank[:reached] > best))
+            upto = int(better[0]) + 1 if better.size else reached
+            queue.append(trials[:upto])
+            queued += upto
+            evaluated += int(np.count_nonzero(valid[:upto]))
+            if queued >= _CHUNK:
+                _fold(scan, queue)
+                queued = 0
+            if better.size:
+                r = upto - 1
+            elif reached < len(trials):
+                break
+            lo, size = lo + size, 2 * size
+        if r is None:
+            break
+        vec, best, h = trials[r], rank[r], float(sb[r])
+        t0, improved = (int(tb[r]) + 1, True) if tb[r] < 9 else (0, False)
+    _fold(scan, queue)
+
+
+def _fold(scan: _Scan, queue: list) -> None:
+    """Judge the queued candidate blocks and fold them into ``scan`` in
+    order, ``_CHUNK`` rows at a time; empties the queue."""
+    if not queue:
+        return
+    rows = np.concatenate(queue)
+    queue.clear()
+    for lo in range(0, len(rows), _CHUNK):
+        block = rows[lo:lo + _CHUNK]
+        scan.absorb(block, scan.judge(block))
 
 
 # ---------------------------------------------------------------------------

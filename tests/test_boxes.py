@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from triopoly import Box, InvalidBoxError, OrientedBox
 from triopoly.boxes import HalfBoxes
@@ -66,9 +68,14 @@ coord = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
 
 
 @given(coord, coord, coord, coord, coord, coord)
+# one subnormal apart: no float strictly between the z bounds, so no midplane
+@example(0.0, 1.0, 0.0, 1.0, 0.0, 5e-324)
+# two subnormals apart: splittable, into halves with no float inside
+@example(0.0, 1.0, 0.0, 1.0, 0.0, 1e-323)
 def test_box_contains_its_corners(a, b, c, d, e, f):
     xs, ys, zs = sorted((a, b)), sorted((c, d)), sorted((e, f))
-    if xs[0] == xs[1] or ys[0] == ys[1] or zs[0] == zs[1]:
+    if (xs[0] == xs[1] or ys[0] == ys[1]
+            or not zs[0] < 0.5 * (zs[0] + zs[1]) < zs[1]):
         with pytest.raises(InvalidBoxError):
             Box(xs[0], xs[1], ys[0], ys[1], zs[0], zs[1])
         return
@@ -81,3 +88,10 @@ def test_box_contains_its_corners(a, b, c, d, e, f):
     # shared midplane assigned to the upper symbol
     sym, tie = hb.symbol_of((box.x_l, box.y_l, box.z_mid))
     assert sym == 1 and tie
+
+
+def test_too_thin_z_extent_is_named():
+    with pytest.raises(InvalidBoxError, match="too thin to split at its midplane"):
+        Box(0.0, 1.0, 0.0, 1.0, 0.0, 5e-324)
+    with pytest.raises(InvalidBoxError, match="too thin"):
+        Box(0.0, 1.0, 0.0, 1.0, 1.0, math.nextafter(1.0, 2.0))

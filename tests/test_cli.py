@@ -6,6 +6,7 @@ exactly as a shell would see it, minus process spawning.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -346,3 +347,12 @@ def test_stdout_and_out_file_carry_the_same_bytes(capsys, tmp_path, argv):
     assert capsys.readouterr().out == ""
     with open(path, newline="") as fh:
         assert fh.read() == out
+
+
+def test_bifurcate_csv_bytes_are_frozen(capsys, tmp_path):
+    # sha256 recorded with the per-sample scan the lockstep one replaced
+    path = tmp_path / "bif.csv"
+    assert main(["bifurcate", "--params", "0.4,0.55,0.6,10", "--alpha-range", "9,10.5",
+                 "--samples", "4", "--transient", "100", "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "e3a29c3b4f50ff99efff95e0a0d0817afffee43361e50d844912735096ab092b"

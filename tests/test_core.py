@@ -3,10 +3,11 @@ recomputed values (50-digit arithmetic seeded with the exact double
 parameters, so the anchors reflect what the doubles actually encode)."""
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from triopoly import (
     DomainError,
@@ -20,7 +21,15 @@ from triopoly import (
     fixed_point_residual,
     fixed_points,
 )
-from triopoly.core import boundary_fixed_point, eval_map_arrays, interior_fixed_point
+from triopoly.core import (
+    boundary_fixed_point,
+    eval_map_arrays,
+    interior_fixed_point,
+    jacobian_arrays,
+    jacobian_off_domain,
+    map_arrays,
+    map_off_domain,
+)
 
 # image of (1, 1, 1) under the reference parameters, recomputed independently
 F_111 = (0.1999999999999999, -0.09307482150881545, -5.4222222222222216)
@@ -209,3 +218,56 @@ def test_underflowed_divisor_is_a_domain_error():
         eval_jacobian(p, State(x, y, z))
     with pytest.raises(DomainError):
         eval_map_arrays(p, np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))
+
+
+# (x+y+z)^3 underflows to 0 and (x+y+z)^2 does not: only the Jacobian is undefined
+_CUBE_UNDERFLOW = (1e-110, 1e-110, 1e-110)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_params(), st.lists(st.tuples(_coord, _coord, _coord, st.floats(0.1, 40.0)),
+                           min_size=1, max_size=24))
+@example(_UNDERFLOW[0], [_UNDERFLOW[1] + (1.0,), (0.6, 0.4, 0.2, 9.0)])
+@example(PAPER_PARAMS, [_CUBE_UNDERFLOW + (2.0,), (0.6, 0.4, 0.2, 9.0)])
+def test_array_map_and_jacobian_with_per_point_alpha_are_scalar_bit_for_bit(p, pts):
+    """Each point i with its own rate a_i: the array forms give the bits of
+    ``eval_map_xyz`` and ``eval_jacobian`` at Params(..., alpha=a_i), and
+    the off-domain masks hold exactly where those raise."""
+    x, y, z, a = np.array(pts).T
+    map_off = map_off_domain(x + z, x + y + z, p.c2)
+    jac_off = jacobian_off_domain(x + z, x + y + z, p.c2)
+    maps, jacs = [], []
+    for i, (xi, yi, zi, ai) in enumerate(pts):
+        pa = replace(p, alpha=ai)
+        try:
+            maps.append(eval_map_xyz(pa, xi, yi, zi))
+        except DomainError:
+            assert map_off[i]
+        else:
+            assert not map_off[i]
+        try:
+            jacs.append(eval_jacobian(pa, State(xi, yi, zi)))
+        except DomainError:
+            assert jac_off[i]
+        else:
+            assert not jac_off[i]
+    on = ~map_off
+    if on.any():
+        got = np.column_stack(map_arrays(p, x[on], y[on], z[on], a[on]))
+        assert got.tobytes() == np.array(maps).tobytes()
+        checked = np.column_stack(eval_map_arrays(p, x[on], y[on], z[on], alpha=a[on]))
+        assert checked.tobytes() == got.tobytes()
+    if map_off.any():
+        with pytest.raises(DomainError):
+            eval_map_arrays(p, x, y, z, alpha=a)
+    on = ~jac_off
+    if on.any():
+        got = jacobian_arrays(p, x[on], y[on], z[on], a[on])
+        assert got.tobytes() == np.array(jacs).tobytes()
+
+
+def test_jacobian_arrays_default_to_the_params_rate():
+    x, y, z = np.array([[0.6, 0.4, 0.2], [0.59, 0.38, 0.1]]).T
+    got = jacobian_arrays(PAPER_PARAMS, x, y, z)
+    want = np.array([eval_jacobian(PAPER_PARAMS, State(*pt)) for pt in zip(x, y, z)])
+    assert got.tobytes() == want.tobytes()

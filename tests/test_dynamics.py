@@ -1,11 +1,12 @@
 """Exploratory-dynamics layer: orbits, exponents, stability, scans, demo."""
+import hashlib
 import io
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triopoly import PAPER_BOX, PAPER_PARAMS
@@ -18,8 +19,12 @@ from triopoly.core import (
     interior_fixed_point,
 )
 from triopoly.dynamics import (
+    DEFAULT_SAFETY,
+    BifurcationRow,
+    BifurcationTable,
     CoveringIntervals,
     _critical_points,
+    _policy_start,
     bifurcation_scan,
     classify_eigenvalues,
     classify_equilibrium,
@@ -297,6 +302,166 @@ class TestBifurcationScan:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             bifurcation_scan(P, (5.0, 6.0), 2, s0_policy="bogus")
+
+
+def _csv(table) -> str:
+    buf = io.StringIO()
+    table.to_csv(buf)
+    return buf.getvalue()
+
+
+def _oracle_scan(p_base, alpha_range, samples, s0_policy="perturbed-nash", transient=1000,
+                 n_record=200, z_values=32, lyap_steps=2000, seed=0, safety=DEFAULT_SAFETY):
+    """The per-sample scan that the lockstep ``bifurcation_scan`` replaced:
+    ``_policy_start``, ``simulate`` and ``lyapunov_spectrum`` at each alpha
+    in turn.  Returns the table and the note of each spectrum."""
+    alphas = np.linspace(float(alpha_range[0]), float(alpha_range[1]), samples)
+    children = np.random.SeedSequence(seed).spawn(samples)
+    rows, notes = [], []
+    for a, child in zip(alphas, children):
+        a = float(a)
+        pa = Params(p_base.c1, p_base.c2, p_base.c3, a)
+        s0 = _policy_start(s0_policy, pa, np.random.default_rng(child))
+        rec = simulate(pa, s0, n_record, transient=transient, safety=safety)
+        if rec.escaped or rec.final is None:
+            rows.append(BifurcationRow(a, True, math.nan, ()))
+            continue
+        ly = lyapunov_spectrum(pa, rec.final, lyap_steps, safety=safety)
+        notes.append(ly.note)
+        rows.append(BifurcationRow(a, False, ly.exponents[0],
+                                   tuple(float(v) for v in rec.points[-z_values:, 2])))
+    name = s0_policy if isinstance(s0_policy, str) else getattr(
+        s0_policy, "__name__", type(s0_policy).__name__)
+    return BifurcationTable(rows=tuple(rows), seed=seed, s0_policy=name, base=p_base), notes
+
+
+def _random_start(p, rng):
+    return State(*rng.uniform(0.05, 0.6, 3))
+
+
+def _tiny_start(p, rng):
+    # below x + y + z ~ 1e-108 its cube underflows to 0, and the Jacobian
+    # with it, while the map stays defined
+    v = 10.0 ** -rng.uniform(100.0, 160.0)
+    return State(v, v, v)
+
+
+# each case reaches the paths named in _SCAN_PATHS
+_SCAN_CASES = {
+    "all-escaping": dict(alpha_range=(16.0, 20.0), samples=5, transient=200, n_record=20,
+                         lyap_steps=50, seed=1),
+    "escape-in-warmup": dict(alpha_range=(0.5, 20.0), samples=8, transient=0, n_record=1,
+                             lyap_steps=300, seed=3),
+    "escape-after-warmup": dict(alpha_range=(0.5, 20.0), samples=8, transient=0, n_record=1,
+                                lyap_steps=7, seed=3),
+    "nash-pinned": dict(alpha_range=(5.0, 12.0), samples=6, s0_policy="nash", transient=20,
+                        n_record=5, lyap_steps=50, seed=0),
+    "nash-outside-safety": dict(alpha_range=(5.0, 12.0), samples=3, s0_policy="nash",
+                                safety=(0.05, 0.5)),
+    "callable-tight-safety": dict(alpha_range=(7.0, 10.5), samples=8, s0_policy=_random_start,
+                                  transient=0, n_record=1, lyap_steps=7, seed=3,
+                                  safety=(0.0, 0.7)),
+    "underflow": dict(alpha_range=(0.5, 3.0), samples=8, s0_policy=_tiny_start, transient=0,
+                      n_record=1, z_values=2, lyap_steps=5, seed=7),
+}
+_SCAN_PATHS = {
+    "all-escaping": {"escaped"},
+    "escape-in-warmup": {"bounded", "partial", "warmup not reached", "Jacobian undefined"},
+    "escape-after-warmup": {"bounded", "partial", "partial after warmup"},
+    "nash-pinned": {"pinned"},
+    "nash-outside-safety": {"escaped"},
+    "callable-tight-safety": {"escaped", "bounded", "partial"},
+    "underflow": {"bounded", "Jacobian undefined"},
+}
+
+
+def _paths(table, notes) -> set:
+    out = {"escaped" if r.escaped else "bounded" for r in table.rows}
+    for note in notes:
+        out |= {tag for tag, hit in [
+            ("pinned", "pinned" in note),
+            ("partial", "partial" in note),
+            ("warmup not reached", "warmup not reached" in note),
+            ("partial after warmup", "partial" in note and "warmup" not in note),
+            ("Jacobian undefined", "Jacobian undefined" in note)] if hit}
+    return out
+
+
+@st.composite
+def _scan_args(draw):
+    lo = draw(st.floats(0.5, 20.0))
+    return dict(
+        alpha_range=draw(st.sampled_from([(16.0, 20.0), (0.5, 20.0),
+                                          (lo, draw(st.floats(lo, 20.0)))])),
+        samples=draw(st.integers(2, 8)),
+        s0_policy=draw(st.sampled_from(["perturbed-nash", "nash", _random_start, _tiny_start])),
+        transient=draw(st.integers(0, 40)),
+        n_record=draw(st.integers(1, 20)),
+        z_values=draw(st.integers(1, 24)),
+        lyap_steps=draw(st.integers(1, 120)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        safety=draw(st.sampled_from([DEFAULT_SAFETY, (0.0, 0.7), (0.1, 0.65), (0.05, 0.5)])),
+    )
+
+
+class TestLockstepScan:
+    """The lockstep scan against the per-sample loop it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_scan_args())
+    @example(_SCAN_CASES["all-escaping"])
+    @example(_SCAN_CASES["escape-in-warmup"])
+    @example(_SCAN_CASES["escape-after-warmup"])
+    @example(_SCAN_CASES["nash-pinned"])
+    @example(_SCAN_CASES["nash-outside-safety"])
+    @example(_SCAN_CASES["callable-tight-safety"])
+    @example(_SCAN_CASES["underflow"])
+    def test_csv_bytes_equal_the_per_sample_scan(self, kw):
+        want, _ = _oracle_scan(P, **kw)
+        assert _csv(bifurcation_scan(P, **kw)) == _csv(want)
+
+    @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
+    def test_cases_reach_their_paths(self, case):
+        assert _paths(*_oracle_scan(P, **_SCAN_CASES[case])) >= _SCAN_PATHS[case]
+
+    def test_alpha_sweep_scan_bytes_are_frozen(self):
+        # sha256 of the per-sample scan's CSV at the benchmark's alpha-sweep size
+        tab = bifurcation_scan(P, (7, 10.5), 36, seed=12)
+        assert hashlib.sha256(_csv(tab).encode()).hexdigest() == \
+            "b72a70f7460347007fcc7dd604d5674d5f0a626622483aa27c9712ba041afe85"
+
+    def test_off_domain_start_raises_as_before(self):
+        # (x+y+z)^2 underflows at the start itself: the rest-point test raises
+        tiny = State(1e-170, 1e-170, 1e-170)
+        with pytest.raises(DomainError):
+            _oracle_scan(P, (1.0, 2.0), 2, s0_policy=tiny)
+        with pytest.raises(DomainError):
+            bifurcation_scan(P, (1.0, 2.0), 2, s0_policy=tiny)
+
+    def test_lyap_steps_checked_only_when_a_row_reaches_them(self):
+        assert all(r.escaped for r in bifurcation_scan(P, (16.0, 20.0), 3, lyap_steps=0).rows)
+        with pytest.raises(ValueError):
+            bifurcation_scan(P, (6.0, 7.0), 2, lyap_steps=0)
+
+    def test_stacked_qr_and_matmul_are_per_matrix_bit_for_bit(self):
+        """The scan's rows carry the bits of ``lyapunov_spectrum`` only if
+        ``J @ F`` and ``np.linalg.qr`` over an (m, 3, 3) stack run the same
+        kernels as on each 3x3 matrix; checked here on random stacks, with
+        frames fed back and rows dropped as in the scan."""
+        rng = np.random.default_rng(20261018)
+        frames = np.tile(np.eye(3), (48, 1, 1))
+        for _ in range(40):
+            jac = rng.normal(size=(len(frames), 3, 3)) * 10.0 ** rng.uniform(-3, 3, (len(frames), 1, 1))
+            prod = jac @ frames
+            q, r = np.linalg.qr(prod)
+            logs = np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+            for i in range(len(frames)):
+                p1 = jac[i] @ frames[i]
+                q1, r1 = np.linalg.qr(p1)
+                assert p1.tobytes() == prod[i].tobytes()
+                assert q1.tobytes() == q[i].tobytes() and r1.tobytes() == r[i].tobytes()
+                assert np.log(np.abs(np.diag(r1))).tobytes() == logs[i].tobytes()
+            frames = q[rng.random(len(frames)) > 0.03]
 
 
 class TestLogisticDemo:

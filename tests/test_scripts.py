@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts at tiny sizes."""
 import csv
+import hashlib
 import runpy
 from pathlib import Path
 
@@ -36,6 +37,14 @@ def test_bifurcation_sweep(tmp_path, capsys):
         ["--alpha-range", "8,9", "--samples", "3", "--transient", "50", "--out", str(out)])
     assert code == 0
     assert _header(out)[:4] == ["alpha", "escaped", "lyap1", "z00"]
+
+
+def test_bifurcation_sweep_default_bytes_are_frozen(tmp_path, capsys):
+    # 141 samples over [7, 10.5]; sha256 recorded with the per-sample scan
+    out = tmp_path / "bif.csv"
+    assert _main("bifurcation_sweep.py")(["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "4495cdd0ae8824f2b0b3b512cd288c98402ca72b471e7295af206c980077790e"
 
 
 def test_bifurcation_sweep_has_no_threads_flag(capsys):

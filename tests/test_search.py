@@ -522,6 +522,7 @@ _min_margin = st.sampled_from([1e-12, 0.0, -1.0])
 @given(_any_params(), _rows(), _min_margin)
 @example(*_NAN_FIRST, 1e-12)
 @example(PAPER_PARAMS, np.array([[0.6, 0.05, -0.01, 0.51, 0.5]]), -1.0)  # killed by undefined H4h
+@example(PAPER_PARAMS, np.array([[0.6, 0.05, 0.35, 0.1, 5e-324]]), 1e-12)  # z too thin to split
 def test_judge_replays_check_H_per_row(p, cand, min_margin):
     j = _judge(p, cand, min_margin)
     for i, vec in enumerate(cand):
