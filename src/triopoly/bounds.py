@@ -59,10 +59,10 @@ from .certificate import (
     ConditionRecord,
     DEFAULT_MIN_MARGIN,
     FAIL,
-    INAPPLICABLE,
     INCONCLUSIVE,
     PASS,
     SubCheck,
+    condition_record,
 )
 from .core import DomainError, Params, eval_map_xyz
 
@@ -743,12 +743,16 @@ def bound_extremum(
 # rigorous C layer
 # ---------------------------------------------------------------------------
 
-def _report_dict(rep: BoundReport) -> dict:
+def _reports(*reps: BoundReport) -> dict:
+    """The ``interval`` entry of a record: each extremum report by its kind."""
     return {
-        "enclosure": [rep.enclosure.lo, rep.enclosure.hi],
-        "subdivisions": rep.subdivisions,
-        "width": rep.width,
-        "status": rep.status,
+        rep.which: {
+            "enclosure": [rep.enclosure.lo, rep.enclosure.hi],
+            "subdivisions": rep.subdivisions,
+            "width": rep.width,
+            "status": rep.status,
+        }
+        for rep in reps
     }
 
 
@@ -780,48 +784,6 @@ def _side(cid, rep: BoundReport, threshold: float, relation: str,
     return SubCheck(cid, lhs, threshold, relation, margin, status)
 
 
-def _one_sided(cid, rep: BoundReport, threshold: float, relation: str,
-               need: float = 0.0) -> ConditionRecord:
-    """Turn an extremum enclosure into a condition verdict (see ``_side``)."""
-    sub = _side(cid, rep, threshold, relation, need)
-    return ConditionRecord(
-        cid=cid,
-        status=sub.status,
-        lhs=sub.lhs,
-        rhs=sub.rhs,
-        relation=sub.relation,
-        margin=sub.margin,
-        engine="interval",
-        subchecks=[sub],
-        interval={rep.which: _report_dict(rep)},
-    )
-
-
-def _two_sided(cid, rep_min: BoundReport, rep_max: BoundReport,
-               lo_lim: float, hi_lim: float) -> ConditionRecord:
-    subs = [_side(cid + "min", rep_min, lo_lim, ">="),
-            _side(cid + "max", rep_max, hi_lim, "<=")]
-    stats = [sub.status for sub in subs]
-    if FAIL in stats:
-        status = FAIL
-    elif INCONCLUSIVE in stats:
-        status = INCONCLUSIVE
-    else:
-        status = PASS
-    binding = min(subs, key=lambda s: s.margin)
-    return ConditionRecord(
-        cid=cid,
-        status=status,
-        lhs=binding.lhs,
-        rhs=binding.rhs,
-        relation=binding.relation,
-        margin=binding.margin,
-        engine="interval",
-        subchecks=subs,
-        interval={"min": _report_dict(rep_min), "max": _report_dict(rep_max)},
-    )
-
-
 def verify_C_rigorous(
     p: Params,
     b: Box,
@@ -850,7 +812,7 @@ def verify_C_rigorous(
         conditions.append(
             ConditionRecord(
                 cid="C1",
-                status=PASS if exact else (PASS if f3[1] <= 0.0 else INCONCLUSIVE),
+                status=PASS if f3[1] <= 0.0 else INCONCLUSIVE,
                 lhs=f3[1],
                 rhs=0.0,
                 relation="==",
@@ -864,25 +826,32 @@ def verify_C_rigorous(
     else:
         rep = bound_extremum(p, IntervalBox(full.ix, full.iy, Interval.point(b.z_l)),
                              "F3", "max", tol, budget)
-        conditions.append(_one_sided("C1", rep, b.z_l, "<="))
+        conditions.append(condition_record("C1", [_side("C1", rep, b.z_l, "<=")],
+                                           "interval", interval=_reports(rep)))
 
     # C2: max F3 over the top face <= 0.
     rep = bound_extremum(p, top, "F3", "max", tol, budget)
-    conditions.append(_one_sided("C2", rep, 0.0, "<="))
+    conditions.append(condition_record("C2", [_side("C2", rep, 0.0, "<=")],
+                                       "interval", interval=_reports(rep)))
 
     # C3': min F3 over the midplane > z_r (strict).
     rep = bound_extremum(p, midplane, "F3", "min", tol, budget)
-    conditions.append(_one_sided("C3p", rep, b.z_r, ">", min_margin))
+    conditions.append(condition_record("C3p", [_side("C3p", rep, b.z_r, ">", min_margin)],
+                                       "interval", interval=_reports(rep)))
 
     # C4: range of F1 over the whole box inside [x_l, x_r].
-    rep_min = bound_extremum(p, full, "F1", "min", tol, budget)
-    rep_max = bound_extremum(p, full, "F1", "max", tol, budget)
-    conditions.append(_two_sided("C4", rep_min, rep_max, b.x_l, b.x_r))
+    lo = bound_extremum(p, full, "F1", "min", tol, budget)
+    hi = bound_extremum(p, full, "F1", "max", tol, budget)
+    conditions.append(condition_record(
+        "C4", [_side("C4min", lo, b.x_l, ">="), _side("C4max", hi, b.x_r, "<=")],
+        "interval", interval=_reports(lo, hi)))
 
     # C5: range of F2 over the whole box inside [y_l, y_r].
-    rep_min = bound_extremum(p, full, "F2", "min", tol, budget)
-    rep_max = bound_extremum(p, full, "F2", "max", tol, budget)
-    conditions.append(_two_sided("C5", rep_min, rep_max, b.y_l, b.y_r))
+    lo = bound_extremum(p, full, "F2", "min", tol, budget)
+    hi = bound_extremum(p, full, "F2", "max", tol, budget)
+    conditions.append(condition_record(
+        "C5", [_side("C5min", lo, b.y_l, ">="), _side("C5max", hi, b.y_r, "<=")],
+        "interval", interval=_reports(lo, hi)))
 
     return Certificate(
         params=p,

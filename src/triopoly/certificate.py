@@ -56,6 +56,10 @@ FAIL = "fail"
 INAPPLICABLE = "inapplicable"
 INCONCLUSIVE = "inconclusive"
 
+# worst first: a record or a certificate takes the first status present
+_STATUS_ORDER = (FAIL, INAPPLICABLE, INCONCLUSIVE, PASS)
+_VERDICTS = dict(zip(_STATUS_ORDER, ("failed", "inapplicable", "inconclusive", "certified")))
+
 
 @dataclass
 class SubCheck:
@@ -177,15 +181,41 @@ class Certificate:
         }
 
 
+def _worst_status(statuses: set) -> str:
+    """The first of ``_STATUS_ORDER`` in ``statuses``; pass when none is."""
+    for status in _STATUS_ORDER:
+        if status in statuses:
+            return status
+    return PASS
+
+
 def derive_verdict(conditions) -> str:
-    statuses = {rec.status for rec in conditions}
-    if FAIL in statuses:
-        return "failed"
-    if INAPPLICABLE in statuses:
-        return "inapplicable"
-    if INCONCLUSIVE in statuses:
-        return "inconclusive"
-    return "certified"
+    return _VERDICTS[_worst_status({rec.status for rec in conditions})]
+
+
+def condition_record(cid, subchecks, engine, note="", interval=None) -> ConditionRecord:
+    """The record of one condition from its sub-checks, in either engine.
+
+    Its status is the worst sub-check status; lhs, rhs, relation and margin
+    come from the binding sub-check, the one with the smallest defined
+    margin (the first sub-check when none is defined).  Without a ``note``
+    the record repeats the binding sub-check's note when that one did not
+    pass.
+    """
+    defined = [s for s in subchecks if s.margin is not None]
+    binding = min(defined, key=lambda s: s.margin) if defined else subchecks[0]
+    return ConditionRecord(
+        cid=cid,
+        status=_worst_status({s.status for s in subchecks}),
+        lhs=binding.lhs,
+        rhs=binding.rhs,
+        relation=binding.relation,
+        margin=binding.margin,
+        engine=engine,
+        subchecks=list(subchecks),
+        note=note or (binding.note if binding.status != PASS else ""),
+        interval=interval,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,25 +238,16 @@ def _undefined(cid, relation, note) -> SubCheck:
     return SubCheck(cid, None, None, relation, None, FAIL, note)
 
 
-def _record_from_subchecks(cid, subchecks, engine, note="") -> ConditionRecord:
-    if any(s.status == INAPPLICABLE for s in subchecks):
-        status = INAPPLICABLE
-    elif any(s.status == FAIL for s in subchecks):
-        status = FAIL
-    else:
-        status = PASS
-    defined = [s for s in subchecks if s.margin is not None]
-    binding = min(defined, key=lambda s: s.margin) if defined else subchecks[0]
+def _inapplicable(cid, note, relation="") -> ConditionRecord:
     return ConditionRecord(
         cid=cid,
-        status=status,
-        lhs=binding.lhs,
-        rhs=binding.rhs,
-        relation=binding.relation,
-        margin=binding.margin,
-        engine=engine,
-        subchecks=list(subchecks),
-        note=note or (binding.note if binding.status != PASS else ""),
+        status=INAPPLICABLE,
+        lhs=None,
+        rhs=None,
+        relation=relation,
+        margin=None,
+        engine="analytic",
+        note=note,
     )
 
 
@@ -319,18 +340,10 @@ def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certif
     xl, xr, yl, yr, zl, zr = b.as_tuple()
 
     # H1: the bottom face must sit exactly on the exit plane z = 0.
-    h1_margin = -abs(zl)
-    h1 = ConditionRecord(
-        cid="H1",
-        status=PASS if zl == 0.0 else FAIL,
-        lhs=zl,
-        rhs=0.0,
-        relation="==",
-        margin=h1_margin,
-        engine="analytic",
-        subchecks=[SubCheck("H1", zl, 0.0, "==", h1_margin, PASS if zl == 0.0 else FAIL)],
-        note="" if zl == 0.0 else "bottom face must lie on z = 0",
-    )
+    grounded = zl == 0.0
+    h1 = condition_record(
+        "H1", [SubCheck("H1", zl, 0.0, "==", -abs(zl), PASS if grounded else FAIL)],
+        "analytic", note="" if grounded else "bottom face must lie on z = 0")
 
     atoms, operands = h_inequalities(p, xl, xr, yl, yr, zl, zr, _sqrt_or_nan)
     subs = {cid: [] for cid in H_IDS[1:]}
@@ -347,19 +360,11 @@ def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certif
             subs[cid].append(_weak(sid, lhs, rhs, note))
 
     if p.gradient_bound_defined:
-        h2 = _record_from_subchecks("H2", subs["H2"], "analytic")
+        h2 = condition_record("H2", subs["H2"], "analytic")
     else:
-        h2 = ConditionRecord(
-            cid="H2",
-            status=INAPPLICABLE,
-            lhs=None,
-            rhs=None,
-            relation=">=",
-            margin=None,
-            engine="analytic",
-            note=f"alpha*c3 = {p.alpha * p.c3} <= 1: escape bound undefined",
-        )
-    records = [h1, h2] + [_record_from_subchecks(cid, subs[cid], "analytic")
+        h2 = _inapplicable(
+            "H2", f"alpha*c3 = {p.alpha * p.c3} <= 1: escape bound undefined", ">=")
+    records = [h1, h2] + [condition_record(cid, subs[cid], "analytic")
                           for cid in ("H3", "H4", "H5")]
     return Certificate(
         params=p,
@@ -377,19 +382,6 @@ def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certif
 def _f3_point(p: Params, x: float, y: float, z: float) -> float:
     q = x + y + z
     return z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / (q * q))
-
-
-def _inapplicable(cid, note) -> ConditionRecord:
-    return ConditionRecord(
-        cid=cid,
-        status=INAPPLICABLE,
-        lhs=None,
-        rhs=None,
-        relation="",
-        margin=None,
-        engine="analytic",
-        note=note,
-    )
 
 
 def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certificate:
@@ -442,8 +434,8 @@ def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) 
     else:
         worst = _f3_point(p, xl, yl, zr)
         sub = _weak("C2", 0.0, worst, "max F3 on top face <= 0")
-        c2_rec = _record_from_subchecks("C2", [sub], "analytic")
-        c2_rec.note = "max F3 on top face at (x_l, y_l, z_r)"
+        c2_rec = condition_record("C2", [sub], "analytic",
+                                  note="max F3 on top face at (x_l, y_l, z_r)")
 
     # C3' ---------------------------------------------------------------
     if not (xl + yl > z_mid):
@@ -453,8 +445,8 @@ def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) 
     else:
         worst = _f3_point(p, xr, yr, z_mid)
         sub = _strict("C3p", worst, zr, min_margin, "min F3 on midplane > z_r")
-        c3_rec = _record_from_subchecks("C3p", [sub], "analytic")
-        c3_rec.note = "min F3 on midplane at (x_r, y_r, z_mid)"
+        c3_rec = condition_record("C3p", [sub], "analytic",
+                                  note="min F3 on midplane at (x_r, y_r, z_mid)")
 
     # C4 ----------------------------------------------------------------
     b_lo, b_hi = yl + zl, yr + zr
@@ -476,8 +468,8 @@ def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) 
             _weak("C4max", xr, phi_max, "max F1 <= x_r"),
             _weak("C4min", phi_min, xl, "min F1 >= x_l"),
         ]
-        c4_rec = _record_from_subchecks("C4", subs, "analytic")
-        c4_rec.note = "extrema at (x_r, 1/(2c1)-x_r) and (x_l, y_l+z_l)"
+        c4_rec = condition_record("C4", subs, "analytic",
+                                  note="extrema at (x_r, 1/(2c1)-x_r) and (x_l, y_l+z_l)")
 
     # C5 ----------------------------------------------------------------
     d_lo, d_hi = xl + zl, xr + zr
@@ -492,8 +484,8 @@ def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) 
             _weak("C5max", yr, psi_hi, "max F2 <= y_r"),
             _weak("C5min", psi_lo, yl, "min F2 >= y_l"),
         ]
-        c5_rec = _record_from_subchecks("C5", subs, "analytic")
-        c5_rec.note = "extrema at D = x_l+z_l and D = x_r+z_r"
+        c5_rec = condition_record("C5", subs, "analytic",
+                                  note="extrema at D = x_l+z_l and D = x_r+z_r")
 
     return Certificate(
         params=p,
@@ -557,18 +549,13 @@ def certify_box(
     h_cert = check_H(p, b, min_margin)
 
     if engine == "analytic":
-        c_cert = check_C_analytic(p, b, min_margin)
-        merged = h_cert.merged_with(c_cert, engine="analytic")
-        merged.tol = None
-        return merged
+        return h_cert.merged_with(check_C_analytic(p, b, min_margin), engine="analytic")
 
     from .bounds import verify_C_rigorous  # deferred: bounds imports Box types
 
     i_cert = verify_C_rigorous(p, b, tol=tol, budget=budget, min_margin=min_margin)
     if engine == "interval":
-        merged = h_cert.merged_with(i_cert, engine="interval")
-        merged.tol = tol
-        return merged
+        return h_cert.merged_with(i_cert, engine="interval")
 
     a_cert = check_C_analytic(p, b, min_margin)
     fused: list[ConditionRecord] = []
@@ -595,7 +582,7 @@ def certify_box(
         )
         rec.note = (rec.note + ("; " if rec.note else "") + "confirmed by: " + (",".join(confirmed) or "none"))
         fused.append(rec)
-    cert = Certificate(
+    return Certificate(
         params=p,
         box=b,
         conditions=list(h_cert.conditions) + fused,
@@ -603,4 +590,3 @@ def certify_box(
         tol=tol,
         min_margin=min_margin,
     )
-    return cert

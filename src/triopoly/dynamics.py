@@ -270,7 +270,8 @@ def lyapunov_spectrum(
             note = f"Jacobian undefined at step {step}; estimate is partial"
             break
         frame, r = np.linalg.qr(jac @ frame)
-        logs = np.log(np.abs(np.diag(r)))
+        with np.errstate(divide="ignore"):      # an exact-zero diagonal logs -inf
+            logs = np.log(np.abs(np.diag(r)))
         sums_all += logs
         seen += 1
         if step >= qr_warmup:

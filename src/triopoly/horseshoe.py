@@ -543,8 +543,9 @@ def check_path_stretching(
     if k == 0:
         b2, gb2 = float(ts2[0]), float(gs2[0])
     else:
-        b2, gb2 = _bisect(lambda t: -g(t), float(ts2[k - 1]), float(ts2[k]),
-                          -b.z_l, want_geq=True)
+        b2, neg_gb2 = _bisect(lambda t: -g(t), float(ts2[k - 1]), float(ts2[k]),
+                              -b.z_l, want_geq=True)
+        gb2 = -neg_gb2
     highs = np.flatnonzero((ts2 <= b2) & (gs2 >= b.z_r))
     if highs.size == 0:
         a2, ga2 = float(ts2[0]), float(gs2[0])

@@ -614,35 +614,86 @@ def _perturbed(seed):
                      y_r=B.y_r * f[3], z_r=B.z_r * f[4])
 
 
+_LOW_ALPHA = Params(c1=0.4, c2=0.55, c3=0.6, alpha=1.5)  # alpha*c3 <= 1
+
+# name -> (params, box, extra certify_box arguments)
 _FROZEN_BOXES = {
-    "paper": B,
-    "c4-fail": B.replace(x_r=0.6249),
-    "z_l>0": B.replace(z_l=0.01),  # C1 goes through bound_extremum
-    "perturbed-1": _perturbed(1),  # C3' fails
-    "perturbed-2": _perturbed(2),  # C5 fails
+    "paper": (P, B, {}),
+    "c4-fail": (P, B.replace(x_r=0.6249), {}),
+    "z_l>0": (P, B.replace(z_l=0.01), {}),  # C1 goes through bound_extremum
+    "perturbed-1": (P, _perturbed(1), {}),  # C3' fails
+    "perturbed-2": (P, _perturbed(2), {}),  # C5 fails
+    "h2-inapplicable": (_LOW_ALPHA, B, {}),  # escape bound undefined
+    "c2-precondition": (P, B.replace(z_r=0.95), {}),  # z_r > x_l + y_l
+    # x_l + y_l < 0 and x_l + z_l < 0: undefined square roots in H2 and H5;
+    # the interval engine raises DomainError on this box
+    "negative-sqrt": (P, B.replace(x_l=-0.5), {}),
+    "c4-starved": (P, B.replace(x_r=0.6249), {"budget": 2}),  # C4 inconclusive
 }
 
 _FROZEN_CERTS = {
+    ("paper", "analytic"): "2c72180af280f12cf3cf53b87f32be950a9222aee03b5cfe94bb5cc4d5983be7",
     ("paper", "interval"): "6bf7aaec38eaf3b056a1a86f856f8a8ffb986ab8c88296407c9f2ab832b98fc6",
     ("paper", "both"): "587c7fdb1a7d8b7ccafadf71d78c21cadc744b346d372ebca60a9996b6d3e30c",
+    ("c4-fail", "analytic"): "f6215b0836ac62c85aef2be8a5be0b533522e25770e138b686a4f0d1d31b088d",
     ("c4-fail", "interval"): "c5bcf92b5e6cf75e4dd8c502bd0c0f4fbdb14660a79a8307f10b433c1671806a",
     ("c4-fail", "both"): "e7432d2e5c07be3513b11c99948382e20647ad5717ec6a40245a36719bd0c037",
+    ("z_l>0", "analytic"): "d5a5902c454e4bca6f3bb428ab71ff12d5ad3618c726ee1a3cad26f74202b043",
     ("z_l>0", "interval"): "2e8b4a989c8d3743419faa11e6e8133fc9d1475e552e8b00c9672b8c1ea33484",
     ("z_l>0", "both"): "6271f10052401b7d7476a6b91d1a2a162678aac34e2291b6709c177f8a7e35d5",
+    ("perturbed-1", "analytic"): "b5b8ee8a7cd455eca5a890d55773aafe5bded844fe09702a71a8313d2e08290c",
     ("perturbed-1", "interval"): "4757af79bfad5e7d9ed0c3347fae583a42f91e3c8fb00048bc4659cfe2bb4d28",
     ("perturbed-1", "both"): "64a5a55873b22f4d6b11fb6d32a19ac671130483870a073cea9983cc2a918819",
+    ("perturbed-2", "analytic"): "d30dc978a6cb40dfc103a4662c36eb6fba6b8b628169a6917ea554a135652f8f",
     ("perturbed-2", "interval"): "c6e542599b110a39634a7751c3a828a16ef366a2c3b0efeb2732ccf68b8821f3",
     ("perturbed-2", "both"): "d22b69103f8e47c4309d3a0440bdfd5f6996b09c33ca4882c0cfede99a9caefe",
+    ("h2-inapplicable", "analytic"):
+        "9ca09621d0b134825956130f1c7329117b78969594606784c67ec9f04e7f49c3",
+    ("h2-inapplicable", "interval"):
+        "5b7dc5dcc51f0ee53573d70dc5cc374004bb9c31eca5077f5ac079e77325d1d0",
+    ("h2-inapplicable", "both"):
+        "ae29452afe03338be230f593700454e2f1bfa1d39c82e10a9e8f5d0e50b6cb4a",
+    ("c2-precondition", "analytic"):
+        "0d253650825b9d21e2a4cde09f95690699f9e1613d3549d0b0896315866da199",
+    ("c2-precondition", "interval"):
+        "b5719c26c19aabf38352ba28e0f827e8a3dc889b90a3e5690af5a037143a5adc",
+    ("c2-precondition", "both"):
+        "7853e89ca2b75349f66f474a3f4b15e091eca70f0a2d92084f2b6765545cd2b6",
+    ("negative-sqrt", "analytic"):
+        "d7e008fe5529fff4dba59d3951125edfe3498f8560ffa5d45619493cd3373c79",
+    ("c4-starved", "interval"):
+        "c5844eee0644e81e6e10a311a74319e58abca0cd435a9f7cc5f9eca2e1ebac14",
+    ("c4-starved", "both"): "3c261f8d5f7ef55269c043e40e4e52de834d3258718c436d235da87e4e082ce8",
 }
 
 
 @pytest.mark.parametrize("name, engine", list(_FROZEN_CERTS))
 def test_certificate_bytes_are_frozen(name, engine):
     """sha256 of the serialised certificate: every enclosure, margin and
-    expansion count of the interval engine, bit for bit."""
-    cert = certify_box(P, _FROZEN_BOXES[name], engine=engine)
+    expansion count of the interval engine, every note and sub-check of
+    the analytic one, bit for bit."""
+    p, box, kwargs = _FROZEN_BOXES[name]
+    cert = certify_box(p, box, engine=engine, **kwargs)
     digest = hashlib.sha256(dumps17(cert.as_dict()).encode()).hexdigest()
     assert digest == _FROZEN_CERTS[name, engine]
+
+
+def test_frozen_rows_reach_every_record_path():
+    """The frozen table covers the inapplicable H2 record, a violated C
+    precondition, an undefined square root and a budget-starved record."""
+    def statuses(name, engine):
+        p, box, kwargs = _FROZEN_BOXES[name]
+        return {r.cid: r for r in certify_box(p, box, engine=engine, **kwargs).conditions}
+
+    assert statuses("h2-inapplicable", "analytic")["H2"].status == "inapplicable"
+    assert statuses("c2-precondition", "analytic")["C2"].status == "inapplicable"
+    h5 = statuses("negative-sqrt", "analytic")["H5"]
+    assert any(s.margin is None for s in h5.subchecks) and h5.status == "fail"
+    c4 = statuses("c4-starved", "interval")["C4"]
+    assert c4.status == "inconclusive" and c4.interval["max"]["status"] == "inconclusive"
+    p, box, _ = _FROZEN_BOXES["negative-sqrt"]
+    with pytest.raises(DomainError):
+        certify_box(p, box, engine="interval")
 
 
 def test_unsplittable_box_stops_at_once():

@@ -13,9 +13,11 @@ from hypothesis import given, settings, strategies as st
 from triopoly import Box, PAPER_BOX, PAPER_PARAMS, Params
 from triopoly.certificate import (
     Certificate,
+    SubCheck,
     certify_box,
     check_C_analytic,
     check_H,
+    condition_record,
 )
 from triopoly.jsonio import dumps17
 
@@ -133,3 +135,22 @@ def test_verdict_derivation_ordering():
     assert cert.verdict == "failed"
     statuses = {c.status for c in cert.conditions}
     assert "fail" in statuses
+
+
+def test_one_status_order_decides_records_and_verdicts():
+    """Worst first -- fail, inapplicable, inconclusive, pass -- a record
+    takes the worst status of its sub-checks and a certificate the worst
+    of its records; the sides come from the smallest margin."""
+    order = ["fail", "inapplicable", "inconclusive", "pass"]
+    verdicts = dict(zip(order, ["failed", "inapplicable", "inconclusive", "certified"]))
+    for i, worse in enumerate(order):
+        for better in order[i:]:
+            subs = [SubCheck("a", 3.0, 1.0, ">", 2.0, better),
+                    SubCheck("b", 1.0, 0.0, ">=", 1.0, worse, "b binds")]
+            rec = condition_record("X", subs, "interval")
+            assert (rec.status, rec.lhs, rec.rhs, rec.relation, rec.margin) == (
+                worse, 1.0, 0.0, ">=", 1.0)
+            assert rec.note == ("" if worse == "pass" else "b binds")
+            other = condition_record("Y", subs[:1], "interval")
+            cert = Certificate(PAPER_PARAMS, PAPER_BOX, [other, rec], "interval")
+            assert cert.verdict == verdicts[worse]

@@ -2,6 +2,7 @@
 import hashlib
 import io
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +179,18 @@ class TestLyapunov:
         assert 0 < ly.steps < 5000
         assert all(math.isfinite(v) for v in ly.exponents)
         assert "partial" in ly.note
+
+    def test_zero_qr_diagonal_logs_minus_inf_silently(self):
+        """A QR diagonal entry that is exactly 0 (the tangent map at a
+        nearly-zero state) logs -inf, as in the lockstep scan, without
+        numpy's divide-by-zero warning."""
+        p, v = Params(0.4, 0.55, 0.6, 1.5), 1e-106
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warm = lyapunov_spectrum(p, State(v, v, v), 5)
+            cold = lyapunov_spectrum(p, State(v, v, v), 5, qr_warmup=0)
+        assert all(math.isfinite(e) for e in warm.exponents)
+        assert cold.exponents[2] == -math.inf
 
     def test_unpacks_as_three_reals(self):
         l1, l2, l3 = lyapunov_spectrum(P, interior_fixed_point(P), 2000)

@@ -230,6 +230,22 @@ class TestPathStretching:
             assert rep.crossing_count == 2
             assert rep.disjoint
 
+    def test_witness_values_are_the_image_heights(self):
+        """Every witness g is F3 at its t on the walked path, on the side of
+        the level it witnesses."""
+        rng = np.random.default_rng(7)
+        paths = [vertical_segment_path(OB), vertical_segment_path(OB).reversed()]
+        paths += [random_crossing_path(OB, rng) for _ in range(5)]
+        for path in paths:
+            rep = check_path_stretching(P, OB, path)
+            walked = path.reversed() if rep.path_reversed else path
+            for w in rep.witnesses.values():
+                for t, g in ((w["t_lo"], w["g_lo"]), (w["t_hi"], w["g_hi"])):
+                    assert g == eval_map_xyz(P, *walked.at(t))[2]
+            first, second = rep.witnesses["first"], rep.witnesses["second"]
+            assert first["g_lo"] <= PAPER_BOX.z_l and first["g_hi"] >= PAPER_BOX.z_r
+            assert second["g_lo"] >= PAPER_BOX.z_r and second["g_hi"] <= PAPER_BOX.z_l
+
     def test_two_evidence_kinds_labelled(self):
         rep = check_path_stretching(P, OB, vertical_segment_path(OB))
         assert rep.evidence["xy_containment"].startswith("certified-universal")
