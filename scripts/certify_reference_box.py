@@ -3,7 +3,9 @@
 
 Runs the analytic engine and the interval engine separately so their
 timings and margins can be compared side by side, then the merged run
-that the library reports by default.  Exit code follows the certificate:
+that the library reports by default.  An interval margin is a certified
+distance from the threshold: each search stops once its enclosure decides
+the condition, so it can read below the analytic margin.  Exit code follows the certificate:
 0 certified, 1 failed, 2 inconclusive.
 """
 from __future__ import annotations
@@ -18,7 +20,8 @@ from triopoly import PAPER_BOX, PAPER_PARAMS, certify_box
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--tol", type=float, default=1e-8,
-                    help="enclosure tolerance for the interval engine")
+                    help="interval engine: the enclosure width at which a search "
+                         "that has not decided its threshold gives up")
     ap.add_argument("--budget", type=int, default=10**6,
                     help="branch-and-bound expansion budget")
     args = ap.parse_args(argv)

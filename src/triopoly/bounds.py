@@ -50,6 +50,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -70,6 +71,7 @@ __all__ = [
     "Interval",
     "IntervalBox",
     "BoundReport",
+    "Threshold",
     "interval_eval",
     "interval_jacobian",
     "bound_extremum",
@@ -573,6 +575,41 @@ def interval_jacobian(p: Params, ib: IntervalBox) -> list[list[Interval]]:
 # branch and bound
 # ---------------------------------------------------------------------------
 
+class Threshold(NamedTuple):
+    """The inequality an extremum is checked against: ``extremum relation
+    value``.
+
+    ``relation`` is "<=", ">=" or ">"; a ">" inequality passes only when the
+    extremum clears ``value`` by more than ``need``.
+    """
+
+    value: float
+    relation: str
+    need: float = 0.0
+
+    def decide(self, lo: float, hi: float) -> tuple[str, float, float]:
+        """Status, judged end and margin of an extremum enclosed in [lo, hi].
+
+        "<=" judges the upper end, ">=" and ">" the lower one; the margin
+        is the judged end's signed distance from ``value``.  The far end on
+        the wrong side refutes the inequality, and its distance is then the
+        margin; anything in between is inconclusive.
+        """
+        if self.relation == "<=":
+            lhs, clear, refute = hi, self.value - hi, self.value - lo
+        else:
+            lhs, clear, refute = lo, lo - self.value, hi - self.value
+        if self.relation == ">":
+            passed, failed = clear > self.need, refute <= 0.0
+        else:
+            passed, failed = clear >= 0.0, refute < 0.0
+        if passed:
+            return PASS, lhs, clear
+        if failed:
+            return FAIL, lhs, refute
+        return INCONCLUSIVE, lhs, clear
+
+
 @dataclass
 class BoundReport:
     """Certified enclosure of min or max of one component over a region."""
@@ -584,7 +621,7 @@ class BoundReport:
     best_point: tuple[float, float, float]
     best_value: float
     subdivisions: int
-    status: str  # "ok" | "inconclusive"
+    status: str  # "ok" | "decided" | "inconclusive"
     tol: float
     budget: int
     strategy: str = ROUNDING_STRATEGY
@@ -649,14 +686,26 @@ def bound_extremum(
     which: str = "max",
     tol: float = 1e-8,
     budget: int = 10**6,
+    threshold: Optional[Threshold] = None,
 ) -> BoundReport:
     """Certified enclosure of an extremum of F1/F2/F3 over an interval box.
 
     Best-first branch-and-bound: split the widest axis (ties x before y
-    before z), prune with certified feasible values from midpoint samples,
-    stop when the enclosure width reaches ``tol`` or the expansion budget
-    runs out (then status is "inconclusive" but the enclosure is still
-    sound).  Deterministic: the heap is ordered by bound then insertion.
+    before z), prune with certified feasible values from midpoint samples.
+    The enclosure is [best certified value, largest bound left on the heap]
+    (mirrored for a min) and is sound whenever the search stops:
+
+    * status "ok" when its width reaches ``tol``;
+    * status "decided" when a ``threshold`` is given and the enclosure
+      already decides it (``Threshold.decide`` passes or fails it), however
+      wide it still is;
+    * status "inconclusive" when the expansion budget runs out, or the box
+      holding the largest bound can no longer be split, first.
+
+    So ``tol`` is the width at which a search that has not decided its
+    threshold gives up, and without a threshold the width every enclosure
+    is shrunk to.  Deterministic: the heap is ordered by bound then
+    insertion, and a threshold only stops the same sequence earlier.
     """
     if component not in _RANGES:
         raise ValueError(f"component must be F1, F2 or F3, got {component!r}")
@@ -666,12 +715,17 @@ def bound_extremum(
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if threshold is not None and threshold.relation not in ("<=", ">=", ">"):
+        raise ValueError(f"threshold relation must be <=, >= or >, got {threshold.relation!r}")
     want_max = which == "max"
     t6 = region.as_tuple6()
     _checked_sums(_SCALAR, t6)  # every subbox passes where the region does
 
     def signed(e):  # enclosure of +-f oriented as a max problem
         return e if want_max else (-e[1], -e[0])
+
+    def unsigned(inc, ub):  # the enclosure [lo, hi] of f itself
+        return (inc, ub) if want_max else (-ub, -inc)
 
     def mid_of(t):
         return (0.5 * (t[0] + t[1]), 0.5 * (t[2] + t[3]), 0.5 * (t[4] + t[5]))
@@ -689,8 +743,13 @@ def bound_extremum(
 
     while heap:
         neg_ub, _, cur = heapq.heappop(heap)
-        ub = -neg_ub
+        # the incumbent can have risen past every bound left on the heap;
+        # then it is the extremum itself
+        ub = max(-neg_ub, incumbent)
         if ub - incumbent <= tol:
+            break
+        if threshold is not None and threshold.decide(*unsigned(incumbent, ub))[0] != INCONCLUSIVE:
+            status = "decided"
             break
         if expansions >= budget:
             status = "inconclusive"
@@ -721,10 +780,8 @@ def bound_extremum(
         # heap exhausted: every box was pruned at or below the incumbent
         ub = incumbent
 
-    lo, hi = (incumbent, ub) if want_max else (-ub, -incumbent)
+    lo, hi = unsigned(incumbent, ub)
     best_value = incumbent if want_max else -incumbent
-    if hi - lo > tol:
-        status = "inconclusive"
     return BoundReport(
         component=component,
         which=which,
@@ -756,32 +813,11 @@ def _reports(*reps: BoundReport) -> dict:
     }
 
 
-def _side(cid, rep: BoundReport, threshold: float, relation: str,
-          need: float = 0.0) -> SubCheck:
-    """Decide one side of an extremum enclosure against a threshold.
-
-    "<=" requires the extremum at or below ``threshold`` (``rep`` is a
-    max, judged by its upper end); ">=" and ">" require it at or above,
-    resp. above by more than ``need`` (``rep`` is a min, judged by its
-    lower end).  The far end of the enclosure on the wrong side refutes
-    the inequality; anything in between is inconclusive.
-    """
-    lo, hi = rep.enclosure.lo, rep.enclosure.hi
-    if relation == "<=":
-        lhs, decide, refute = hi, threshold - hi, threshold - lo
-    else:
-        lhs, decide, refute = lo, lo - threshold, hi - threshold
-    if relation == ">":
-        passed, failed = decide > need, refute <= 0.0
-    else:
-        passed, failed = decide >= 0.0, refute < 0.0
-    if passed:
-        status, margin = PASS, decide
-    elif failed:
-        status, margin = FAIL, refute
-    else:
-        status, margin = INCONCLUSIVE, decide
-    return SubCheck(cid, lhs, threshold, relation, margin, status)
+def _side(cid, rep: BoundReport, threshold: Threshold) -> SubCheck:
+    """One sub-check: the extremum enclosed by ``rep`` against ``threshold``,
+    decided by the rule that also stops the search."""
+    status, lhs, margin = threshold.decide(rep.enclosure.lo, rep.enclosure.hi)
+    return SubCheck(cid, lhs, threshold.value, threshold.relation, margin, status)
 
 
 def verify_C_rigorous(
@@ -795,12 +831,24 @@ def verify_C_rigorous(
 
     Independent of the analytic reductions: every verdict comes from a
     certified enclosure of an extremum over the relevant face or the whole
-    box.  A verdict is ``inconclusive`` (never a guess) when the enclosure
-    still straddles its threshold at the requested tolerance.
+    box.  Each branch-and-bound gets its condition's threshold and stops as
+    soon as its enclosure decides it, so a margin is a certified distance
+    from the threshold (the judged end of an enclosure that may still be
+    wide), not the extremum's near-exact value.  A verdict is
+    ``inconclusive`` (never a guess) when the enclosure still straddles its
+    threshold at width ``tol`` or when ``budget`` runs out first.
     """
     full = IntervalBox.from_box(b)
     top = IntervalBox(full.ix, full.iy, Interval.point(b.z_r))
     midplane = IntervalBox(full.ix, full.iy, Interval.point(b.z_mid))
+
+    def checked(cid, region, component, which, threshold):
+        rep = bound_extremum(p, region, component, which, tol, budget, threshold)
+        return _side(cid, rep, threshold), rep
+
+    def record(cid, *checks):
+        return condition_record(cid, [sub for sub, _ in checks], "interval",
+                                interval=_reports(*(rep for _, rep in checks)))
 
     conditions: list[ConditionRecord] = []
 
@@ -824,34 +872,23 @@ def verify_C_rigorous(
             )
         )
     else:
-        rep = bound_extremum(p, IntervalBox(full.ix, full.iy, Interval.point(b.z_l)),
-                             "F3", "max", tol, budget)
-        conditions.append(condition_record("C1", [_side("C1", rep, b.z_l, "<=")],
-                                           "interval", interval=_reports(rep)))
+        bottom = IntervalBox(full.ix, full.iy, Interval.point(b.z_l))
+        conditions.append(record("C1", checked("C1", bottom, "F3", "max", Threshold(b.z_l, "<="))))
 
     # C2: max F3 over the top face <= 0.
-    rep = bound_extremum(p, top, "F3", "max", tol, budget)
-    conditions.append(condition_record("C2", [_side("C2", rep, 0.0, "<=")],
-                                       "interval", interval=_reports(rep)))
+    conditions.append(record("C2", checked("C2", top, "F3", "max", Threshold(0.0, "<="))))
 
     # C3': min F3 over the midplane > z_r (strict).
-    rep = bound_extremum(p, midplane, "F3", "min", tol, budget)
-    conditions.append(condition_record("C3p", [_side("C3p", rep, b.z_r, ">", min_margin)],
-                                       "interval", interval=_reports(rep)))
+    conditions.append(record("C3p", checked("C3p", midplane, "F3", "min",
+                                            Threshold(b.z_r, ">", min_margin))))
 
     # C4: range of F1 over the whole box inside [x_l, x_r].
-    lo = bound_extremum(p, full, "F1", "min", tol, budget)
-    hi = bound_extremum(p, full, "F1", "max", tol, budget)
-    conditions.append(condition_record(
-        "C4", [_side("C4min", lo, b.x_l, ">="), _side("C4max", hi, b.x_r, "<=")],
-        "interval", interval=_reports(lo, hi)))
+    conditions.append(record("C4", checked("C4min", full, "F1", "min", Threshold(b.x_l, ">=")),
+                             checked("C4max", full, "F1", "max", Threshold(b.x_r, "<="))))
 
     # C5: range of F2 over the whole box inside [y_l, y_r].
-    lo = bound_extremum(p, full, "F2", "min", tol, budget)
-    hi = bound_extremum(p, full, "F2", "max", tol, budget)
-    conditions.append(condition_record(
-        "C5", [_side("C5min", lo, b.y_l, ">="), _side("C5max", hi, b.y_r, "<=")],
-        "interval", interval=_reports(lo, hi)))
+    conditions.append(record("C5", checked("C5min", full, "F2", "min", Threshold(b.y_l, ">=")),
+                             checked("C5max", full, "F2", "max", Threshold(b.y_r, "<="))))
 
     return Certificate(
         params=p,

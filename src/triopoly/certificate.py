@@ -21,7 +21,8 @@ topological horseshoe: periodic points of every word and entropy >= log 2.
 ``certify_box`` merges the layers and optionally cross-checks the C layer
 against the rigorous interval oracle in :mod:`triopoly.bounds`.  Both
 layers here are decided in round-to-nearest floats, not under outward
-rounding; only that interval oracle rounds outward (ROADMAP item 1).
+rounding; only that interval oracle rounds outward.  Deciding them under
+outward rounding too is an open item on the roadmap.
 """
 from __future__ import annotations
 
@@ -541,8 +542,7 @@ def certify_box(
     ``engine="interval"`` (and the interval half of "both") rounds
     outward, and only for the C layer.  So a ``pass`` is proved only for a
     C condition that the interval engine passes; an H pass, or an analytic
-    C pass, is a float verdict.  Deciding those under outward rounding too
-    is ROADMAP item 1.
+    C pass, is a float verdict, not yet decided under outward rounding.
     """
     if engine not in ("analytic", "interval", "both"):
         raise ValueError(f"unknown engine {engine!r}")

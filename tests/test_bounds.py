@@ -5,6 +5,7 @@ against closed forms of the extrema that the analytic engine derives; the
 two engines share no code beyond the map definition itself.
 """
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from triopoly import PAPER_BOX, PAPER_PARAMS, DomainError
+from triopoly import PAPER_BOX, PAPER_PARAMS, Box, DomainError
 from triopoly.bounds import (
     BoundReport,
     Interval,
     IntervalBox,
+    Threshold,
     batch_image_enclosure,
     bound_extremum,
     interval_eval,
@@ -25,7 +27,7 @@ from triopoly.bounds import (
 )
 from triopoly import bounds as bounds_mod
 from triopoly.bounds import _SCALAR, _VECTOR, _jac_row, _range_f1, _range_f1_sharp, _sums
-from triopoly.certificate import certify_box
+from triopoly.certificate import INCONCLUSIVE, certify_box
 from triopoly.core import eval_jacobian, eval_map_xyz, Params, State
 from triopoly.jsonio import dumps17
 
@@ -633,37 +635,37 @@ _FROZEN_BOXES = {
 
 _FROZEN_CERTS = {
     ("paper", "analytic"): "2c72180af280f12cf3cf53b87f32be950a9222aee03b5cfe94bb5cc4d5983be7",
-    ("paper", "interval"): "6bf7aaec38eaf3b056a1a86f856f8a8ffb986ab8c88296407c9f2ab832b98fc6",
-    ("paper", "both"): "587c7fdb1a7d8b7ccafadf71d78c21cadc744b346d372ebca60a9996b6d3e30c",
+    ("paper", "interval"): "a0855df12f7f5d62cb3b7c73fbf3e24990198f1d41cbd6c339b02d6d68c4b330",
+    ("paper", "both"): "f0d8679fd2a10f04bf2658e2b6fc450f8b311b54a843ffa64102ee891e07d43c",
     ("c4-fail", "analytic"): "f6215b0836ac62c85aef2be8a5be0b533522e25770e138b686a4f0d1d31b088d",
-    ("c4-fail", "interval"): "c5bcf92b5e6cf75e4dd8c502bd0c0f4fbdb14660a79a8307f10b433c1671806a",
-    ("c4-fail", "both"): "e7432d2e5c07be3513b11c99948382e20647ad5717ec6a40245a36719bd0c037",
+    ("c4-fail", "interval"): "43e1ff96f7241bc9e9356dc15fc1c1f5b4b34ff6c3dc5ae9c468cc66d044a1b4",
+    ("c4-fail", "both"): "b25ae7ff6fa36481e74b789312e6931012f8ffb4f37c5b7cc6c6045f39afaad6",
     ("z_l>0", "analytic"): "d5a5902c454e4bca6f3bb428ab71ff12d5ad3618c726ee1a3cad26f74202b043",
-    ("z_l>0", "interval"): "2e8b4a989c8d3743419faa11e6e8133fc9d1475e552e8b00c9672b8c1ea33484",
-    ("z_l>0", "both"): "6271f10052401b7d7476a6b91d1a2a162678aac34e2291b6709c177f8a7e35d5",
+    ("z_l>0", "interval"): "2564a4308affe9bc59be86c7810f4c941e2d2cf17d6b0ede456a2e24b6c60787",
+    ("z_l>0", "both"): "0781a6d9d35320061479b33ebb4e78470c11818563d8456ce79427b6653afadd",
     ("perturbed-1", "analytic"): "b5b8ee8a7cd455eca5a890d55773aafe5bded844fe09702a71a8313d2e08290c",
-    ("perturbed-1", "interval"): "4757af79bfad5e7d9ed0c3347fae583a42f91e3c8fb00048bc4659cfe2bb4d28",
-    ("perturbed-1", "both"): "64a5a55873b22f4d6b11fb6d32a19ac671130483870a073cea9983cc2a918819",
+    ("perturbed-1", "interval"): "112b6747615aa5f49b1bc749978500ef3a118c27a0a8750c9a8507ddf8725a8f",
+    ("perturbed-1", "both"): "e034179087d3f240fc92701d3d1ee91ca2a613d993609e99b8ceb022c0b5c933",
     ("perturbed-2", "analytic"): "d30dc978a6cb40dfc103a4662c36eb6fba6b8b628169a6917ea554a135652f8f",
-    ("perturbed-2", "interval"): "c6e542599b110a39634a7751c3a828a16ef366a2c3b0efeb2732ccf68b8821f3",
-    ("perturbed-2", "both"): "d22b69103f8e47c4309d3a0440bdfd5f6996b09c33ca4882c0cfede99a9caefe",
+    ("perturbed-2", "interval"): "7e80fd2cd605f4d9704ac1152c6a01fcd0629f65f64bea35cd56d7b692af0cb9",
+    ("perturbed-2", "both"): "2c0fb28caf99d317380649e47565bd899aab22ec8d334f81e2c06e4b5889f789",
     ("h2-inapplicable", "analytic"):
         "9ca09621d0b134825956130f1c7329117b78969594606784c67ec9f04e7f49c3",
     ("h2-inapplicable", "interval"):
-        "5b7dc5dcc51f0ee53573d70dc5cc374004bb9c31eca5077f5ac079e77325d1d0",
+        "00a103aa011b8d0d4765aee73f61a568a17f9591c63a7bf656167bdbb682c58c",
     ("h2-inapplicable", "both"):
-        "ae29452afe03338be230f593700454e2f1bfa1d39c82e10a9e8f5d0e50b6cb4a",
+        "2bccc7f92a136dabab5f2cf61b649ad5f8b396bb29ac4c0c50d86beeb4af51ac",
     ("c2-precondition", "analytic"):
         "0d253650825b9d21e2a4cde09f95690699f9e1613d3549d0b0896315866da199",
     ("c2-precondition", "interval"):
-        "b5719c26c19aabf38352ba28e0f827e8a3dc889b90a3e5690af5a037143a5adc",
+        "5c47deb1cc55de2b3cc2507076427dabbe7723718b5abbebc3f658dfdf194365",
     ("c2-precondition", "both"):
-        "7853e89ca2b75349f66f474a3f4b15e091eca70f0a2d92084f2b6765545cd2b6",
+        "33f16b1d06594fc3a1da701e023ffd4e736c9ac9b1882907620ce80dc4eaeee3",
     ("negative-sqrt", "analytic"):
         "d7e008fe5529fff4dba59d3951125edfe3498f8560ffa5d45619493cd3373c79",
     ("c4-starved", "interval"):
-        "c5844eee0644e81e6e10a311a74319e58abca0cd435a9f7cc5f9eca2e1ebac14",
-    ("c4-starved", "both"): "3c261f8d5f7ef55269c043e40e4e52de834d3258718c436d235da87e4e082ce8",
+        "b614107a3cceb63178246c9a6e8aa912149e18d627385cfb4d46242ef5e462d5",
+    ("c4-starved", "both"): "623516835b93e42948ec24c74c9180ba31a6c528c1c8e8a1284a0d2db1c8f1d7",
 }
 
 
@@ -696,6 +698,45 @@ def test_frozen_rows_reach_every_record_path():
         certify_box(p, box, engine="interval")
 
 
+
+# -- frozen verdicts and statuses -----------------------------------------------
+
+def _status_cases(n=400):
+    """Seeded boxes and settings: the paper box with its five free bounds
+    moved by 0.2-5 %, z_l > 0 in every fifth, alpha drawn from [16, 22] in
+    every third, budgets 1, 3, 30 and the default, min_margin 1e-12 and
+    2e-3."""
+    rng = np.random.default_rng(20261018)
+    for i in range(n):
+        f = 1.0 + rng.uniform(0.002, 0.05) * rng.uniform(-1.0, 1.0, 5)
+        z_l = 0.05 * B.z_r * rng.uniform() if i % 5 == 0 else 0.0
+        box = Box(B.x_l * f[0], B.x_r * f[1], B.y_l * f[2], B.y_r * f[3], z_l, B.z_r * f[4])
+        p = P if i % 3 else Params(P.c1, P.c2, P.c3, rng.uniform(16.0, 22.0))
+        yield p, box, {"budget": (1, 3, 30, 10**6)[i % 4],
+                       "min_margin": (1e-12, 2e-3)[i // 4 % 2]}
+
+
+_FROZEN_STATUSES = "35660ab175625c310a0a919e6d353a400680fdc7e48b46faee736a1475286303"
+
+
+def test_verdicts_and_statuses_are_frozen():
+    """sha256 of the verdict and the condition statuses, and nothing else, of
+    ``verify_C_rigorous`` and ``certify_box(engine="both")`` on each case.
+
+    Enclosures, margins and expansion counts may move with the search's
+    stopping rule; what the certificate decides may not.
+    """
+    digest = hashlib.sha256()
+    for p, box, kwargs in _status_cases():
+        for run in (verify_C_rigorous, lambda p, b, **kw: certify_box(p, b, engine="both", **kw)):
+            try:
+                cert = run(p, box, **kwargs)
+                row = [cert.verdict] + [r.status for r in cert.conditions]
+            except DomainError:
+                row = ["DomainError"]
+            digest.update(json.dumps(row).encode())
+    assert digest.hexdigest() == _FROZEN_STATUSES
+
 def test_unsplittable_box_stops_at_once():
     """A popped box that cannot be split would be pushed back unchanged
     until the budget ran out; it holds the largest upper bound, so the
@@ -711,3 +752,112 @@ def test_unsplittable_box_stops_at_once():
     narrow = IntervalBox.from_bounds(x, math.nextafter(x, 1.0), 0.2, 0.2, 0.1, 0.1)
     rep = bound_extremum(P, narrow, "F1", "max", tol=1e-18, budget=20_000)
     assert rep.status == "inconclusive" and rep.subdivisions <= 3
+
+
+
+# -- stopping once the threshold is decided -------------------------------------
+
+def _threshold_cases(n):
+    """Seeded Params and regions, an extremum of each, and a threshold
+    ``offset`` from the middle of the extremum's direct enclosure.
+
+    Even cases search the faces and box the C conditions search, of the
+    paper box moved by up to 2 % under Params near the paper's; odd ones
+    search boxes anywhere in the domain under any Params.
+    """
+    rng = np.random.default_rng(11)
+    for i in range(n):
+        near = lambda v, rel: v * (1.0 + rel * rng.uniform(-1.0, 1.0))
+        if i % 2:
+            p = Params(*rng.uniform(0.1, 1.0, 3), rng.uniform(1.0, 25.0))
+            lows = rng.uniform(0.01, 1.0, 3)
+            t6 = [v for lo, w in zip(lows, rng.uniform(1e-6, 0.3, 3)) for v in (lo, lo + w)]
+        else:
+            p = Params(near(P.c1, 0.2), near(P.c2, 0.2), near(P.c3, 0.2), near(17.0, 0.4))
+            t6 = [near(v, 0.02) for v in (B.x_l, B.x_r, B.y_l, B.y_r, 0.0, B.z_r)]
+        z = (None, t6[4], 0.5 * (t6[4] + t6[5]), t6[5])[i // 2 % 4]
+        if z is not None:  # the bottom face, the midplane or the top face
+            t6[4] = t6[5] = z
+        offset = rng.choice([0.0, 1e-9, 1e-6, 1e-4, 1e-3, 0.1]) * rng.choice([-1.0, 1.0])
+        yield (p, IntervalBox.from_bounds(*t6), _COMPS[i % 3], ("min", "max")[i // 3 % 2],
+               ("<=", ">=", ">")[rng.integers(3)], offset,
+               float(rng.choice([0.0, 1e-12, 2e-3, abs(offset)])))
+
+
+def _direct_and_stopped(p, region, comp, which, threshold_at, relation, need, budget):
+    direct = bound_extremum(p, region, comp, which, tol=1e-8, budget=budget)
+    threshold = Threshold(threshold_at(direct.enclosure), relation, need)
+    stopped = bound_extremum(p, region, comp, which, tol=1e-8, budget=budget,
+                             threshold=threshold)
+    return direct, stopped, threshold
+
+
+def _assert_stops_on_the_same_side(direct, stopped, threshold):
+    """The stopped search is the direct one cut short: its enclosure holds
+    the direct one, it did no more work, and both decide alike.
+
+    The enclosures nest up to 4 ulps: a child's bound, rounded along
+    another path than its parent's, can sit an ulp or two outside it.
+    """
+    slack = 4 * math.ulp(max(map(abs, direct.enclosure.as_pair())))
+    assert stopped.enclosure.lo <= direct.enclosure.lo + slack
+    assert direct.enclosure.hi <= stopped.enclosure.hi + slack
+    assert stopped.subdivisions <= direct.subdivisions
+    side = threshold.decide(*stopped.enclosure.as_pair())[0]
+    assert side == threshold.decide(*direct.enclosure.as_pair())[0]
+    if side == INCONCLUSIVE:  # never decided: the whole direct search ran
+        assert stopped == direct
+    else:
+        assert stopped.status != "inconclusive"
+
+
+def test_threshold_stop_encloses_the_direct_enclosure():
+    cut_short = 0
+    for p, region, comp, which, relation, offset, need in _threshold_cases(240):
+        direct, stopped, threshold = _direct_and_stopped(
+            p, region, comp, which, lambda e: e.mid + offset, relation, need, budget=2000)
+        _assert_stops_on_the_same_side(direct, stopped, threshold)
+        cut_short += stopped.subdivisions < direct.subdivisions
+    assert cut_short >= 10  # the cases exercise the early stop
+
+
+@pytest.mark.parametrize("need, want", [(4.8e-3, "pass"), (4.84e-3, "inconclusive")])
+def test_threshold_stop_keeps_the_strict_c3p_side(need, want):
+    """C3' on the paper box clears z_r by 4.83e-3: the strict ``need`` just
+    below that passes and just above it stays undecided, stopped or not."""
+    direct, stopped, threshold = _direct_and_stopped(
+        P, _region("mid"), "F3", "min", lambda e: B.z_r, ">", need, budget=10**6)
+    _assert_stops_on_the_same_side(direct, stopped, threshold)
+    assert threshold.decide(*stopped.enclosure.as_pair())[0] == want
+    assert verify_C_rigorous(P, B, min_margin=need).condition("C3p").status == want
+
+
+def _expansions(cert):
+    return sum(rep["subdivisions"] for rec in cert.conditions
+               for rep in (rec.interval or {}).values() if isinstance(rep, dict))
+
+
+def test_deciding_the_threshold_bounds_the_work():
+    """Expansion counts, not timings.  Before the search stopped at a
+    decided threshold the paper box took 19 expansions and the C2 maximum
+    of the C2-precondition box, 4.49 clear of its threshold, 18 714."""
+    assert _expansions(certify_box(P, B, engine="interval")) <= 3
+    p, box, kwargs = _FROZEN_BOXES["c2-precondition"]
+    c2 = certify_box(p, box, engine="interval", **kwargs).condition("C2")
+    assert c2.status == "pass" and c2.interval["max"]["subdivisions"] <= 3
+    # an undecided search still runs until its budget is spent
+    p, box, kwargs = _FROZEN_BOXES["c4-starved"]
+    c4 = certify_box(p, box, engine="interval", **kwargs).condition("C4")
+    assert c4.status == "inconclusive"
+    assert c4.interval["max"]["status"] == "inconclusive"
+    assert c4.interval["max"]["subdivisions"] == kwargs["budget"]
+
+
+def test_incumbent_above_every_bound_left_is_the_extremum():
+    """With c3 = 0.5, F3 >= 0 on the paper box and its minimum 0 is met on
+    the whole bottom face.  Once that face is sampled, the bounds left on
+    the heap all lie past the incumbent; the search used to report them as
+    an inverted enclosure and raise."""
+    rep = bound_extremum(Params(0.4, 0.55, 0.5, 17.0), IntervalBox.from_box(B), "F3", "min")
+    assert rep.status == "ok"
+    assert rep.enclosure.as_pair() == (0.0, 0.0) and rep.best_value == 0.0
