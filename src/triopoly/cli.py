@@ -11,9 +11,10 @@ Exit codes are a stable contract:
      Newton solves)
 
 All numeric file output is printed with 17 significant digits so values
-survive a parse/print round trip.  A flat ``key = value`` config file can
-supply any long option; explicit flags override the file.  Identical
-invocations with identical seeds produce byte-identical outputs.
+survive a parse/print round trip.  Each subcommand accepts only the options
+it reads.  A flat ``key = value`` config file can supply any long option of
+that subcommand, checked as the flag is; explicit flags override the file.
+Identical invocations with identical seeds produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ from .symbolic import count_periodic_words, find_periodic_orbit, orbits_to_csv
 
 __all__ = ["main"]
 
-_ENGINES = ("analytic", "interval", "both")
 _USAGE_EXIT = 3
 _RUNTIME_EXIT = 4
 
@@ -120,50 +120,40 @@ def _parse_float(text) -> float:
 
 
 # ---------------------------------------------------------------------------
-# option tables: dest -> (caster, default)
+# option table: dest -> (caster, argparse extras).  The flag is --dest with
+# "-" for "_", the config key is dest; both go through the caster and choices.
 # ---------------------------------------------------------------------------
 
-_SHARED = {
-    "params": (_parse_params, None),
-    "box": (_parse_box, None),
-    "tol": (_parse_float, 1e-8),
-    "seed": (_parse_int, 0),
-    "engine": (str, "analytic"),
-    "out": (str, None),
-    "preset": (str, None),
-}
-
-_PER_COMMAND = {
-    "certify": {"budget": (_parse_int, 10**6)},
-    "search": {
-        "budget": (_parse_int, 10_000),
-        "strategy": (str, "random"),
-        "scale": (_parse_float, 0.1),
-        "max_hits": (_parse_int, 5),
-    },
-    "horseshoe": {"resolution": (_parse_int, 32), "paths": (_parse_int, 20)},
-    "periodic": {
-        "word": (str, None),
-        "max_k": (_parse_int, None),
-        "dedupe_cyclic": (_parse_bool, False),
-    },
-    "simulate": {
-        "start": (_parse_start, None),
-        "steps": (_parse_int, None),
-        "transient": (_parse_int, 0),
-    },
-    "lyapunov": {
-        "start": (_parse_start, None),
-        "steps": (_parse_int, None),
-        "transient": (_parse_int, 0),
-    },
-    "bifurcate": {
-        "alpha_range": (_parse_pair, None),
-        "samples": (_parse_int, None),
-        "policy": (str, "perturbed-nash"),
-        "transient": (_parse_int, 1000),
-    },
-    "demo-logistic": {"mu": (_parse_float, None)},
+_OPTIONS = {
+    "params": (_parse_params, {"metavar": "c1,c2,c3,alpha"}),
+    "box": (_parse_box, {"metavar": "xl,xr,yl,yr,zl,zr"}),
+    "preset": (str, {"choices": ("paper", "paper-raw"),
+                     "help": "bundled fixture: reference parameters plus, where the "
+                             "subcommand takes --box, the corrected candidate box; "
+                             "'paper-raw' keeps the misprinted bound and fails box "
+                             "validation on purpose"}),
+    "engine": (str, {"choices": ("analytic", "interval", "both")}),
+    "tol": (_parse_float, {}),
+    "seed": (_parse_int, {}),
+    "out": (str, {"help": "output file (default: stdout); a prefix for horseshoe"}),
+    "budget": (_parse_int, {"help": "interval-refinement budget of the rigorous engine "
+                                    "(certify) or candidate evaluations (search)"}),
+    "strategy": (str, {"choices": ("grid", "random", "refine")}),
+    "scale": (_parse_float, {"help": "relative half-width of the perturbation around --box"}),
+    "max_hits": (_parse_int, {}),
+    "resolution": (_parse_int, {}),
+    "paths": (_parse_int, {"help": "number of random crossing paths"}),
+    "word": (str, {"help": "binary word, e.g. 011"}),
+    "max_k": (_parse_int, {"help": "realize every word of length 1..K"}),
+    "dedupe_cyclic": (_parse_bool, {"action": "store_const", "const": True,
+                                    "help": "keep one representative per cyclic class"}),
+    "start": (_parse_start, {"metavar": "x,y,z"}),
+    "steps": (_parse_int, {}),
+    "transient": (_parse_int, {}),
+    "alpha_range": (_parse_pair, {"metavar": "lo,hi"}),
+    "samples": (_parse_int, {}),
+    "policy": (str, {"choices": ("nash", "perturbed-nash")}),
+    "mu": (_parse_float, {}),
 }
 
 
@@ -172,63 +162,14 @@ def _build_parser() -> _Parser:
                      description="certified chaos toolkit for the triopoly map")
     parser.add_argument("--version", action="version", version=f"triopoly {__version__}")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, help_text):
+    for name, (help_text, _, defaults) in _COMMANDS.items():
         sp = subs.add_parser(name, help=help_text)
-        sp.add_argument("--params", type=_parse_params, metavar="c1,c2,c3,alpha")
-        sp.add_argument("--box", type=_parse_box, metavar="xl,xr,yl,yr,zl,zr")
-        sp.add_argument("--tol", type=_parse_float)
-        sp.add_argument("--seed", type=_parse_int)
-        sp.add_argument("--engine", choices=_ENGINES)
-        sp.add_argument("--out", help="output file (default: stdout); a prefix for horseshoe")
-        sp.add_argument("--preset", choices=("paper", "paper-raw"),
-                        help="bundled fixture: reference parameters plus the corrected "
-                             "candidate box; 'paper-raw' keeps the misprinted bound "
-                             "and fails box validation on purpose")
+        for dest in defaults:
+            cast, extras = _OPTIONS[dest]
+            if "action" not in extras:
+                extras = {"type": cast, **extras}
+            sp.add_argument("--" + dest.replace("_", "-"), dest=dest, **extras)
         sp.add_argument("--config", help="flat key = value file; flags override it")
-        return sp
-
-    sp = add("certify", "evaluate the full chaos certificate for a box")
-    sp.add_argument("--budget", type=_parse_int,
-                    help="interval-refinement budget for the rigorous engine")
-
-    sp = add("search", "search for certificate-passing boxes")
-    sp.add_argument("--budget", type=_parse_int, help="candidate evaluations")
-    sp.add_argument("--strategy", choices=("grid", "random", "refine"))
-    sp.add_argument("--scale", type=_parse_float,
-                    help="relative half-width of the perturbation around --box")
-    sp.add_argument("--max-hits", dest="max_hits", type=_parse_int)
-
-    sp = add("horseshoe", "export symbol-set covers and path-stretching reports")
-    sp.add_argument("--resolution", type=_parse_int)
-    sp.add_argument("--paths", type=_parse_int, help="number of random crossing paths")
-
-    sp = add("periodic", "locate periodic orbits by symbolic word")
-    sp.add_argument("--word", help="binary word, e.g. 011")
-    sp.add_argument("--max-k", dest="max_k", type=_parse_int,
-                    help="realize every word of length 1..K")
-    sp.add_argument("--dedupe-cyclic", dest="dedupe_cyclic", action="store_const",
-                    const=True, help="keep one representative per cyclic class")
-
-    sp = add("simulate", "iterate the map and emit the orbit as CSV")
-    sp.add_argument("--start", type=_parse_start, metavar="x,y,z")
-    sp.add_argument("--steps", type=_parse_int)
-    sp.add_argument("--transient", type=_parse_int)
-
-    sp = add("lyapunov", "QR-based Lyapunov spectrum along an orbit")
-    sp.add_argument("--start", type=_parse_start, metavar="x,y,z")
-    sp.add_argument("--steps", type=_parse_int)
-    sp.add_argument("--transient", type=_parse_int)
-
-    sp = add("bifurcate", "sweep the adjustment speed and emit a bifurcation CSV")
-    sp.add_argument("--alpha-range", dest="alpha_range", type=_parse_pair, metavar="lo,hi")
-    sp.add_argument("--samples", type=_parse_int)
-    sp.add_argument("--policy", choices=("nash", "perturbed-nash"))
-    sp.add_argument("--transient", type=_parse_int)
-
-    sp = add("demo-logistic", "covering-interval demo on the logistic family")
-    sp.add_argument("--mu", type=_parse_float)
-
     return parser
 
 
@@ -253,26 +194,32 @@ def _load_config(path: str) -> dict:
     return table
 
 
+def _from_config(dest: str, text: str):
+    cast, extras = _OPTIONS[dest]
+    value = cast(text)
+    choices = extras.get("choices")
+    if choices is not None and value not in choices:
+        raise _CliError(f"config key {dest}: invalid choice: {value!r} "
+                        f"(choose from {', '.join(map(repr, choices))})")
+    return value
+
+
 def _merge_options(args) -> None:
     """Fill unset options from the config file, then from defaults."""
-    spec = dict(_SHARED)
-    spec.update(_PER_COMMAND[args.command])
+    defaults = _COMMANDS[args.command][2]
     config = _load_config(args.config) if args.config else {}
-    unknown = set(config) - set(spec)
+    unknown = set(config) - set(defaults)
     if unknown:
         raise _CliError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-    for dest, (cast, default) in spec.items():
-        if getattr(args, dest, None) is not None:
+    for dest, default in defaults.items():
+        if getattr(args, dest) is not None:
             continue
-        if dest in config:
-            setattr(args, dest, cast(config[dest]))
-        else:
-            setattr(args, dest, default)
-    if args.preset is not None:
+        setattr(args, dest, _from_config(dest, config[dest]) if dest in config else default)
+    if getattr(args, "preset", None) is not None:
         preset_params, preset_box = get_preset(args.preset)
         if args.params is None:
             args.params = preset_params
-        if args.box is None:
+        if "box" in defaults and args.box is None:
             args.box = preset_box
 
 
@@ -290,6 +237,15 @@ def _sink(out: str | None):
 def _emit_text(text: str, out: str | None) -> None:
     with open_sink(_sink(out)) as fh:
         fh.write(text)
+
+
+def _certified(args, needs: str):
+    """Certify ``args.box``, or say on stderr that it fails and return None."""
+    cert = certify_box(args.params, args.box, engine=args.engine, tol=args.tol)
+    if not cert.passed:
+        sys.stderr.write(f"box does not certify (verdict: {cert.verdict}); {needs}\n")
+        return None
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +279,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_horseshoe(args) -> int:
     _require(args, "params", "box")
-    cert = certify_box(args.params, args.box, engine=args.engine, tol=args.tol)
-    if not cert.passed:
-        sys.stderr.write(f"box does not certify (verdict: {cert.verdict}); "
-                         "symbol covers need a certified box\n")
+    cert = _certified(args, "symbol covers need a certified box")
+    if cert is None:
         return 1
     ob = OrientedBox(args.box)
     k0, k1 = build_K_enclosures(args.params, ob, args.resolution, cert=cert)
@@ -361,10 +315,8 @@ def _cmd_periodic(args) -> int:
     _require(args, "params", "box")
     if (args.word is None) == (args.max_k is None):
         raise _CliError("periodic needs exactly one of --word or --max-k")
-    cert = certify_box(args.params, args.box, engine=args.engine, tol=args.tol)
-    if not cert.passed:
-        sys.stderr.write(f"box does not certify (verdict: {cert.verdict}); "
-                         "symbolic words are only pinned for certified boxes\n")
+    cert = _certified(args, "symbolic words are only pinned for certified boxes")
+    if cert is None:
         return 1
     ob = OrientedBox(args.box)
     if args.word is not None:
@@ -419,15 +371,29 @@ def _cmd_demo_logistic(args) -> int:
     return 0
 
 
+# name -> (help, handler, {dest: default} of every option the handler reads)
+_BOX = {"params": None, "box": None, "preset": None, "engine": "analytic", "tol": 1e-8,
+        "out": None}
+_ORBIT = {"params": None, "preset": None, "start": None, "steps": None, "transient": 0,
+          "out": None}
+
 _COMMANDS = {
-    "certify": _cmd_certify,
-    "search": _cmd_search,
-    "horseshoe": _cmd_horseshoe,
-    "periodic": _cmd_periodic,
-    "simulate": _cmd_simulate,
-    "lyapunov": _cmd_lyapunov,
-    "bifurcate": _cmd_bifurcate,
-    "demo-logistic": _cmd_demo_logistic,
+    "certify": ("evaluate the full chaos certificate for a box", _cmd_certify,
+                {**_BOX, "budget": 10**6}),
+    "search": ("search for certificate-passing boxes", _cmd_search,
+               {**_BOX, "budget": 10_000, "strategy": "random", "scale": 0.1,
+                "max_hits": 5, "seed": 0}),
+    "horseshoe": ("export symbol-set covers and path-stretching reports", _cmd_horseshoe,
+                  {**_BOX, "resolution": 32, "paths": 20, "seed": 0}),
+    "periodic": ("locate periodic orbits by symbolic word", _cmd_periodic,
+                 {**_BOX, "word": None, "max_k": None, "dedupe_cyclic": False}),
+    "simulate": ("iterate the map and emit the orbit as CSV", _cmd_simulate, _ORBIT),
+    "lyapunov": ("QR-based Lyapunov spectrum along an orbit", _cmd_lyapunov, _ORBIT),
+    "bifurcate": ("sweep the adjustment speed and emit a bifurcation CSV", _cmd_bifurcate,
+                  {"params": None, "preset": None, "alpha_range": None, "samples": None,
+                   "policy": "perturbed-nash", "transient": 1000, "seed": 0, "out": None}),
+    "demo-logistic": ("covering-interval demo on the logistic family", _cmd_demo_logistic,
+                      {"mu": None, "out": None}),
 }
 
 
@@ -438,7 +404,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _merge_options(args)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][1](args)
     except _CliError as exc:
         sys.stderr.write(f"triopoly {args.command}: error: {exc}\n")
         return _USAGE_EXIT

@@ -418,16 +418,17 @@ def _first_linear_crossing(ts, vs, level) -> float | None:
     return None
 
 
-def _bisect(fn, lo, hi, target, want_geq, iters=80):
-    """Refine t in [lo, hi] where fn crosses target; fn(hi) on the wanted
-    side.  Returns the endpoint on the wanted side after refinement."""
+def _bisect(fn, lo, hi, wanted, iters=80):
+    """Refine t in [lo, hi] where fn enters the set ``wanted`` accepts;
+    ``wanted(fn(hi))`` holds.  Returns the endpoint on the wanted side after
+    refinement and fn there."""
     fhi = fn(hi)
     for _ in range(iters):
         if hi - lo <= 1e-13:
             break
         mid = 0.5 * (lo + hi)
         fm = fn(mid)
-        if (fm >= target) == want_geq:
+        if wanted(fm):
             hi, fhi = mid, fm
         else:
             lo = mid
@@ -511,7 +512,7 @@ def check_path_stretching(
     if i == 0:
         b1, gb1 = float(ts1[0]), float(gs1[0])
     else:
-        b1, gb1 = _bisect(g, float(ts1[i - 1]), float(ts1[i]), b.z_r, want_geq=True)
+        b1, gb1 = _bisect(g, float(ts1[i - 1]), float(ts1[i]), lambda v: v >= b.z_r)
     # last sampled moment before b1 at which the image is still at or
     # below the bottom level; on a grounded box this is t = 0 itself
     low = np.flatnonzero((ts1 <= b1) & (gs1 <= b.z_l))
@@ -543,9 +544,7 @@ def check_path_stretching(
     if k == 0:
         b2, gb2 = float(ts2[0]), float(gs2[0])
     else:
-        b2, neg_gb2 = _bisect(lambda t: -g(t), float(ts2[k - 1]), float(ts2[k]),
-                              -b.z_l, want_geq=True)
-        gb2 = -neg_gb2
+        b2, gb2 = _bisect(g, float(ts2[k - 1]), float(ts2[k]), lambda v: v <= b.z_l)
     highs = np.flatnonzero((ts2 <= b2) & (gs2 >= b.z_r))
     if highs.size == 0:
         a2, ga2 = float(ts2[0]), float(gs2[0])

@@ -9,6 +9,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -187,16 +188,6 @@ class TestSearch:
                          "--strategy", "anneal")
         assert code == 3
 
-    def test_threads_flag_and_config_key_are_gone(self, capsys, tmp_path):
-        code, _, err = run(capsys, "search", "--preset", "paper", "--threads", "2")
-        assert code == 3
-        assert "--threads" in err
-        cfg = tmp_path / "search.cfg"
-        cfg.write_text("threads = 2\n")
-        code, _, err = run(capsys, "search", "--preset", "paper", "--config", str(cfg))
-        assert code == 3
-        assert "threads" in err
-
 
 class TestDynamicsCommands:
     def test_simulate_emits_orbit_csv(self, capsys):
@@ -237,16 +228,6 @@ class TestDynamicsCommands:
         assert doc["first_iterate"] is None
         assert doc["second_iterate"]["verified"] is True
         assert "samples" not in doc["second_iterate"]
-
-    def test_demo_logistic_has_no_samples_option(self, capsys, tmp_path):
-        # coverings are decided from exact endpoint images, nothing is sampled
-        code, _, _ = run(capsys, "demo-logistic", "--mu", "3.88", "--samples", "5")
-        assert code == 3
-        cfg = tmp_path / "demo.cfg"
-        cfg.write_text("mu = 3.88\nsamples = 5\n")
-        code, _, err = run(capsys, "demo-logistic", "--config", str(cfg))
-        assert code == 3
-        assert "samples" in err
 
 
 class TestPeriodic:
@@ -331,6 +312,66 @@ class TestHorseshoe:
                (tmp_path / "b-stretch.json").read_bytes()
 
 
+# arguments with which each subcommand succeeds, so that only the option
+# under test can make it exit 3
+_VALID = {
+    "certify": ["--preset", "paper"],
+    "search": ["--preset", "paper", "--budget", "10"],
+    "periodic": ["--preset", "paper", "--word", "01"],
+    "simulate": ["--preset", "paper", "--start", "0.6,0.4,0.2", "--steps", "2"],
+    "lyapunov": ["--preset", "paper", "--start", "0.6,0.4,0.2", "--steps", "2"],
+    "bifurcate": ["--params", "0.4,0.55,0.6,10", "--alpha-range", "8,9",
+                  "--samples", "2", "--transient", "10"],
+    "demo-logistic": ["--mu", "3.88"],
+}
+_VALUES = {"params": PAPER_PARAMS_ARG, "box": PAPER_BOX_ARG, "tol": "1e-8", "seed": "9",
+           "engine": "both", "preset": "paper", "threads": "2", "samples": "5"}
+
+
+@pytest.mark.parametrize("command,option", [
+    ("search", "threads"),
+    # coverings are decided from exact endpoint images, nothing is sampled
+    ("demo-logistic", "samples"),
+    # options the subcommand's handler never read
+    ("certify", "seed"),
+    ("periodic", "seed"),
+    *[("simulate", o) for o in ("box", "tol", "seed", "engine")],
+    *[("lyapunov", o) for o in ("box", "tol", "seed", "engine")],
+    *[("bifurcate", o) for o in ("box", "tol", "engine")],
+    *[("demo-logistic", o) for o in ("params", "box", "tol", "seed", "engine", "preset")],
+])
+def test_removed_option_exits_3_as_flag_and_config_key(capsys, tmp_path, command, option):
+    code, _, err = run(capsys, command, *_VALID[command], f"--{option}", _VALUES[option])
+    assert code == 3
+    assert f"--{option}" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = {_VALUES[option]}\n")
+    code, _, err = run(capsys, command, *_VALID[command], "--config", str(cfg))
+    assert code == 3
+    assert option in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["certify", *_VALID["certify"]], "engine"),
+    (["search", *_VALID["search"]], "strategy"),
+    (["bifurcate", *_VALID["bifurcate"]], "policy"),
+    (["certify", "--params", PAPER_PARAMS_ARG, "--box", PAPER_BOX_ARG], "preset"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_config_value_takes_the_flags_choices(capsys, tmp_path, argv, option):
+    def choices(err):
+        return re.findall(r"[\w-]+", re.search(r"choose from (.*)\)", err).group(1))
+
+    code, _, err = run(capsys, *argv, f"--{option}", "bogus")
+    assert code == 3
+    flag_choices = choices(err)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{option} = bogus\n")
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 3
+    assert option in err
+    assert choices(err) == flag_choices and len(flag_choices) >= 2
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--preset", "paper", "--start", "0.6,0.4,0.2", "--steps", "5"],
     ["lyapunov", "--preset", "paper", "--start", "0.6,0.4,0.2", "--steps", "200"],
@@ -349,10 +390,42 @@ def test_stdout_and_out_file_carry_the_same_bytes(capsys, tmp_path, argv):
         assert fh.read() == out
 
 
-def test_bifurcate_csv_bytes_are_frozen(capsys, tmp_path):
-    # sha256 recorded with the per-sample scan the lockstep one replaced
-    path = tmp_path / "bif.csv"
-    assert main(["bifurcate", "--params", "0.4,0.55,0.6,10", "--alpha-range", "9,10.5",
-                 "--samples", "4", "--transient", "100", "--out", str(path)]) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "e3a29c3b4f50ff99efff95e0a0d0817afffee43361e50d844912735096ab092b"
+# sha256 of each subcommand's output, recorded before the option tables were
+# rebuilt; bifurcate's with the per-sample scan the lockstep one replaced
+_FROZEN = {
+    "certify-analytic": (["certify", "--preset", "paper", "--engine", "analytic"],
+                         {"": "0b271f67d9e99c376ea4d23e8c5b482fdeaffdc9c1e1f24fb9caf611124dd8b8"}),
+    "certify-interval": (["certify", "--preset", "paper", "--engine", "interval"],
+                         {"": "d72a4c08c87a77d7f623c9268cd0235810b0277cfc8b73182323d82788f008bb"}),
+    "certify-both": (["certify", "--preset", "paper", "--engine", "both"],
+                     {"": "36cbb2d3f8efe25b34b7d3d5ae32649402a017ab0e2e22054dd6eea3f0cd7540"}),
+    "search": (["search", "--preset", "paper", "--budget", "300", "--seed", "3"],
+               {"": "2a65c5f8e76476545f3e406bb0c88aab49609beee01669fb70944d6554fc0036"}),
+    "periodic": (["periodic", "--preset", "paper", "--max-k", "3"],
+                 {"": "2c2d7cd7dece17b3fb049296b786830fdeeabf828ba75123fae64b810aeadae5"}),
+    "simulate": (["simulate", "--preset", "paper", "--start", "0.6,0.4,0.2", "--steps", "5"],
+                 {"": "849fe8c06c05c34669a60b2e2a5091b606f612aba943fe86f47256202e0b6b02"}),
+    "lyapunov": (["lyapunov", "--preset", "paper", "--start", "0.6,0.4,0.2",
+                  "--steps", "200"],
+                 {"": "e49877e692542103c84e40c7c7aa5eee856455e3d0a1d0359523884d00ebbe3f"}),
+    "bifurcate": (["bifurcate", "--params", "0.4,0.55,0.6,10", "--alpha-range", "9,10.5",
+                   "--samples", "4", "--transient", "100"],
+                  {"": "e3a29c3b4f50ff99efff95e0a0d0817afffee43361e50d844912735096ab092b"}),
+    "demo-logistic": (["demo-logistic", "--mu", "3.88"],
+                      {"": "dd6d33931cdb40d45d570e337212514dacbe3bb4c3005280ea959c8263be250e"}),
+    "horseshoe": (["horseshoe", "--preset", "paper", "--resolution", "16", "--paths", "5",
+                   "--seed", "0"],
+                  {"-k0.csv": "8b9c27c0af4357249dd5ff9bd65d01ceefc3bea48ad4c205b464e6fb9bd56c15",
+                   "-k1.csv": "6b0cef5f3d9b0834d76954b1f4dd04a9c47c02c49eff727f05e25282d4244813",
+                   "-stretch.json":
+                       "8e7d9ced6718fda56e3ea3678bd30821ce9d2e1027964707e125d1da9af881d8"}),
+}
+
+
+@pytest.mark.parametrize("argv,digests", _FROZEN.values(), ids=_FROZEN)
+def test_cli_bytes_are_frozen(capsys, tmp_path, argv, digests):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    got = {suffix: hashlib.sha256((tmp_path / f"out{suffix}").read_bytes()).hexdigest()
+           for suffix in digests}
+    assert got == digests
