@@ -9,8 +9,10 @@ pair of whatever that arithmetic works on.  There are two arithmetics, and
 their primitives are the only code kept per arithmetic:
 
 * ``_SCALAR`` works on float pairs and nudges with ``math.nextafter``.  The
-  branch-and-bound and the public wrappers use it.  Its product with an
-  exact [0, 0] is exactly [0, 0], which keeps the bottom face of (C1) exact.
+  branch-and-bound and the public functions use it, on point boxes too:
+  there is no extended-precision path, so every enclosure is built the same
+  way on every platform.  Its product with an exact [0, 0] is exactly
+  [0, 0], which keeps the bottom face of (C1) exact.
 * ``_VECTOR`` works on pairs of numpy arrays, one row per cell, and nudges
   with the branch-free successor/predecessor bound a +- (phi |a| + eta) of
   Rump, Zimmermann, Boldo & Melquiond (BIT 49, 2009), which equals
@@ -79,16 +81,9 @@ __all__ = [
     "ROUNDING_STRATEGY",
 ]
 
-# The extended-precision point path is sound only where long double keeps
-# at least the 64-bit significand of x87 extended precision; where it is
-# plain double (aarch64 macOS, Windows), points take the outward kernels.
-_EXTENDED_POINTS = np.finfo(np.longdouble).nmant >= 63
-
 ROUNDING_STRATEGY = (
     "outward per inexact primitive: scalar 1-ulp nextafter, vector "
-    "Rump-Zimmermann-Boldo-Melquiond successor/predecessor; "
-) + (
-    "extended-precision point path" if _EXTENDED_POINTS else "outward point path"
+    "Rump-Zimmermann-Boldo-Melquiond successor/predecessor"
 )
 
 _INF = math.inf
@@ -153,12 +148,6 @@ def _sqr(a):
         return _dn(a[1] * a[1]), _up(a[0] * a[0])
     m = max(-a[0], a[1])
     return 0.0, _up(m * m)
-
-
-def _sqrt(a):
-    if a[0] < 0.0:
-        raise DomainError(f"interval sqrt of {a} undefined")
-    return _dn(math.sqrt(a[0])), _up(math.sqrt(a[1]))
 
 
 def _where(c, a, b):
@@ -254,12 +243,13 @@ def _isect(a, b):
 
 
 # ---------------------------------------------------------------------------
-# public wrapper types
+# public records: the inputs and results of the functions below, with no
+# arithmetic of their own
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi], the basic enclosure currency."""
+    """Closed interval [lo, hi]: a region's axis or an enclosure."""
 
     lo: float
     hi: float
@@ -292,29 +282,6 @@ class Interval:
     def as_pair(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    def __add__(self, other):
-        return Interval(*_add(self.as_pair(), _as_pair(other)))
-
-    def __sub__(self, other):
-        return Interval(*_sub(self.as_pair(), _as_pair(other)))
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    def __mul__(self, other):
-        return Interval(*_mul(self.as_pair(), _as_pair(other)))
-
-    def __truediv__(self, other):
-        return Interval(*_div_pos(self.as_pair(), _as_pair(other)))
-
-    def sqrt(self) -> "Interval":
-        return Interval(*_sqrt(self.as_pair()))
-
-
-def _as_pair(v) -> tuple[float, float]:
-    if isinstance(v, Interval):
-        return v.as_pair()
-    return (float(v), float(v))
 
 
 @dataclass(frozen=True)
@@ -338,18 +305,8 @@ class IntervalBox:
         return cls(Interval.point(x), Interval.point(y), Interval.point(z))
 
     @property
-    def intervals(self) -> tuple[Interval, Interval, Interval]:
-        return (self.ix, self.iy, self.iz)
-
-    @property
     def is_point(self) -> bool:
         return self.ix.is_point and self.iy.is_point and self.iz.is_point
-
-    def widths(self) -> tuple[float, float, float]:
-        return (self.ix.width, self.iy.width, self.iz.width)
-
-    def contains_point(self, x: float, y: float, z: float) -> bool:
-        return self.ix.contains(x) and self.iy.contains(y) and self.iz.contains(z)
 
     def as_tuple6(self):
         return (self.ix.lo, self.ix.hi, self.iy.lo, self.iy.hi, self.iz.lo, self.iz.hi)
@@ -514,45 +471,16 @@ def _tight_range(p: Params, t6, s, comp: str):
 # public evaluation
 # ---------------------------------------------------------------------------
 
-_LD = np.longdouble
-
-
-def _point_eval_extended(p: Params, x: float, y: float, z: float):
-    """Point image in extended precision, widened to a 2-ulp double enclosure.
-
-    The handful of long-double primitives each err by <= 2^-63 relative,
-    far below half a double ulp, so rounding the long-double result to
-    double and nudging one ulp outward is a rigorous double enclosure.
-    """
-    xl, yl_, zl = _LD(x), _LD(y), _LD(z)
-    c1, c2 = _LD(p.c1), _LD(p.c2)
-    al, c3 = _LD(p.alpha), _LD(p.c3)
-    q = xl + yl_ + zl
-    d = xl + zl
-    f1 = (2.0 * xl + yl_ + zl - c1 * q * q) / 2.0
-    f2 = np.sqrt(d / c2) - d
-    f3 = zl * (1.0 - al * c3 + al * (xl + yl_) / (q * q))
-    out = []
-    for v in (f1, f2, f3):
-        fv = float(v)
-        out.append((_dn(fv), _up(fv)))
-    return out
-
-
 def interval_eval(p: Params, ib: IntervalBox) -> tuple[Interval, Interval, Interval]:
     """Enclosures of the three image components over ``ib``.
 
     Raises DomainError when a positivity precondition (x+z > 0 or
-    x+y+z > 0) can be violated inside the box.  Fully degenerate boxes take
-    an extended-precision path, where long double is wide enough, so point
-    enclosures stay a few ulps wide.
+    x+y+z > 0) can be violated inside the box.  Every box, a point too,
+    takes the outward ``_SCALAR`` kernels, on every platform.
     """
     t6 = ib.as_tuple6()
     s = _checked_sums(_SCALAR, t6)
-    if ib.is_point and _EXTENDED_POINTS:
-        encl = _point_eval_extended(p, t6[0], t6[2], t6[4])
-    else:
-        encl = [kernel(_SCALAR, p, s) for kernel in _RANGES.values()]
+    encl = [kernel(_SCALAR, p, s) for kernel in _RANGES.values()]
     if ib.is_point:
         # hull in the plain double evaluation so the enclosure also covers
         # what eval_map reports (its own rounding can exceed the true-value

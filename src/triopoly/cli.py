@@ -37,7 +37,7 @@ from .horseshoe import (
     vertical_segment_path,
 )
 from .jsonio import dumps17, open_sink, write_csv
-from .presets import get_preset
+from .presets import get_preset, preset_params
 from .search import search_boxes
 from .symbolic import count_periodic_words, find_periodic_orbit, orbits_to_csv
 
@@ -196,7 +196,10 @@ def _load_config(path: str) -> dict:
 
 def _from_config(dest: str, text: str):
     cast, extras = _OPTIONS[dest]
-    value = cast(text)
+    try:
+        value = cast(text)
+    except ValueError as exc:
+        raise _CliError(f"config key {dest}: {exc}") from None
     choices = extras.get("choices")
     if choices is not None and value not in choices:
         raise _CliError(f"config key {dest}: invalid choice: {value!r} "
@@ -216,11 +219,11 @@ def _merge_options(args) -> None:
             continue
         setattr(args, dest, _from_config(dest, config[dest]) if dest in config else default)
     if getattr(args, "preset", None) is not None:
-        preset_params, preset_box = get_preset(args.preset)
         if args.params is None:
-            args.params = preset_params
+            args.params = preset_params(args.preset)
+        # build the preset's box only where it is read: 'paper-raw' fails on purpose
         if "box" in defaults and args.box is None:
-            args.box = preset_box
+            args.box = get_preset(args.preset)[1]
 
 
 def _require(args, *dests) -> None:

@@ -50,6 +50,8 @@ MAX_SPLIT_DEPTH = 5
 # split level (300k+ cells) streams them through memory.  Res-64 covers
 # build ~2x faster than with one call per level, with the same bits.
 _CHUNK = 16384
+# image samples per path segment when the stretching check brackets a crossing
+_SAMPLES_PER_SEGMENT = 16
 
 
 class ConvergenceError(RuntimeError):
@@ -153,12 +155,6 @@ class KSetEnclosure:
             if hit.any():
                 return False
         return True
-
-    def interval_boxes(self):
-        from .bounds import IntervalBox
-
-        for row in self.cells:
-            yield IntervalBox.from_bounds(*row)
 
     def to_csv(self, path_or_file) -> None:
         write_csv(path_or_file, ["x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi"],
@@ -440,7 +436,6 @@ def check_path_stretching(
     ob: OrientedBox,
     path: PathSample,
     cert: Certificate | None = None,
-    samples_per_segment: int = 16,
 ) -> StretchReport:
     """Locate the two disjoint crossing subintervals along a sampled path.
 
@@ -485,7 +480,7 @@ def check_path_stretching(
     def grid(lo, hi):
         knots = path.ts[(path.ts > lo) & (path.ts < hi)]
         base = np.unique(np.concatenate([[lo, hi], knots]))
-        fine = [np.linspace(base[i], base[i + 1], samples_per_segment + 1)
+        fine = [np.linspace(base[i], base[i + 1], _SAMPLES_PER_SEGMENT + 1)
                 for i in range(base.size - 1)]
         return np.unique(np.concatenate(fine))
 

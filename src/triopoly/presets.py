@@ -16,6 +16,7 @@ __all__ = [
     "PAPER_BOX",
     "RAW_BOX_FIELDS",
     "make_raw_box",
+    "preset_params",
     "get_preset",
     "PRESETS",
 ]
@@ -48,14 +49,17 @@ def make_raw_box() -> Box:
     return Box(**RAW_BOX_FIELDS)
 
 
+def preset_params(name: str) -> Params:
+    """The parameters of a preset, without building its box."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    return PAPER_PARAMS
+
+
 def get_preset(name: str) -> tuple[Params, Box]:
     """Resolve a preset name to (params, box).  'paper-raw' raises on the
     box invariant, by design."""
-    if name == "paper":
-        return PAPER_PARAMS, PAPER_BOX
-    if name == "paper-raw":
-        return PAPER_PARAMS, make_raw_box()
-    raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
+    return preset_params(name), make_raw_box() if name == "paper-raw" else PAPER_BOX
 
 
 PRESETS = {"paper", "paper-raw"}

@@ -614,7 +614,6 @@ def search_boxes(
     tol: float = 1e-8,
     max_hits: int = 5,
     min_margin: float = DEFAULT_MIN_MARGIN,
-    certify_budget: int = 10**6,
     threads: int = 1,
 ) -> SearchResult:
     """Search for boxes passing the full chaos certificate at ``p``.
@@ -679,8 +678,7 @@ def search_boxes(
     ranked = sorted(scan.hits, key=lambda t: (-t[0], t[1].as_tuple()))
     pairs, margins, dropped = [], [], 0
     for margin, b in ranked[:max_hits]:
-        cert = certify_box(p, b, engine=engine, tol=tol,
-                           min_margin=min_margin, budget=certify_budget)
+        cert = certify_box(p, b, engine=engine, tol=tol, min_margin=min_margin)
         if cert.passed:
             pairs.append((b, cert))
             margins.append(margin)

@@ -7,6 +7,7 @@ two engines share no code beyond the map definition itself.
 import hashlib
 import json
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -36,10 +37,6 @@ P, B = PAPER_PARAMS, PAPER_BOX
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 
-def _iv(a, b):
-    return Interval(min(a, b), max(a, b))
-
-
 def test_interval_validation():
     with pytest.raises(ValueError):
         Interval(2.0, 1.0)
@@ -48,63 +45,69 @@ def test_interval_validation():
     assert Interval.point(3.0).is_point
 
 
+def _pair(a, b):
+    return min(a, b), max(a, b)
+
+
+def _encloses(pair, exact) -> bool:
+    """The float pair (lo, hi) holds every rational value in ``exact``."""
+    return Fraction(pair[0]) <= min(exact) and max(exact) <= Fraction(pair[1])
+
+
+def _corners(op, x, y):
+    return [op(Fraction(xx), Fraction(yy)) for xx in x for yy in y]
+
+
 @given(finite, finite, finite, finite)
 def test_add_mul_sub_enclose_rational_results(a, b, c, d):
-    x, y = _iv(a, b), _iv(c, d)
-    exact = [
-        Fraction(xx) + Fraction(yy)
-        for xx in (x.lo, x.hi)
-        for yy in (y.lo, y.hi)
-    ]
-    s = x + y
-    assert Fraction(s.lo) <= min(exact) and max(exact) <= Fraction(s.hi)
-    exact = [
-        Fraction(xx) * Fraction(yy)
-        for xx in (x.lo, x.hi)
-        for yy in (y.lo, y.hi)
-    ]
-    m = x * y
-    assert Fraction(m.lo) <= min(exact) and max(exact) <= Fraction(m.hi)
-    exact = [
-        Fraction(xx) - Fraction(yy)
-        for xx in (x.lo, x.hi)
-        for yy in (y.lo, y.hi)
-    ]
-    di = x - y
-    assert Fraction(di.lo) <= min(exact) and max(exact) <= Fraction(di.hi)
+    x, y = _pair(a, b), _pair(c, d)
+    assert _encloses(_SCALAR.add(x, y), _corners(operator.add, x, y))
+    assert _encloses(_SCALAR.mul(x, y), _corners(operator.mul, x, y))
+    assert _encloses(_SCALAR.sub(x, y), _corners(operator.sub, x, y))
 
 
 def test_multiplying_by_exact_zero_stays_exact():
-    z = Interval.point(0.0)
-    wide = Interval(-3.7, 12.1)
-    out = wide * z
-    assert (out.lo, out.hi) == (0.0, 0.0)
+    assert _SCALAR.mul((-3.7, 12.1), (0.0, 0.0)) == (0.0, 0.0)
 
 
-@given(st.floats(min_value=0.0, max_value=1e8), st.floats(min_value=0.0, max_value=1e8))
-def test_sqrt_soundness(a, b):
-    x = _iv(a, b)
-    r = x.sqrt()
-    assert r.lo <= math.sqrt(x.lo) and math.sqrt(x.hi) <= r.hi
+positive = st.floats(min_value=1e-6, max_value=1e6)
 
 
-def test_point_enclosure_contains_eval_map_and_is_tight():
-    ib = IntervalBox.point(1.0, 1.0, 1.0)
-    vals = eval_map_xyz(P, 1.0, 1.0, 1.0)
-    for iv, v in zip(interval_eval(P, ib), vals):
-        assert iv.contains(v)
-        assert iv.width <= 4 * math.ulp(v)
+@given(finite, finite, positive, positive)
+def test_div_pos_encloses_rational_quotients(a, b, c, d):
+    x, y = _pair(a, b), _pair(c, d)
+    assert _encloses(_SCALAR.div_pos(x, y), _corners(operator.truediv, x, y))
 
 
-def test_point_enclosures_across_the_box():
-    rng = np.random.default_rng(11)
-    for _ in range(300):
-        x, y, z = (rng.uniform(*B.bounds(i)) for i in range(3))
-        for iv, v in zip(
-            interval_eval(P, IntervalBox.point(x, y, z)), eval_map_xyz(P, x, y, z)
-        ):
-            assert iv.contains(v)
-            assert iv.width < 2e-15
+@given(finite, st.floats(min_value=-1e6, max_value=0.0), finite)
+def test_div_pos_rejects_a_divisor_that_reaches_zero(a, c, d):
+    with pytest.raises(DomainError):
+        _SCALAR.div_pos((a, a), (c, max(c, d)))
+
+
+magnitude = st.floats(min_value=0.0, max_value=1e6)
+
+
+@given(magnitude, magnitude, st.sampled_from([(1.0, 1.0), (-1.0, -1.0), (-1.0, 1.0)]))
+def test_sqr_encloses_the_rational_range(u, v, signs):
+    """Intervals above, below and across zero; across it the square's
+    lower end is exactly 0."""
+    x = _pair(signs[0] * u, signs[1] * v)
+    lo, hi = _SCALAR.sqr(x)
+    squares = [Fraction(e) ** 2 for e in x]
+    across = x[0] < 0.0 < x[1]
+    assert _encloses((lo, hi), [0 if across else min(squares), max(squares)])
+    if across:
+        assert lo == 0.0
+
+
+@given(finite, finite, st.sampled_from([-1.0, 0.0, 1.0]), positive)
+def test_mul_f_encloses_the_rational_product(a, b, sign, m):
+    x, v = _pair(a, b), sign * m
+    out = _SCALAR.mul_f(x, v)
+    assert _encloses(out, [Fraction(e) * Fraction(v) for e in x])
+    if v == 0.0:
+        assert out == (0.0, 0.0)
 
 
 def _exact_f1_f3(p, x, y, z):
@@ -120,12 +123,11 @@ unit = st.floats(min_value=0.0, max_value=1.0)
 @settings(max_examples=200, deadline=None)
 @given(unit, unit, unit, st.sampled_from([P, Params(0.3, 0.8, 0.45, 9.5)]))
 def test_point_enclosures_without_extended_long_double(u, v, w, p):
-    """Where long double is plain double the point path must fall back to
-    the outward double kernels and stay sound."""
+    """Point boxes take the outward double kernels on every platform: each
+    enclosure holds eval_map's value and the exact F1 and F3, and stays
+    narrow."""
     x, y, z = (lo + (hi - lo) * t for (lo, hi), t in zip(map(B.bounds, range(3)), (u, v, w)))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds_mod, "_EXTENDED_POINTS", False)
-        f1, f2, f3 = interval_eval(p, IntervalBox.point(x, y, z))
+    f1, f2, f3 = interval_eval(p, IntervalBox.point(x, y, z))
     for iv, v in zip((f1, f2, f3), eval_map_xyz(p, x, y, z)):
         assert iv.contains(v)
         assert iv.width < 1e-12

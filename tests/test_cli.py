@@ -88,6 +88,14 @@ class TestCertify:
         assert code == 3
         assert "y_l < y_r" in err
 
+    def test_paper_raw_preset_builds_no_box_for_a_boxless_subcommand(self, capsys):
+        # the raw box fails validation only where a subcommand reads a box
+        argv = ["simulate", "--start", "0.6,0.4,0.2", "--steps", "2"]
+        code, raw, _ = run(capsys, *argv, "--preset", "paper-raw")
+        assert code == 0
+        code, paper, _ = run(capsys, *argv, "--preset", "paper")
+        assert code == 0 and raw == paper
+
     def test_explicit_flags_match_preset(self, capsys, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -143,6 +151,15 @@ class TestConfigFile:
         code, _, err = run(capsys, "certify", "--config", str(cfg))
         assert code == 3
         assert "workers" in err
+
+    @pytest.mark.parametrize("key,value", [("tol", "abc"), ("budget", "1.5"),
+                                           ("box", "1,0,0,1,0,1")])
+    def test_rejected_config_value_names_its_key(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, _, err = run(capsys, "certify", "--preset", "paper", "--config", str(cfg))
+        assert code == 3
+        assert f"error: config key {key}: " in err
 
     def test_missing_config_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, "certify", "--config", str(tmp_path / "nope.cfg"))

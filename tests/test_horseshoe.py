@@ -161,13 +161,6 @@ class TestKEnclosures:
         got = _centre_maps_inside(P, cells, b)
         assert got.tolist() == want and 0 < got.sum() < got.size
 
-    def test_interval_boxes_iterate_all_cells(self):
-        k0, _ = build_K_enclosures(P, OB, 8)
-        boxes = list(k0.interval_boxes())
-        assert len(boxes) == k0.cell_count
-        first = boxes[0]
-        assert first.ix.lo == k0.cells[0, 0]
-
 
 class TestPathSample:
     def test_vertical_path_endpoints_on_faces(self):
