@@ -142,10 +142,11 @@ def _div_pos(a, b):
 
 
 def _sqr(a):
+    # a square is >= 0, so the rounded-down lower end is clamped there
     if a[0] >= 0.0:
-        return _dn(a[0] * a[0]), _up(a[1] * a[1])
+        return max(_dn(a[0] * a[0]), 0.0), _up(a[1] * a[1])
     if a[1] <= 0.0:
-        return _dn(a[1] * a[1]), _up(a[0] * a[0])
+        return max(_dn(a[1] * a[1]), 0.0), _up(a[0] * a[0])
     m = max(-a[0], a[1])
     return 0.0, _up(m * m)
 

@@ -364,7 +364,6 @@ class _Scan:
     """
 
     p: Params
-    min_margin: float
     hits: list = field(default_factory=list)      # (margin, Box)
     frontier: NearMiss | None = None
     fallback: NearMiss | None = None
@@ -377,7 +376,7 @@ class _Scan:
         return self.frontier if self.frontier is not None else self.fallback
 
     def judge(self, cand: np.ndarray) -> _Judged:
-        return _judge(self.p, cand, self.min_margin)
+        return _judge(self.p, cand, DEFAULT_MIN_MARGIN)
 
     def absorb(self, cand: np.ndarray, j: _Judged, upto: int | None = None) -> None:
         """Fold the first ``upto`` (default: all) judged rows in row order."""
@@ -613,7 +612,6 @@ def search_boxes(
     engine: str = "analytic",
     tol: float = 1e-8,
     max_hits: int = 5,
-    min_margin: float = DEFAULT_MIN_MARGIN,
     threads: int = 1,
 ) -> SearchResult:
     """Search for boxes passing the full chaos certificate at ``p``.
@@ -642,7 +640,7 @@ def search_boxes(
         raise ValueError(f"threads must be at least 1, got {threads}")
 
     base = _vec_of(near) if near is not None else None
-    scan = _Scan(p, min_margin)
+    scan = _Scan(p)
     note = ""
 
     if strategy == "grid":
@@ -678,7 +676,7 @@ def search_boxes(
     ranked = sorted(scan.hits, key=lambda t: (-t[0], t[1].as_tuple()))
     pairs, margins, dropped = [], [], 0
     for margin, b in ranked[:max_hits]:
-        cert = certify_box(p, b, engine=engine, tol=tol, min_margin=min_margin)
+        cert = certify_box(p, b, engine=engine, tol=tol)
         if cert.passed:
             pairs.append((b, cert))
             margins.append(margin)

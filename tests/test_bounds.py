@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from triopoly import PAPER_BOX, PAPER_PARAMS, Box, DomainError
 from triopoly.bounds import (
@@ -98,6 +98,24 @@ def test_sqr_encloses_the_rational_range(u, v, signs):
     across = x[0] < 0.0 < x[1]
     assert _encloses((lo, hi), [0 if across else min(squares), max(squares)])
     if across:
+        assert lo == 0.0
+
+
+@given(st.floats(min_value=0.0, max_value=1e-150), magnitude, st.booleans())
+@example(0.0, 0.0, False)          # [0, 0]
+@example(0.0, 3.0, False)          # [0, b]
+@example(0.0, 3.0, True)           # [-b, 0]
+@example(1e-170, 1e-170, False)    # the square underflows to 0
+@example(5e-324, 2e-162, True)
+def test_sqr_of_an_interval_at_or_near_zero_stays_nonnegative(u, v, negate):
+    """The rounded-down lower end of a square is clamped at 0, where a
+    product that is or underflows to 0 would round to -5e-324."""
+    x = _pair(-u, -v) if negate else _pair(u, v)
+    lo, hi = _SCALAR.sqr(x)
+    squares = [Fraction(e) ** 2 for e in x]
+    assert _encloses((lo, hi), [min(squares), max(squares)])
+    assert lo >= 0.0
+    if min(squares) < Fraction(5e-324):
         assert lo == 0.0
 
 

@@ -9,15 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triopoly import PAPER_BOX, PAPER_PARAMS, Box, OrientedBox, certify_box, horseshoe
+from triopoly.bounds import batch_image_enclosure
 from triopoly.core import (
     Params, boundary_fixed_point, eval_map_xyz, fixed_points, interior_fixed_point,
 )
 from triopoly.horseshoe import (
+    MAX_SPLIT_DEPTH,
     RETAIN_MARGIN,
     ConvergenceError,
     PathSample,
     _centre_maps_inside,
+    _excludable,
     _grid_cells,
+    _split_cells_8,
     build_K_enclosures,
     check_path_stretching,
     locate_fixed_point_in,
@@ -40,6 +44,33 @@ VERTICAL_CROSSINGS = (
     (0.0, 0.17596809632510713),
     (0.6572265625, 0.91068101687108083),
 )
+
+
+def _perturbed_box(seed):
+    """The paper box with its five free bounds moved by up to +-0.2 %."""
+    f = 1.0 + 0.002 * np.random.default_rng(seed).uniform(-1.0, 1.0, 5)
+    b = PAPER_BOX
+    return b.replace(x_l=b.x_l * f[0], x_r=b.x_r * f[1], y_l=b.y_l * f[2],
+                     y_r=b.y_r * f[3], z_r=b.z_r * f[4])
+
+
+def _cover_digest(k):
+    return hashlib.sha256(k.cells.astype("<f8").tobytes()).hexdigest()
+
+
+def _reference_excludable(p, cells, b, depth):
+    """The depth-first split: every sub-cell at every depth gets its
+    enclosure, and the centre is tried only on cells it leaves undecided."""
+    excluded = horseshoe._image_misses_box(p, cells, b)
+    if depth == 0:
+        return excluded
+    idx = np.flatnonzero(~excluded)
+    work = idx[~horseshoe._centre_maps_inside(p, cells[idx], b)]
+    if work.size == 0:
+        return excluded
+    child_excl = _reference_excludable(p, _split_cells_8(cells[work]), b, depth - 1)
+    excluded[work] = child_excl.reshape(-1, 8).all(axis=1)
+    return excluded
 
 
 class TestKEnclosures:
@@ -131,6 +162,51 @@ class TestKEnclosures:
         assert (k0.cell_count, k1.cell_count) == (6430, 9606)
         assert digest(k0) == "13a156f6aca2f8caf3c7cd5139e534925a582ac9b56304d112e729d0f370a4b8"
         assert digest(k1) == "2983e630cd8e58e837bc1206859178723ab4ff0e434054261a8a779c1c0860c4"
+
+    def test_paper_covers_at_res_64_are_frozen(self):
+        k0, k1 = build_K_enclosures(P, OB, 64)
+        assert (k0.cell_count, k1.cell_count) == (49182, 71996)
+        assert _cover_digest(k0) == "c3c0ed54204e54a4709c229a62dec421b7c009b0e6751f38d1f8d2cdd607b548"
+        assert _cover_digest(k1) == "b298047a503f260ac4f8061477d987ab3c02a752582273654a0559bf751bd593"
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_level_loop_matches_the_depth_first_split(self, seed, monkeypatch):
+        """Same excluded mask as the reference at every resolution and split
+        depth, with no more cells sent to the enclosure."""
+        b = PAPER_BOX if seed is None else _perturbed_box(seed)
+        assert certify_box(P, b).passed
+        sent = []
+        misses = horseshoe._image_misses_box
+
+        def counted(p, cells, box):
+            sent[-1] += cells.shape[0]
+            return misses(p, cells, box)
+
+        monkeypatch.setattr(horseshoe, "_image_misses_box", counted)
+        for res in range(2, 9):
+            cells = _grid_cells(b, res, res, b.z_l, b.z_r, res)
+            for depth in range(MAX_SPLIT_DEPTH + 1):
+                sent.append(0)
+                want = _reference_excludable(P, cells, b, depth)
+                sent.append(0)
+                got = _excludable(P, cells, b, depth)
+                assert got.tolist() == want.tolist(), (res, depth)
+                assert sent[-1] <= sent[-2], (res, depth)
+
+    @pytest.mark.parametrize("res", [16, 32])
+    def test_a_centre_kept_cell_has_an_enclosure_that_meets_the_box(self, res):
+        """The centre test may run first only because it never keeps a cell
+        whose image enclosure misses R."""
+        b = PAPER_BOX
+        for z0, z1 in ((b.z_l, b.z_mid), (b.z_mid, b.z_r)):
+            grid = _grid_cells(b, res, res, z0, z1, res // 2)
+            for cells in (grid, _split_cells_8(grid)):
+                kept = cells[_centre_maps_inside(P, cells, b)]
+                lo, hi = batch_image_enclosure(P, kept, refine=True)
+                assert kept.shape[0] > 0
+                assert (lo[:, 0] <= b.x_r).all() and (hi[:, 0] >= b.x_l).all()
+                assert (lo[:, 1] <= b.y_r).all() and (hi[:, 1] >= b.y_l).all()
+                assert (lo[:, 2] <= b.z_r).all() and (hi[:, 2] >= b.z_l).all()
 
     @pytest.mark.parametrize("n", [(1, 1, 1), (2, 3, 5), (7, 4, 3), (16, 16, 8)])
     def test_grid_cells_in_z_y_x_order(self, n):
@@ -331,12 +407,7 @@ class TestLocateFixedPoint:
             raise AssertionError("locating a fixed point must not build a cover")
 
         monkeypatch.setattr(horseshoe, "build_K_enclosures", no_cover)
-        box = PAPER_BOX
-        if seed is not None:
-            # the five free bounds moved by up to +-0.2 %
-            f = 1.0 + 0.002 * np.random.default_rng(seed).uniform(-1.0, 1.0, 5)
-            box = box.replace(x_l=box.x_l * f[0], x_r=box.x_r * f[1], y_l=box.y_l * f[2],
-                              y_r=box.y_r * f[3], z_r=box.z_r * f[4])
+        box = PAPER_BOX if seed is None else _perturbed_box(seed)
         assert certify_box(P, box).passed
         bits = lambda s: tuple(v.hex() for v in s.as_tuple())
         closed = [bits(s) for s in fixed_points(P)]

@@ -388,8 +388,8 @@ def _ref_kill(rec):
 class _RefScan:
     """The per-candidate fold: one check_H certificate per candidate."""
 
-    def __init__(self, p, min_margin=1e-12):
-        self.p, self.min_margin = p, min_margin
+    def __init__(self, p):
+        self.p = p
         self.hits, self.frontier, self.fallback = [], None, None
         self.evaluated = 0
         self.killed = Counter()
@@ -398,7 +398,7 @@ class _RefScan:
         b = _ref_box(vec)
         if b is None:
             return None
-        cert = check_H(self.p, b, self.min_margin)
+        cert = check_H(self.p, b)
         self.evaluated += 1
         margin = _ref_rank_margin(cert)
         if cert.verdict == "certified":
@@ -546,14 +546,13 @@ def test_judge_replays_check_H_per_row(p, cand, min_margin):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_any_params(), _rows(), st.lists(st.integers(1, 12), min_size=1, max_size=4),
-       _min_margin)
-@example(*_NAN_FIRST, [1], 1e-12)
-def test_scan_fold_replays_the_per_candidate_rules(p, cand, cuts, min_margin):
-    ref = _RefScan(p, min_margin)
+@given(_any_params(), _rows(), st.lists(st.integers(1, 12), min_size=1, max_size=4))
+@example(*_NAN_FIRST, [1])
+def test_scan_fold_replays_the_per_candidate_rules(p, cand, cuts):
+    ref = _RefScan(p)
     for vec in cand:
         ref.eval(vec)
-    scan = _Scan(p, min_margin)
+    scan = _Scan(p)
     start = 0
     for size in cuts + [len(cand)]:       # chunk boundaries must not matter
         block = cand[start:start + size]
@@ -592,7 +591,7 @@ def test_refine_replays_the_sequential_climb(p, budget, stretch, improving):
         vec0 = tuple(v * stretch for v in vec0)
     ref = _RefScan(p)
     _ref_refine(ref, vec0, budget)
-    scan = _Scan(p, 1e-12)
+    scan = _Scan(p)
     _refine(vec0, budget, scan)
     _assert_same_scan(scan, ref)
 
