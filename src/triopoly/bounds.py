@@ -221,8 +221,11 @@ def _v_div_pos(a, b):
 
 
 def _v_sqr(a):
-    # every squared operand is the positive sum x+y+z
-    return _v_dn(a[0] * a[0]), _v_up(a[1] * a[1])
+    # every squared operand is the positive sum x+y+z; as in _sqr, the
+    # rounded-down lower end is clamped at 0
+    lo = _v_dn(a[0] * a[0])
+    np.maximum(lo, 0.0, out=lo)
+    return lo, _v_up(a[1] * a[1])
 
 
 _VECTOR = SimpleNamespace(

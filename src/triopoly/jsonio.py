@@ -9,13 +9,21 @@ round-trip).  File outputs of this package promise a fixed
 17-significant-digit format instead, so numbers survive tools that
 re-parse and re-print them with their own ideas about precision.
 Non-finite floats have no JSON spelling and are emitted as ``null``.
+
+``dumps17`` makes one pass over the tree.  Inside a container it picks
+each value's text by exact type from ``_LEAF`` (float, str, int, bool,
+None), so a leaf costs no call of the emitter; only containers recurse.
+Any other type (``np.float64``, ``OrderedDict``, a str subclass) goes
+through an ``isinstance`` chain.  Each key's text and each depth's pads
+are built once per call.  Strings and ints are written as ``json.dumps``
+writes them: by ``encode_basestring_ascii`` and ``int.__repr__``.
 """
 from __future__ import annotations
 
 import csv
-import json
 import math
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii as _str_text
 
 __all__ = ["dumps17", "open_sink", "write_csv"]
 
@@ -29,48 +37,76 @@ def _float_text(v: float) -> str:
     return s
 
 
-def _emit(obj, out: list, indent, depth: int) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_float_text(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        _emit_items(obj.items(), "{", "}", out, indent, depth, keyed=True)
-    elif isinstance(obj, (list, tuple)):
-        _emit_items(obj, "[", "]", out, indent, depth, keyed=False)
-    else:
-        raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+def _bool_text(v) -> str:
+    return "true" if v else "false"
 
 
-def _emit_items(items, open_ch, close_ch, out, indent, depth, keyed) -> None:
-    items = list(items)
-    if not items:
-        out.append(open_ch + close_ch)
+def _null_text(v) -> str:
+    return "null"
+
+
+# the text of a leaf, by its exact type
+_LEAF = {float: _float_text, str: _str_text, int: int.__repr__, bool: _bool_text,
+         type(None): _null_text}
+
+
+def _subclass_leaf(obj):
+    """The text function of a leaf whose exact type is not in ``_LEAF``."""
+    for t in (int, float, str):   # bool and NoneType have no subclasses
+        if isinstance(obj, t):
+            return _LEAF[t]
+    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+
+
+def _emit(o, depth, put, indent, keys, seps) -> None:
+    """Write ``o``, a container at ``depth`` or a leaf, through ``put``.
+
+    ``keys`` maps each key met to its text and ": ", and ``seps`` holds
+    each depth's (opening pad, pad between items, closing pad); both live
+    for one ``dumps17`` call.
+    """
+    leaf = _LEAF.get
+    if not isinstance(o, (dict, list, tuple)):
+        put((leaf(type(o)) or _subclass_leaf(o))(o))
         return
-    if indent is None:
-        first, rest, tail = "", ", ", ""
-    else:
-        pad = "\n" + " " * (indent * (depth + 1))
-        first, rest = pad, "," + pad
-        tail = "\n" + " " * (indent * depth)
-    out.append(open_ch)
-    for i, item in enumerate(items):
-        out.append(first if i == 0 else rest)
-        if keyed:
-            k, v = item
-            if not isinstance(k, str):
-                raise TypeError(f"object keys must be str, got {type(k).__name__}")
-            out.append(json.dumps(k) + ": ")
-            _emit(v, out, indent, depth + 1)
+    if not o:
+        put("{}" if isinstance(o, dict) else "[]")
+        return
+    if depth == len(seps):
+        if indent is None:
+            seps.append(("", ", ", ""))
         else:
-            _emit(item, out, indent, depth + 1)
-    out.append(tail + close_ch)
+            pad = "\n" + " " * (indent * (depth + 1))
+            seps.append((pad, "," + pad, "\n" + " " * (indent * depth)))
+    first, rest, tail = seps[depth]
+    depth += 1
+    if isinstance(o, dict):
+        sep = "{" + first
+        for k, v in o.items():
+            kt = keys.get(k)
+            if kt is None:
+                if not isinstance(k, str):
+                    raise TypeError(f"object keys must be str, got {type(k).__name__}")
+                kt = keys[k] = _str_text(k) + ": "
+            f = leaf(type(v))
+            if f is None:
+                put(sep + kt)
+                _emit(v, depth, put, indent, keys, seps)
+            else:
+                put(sep + kt + f(v))
+            sep = rest
+        put(tail + "}")
+    else:
+        sep = "[" + first
+        for v in o:
+            f = leaf(type(v))
+            if f is None:
+                put(sep)
+                _emit(v, depth, put, indent, keys, seps)
+            else:
+                put(sep + f(v))
+            sep = rest
+        put(tail + "]")
 
 
 def dumps17(obj, indent: int | None = None) -> str:
@@ -80,7 +116,7 @@ def dumps17(obj, indent: int | None = None) -> str:
     int/bool/None.  ``indent`` behaves like ``json.dumps``'s.
     """
     out: list[str] = []
-    _emit(obj, out, indent, 0)
+    _emit(obj, 0, out.append, indent, {}, [])
     return "".join(out)
 
 

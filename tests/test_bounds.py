@@ -480,6 +480,29 @@ def test_vector_rounding_of_infinities():
     assert dn[0] == math.nextafter(_MAXF, 0.0) and up[1] == -dn[0]
 
 
+_NEAR_ZERO = st.floats(min_value=0.0, max_value=1e-100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_NEAR_ZERO, _NEAR_ZERO), min_size=1, max_size=20))
+@example([(0.0, 0.0)])
+@example([(0.0, 3e-170), (5e-324, 1e-170), (0.0, 0.0)])
+@example([(1e-170, 1e-170), (2e-162, 1e-100)])
+def test_vector_square_gives_the_scalar_bits_at_and_near_zero(pairs):
+    """Row by row, the vector square of a nonnegative interval (every squared
+    operand is a positive sum) is the scalar one, its lower end clamped at 0
+    where the square is or underflows to 0.  Rows whose squares fall where
+    the vector rounding lands one ulp beyond nextafter are left out."""
+    rows = [_pair(u, v) for u, v in pairs]
+    rows = [r for r in rows if not any(_TINY <= e * e <= 4 * _TINY for e in r)]
+    assume(rows)
+    lo, hi = _VECTOR.sqr((np.array([r[0] for r in rows]), np.array([r[1] for r in rows])))
+    for i, r in enumerate(rows):
+        got = np.array([lo[i], hi[i]]).view(np.int64).tolist()
+        want = np.array(_SCALAR.sqr(r)).view(np.int64).tolist()
+        assert got == want, (r, (lo[i], hi[i]), _SCALAR.sqr(r))
+
+
 # -- Jacobian entries against a 60-digit oracle --------------------------------
 
 @st.composite
