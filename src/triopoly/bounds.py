@@ -18,7 +18,8 @@ their primitives are the only code kept per arithmetic:
   Rump, Zimmermann, Boldo & Melquiond (BIT 49, 2009), which equals
   ``nextafter`` except for 2^-1022 <= |a| <= 2^-1020, and the bound of +-inf
   toward the finite range, where it lands one ulp further out.  The
-  horseshoe covers use it through ``batch_image_enclosure``.
+  horseshoe covers use it through ``_batch_enclosures``, for F3 alone,
+  and ``batch_image_enclosure`` gives all three components.
 
 No affine arithmetic, no Taylor models.  Two standard first-order
 refinements and one exact range keep the subdivision counts small:
@@ -836,6 +837,29 @@ def verify_C_rigorous(
 # batch enclosures for gridded covers (used by the horseshoe module)
 # ---------------------------------------------------------------------------
 
+def _batch_enclosures(p: Params, cells: np.ndarray, comps, refine: bool = True):
+    """(lo, hi) column pairs enclosing each of ``comps`` over (n, 6) cells.
+
+    The plain range, intersected with the mean-value form when ``refine``;
+    each component's enclosure depends only on its own kernels, so asking
+    for fewer components gives the same bits for the ones asked for.  The
+    horseshoe covers ask for F3 alone: every cell lies in a certified box
+    R, where C4 and C5 put F1 and F2 of every point inside [x_l, x_r] and
+    [y_l, y_r], so an enclosure of F1 or F2, which contains that range,
+    can never miss R.  Raises DomainError when x+z or x+y+z can reach 0 in
+    any cell.
+    """
+    t6 = tuple(cells[:, k] for k in range(6))
+    s = _checked_sums(_VECTOR, t6)
+    encl = [_RANGES[c](_VECTOR, p, s) for c in comps]
+    if refine:
+        encl = [
+            (np.maximum(e[0], m[0]), np.minimum(e[1], m[1]))
+            for e, m in zip(encl, _mean_value(_VECTOR, p, t6, s, comps)[0])
+        ]
+    return encl
+
+
 def batch_image_enclosure(p: Params, cells: np.ndarray, refine: bool = True):
     """Image enclosures for an (n, 6) array of cells [xl,xh,yl,yh,zl,zh].
 
@@ -845,12 +869,5 @@ def batch_image_enclosure(p: Params, cells: np.ndarray, refine: bool = True):
     exclusions succeed at coarse grids.  Raises DomainError when x+z or
     x+y+z can reach 0 in any cell.
     """
-    t6 = tuple(cells[:, k] for k in range(6))
-    s = _checked_sums(_VECTOR, t6)
-    encl = [kernel(_VECTOR, p, s) for kernel in _RANGES.values()]
-    if refine:
-        encl = [
-            (np.maximum(e[0], m[0]), np.minimum(e[1], m[1]))
-            for e, m in zip(encl, _mean_value(_VECTOR, p, t6, s, _RANGES)[0])
-        ]
+    encl = _batch_enclosures(p, cells, tuple(_RANGES), refine)
     return np.stack([e[0] for e in encl], axis=1), np.stack([e[1] for e in encl], axis=1)

@@ -8,16 +8,18 @@ point inside each half.  The map has exactly two fixed points on its
 domain, both in closed form (``core.fixed_points``), so no solver is
 needed: each half gets the closed form that lies in it.
 
-Covers are computed by exclusion: a grid cell is dropped only when its
-rigorous image enclosure misses the box entirely (so no point of the cell
-can map back into R).  A cell near the decision boundary is split into
-sub-cells, level by level, until one sub-cell is kept (its centre maps
-strictly inside R, or at the last level its enclosure meets R) or every
-sub-cell is excluded; the split of a cell stops at its first kept
-sub-cell.  Everything kept is therefore a genuine cover; the interesting
-empirical fact, which the tests pin down, is that the boundary layer below
-the midplane drops out and the two covers end up disjoint, as the
-midplane condition predicts.
+Covers are computed by exclusion: a grid cell is dropped only when a
+rigorous enclosure of F3 over it misses [z_l, z_r] (so no point of the
+cell can map back into R).  Only the z-coordinate is tested because a
+point of R can leave R only along z: on a certified box C4 and C5 put F1
+and F2 of every point of R inside [x_l, x_r] and [y_l, y_r].  A cell near
+the decision boundary is split into sub-cells, level by level, until one
+sub-cell is kept (its centre maps strictly inside R, or at the last level
+its F3 enclosure meets [z_l, z_r]) or every sub-cell is excluded; the
+split of a cell stops at its first kept sub-cell.  Everything kept is
+therefore a genuine cover; the interesting empirical fact, which the tests
+pin down, is that the boundary layer below the midplane drops out and the
+two covers end up disjoint, as the midplane condition predicts.
 """
 from __future__ import annotations
 
@@ -27,7 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box, HalfBoxes, OrientedBox
-from .bounds import batch_image_enclosure
+from .bounds import _batch_enclosures
+# not called here, but perfbench's tracer patches it on this module
+from .bounds import batch_image_enclosure  # noqa: F401
 from .certificate import Certificate, certify_box
 from .core import (
     Params, State, eval_map_arrays, eval_map_xyz, fixed_point_residual, fixed_points,
@@ -69,6 +73,11 @@ class ConvergenceError(RuntimeError):
 def _require_certified(p: Params, b: Box, cert: Certificate | None) -> Certificate:
     if cert is None:
         cert = certify_box(p, b, engine="analytic")
+    if cert.params != p or cert.box != b:
+        raise ValueError(
+            "the certificate was made for other params or another box; "
+            "the horseshoe construction needs this box's own certificate"
+        )
     if not cert.passed:
         bad = [c.cid for c in cert.conditions if c.status != "pass"]
         raise ValueError(
@@ -164,18 +173,6 @@ class KSetEnclosure:
         write_csv(path_or_file, ["x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi"],
                   ([f"{v:.17g}" for v in row] for row in self.cells))
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "index": self.index,
-            "resolution": self.resolution,
-            "cell_count": self.cell_count,
-            "volume": self.volume,
-            "box": self.box.as_dict(),
-        }
-        if not self.is_empty:
-            d["hull"] = self.hull.as_dict()
-        return d
-
 
 def _grid_cells(b: Box, nx: int, ny: int, z_lo: float, z_hi: float, nz: int) -> np.ndarray:
     xe = np.linspace(b.x_l, b.x_r, nx + 1)
@@ -203,14 +200,11 @@ def _split_cells_8(cells: np.ndarray) -> np.ndarray:
 
 
 def _image_misses_box(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
+    """True for cells whose F3 enclosure misses [z_l, z_r] (see ``_excludable``)."""
     out = np.empty(cells.shape[0], dtype=bool)
     for i in range(0, cells.shape[0], _CHUNK):
-        lo, hi = batch_image_enclosure(p, cells[i:i + _CHUNK], refine=True)
-        out[i:i + _CHUNK] = (
-            (hi[:, 0] < b.x_l) | (lo[:, 0] > b.x_r)
-            | (hi[:, 1] < b.y_l) | (lo[:, 1] > b.y_r)
-            | (hi[:, 2] < b.z_l) | (lo[:, 2] > b.z_r)
-        )
+        ((lo, hi),) = _batch_enclosures(p, cells[i:i + _CHUNK], ("F3",))
+        out[i:i + _CHUNK] = (hi < b.z_l) | (lo > b.z_r)
     return out
 
 
@@ -233,6 +227,12 @@ def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int) -> np.ndarray:
     enclosure meets R; its other sub-cells are then dropped, since they
     can no longer change the answer.  The centre goes first because it is
     cheap and the enclosure, which contains its image, cannot disagree.
+
+    Only F3 is enclosed.  Every cell lies in the certified box R, so C4
+    and C5 give F1(cell) in [x_l, x_r] and F2(cell) in [y_l, y_r]; an
+    enclosure contains that range, so an x- or y-test could never fire.
+    And if one could, leaving it out only keeps more cells, which is still
+    a sound cover.
     """
     kept = np.zeros(cells.shape[0], dtype=bool)
     root = np.arange(cells.shape[0])
@@ -259,7 +259,9 @@ def build_K_enclosures(
 
     Each half-box gets its own z-slabs so the midplane is always a grid
     plane.  Requires a certified box: on anything else the construction
-    would not mean anything, so it refuses.
+    would not mean anything, so it refuses.  A given ``cert`` must be the
+    certificate of ``p`` and this box, since the exclusion test rests on
+    this box's own C4 and C5.
     """
     if not isinstance(resolution, int) or resolution < 2:
         raise ValueError(f"resolution must be an integer >= 2, got {resolution!r}")
@@ -284,7 +286,7 @@ class PathSample:
     """Piecewise-linear path through sample points.
 
     ``ts`` is strictly increasing from 0 to 1; evaluation between samples
-    interpolates linearly, which is also how refinement is interpreted.
+    interpolates linearly.
     """
 
     ts: np.ndarray
@@ -302,10 +304,6 @@ class PathSample:
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "points", pts)
 
-    @property
-    def max_gap(self) -> float:
-        return float(np.max(np.diff(self.ts)))
-
     def at(self, t: float) -> tuple[float, float, float]:
         t = min(max(t, 0.0), 1.0)
         i = int(np.searchsorted(self.ts, t, side="right")) - 1
@@ -314,21 +312,6 @@ class PathSample:
         w = (t - t0) / (t1 - t0)
         pt = (1.0 - w) * self.points[i] + w * self.points[i + 1]
         return (float(pt[0]), float(pt[1]), float(pt[2]))
-
-    def z_at(self, t: float) -> float:
-        return self.at(t)[2]
-
-    def refined(self) -> "PathSample":
-        """Insert segment midpoints; the polyline geometry is unchanged."""
-        mid_t = 0.5 * (self.ts[:-1] + self.ts[1:])
-        mid_p = 0.5 * (self.points[:-1] + self.points[1:])
-        ts = np.empty(2 * self.ts.size - 1)
-        pts = np.empty((ts.size, 3))
-        ts[0::2] = self.ts
-        ts[1::2] = mid_t
-        pts[0::2] = self.points
-        pts[1::2] = mid_p
-        return PathSample(ts, pts)
 
     def reversed(self) -> "PathSample":
         return PathSample(1.0 - self.ts[::-1], self.points[::-1].copy())

@@ -58,6 +58,25 @@ def _cover_digest(k):
     return hashlib.sha256(k.cells.astype("<f8").tobytes()).hexdigest()
 
 
+def _reference_image_misses_box(p, cells, b):
+    """The three-component rule: a cell is dropped when any coordinate of
+    its image enclosure misses R, not only z."""
+    out = np.empty(cells.shape[0], dtype=bool)
+    for i in range(0, cells.shape[0], horseshoe._CHUNK):
+        lo, hi = batch_image_enclosure(p, cells[i:i + horseshoe._CHUNK], refine=True)
+        out[i:i + horseshoe._CHUNK] = (
+            (hi[:, 0] < b.x_l) | (lo[:, 0] > b.x_r)
+            | (hi[:, 1] < b.y_l) | (lo[:, 1] > b.y_r)
+            | (hi[:, 2] < b.z_l) | (lo[:, 2] > b.z_r)
+        )
+    return out
+
+
+def _grid_and_split(b, res):
+    grid = _grid_cells(b, res, res, b.z_l, b.z_r, res)
+    return grid, _split_cells_8(grid)
+
+
 def _reference_excludable(p, cells, b, depth):
     """The depth-first split: every sub-cell at every depth gets its
     enclosure, and the centre is tried only on cells it leaves undecided."""
@@ -105,6 +124,23 @@ class TestKEnclosures:
         with pytest.raises(ValueError, match="certif"):
             build_K_enclosures(P, OrientedBox(BAD_BOX), 8)
 
+    @pytest.mark.parametrize("other", ["box", "params"])
+    def test_certificate_of_another_box_or_params_refused(self, other):
+        """The paper certificate does not vouch for a box or params whose
+        own certificate fails."""
+        paper_cert = certify_box(P, PAPER_BOX)
+        assert paper_cert.passed
+        p, b = P, PAPER_BOX
+        if other == "box":
+            b = PAPER_BOX.replace(x_r=PAPER_BOX.x_r * 1.3)
+        else:
+            p = Params(P.c1, P.c2, P.c3, 10.0)
+        assert certify_box(p, b).verdict == "failed"
+        with pytest.raises(ValueError, match="other params or another box"):
+            build_K_enclosures(p, OrientedBox(b), 8, cert=paper_cert)
+        with pytest.raises(ValueError, match="certif"):
+            build_K_enclosures(p, OrientedBox(b), 8)
+
     @pytest.mark.parametrize("res", [1, 0, -3, 2.5])
     def test_bad_resolution_rejected(self, res):
         with pytest.raises(ValueError):
@@ -133,16 +169,13 @@ class TestKEnclosures:
             assert h.x_l >= PAPER_BOX.x_l and h.x_r <= PAPER_BOX.x_r
             assert h.y_l >= PAPER_BOX.y_l and h.y_r <= PAPER_BOX.y_r
 
-    def test_csv_and_json_exports(self):
+    def test_csv_export(self):
         k0, _ = build_K_enclosures(P, OB, 8)
         buf = io.StringIO()
         k0.to_csv(buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "x_lo,x_hi,y_lo,y_hi,z_lo,z_hi"
         assert len(lines) == 1 + k0.cell_count
-        d = k0.to_json_dict()
-        assert d["index"] == 0 and d["cell_count"] == k0.cell_count
-        json.dumps(d)
 
     def test_paper_covers_at_res_16_are_frozen(self):
         """sha256 of the little-endian cell bytes of the paper-box covers.
@@ -193,10 +226,48 @@ class TestKEnclosures:
                 assert got.tolist() == want.tolist(), (res, depth)
                 assert sent[-1] <= sent[-2], (res, depth)
 
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_z_test_matches_the_three_component_rule(self, seed, monkeypatch):
+        """Testing F3 alone drops exactly the cells that the x-, y- and
+        z-tests together dropped: every mask ``_excludable`` asks for, at
+        res 2-8 and every split depth, and on the res-16 and res-32 grids
+        and their first split."""
+        b = PAPER_BOX if seed is None else _perturbed_box(seed)
+        assert certify_box(P, b).passed
+        misses = horseshoe._image_misses_box
+
+        def both(p, cells, box):
+            got = misses(p, cells, box)
+            assert got.tolist() == _reference_image_misses_box(p, cells, box).tolist()
+            return got
+
+        monkeypatch.setattr(horseshoe, "_image_misses_box", both)
+        for res in range(2, 9):
+            cells = _grid_cells(b, res, res, b.z_l, b.z_r, res)
+            for depth in range(MAX_SPLIT_DEPTH + 1):
+                _excludable(P, cells, b, depth)
+        for res in (16, 32):
+            for cells in _grid_and_split(b, res):
+                assert 0 < both(P, cells, b).sum() < cells.shape[0]
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_x_and_y_enclosures_never_miss_the_box(self, seed):
+        """The premise of the z-only test: on a certified box, C4 and C5 keep
+        the F1 and F2 enclosures of every cell of R meeting R."""
+        b = PAPER_BOX if seed is None else _perturbed_box(seed)
+        assert certify_box(P, b).passed
+        for res in (16, 32):
+            for cells in _grid_and_split(b, res):
+                lo, hi = batch_image_enclosure(P, cells, refine=True)
+                assert (lo[:, 0] <= b.x_r).all() and (hi[:, 0] >= b.x_l).all()
+                assert (lo[:, 1] <= b.y_r).all() and (hi[:, 1] >= b.y_l).all()
+
     @pytest.mark.parametrize("res", [16, 32])
     def test_a_centre_kept_cell_has_an_enclosure_that_meets_the_box(self, res):
         """The centre test may run first only because it never keeps a cell
-        whose image enclosure misses R."""
+        the exclusion test would drop: the F3 enclosure that
+        ``_image_misses_box`` tests meets [z_l, z_r].  The F1 and F2
+        columns, which C4 and C5 keep inside R, are checked with it."""
         b = PAPER_BOX
         for z0, z1 in ((b.z_l, b.z_mid), (b.z_mid, b.z_r)):
             grid = _grid_cells(b, res, res, z0, z1, res // 2)
@@ -257,11 +328,7 @@ class TestPathSample:
             np.array([0.0, 1.0]), np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 4.0]])
         )
         assert path.at(0.5) == (0.5, 1.0, 2.0)
-        assert path.z_at(0.25) == 1.0
-
-    def test_refined_halves_gap(self):
-        path = vertical_segment_path(OB, n=8)
-        assert path.refined().max_gap == pytest.approx(path.max_gap / 2)
+        assert path.at(0.25)[2] == 1.0
 
     def test_reversed_swaps_endpoints(self):
         path = vertical_segment_path(OB)
@@ -273,7 +340,7 @@ class TestPathSample:
     @settings(max_examples=40, deadline=None)
     def test_z_interpolation_monotone_on_vertical_segment(self, t):
         path = vertical_segment_path(OB, n=16)
-        z = path.z_at(t)
+        z = path.at(t)[2]
         assert PAPER_BOX.z_l <= z <= PAPER_BOX.z_r
 
     def test_random_path_knot_validation(self):
@@ -323,7 +390,12 @@ class TestPathStretching:
     def test_refinement_does_not_change_count(self):
         path = vertical_segment_path(OB)
         rep = check_path_stretching(P, OB, path)
-        rep2 = check_path_stretching(P, OB, path.refined())
+        # the same polyline with every segment's midpoint inserted
+        ts = np.empty(2 * path.ts.size - 1)
+        ts[0::2], ts[1::2] = path.ts, 0.5 * (path.ts[:-1] + path.ts[1:])
+        pts = np.empty((ts.size, 3))
+        pts[0::2], pts[1::2] = path.points, 0.5 * (path.points[:-1] + path.points[1:])
+        rep2 = check_path_stretching(P, OB, PathSample(ts, pts))
         assert rep.crossing_count == rep2.crossing_count == 2
         for a, b in zip(rep.crossings, rep2.crossings):
             assert a == pytest.approx(b, abs=1e-6)
