@@ -92,9 +92,6 @@ class State:
                 raise ValueError(f"coordinate {name} must be finite, got {v!r}")
             object.__setattr__(self, name, float(v))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 

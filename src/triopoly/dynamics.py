@@ -204,10 +204,6 @@ class LyapunovSpectrum:
     def __iter__(self):
         return iter(self.exponents)
 
-    @property
-    def largest(self) -> float:
-        return self.exponents[0]
-
 
 def lyapunov_spectrum(
     p: Params,
@@ -471,8 +467,9 @@ def _record_rows(p: Params, alpha: np.ndarray, s: np.ndarray, transient: int, n:
 
 def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, pinned: np.ndarray,
                        n: int, lo: float, hi: float) -> np.ndarray:
-    """``lyapunov_spectrum(p_i, s_i, n, safety=(lo, hi)).largest`` for every
-    column s_i of the (3, m) array ``s``, all rows stepping together.
+    """The largest exponent, ``lyapunov_spectrum(p_i, s_i, n, safety=(lo,
+    hi)).exponents[0]``, for every column s_i of the (3, m) array ``s``,
+    all rows stepping together.
 
     ``pinned`` marks the starts ``lyapunov_spectrum`` pins to a rest
     point: they keep their state.  Each row keeps its own QR frame; one

@@ -7,7 +7,10 @@ configurations have no invariant points on the midplane, so a tie always
 means the point is not shadowing the invariant set at that depth.
 
 Periodic words are the numerical witnesses of the certificate's claim
-that a periodic point lies behind every periodic symbol sequence.
+that a periodic point lies behind every periodic symbol sequence.  All
+the words of one length are solved together by one lockstep
+multiple-shooting Newton; each word keeps its own stop rule, so it gets
+the bits of a solve of its own.
 """
 from __future__ import annotations
 
@@ -19,9 +22,10 @@ import numpy as np
 from .boxes import HalfBoxes, OrientedBox
 from .certificate import Certificate
 from .core import (
-    DomainError, Params, State, eval_jacobian, eval_map_arrays, eval_map_xyz,
-    fixed_point_residual,
+    DomainError, Params, State, eval_map_arrays, eval_map_xyz, fixed_point_residual,
+    jacobian_arrays, jacobian_off_domain, map_arrays, map_off_domain,
 )
+from .dynamics import _keep
 from .horseshoe import ConvergenceError, _require_certified, locate_fixed_point_in
 from .jsonio import write_csv
 
@@ -141,46 +145,122 @@ def _itinerary_codes(p: Params, b, pts, k: int) -> np.ndarray:
     return np.where(alive, codes, -1)
 
 
-def _shoot(p: Params, halves: HalfBoxes, word: str) -> np.ndarray | None:
-    """Multiple-shooting Newton for a periodic orbit with itinerary ``word``.
+def _shoot(p: Params, halves: HalfBoxes, words: list[str]) -> np.ndarray:
+    """Multiple-shooting Newton for periodic orbits with the itineraries
+    ``words``, all of one length k, solved in lockstep.
 
-    Solves G(s_0, ..., s_{k-1}) = (F(s_i) - s_{i+1 mod k})_i = 0 from node i
-    at the centre of half ``word[i]``.  The Jacobian of G has the blocks
-    DF(s_i) on its diagonal and -I on its cyclic superdiagonal, so F^k is
-    never chained (Galias & Zgliczynski, Physica D 115, 1998).  Returns s_0,
-    or None when an iterate leaves the map domain or the system is singular.
+    Each word solves G(s_0, ..., s_{k-1}) = (F(s_i) - s_{i+1 mod k})_i = 0
+    from node i at the centre of half ``word[i]``.  The Jacobian of G has
+    the blocks DF(s_i) on its diagonal and -I on its cyclic superdiagonal,
+    so F^k is never chained (Galias & Zgliczynski, Physica D 115, 1998).
+    One Newton step makes one map call, one Jacobian call and one stacked
+    solve for every live word, yet each word keeps its own stop
+    (max|G| < 1e-13), step clamp (0.1) and cap (80 steps) and gets the
+    bits it would get alone.  Returns s_0 of each word as a row of an
+    (n, 3) array; the row is NaN when an iterate leaves the map domain or
+    the word's system is singular.
     """
-    k = len(word)
-    s = np.array([[0.5 * (lo + hi) for lo, hi in map(halves.half(int(c)).bounds, range(3))]
-                  for c in word])
+    centres = np.array([[0.5 * (lo + hi) for lo, hi in map(halves.half(i).bounds, range(3))]
+                        for i in (0, 1)])
+    s = centres[[[int(c) for c in w] for w in words]].reshape(len(words), -1, 3)
+    k = s.shape[1]
+    out = np.full((len(words), 3), np.nan)
+    rows = np.arange(len(words))
     superdiagonal = -np.kron(np.roll(np.eye(k), 1, axis=1), np.eye(3))
     for _ in range(80):
+        x, y, z = np.moveaxis(s, 2, 0)
+        d, q = x + z, x + y + z
+        ok = ~map_off_domain(d, q, p.c2).any(axis=1)
+        if not ok.all():
+            rows, s, x, y, z, d, q = _keep(ok, rows, s, x, y, z, d, q)
+        g = np.stack(map_arrays(p, x, y, z), axis=2) - np.roll(s, -1, axis=1)
+        done = np.abs(g).max(axis=(1, 2)) < 1e-13
+        out[rows[done]] = s[done, 0]
+        ok = ~done & ~jacobian_off_domain(d, q, p.c2).any(axis=1)
+        if not ok.all():
+            rows, s, g, x, y, z = _keep(ok, rows, s, g, x, y, z)
+        if not rows.size:
+            break
+        jac = np.tile(superdiagonal, (rows.size, 1, 1))
+        blocks = jacobian_arrays(p, x.ravel(), y.ravel(), z.ravel()).reshape(-1, k, 3, 3)
+        for i in range(k):
+            jac[:, 3 * i:3 * i + 3, 3 * i:3 * i + 3] += blocks[:, i]
+        rhs = -g.reshape(-1, 3 * k, 1)
         try:
-            g = np.column_stack(eval_map_arrays(p, *s.T)) - np.roll(s, -1, axis=0)
-            if np.max(np.abs(g)) < 1e-13:
-                break
-            jac = superdiagonal.copy()
-            for i, si in enumerate(s):
-                jac[3 * i:3 * i + 3, 3 * i:3 * i + 3] += eval_jacobian(p, State(*si))
-            step = np.linalg.solve(jac, -g.ravel()).reshape(k, 3)
-        except (DomainError, np.linalg.LinAlgError):
-            return None
-        nrm = float(np.max(np.abs(step)))
-        if nrm > 0.1:
-            step *= 0.1 / nrm
+            step = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            # some word's system is singular: solve the words one by one
+            # and drop only the singular ones
+            step = np.empty_like(rhs)
+            ok = np.ones(rows.size, dtype=bool)
+            for i in range(rows.size):
+                try:
+                    step[i] = np.linalg.solve(jac[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+            rows, s, step = _keep(ok, rows, s, step)
+        step = step.reshape(-1, k, 3)
+        nrm = np.abs(step).max(axis=(1, 2))
+        big = nrm > 0.1
+        step[big] *= (0.1 / nrm[big])[:, None, None]
         s = s + step
-    return s[0]
+    out[rows] = s[:, 0]
+    return out
 
 
-def _return_residual(p: Params, s: State, k: int) -> float:
-    """max|F^k(s) - s|; inf when the orbit leaves the map domain."""
-    cur = s.as_tuple()
-    try:
-        for _ in range(k):
-            cur = eval_map_xyz(p, *cur)
-    except DomainError:
-        return math.inf
-    return max(abs(a - b) for a, b in zip(cur, s.as_tuple()))
+def _return_residuals(p: Params, pts: np.ndarray, k: int) -> np.ndarray:
+    """max|F^k(s) - s| for each row s of the (n, 3) array ``pts``; inf when
+    the orbit leaves the map domain."""
+    x, y, z = pts.T.copy()
+    defined = np.ones(len(pts), dtype=bool)
+    for _ in range(k):
+        defined &= ~map_off_domain(x + z, x + y + z, p.c2)
+        i = np.flatnonzero(defined)
+        x[i], y[i], z[i] = map_arrays(p, x[i], y[i], z[i])
+    gap = np.abs(np.column_stack((x, y, z)) - pts).max(axis=1)
+    return np.where(defined, gap, math.inf)
+
+
+def _realize_words(p: Params, ob: OrientedBox, words: list[str], tol: float,
+                   cert: Certificate) -> list[PeriodicOrbitResult]:
+    """``find_periodic_orbit`` for each of ``words``, all of one length k.
+
+    A constant word is realized by the closed-form fixed point of its half
+    (``horseshoe.locate_fixed_point_in``); all the others are solved
+    together by one lockstep ``_shoot``.
+    """
+    k = len(words[0])
+    pts = np.full((len(words), 3), np.nan)
+    residual = np.full(len(words), math.inf)
+    shot = np.array([i for i, w in enumerate(words) if w != w[0] * k], dtype=int)
+    if shot.size:
+        pts[shot] = _shoot(p, HalfBoxes.from_oriented(ob), [words[i] for i in shot])
+        shot = shot[~np.isnan(pts[shot]).any(axis=1)]
+        residual[shot] = _return_residuals(p, pts[shot], k)
+    for i, w in enumerate(words):
+        if w == w[0] * k:
+            try:
+                pt = locate_fixed_point_in(p, ob, int(w[0]), tol, cert)
+                pts[i], residual[i] = pt.as_tuple(), fixed_point_residual(p, pt)
+            except ConvergenceError as exc:
+                residual[i] = exc.best_residual
+    found = ~np.isnan(pts).any(axis=1)
+    codes = np.full(len(words), -1)
+    codes[found] = _itinerary_codes(p, ob.box, pts[found], k)
+    results = []
+    for w, pt, r, code, ok in zip(words, pts, residual.tolist(), codes.tolist(), found):
+        realized = format(code, f"0{k}b") if code >= 0 else ""
+        converged = r < tol and realized == w
+        results.append(PeriodicOrbitResult(
+            word=w,
+            point=State(*pt) if ok else None,
+            residual=r,
+            realized=realized,
+            converged=converged,
+            note="" if converged else "no point with this itinerary met tol; the "
+                 "certificate guarantees one, so this is a numerics failure",
+        ))
+    return results
 
 
 def find_periodic_orbit(
@@ -194,40 +274,19 @@ def find_periodic_orbit(
 
     A constant word is realized by the closed-form fixed point of its half
     (``horseshoe.locate_fixed_point_in``).  Every other word is solved by
-    one multiple-shooting Newton (``_shoot``) seeded at the centres of the
-    halves the word names.  ``residual`` is max|F^k(s) - s| at the returned
-    point s and ``realized`` its k-step itinerary; the word is converged when
-    the residual is below ``tol`` and the itinerary equals the word.
+    multiple-shooting Newton (``_shoot``) seeded at the centres of the
+    halves the word names; ``count_periodic_words`` runs the same solve
+    over all words of one length in lockstep, each word with its own stop
+    rule, so a word gets the same bits either way.  ``residual`` is
+    max|F^k(s) - s| at the returned point s and ``realized`` its k-step
+    itinerary; the word is converged when the residual is below ``tol``
+    and the itinerary equals the word.
     """
     word = normalize_word(w)
-    k = len(word)
     if tol <= 0:
         raise ValueError("tol must be positive")
     cert = _require_certified(p, ob.box, cert)
-    if word == word[0] * k:
-        try:
-            pt = locate_fixed_point_in(p, ob, int(word[0]), tol, cert)
-            residual = fixed_point_residual(p, pt)
-        except ConvergenceError as exc:
-            pt, residual = None, exc.best_residual
-    else:
-        s0 = _shoot(p, HalfBoxes.from_oriented(ob), word)
-        pt = None if s0 is None else State(*s0)
-        residual = math.inf if pt is None else _return_residual(p, pt, k)
-    realized = ""
-    if pt is not None:
-        code = int(_itinerary_codes(p, ob.box, [pt.as_tuple()], k)[0])
-        realized = format(code, f"0{k}b") if code >= 0 else ""
-    converged = residual < tol and realized == word
-    return PeriodicOrbitResult(
-        word=word,
-        point=pt,
-        residual=residual,
-        realized=realized,
-        converged=converged,
-        note="" if converged else "no point with this itinerary met tol; the "
-             "certificate guarantees one, so this is a numerics failure",
-    )
+    return _realize_words(p, ob, [word], tol, cert)[0]
 
 
 def count_periodic_words(
@@ -238,21 +297,15 @@ def count_periodic_words(
     dedupe_cyclic: bool = False,
     cert: Certificate | None = None,
 ) -> list[PeriodicOrbitResult]:
-    """Solve for every length-k word; optionally one orbit per cyclic class."""
+    """Solve for every length-k word, all in one lockstep Newton solve;
+    optionally one orbit per cyclic class."""
     if not 1 <= k <= MAX_WORD_LENGTH:
         raise ValueError(f"word length must be in 1..{MAX_WORD_LENGTH}, got {k}")
     cert = _require_certified(p, ob.box, cert)
-    seen_classes: set[str] = set()
-    results = []
-    for bits in range(2 ** k):
-        word = format(bits, f"0{k}b")
-        if dedupe_cyclic:
-            cls = min(word[i:] + word[:i] for i in range(k))
-            if cls in seen_classes:
-                continue
-            seen_classes.add(cls)
-        results.append(find_periodic_orbit(p, ob, word, tol=tol, cert=cert))
-    return results
+    words = [format(bits, f"0{k}b") for bits in range(2 ** k)]
+    if dedupe_cyclic:
+        words = [w for w in words if w == min(w[i:] + w[:i] for i in range(k))]
+    return _realize_words(p, ob, words, tol, cert)
 
 
 def orbits_to_csv(results: list[PeriodicOrbitResult], path_or_file) -> None:

@@ -420,6 +420,10 @@ _FROZEN = {
                {"": "2a65c5f8e76476545f3e406bb0c88aab49609beee01669fb70944d6554fc0036"}),
     "periodic": (["periodic", "--preset", "paper", "--max-k", "3"],
                  {"": "2c2d7cd7dece17b3fb049296b786830fdeeabf828ba75123fae64b810aeadae5"}),
+    "periodic-k6": (["periodic", "--preset", "paper", "--max-k", "6"],
+                    {"": "3e4f35f20f48ea7166025b46880a3dcc9e0f37f99bf22c4c51cf12661f17c03d"}),
+    "periodic-necklaces": (["periodic", "--preset", "paper", "--max-k", "4", "--dedupe-cyclic"],
+                           {"": "4e22aaacf60a43ec3261daf0d81332ee2bbbe70b1a392539f8f5bf87e564c127"}),
     "simulate": (["simulate", "--preset", "paper", "--start", "0.6,0.4,0.2", "--steps", "5"],
                  {"": "849fe8c06c05c34669a60b2e2a5091b606f612aba943fe86f47256202e0b6b02"}),
     "lyapunov": (["lyapunov", "--preset", "paper", "--start", "0.6,0.4,0.2",

@@ -7,11 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triopoly import Box, HalfBoxes, OrientedBox, PAPER_BOX, PAPER_PARAMS, certify_box, horseshoe
+from triopoly import (
+    Box, HalfBoxes, OrientedBox, PAPER_BOX, PAPER_PARAMS, certify_box, horseshoe, symbolic,
+)
 from triopoly.core import (
     DomainError,
     State,
     boundary_fixed_point,
+    eval_jacobian,
+    eval_map_arrays,
     eval_map_xyz,
     fixed_points,
     interior_fixed_point,
@@ -19,6 +23,7 @@ from triopoly.core import (
 from triopoly.symbolic import (
     MAX_WORD_LENGTH,
     _itinerary_codes,
+    _shoot,
     Itinerary,
     count_periodic_words,
     entropy_lower_bound,
@@ -30,6 +35,17 @@ from triopoly.symbolic import (
 
 P = PAPER_PARAMS
 OB = OrientedBox(PAPER_BOX)
+SEEDS = [None, 0, 1, 2, 3, 4, 5]
+
+
+def _seeded_box(seed):
+    """The paper box, or with its five free bounds moved by up to +-0.2 %."""
+    box = PAPER_BOX
+    if seed is not None:
+        f = 1.0 + 0.002 * np.random.default_rng(seed).uniform(-1.0, 1.0, 5)
+        box = box.replace(x_l=box.x_l * f[0], x_r=box.x_r * f[1], y_l=box.y_l * f[2],
+                          y_r=box.y_r * f[3], z_r=box.z_r * f[4])
+    return box
 
 
 class TestNormalizeWord:
@@ -184,14 +200,9 @@ class TestCountPeriodicWords:
         with pytest.raises(ValueError):
             count_periodic_words(P, OB, MAX_WORD_LENGTH + 1)
 
-    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_every_word_of_length_5_and_6_is_realized(self, seed):
-        box = PAPER_BOX
-        if seed is not None:
-            # the five free bounds moved by up to +-0.2 %
-            f = 1.0 + 0.002 * np.random.default_rng(seed).uniform(-1.0, 1.0, 5)
-            box = box.replace(x_l=box.x_l * f[0], x_r=box.x_r * f[1], y_l=box.y_l * f[2],
-                              y_r=box.y_r * f[3], z_r=box.z_r * f[4])
+        box = _seeded_box(seed)
         cert = certify_box(P, box)
         assert cert.passed
         bits = lambda s: tuple(v.hex() for v in s.as_tuple())
@@ -301,3 +312,150 @@ def test_itinerary_codes_drop_orbits_leaving_the_domain():
     want = [_itinerary_by_point(P, b, pt, 1) for pt in pts]
     assert want[0] is None and codes[0] == -1
     assert want[1] is not None and format(int(codes[1]), "01b") == want[1]
+
+
+def _reference_shoot(p, halves, word):
+    """One word's multiple-shooting Newton, solved alone: the per-word
+    solver that the lockstep ``_shoot`` replaced, kept as its reference.
+    Returns s_0, or None when an iterate leaves the map domain or the
+    system is singular."""
+    k = len(word)
+    s = np.array([[0.5 * (lo + hi) for lo, hi in map(halves.half(int(c)).bounds, range(3))]
+                  for c in word])
+    superdiagonal = -np.kron(np.roll(np.eye(k), 1, axis=1), np.eye(3))
+    for _ in range(80):
+        try:
+            g = np.column_stack(eval_map_arrays(p, *s.T)) - np.roll(s, -1, axis=0)
+            if np.max(np.abs(g)) < 1e-13:
+                break
+            jac = superdiagonal.copy()
+            for i, si in enumerate(s):
+                jac[3 * i:3 * i + 3, 3 * i:3 * i + 3] += eval_jacobian(p, State(*si))
+            step = np.linalg.solve(jac, -g.ravel()).reshape(k, 3)
+        except (DomainError, np.linalg.LinAlgError):
+            return None
+        nrm = float(np.max(np.abs(step)))
+        if nrm > 0.1:
+            step *= 0.1 / nrm
+        s = s + step
+    return s[0]
+
+
+def _reference_return_residual(p, s, k):
+    """max|F^k(s) - s| by the scalar map; inf when the orbit leaves the
+    map domain."""
+    cur = s.as_tuple()
+    try:
+        for _ in range(k):
+            cur = eval_map_xyz(p, *cur)
+    except DomainError:
+        return math.inf
+    return max(abs(a - b) for a, b in zip(cur, s.as_tuple()))
+
+
+def _hex(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _shot_words(k):
+    return [format(i, f"0{k}b") for i in range(1, 2**k - 1)]
+
+
+class TestLockstepNewton:
+    """All words of one length share one Newton loop, but each must get
+    the bits of its own per-word solve."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_every_word_matches_the_per_word_reference(self, seed):
+        box = _seeded_box(seed)
+        ob = OrientedBox(box)
+        halves = HalfBoxes.from_oriented(ob)
+        cert = certify_box(P, box)
+        checked = 0
+        for k in range(1, MAX_WORD_LENGTH + 1):
+            for r in count_periodic_words(P, ob, k, cert=cert):
+                if r.word == r.word[0] * k:
+                    continue
+                s0 = _reference_shoot(P, halves, r.word)
+                assert _hex(r.point.as_tuple()) == _hex(s0), r.word
+                want = _reference_return_residual(P, State(*s0), k)
+                assert r.residual.hex() == want.hex(), r.word
+                checked += 1
+        assert checked == 114
+
+    def test_one_word_stack_matches_the_reference(self):
+        halves = HalfBoxes.from_oriented(OB)
+        for word in ("01", "0110", "101100"):
+            r = find_periodic_orbit(P, OB, word)
+            assert _hex(r.point.as_tuple()) == _hex(_reference_shoot(P, halves, word))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_singular_system_fails_only_its_own_word(self, monkeypatch, k):
+        # the first word's blocks become the identity at the first step, so
+        # its matrix is I minus the cyclic shift, which is singular
+        real, calls = symbolic.jacobian_arrays, []
+
+        def identity_for_first_word(p, x, y, z, alpha=None):
+            blocks = real(p, x, y, z, alpha)
+            if not calls:
+                blocks[:k] = np.eye(3)
+            calls.append(x.size)
+            return blocks
+
+        monkeypatch.setattr(symbolic, "jacobian_arrays", identity_for_first_word)
+        results = count_periodic_words(P, OB, k)
+        first = _shot_words(k)[0]
+        assert calls[0] == k * len(_shot_words(k)) and calls[1] < calls[0]
+        halves = HalfBoxes.from_oriented(OB)
+        for r in results:
+            if r.word == first:
+                assert r.point is None and not r.converged and r.residual == math.inf
+            else:
+                assert r.converged, r.word
+                if r.word in _shot_words(k):
+                    want = _reference_shoot(P, halves, r.word)
+                    assert _hex(r.point.as_tuple()) == _hex(want), r.word
+
+    @pytest.mark.parametrize("box,k", [
+        # some words step off x + z > 0 on their second Newton step, the
+        # others converge in 10-12 steps
+        (Box(0.0, 0.3, 0.0, 0.3, 0.0, 0.3), 3),
+        (Box(0.0, 0.3, 0.0, 0.3, 0.0, 0.3), 4),
+        # the nodes start far apart: three words leave the domain and
+        # three stop at the 80-step cap unconverged
+        (Box(0.55, 0.65, 0.3, 0.5, 0.0, 16.0), 3),
+    ])
+    def test_a_word_leaving_the_domain_fails_only_itself(self, box, k):
+        halves = HalfBoxes.from_oriented(OrientedBox(box))
+        words = _shot_words(k)
+        got = _shoot(P, halves, words)
+        want = [_reference_shoot(P, halves, w) for w in words]
+        assert any(w is None for w in want) and any(w is not None for w in want)
+        for word, s0, ref in zip(words, got, want):
+            if ref is None:
+                assert np.isnan(s0).all(), word
+            else:
+                assert _hex(s0) == _hex(ref), word
+
+    def test_one_stacked_solve_per_newton_step(self, monkeypatch):
+        # the lockstep makes as many solves as its slowest word needs steps;
+        # per-word solving would make the sum of every word's steps
+        real, calls = np.linalg.solve, []
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return real(a, b)
+
+        monkeypatch.setattr(symbolic.np.linalg, "solve", counted)
+        halves = HalfBoxes.from_oriented(OB)
+        per_word = []
+        for word in _shot_words(4):
+            calls.clear()
+            assert _reference_shoot(P, halves, word) is not None
+            per_word.append(len(calls))
+        calls.clear()
+        results = count_periodic_words(P, OB, 4)
+        assert all(r.converged for r in results)
+        assert len(calls) == max(per_word) <= 80
+        assert len(calls) < sum(per_word) // 4
+        assert calls[0] == (len(per_word), 12, 12)
