@@ -418,20 +418,22 @@ def _mean_value(A, p: Params, t6, s, comps):
     ``s`` holds the sums of the box ``t6`` and m is its midpoint.  Returns
     the forms and the plain enclosures f(m) they start from.  An axis that
     is degenerate in every row adds nothing, nor does a zero entry, so both
-    are skipped.
+    are skipped; on a point box no Jacobian row is computed at all.
     """
     xm, ym, zm = 0.5 * (t6[0] + t6[1]), 0.5 * (t6[2] + t6[3]), 0.5 * (t6[4] + t6[5])
     at_mid = _sums(A, (xm, xm, ym, ym, zm, zm))
     devs = []
     for lo, hi, m in ((t6[0], t6[1], xm), (t6[2], t6[3], ym), (t6[4], t6[5], zm)):
         devs.append(None if A.all(lo == hi) else (A.dn(lo - m), A.up(hi - m)))
+    point = all(dev is None for dev in devs)
     forms, centre = [], []
     for comp in comps:
         acc = _RANGES[comp](A, p, at_mid)
         centre.append(acc)
-        for entry, dev in zip(_jac_row(A, p, s, comp), devs):
-            if entry is not None and dev is not None:
-                acc = A.add(acc, A.mul(entry, dev))
+        if not point:
+            for entry, dev in zip(_jac_row(A, p, s, comp), devs):
+                if entry is not None and dev is not None:
+                    acc = A.add(acc, A.mul(entry, dev))
         forms.append(acc)
     return forms, centre
 
@@ -586,12 +588,15 @@ def _collapse(p: Params, t6, comp: str, want_max: bool):
     Sound for extremum *values*: if df/dx_j >= 0 everywhere on the box, the
     maximum over the box is attained on the x_j = hi face, so the box can
     be replaced by that face.  Iterates because collapsing one axis tightens
-    the remaining derivative enclosures.  Returns the box and its sums.
+    the remaining derivative enclosures, and stops without another row
+    once every axis is fixed.  Returns the box and its sums.
     """
     t6 = list(t6)
     for _ in range(3):
         changed = False
         s = _sums(_SCALAR, t6)
+        if t6[0] == t6[1] and t6[2] == t6[3] and t6[4] == t6[5]:
+            return tuple(t6), s  # a point: no axis left to fix
         row = _jac_row(_SCALAR, p, s, comp)
         for j in range(3):
             lo_i, hi_i = 2 * j, 2 * j + 1

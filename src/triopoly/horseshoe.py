@@ -24,6 +24,7 @@ two covers end up disjoint, as the midplane condition predicts.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,16 +282,32 @@ def build_K_enclosures(
 # paths and stretching
 # ---------------------------------------------------------------------------
 
+def _interpolate(ts, cols, t, i):
+    """The path at t, on the segment that starts at knot i.
+
+    One formula for floats (``ts`` and ``cols`` lists, ``i`` an int) and
+    for arrays (``i`` an index array), to the same bits, so the grid
+    samples and the bisection see the same path.
+    """
+    t0, t1 = ts[i], ts[i + 1]
+    w = (t - t0) / (t1 - t0)
+    return tuple((1.0 - w) * c[i] + w * c[i + 1] for c in cols)
+
+
 @dataclass(frozen=True)
 class PathSample:
     """Piecewise-linear path through sample points.
 
     ``ts`` is strictly increasing from 0 to 1; evaluation between samples
-    interpolates linearly.
+    interpolates linearly.  ``at_arrays`` evaluates many parameters in one
+    call; ``at`` evaluates one on plain floats, for sequential bisection.
+    Both clamp t to [0, 1] and give the same bits.
     """
 
     ts: np.ndarray
     points: np.ndarray
+    # (ts, xs, ys, zs) as lists of floats, for the scalar ``at``
+    _knots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ts = np.asarray(self.ts, dtype=float)
@@ -303,15 +320,20 @@ class PathSample:
             raise ValueError("path points must be finite")
         object.__setattr__(self, "ts", ts)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_knots", (ts.tolist(), *pts.T.tolist()))
 
     def at(self, t: float) -> tuple[float, float, float]:
-        t = min(max(t, 0.0), 1.0)
-        i = int(np.searchsorted(self.ts, t, side="right")) - 1
-        i = min(max(i, 0), self.ts.size - 2)
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        w = (t - t0) / (t1 - t0)
-        pt = (1.0 - w) * self.points[i] + w * self.points[i + 1]
-        return (float(pt[0]), float(pt[1]), float(pt[2]))
+        ts, *cols = self._knots
+        t = min(max(float(t), 0.0), 1.0)
+        i = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+        return _interpolate(ts, cols, t, i)
+
+    def at_arrays(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``at`` at every element of ``t``, as x, y and z arrays."""
+        t = np.asarray(t, dtype=float)
+        t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+        i = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, self.ts.size - 2)
+        return _interpolate(self.ts, tuple(self.points.T), t, i)
 
     def reversed(self) -> "PathSample":
         return PathSample(1.0 - self.ts[::-1], self.points[::-1].copy())
@@ -392,6 +414,17 @@ class StretchReport:
         }
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a NaN-free float array, by the same sort and the same
+    keep-the-first-of-each-run mask.  numpy 2.4's ``np.unique`` imports
+    ``numpy.ma`` on its first call, which costs a fresh process ~10 ms."""
+    a = np.sort(a)
+    first = np.empty(a.shape, dtype=bool)
+    first[:1] = True
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 def _first_linear_crossing(ts, vs, level) -> float | None:
     """First parameter where the piecewise-linear samples reach ``level``."""
     for i in range(len(ts) - 1):
@@ -435,7 +468,10 @@ def check_path_stretching(
     image's z-coordinate starts at z_l (bottom face maps to the zero
     plane), exceeds z_r somewhere before the path first touches the
     midplane, and drops back below z_l after it last leaves it; the two
-    bracketed excursions are the stretching witnesses.
+    bracketed excursions are the stretching witnesses.  Each excursion's
+    grid is sampled in one array call (``PathSample.at_arrays`` and
+    ``eval_map_arrays``); only the bisection of a bracket steps point by
+    point, on the same bits.
     """
     b = ob.box
     cert = _require_certified(p, b, cert)
@@ -471,17 +507,20 @@ def check_path_stretching(
 
     def grid(lo, hi):
         knots = path.ts[(path.ts > lo) & (path.ts < hi)]
-        base = np.unique(np.concatenate([[lo, hi], knots]))
+        base = _sorted_unique(np.concatenate([[lo, hi], knots]))
         fine = [np.linspace(base[i], base[i + 1], _SAMPLES_PER_SEGMENT + 1)
                 for i in range(base.size - 1)]
-        return np.unique(np.concatenate(fine))
+        return _sorted_unique(np.concatenate(fine))
+
+    def gs(ts):  # g at every grid point, in one array call
+        return eval_map_arrays(p, *path.at_arrays(ts))[2]
 
     witnesses = {}
     crossings = []
 
     # first excursion: g rises from z_l to above z_r before t_first
     ts1 = grid(0.0, t_first)
-    gs1 = np.array([g(t) for t in ts1])
+    gs1 = gs(ts1)
     hit = np.flatnonzero(gs1 >= b.z_r)
     if hit.size == 0:
         return StretchReport(
@@ -513,7 +552,7 @@ def check_path_stretching(
 
     # second excursion: g falls from above z_r back to z_l after t_last
     ts2 = grid(t_last, 1.0)
-    gs2 = np.array([g(t) for t in ts2])
+    gs2 = gs(ts2)
     drop = np.flatnonzero(gs2 <= b.z_l)
     if drop.size == 0:
         return StretchReport(

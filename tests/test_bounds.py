@@ -668,6 +668,8 @@ _FROZEN_BOXES = {
     "z_l>0": (P, B.replace(z_l=0.01), {}),  # C1 goes through bound_extremum
     "perturbed-1": (P, _perturbed(1), {}),  # C3' fails
     "perturbed-2": (P, _perturbed(2), {}),  # C5 fails
+    "perturbed-3": (P, _perturbed(3), {}),  # passes
+    "perturbed-4": (P, _perturbed(4), {}),  # H4, H5, C4 and C5 fail
     "h2-inapplicable": (_LOW_ALPHA, B, {}),  # escape bound undefined
     "c2-precondition": (P, B.replace(z_r=0.95), {}),  # z_r > x_l + y_l
     # x_l + y_l < 0 and x_l + z_l < 0: undefined square roots in H2 and H5;
@@ -692,6 +694,12 @@ _FROZEN_CERTS = {
     ("perturbed-2", "analytic"): "d30dc978a6cb40dfc103a4662c36eb6fba6b8b628169a6917ea554a135652f8f",
     ("perturbed-2", "interval"): "7e80fd2cd605f4d9704ac1152c6a01fcd0629f65f64bea35cd56d7b692af0cb9",
     ("perturbed-2", "both"): "2c0fb28caf99d317380649e47565bd899aab22ec8d334f81e2c06e4b5889f789",
+    ("perturbed-3", "analytic"): "688cabcdfde18f2206d1e3c8e33413bddbaecee3347668a6d11688cdb9d2c7b7",
+    ("perturbed-3", "interval"): "e5f003db7eb8bd6620d9f4eeac89512bedde635b7cbebecf7f85b533a4d6e350",
+    ("perturbed-3", "both"): "1b7844090002c30026b8346e6387a15706467fd74d4f332995ec9a934401ca13",
+    ("perturbed-4", "analytic"): "434b76c6128ba158f61245b93f3deadc8af1aabee3c84fcaabf309b0d629d716",
+    ("perturbed-4", "interval"): "291e36b54dd4018659055100bfc0c9c11f58d4ea07b55833b5342dbdacbff057",
+    ("perturbed-4", "both"): "11c652e243fb951e9ae5c137b4f4156e7e119c32b293d1913c4c81aab897543e",
     ("h2-inapplicable", "analytic"):
         "9ca09621d0b134825956130f1c7329117b78969594606784c67ec9f04e7f49c3",
     ("h2-inapplicable", "interval"):
@@ -779,6 +787,54 @@ def test_verdicts_and_statuses_are_frozen():
                 row = ["DomainError"]
             digest.update(json.dumps(row).encode())
     assert digest.hexdigest() == _FROZEN_STATUSES
+
+def test_a_point_needs_no_jacobian_row(monkeypatch):
+    """Once monotonicity pruning has fixed every axis, neither the pruning
+    nor the mean-value form asks for a Jacobian row: each would add
+    nothing to a point."""
+    def no_row(*args):
+        raise AssertionError("a Jacobian row was computed for a point")
+
+    t6 = IntervalBox.point(0.6, 0.4, 0.3).as_tuple6()
+    monkeypatch.setattr(bounds_mod, "_jac_row", no_row)
+    for comp in _COMPS:
+        for want_max in (True, False):
+            assert bounds_mod._collapse(P, t6, comp, want_max) == (t6, _sums(_SCALAR, t6))
+    forms, centre = bounds_mod._mean_value(_SCALAR, P, t6, _sums(_SCALAR, t6), _COMPS)
+    assert forms == centre
+
+
+@pytest.mark.parametrize("want_max", [True, False])
+def test_collapsing_to_a_point_computes_no_further_row(monkeypatch, want_max):
+    """On the paper box F2 is monotone in every axis; the pruning fixes all
+    three from its first row and then stops, without a second one."""
+    rows = []
+    real = bounds_mod._jac_row
+
+    def counted(*args):
+        rows.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(bounds_mod, "_jac_row", counted)
+    t6, _ = bounds_mod._collapse(P, IntervalBox.from_box(B).as_tuple6(), "F2", want_max)
+    assert t6[0] == t6[1] and t6[2] == t6[3] and t6[4] == t6[5]
+    assert rows == ["F2"]
+
+
+# sha256 of the (lo, hi) columns of batch_image_enclosure over the 32 x 32 x
+# 16 cells of each half of the paper box, in z-y-x order
+_FROZEN_BATCH_RES32 = "62b7bb4e07204d721a4e0274157d988cb12228e4cd153081b6ba42794c949159"
+
+
+def test_batch_image_enclosure_on_the_res32_grid_is_frozen():
+    from triopoly.horseshoe import _grid_cells
+
+    cells = np.concatenate([_grid_cells(B, 32, 32, z0, z1, 16)
+                            for z0, z1 in ((B.z_l, B.z_mid), (B.z_mid, B.z_r))])
+    lo, hi = batch_image_enclosure(P, cells, refine=True)
+    digest = hashlib.sha256(lo.astype("<f8").tobytes() + hi.astype("<f8").tobytes())
+    assert digest.hexdigest() == _FROZEN_BATCH_RES32
+
 
 def test_unsplittable_box_stops_at_once():
     """A popped box that cannot be split would be pushed back unchanged

@@ -2,10 +2,13 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triopoly import PAPER_BOX, PAPER_PARAMS, Box, OrientedBox, certify_box, horseshoe
@@ -21,6 +24,7 @@ from triopoly.horseshoe import (
     _centre_maps_inside,
     _excludable,
     _grid_cells,
+    _sorted_unique,
     _split_cells_8,
     build_K_enclosures,
     check_path_stretching,
@@ -309,7 +313,65 @@ class TestKEnclosures:
         assert got.tolist() == want and 0 < got.sum() < got.size
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def _paths(draw):
+    """A PathSample with 2-8 knots, some segment a few ulps wide, maybe
+    reversed, and parameters at its knots, at 0 and 1, just outside
+    [0, 1], inside the narrow segment and anywhere in [-0.5, 1.5]."""
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                          max_size=6, unique=True))
+    start = draw(st.floats(0.5, 0.99))  # 1 - t is exact here: reversal keeps it narrow
+    narrow = [start]
+    for _ in range(draw(st.integers(1, 4))):
+        narrow.append(float(np.nextafter(narrow[-1], 1.0)))
+    if draw(st.booleans()):
+        inner += narrow
+    ts = np.array(sorted({0.0, 1.0, *inner}))
+    coord = st.floats(-10.0, 10.0, allow_subnormal=False)
+    pts = draw(st.lists(st.tuples(coord, coord, coord), min_size=ts.size, max_size=ts.size))
+    path = PathSample(ts, np.array(pts, dtype=float))
+    if draw(st.booleans()):
+        try:
+            path = path.reversed()
+        except ValueError:  # 1 - t rounded two knots together
+            assume(False)
+    special = [0.0, -0.0, 1.0, -1e-300, -1.0, float(np.nextafter(1.0, 2.0)), 2.0]
+    t = draw(st.lists(st.one_of(st.sampled_from(path.ts.tolist() + narrow + special),
+                                st.floats(-0.5, 1.5)), min_size=1, max_size=30))
+    return path, np.array(t, dtype=float)
+
+
 class TestPathSample:
+    @given(case=_paths())
+    @settings(max_examples=300, deadline=None)
+    def test_array_interpolation_is_the_scalar_one_bit_for_bit(self, case):
+        path, t = case
+        cols = path.at_arrays(t)
+        for k, tk in enumerate(t):
+            assert _hex(c[k] for c in cols) == _hex(path.at(float(tk))), tk
+
+    def test_at_a_knot_is_the_knot(self):
+        path = random_crossing_path(OB, np.random.default_rng(3))
+        for p_ in (path, path.reversed()):
+            cols = p_.at_arrays(p_.ts)
+            for k, (tk, pt) in enumerate(zip(p_.ts, p_.points)):
+                assert p_.at(tk) == tuple(pt) == tuple(float(c[k]) for c in cols)
+
+    def test_at_takes_and_returns_plain_floats(self):
+        path = vertical_segment_path(OB)
+        for t in (0.3, np.float64(0.3)):
+            assert all(type(v) is float for v in path.at(t))
+        assert path.at(np.float64(0.3)) == path.at(0.3)
+
+    def test_knot_lists_are_the_knots_and_stay_out_of_repr(self):
+        path = random_crossing_path(OB, np.random.default_rng(5)).reversed()
+        assert "_knots" not in repr(path)
+        assert path._knots == (path.ts.tolist(), *path.points.T.tolist())
+
     def test_vertical_path_endpoints_on_faces(self):
         path = vertical_segment_path(OB)
         assert path.points[0][2] == PAPER_BOX.z_l
@@ -442,6 +504,90 @@ class TestPathStretching:
         assert d["status"] == "ok"
         assert d["disjoint"] is True
         assert len(d["crossings"]) == 2
+
+
+@st.composite
+def _repeated_floats(draw):
+    pool = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    pool += draw(st.sampled_from([[], [0.0, -0.0], [-0.0, 0.0]]))
+    return np.array(draw(st.lists(st.sampled_from(pool), max_size=40)), dtype=float)
+
+
+# sha256 of dumps17([r.as_dict() for r in reports], indent=2) for the
+# vertical path, its reverse and 30 random_crossing_path draws from
+# default_rng(2026), recorded before the grid samples became one array call
+_FROZEN_STRETCH = {
+    None: "0125c7f95c3ff91025313af3118ff8ec1ebef59d8d9f5dbf32b21f68a53f6d4e",
+    0: "e5ca2a55ac925b7cfeb559b38b463df3ac899bc782281c1105725bf570e809ac",
+}
+
+
+class TestStretchSampling:
+    @given(a=_repeated_floats())
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_unique_is_np_unique(self, a):
+        assert _hex(_sorted_unique(a.copy())) == _hex(np.unique(a))
+
+    def test_sorted_unique_is_np_unique_on_the_real_grids(self, monkeypatch):
+        seen = []
+
+        def checked(a):
+            out = _sorted_unique(a)
+            assert _hex(out) == _hex(np.unique(a))
+            seen.append(out.size)
+            return out
+
+        monkeypatch.setattr(horseshoe, "_sorted_unique", checked)
+        rng = np.random.default_rng(11)
+        paths = [vertical_segment_path(OB), vertical_segment_path(OB).reversed()]
+        paths += [random_crossing_path(OB, rng) for _ in range(4)]
+        for path in paths:
+            assert check_path_stretching(P, OB, path).status == "ok"
+        assert len(seen) == 4 * len(paths) and max(seen) > 16
+
+    def test_one_map_call_per_grid(self, monkeypatch):
+        calls, original = [], horseshoe.eval_map_arrays
+
+        def counted(p, x, y, z, alpha=None):
+            calls.append(x.size)
+            return original(p, x, y, z, alpha)
+
+        monkeypatch.setattr(horseshoe, "eval_map_arrays", counted)
+        check_path_stretching(P, OB, vertical_segment_path(OB))
+        assert len(calls) == 2 and min(calls) > 16
+
+    @pytest.mark.parametrize("seed", list(_FROZEN_STRETCH))
+    def test_stretch_reports_are_frozen(self, seed):
+        box = PAPER_BOX if seed is None else _perturbed_box(seed)
+        ob = OrientedBox(box)
+        cert = certify_box(P, box)
+        assert cert.passed
+        rng = np.random.default_rng(2026)
+        paths = [vertical_segment_path(ob), vertical_segment_path(ob).reversed()]
+        paths += [random_crossing_path(ob, rng) for _ in range(30)]
+        reports = [check_path_stretching(P, ob, path, cert=cert) for path in paths]
+        assert all(r.status == "ok" for r in reports)
+        text = dumps17([r.as_dict() for r in reports], indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == _FROZEN_STRETCH[seed]
+
+    def test_stretching_does_not_import_numpy_ma(self):
+        """``np.unique`` (and ``np.isin`` and its kin) import numpy.ma on a
+        fresh process's first call, ~10 ms; the stretch check must not."""
+        code = (
+            "import sys\n"
+            "from triopoly import PAPER_BOX, PAPER_PARAMS, OrientedBox\n"
+            "from triopoly.horseshoe import check_path_stretching, vertical_segment_path\n"
+            "ob = OrientedBox(PAPER_BOX)\n"
+            "assert check_path_stretching(PAPER_PARAMS, ob, vertical_segment_path(ob))"
+            ".status == 'ok'\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(horseshoe.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestLocateFixedPoint:
