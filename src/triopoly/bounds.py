@@ -559,27 +559,10 @@ class BoundReport:
     status: str  # "ok" | "decided" | "inconclusive"
     tol: float
     budget: int
-    strategy: str = ROUNDING_STRATEGY
 
     @property
     def width(self) -> float:
         return self.enclosure.width
-
-    def as_dict(self) -> dict:
-        return {
-            "component": self.component,
-            "which": self.which,
-            "region": list(self.region),
-            "enclosure": [self.enclosure.lo, self.enclosure.hi],
-            "best_point": list(self.best_point),
-            "best_value": self.best_value,
-            "subdivisions": self.subdivisions,
-            "width": self.width,
-            "status": self.status,
-            "tol": self.tol,
-            "budget": self.budget,
-            "strategy": self.strategy,
-        }
 
 
 def _collapse(p: Params, t6, comp: str, want_max: bool):

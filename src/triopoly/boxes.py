@@ -68,14 +68,6 @@ class Box:
             and self.z_l - slack <= z <= self.z_r + slack
         )
 
-    def corners(self) -> list[tuple[float, float, float]]:
-        return [
-            (x, y, z)
-            for x in (self.x_l, self.x_r)
-            for y in (self.y_l, self.y_r)
-            for z in (self.z_l, self.z_r)
-        ]
-
     def replace(self, **kw) -> "Box":
         vals = self.as_dict()
         vals.update(kw)
@@ -113,16 +105,6 @@ class OrientedBox:
                 f"boxes are oriented along z (axis 2), the folding direction "
                 f"of the map; got axis {self.axis!r}"
             )
-
-    def face_values(self) -> tuple[float, float]:
-        """z of the left (bottom) and right (top) faces."""
-        return self.box.z_l, self.box.z_r
-
-    def on_left_face(self, pt, tol: float = 0.0) -> bool:
-        return abs(pt[2] - self.box.z_l) <= tol and self.box.contains(*pt, slack=tol)
-
-    def on_right_face(self, pt, tol: float = 0.0) -> bool:
-        return abs(pt[2] - self.box.z_r) <= tol and self.box.contains(*pt, slack=tol)
 
 
 @dataclass(frozen=True)

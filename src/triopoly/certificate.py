@@ -504,20 +504,12 @@ def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) 
 def _merge_status(a: str, i: str) -> str:
     """Combine analytic and interval statuses for one C condition.
 
-    A rigorous or analytic failure dominates; a pass needs at least one
-    engine to confirm and none to contradict; inconclusive otherwise.
+    The analytic engine reports pass, fail or inapplicable, and the
+    interval engine pass, fail or inconclusive.  Over those pairs a failure
+    of either dominates and otherwise the interval verdict stands: a pass
+    needs the interval engine, which no analytic pass overrules.
     """
-    if FAIL in (a, i):
-        return FAIL
-    if a == PASS and i == PASS:
-        return PASS
-    if a == INAPPLICABLE and i == PASS:
-        return PASS
-    if i == INAPPLICABLE and a == PASS:
-        return PASS
-    if INCONCLUSIVE in (a, i):
-        return INCONCLUSIVE
-    return INAPPLICABLE
+    return FAIL if a == FAIL else i
 
 
 def certify_box(

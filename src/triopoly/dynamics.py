@@ -70,6 +70,14 @@ DEFAULT_SAFETY = (-10.0, 10.0)
 FIXED_POINT_PIN = 1e-12
 
 
+def _safety_region(safety) -> tuple[float, float]:
+    """The safety cube's (lo, hi) as floats; an empty cube is an error."""
+    lo, hi = float(safety[0]), float(safety[1])
+    if not lo < hi:
+        raise ValueError("safety region must have lo < hi")
+    return lo, hi
+
+
 def _inside(x: float, y: float, z: float, lo: float, hi: float) -> bool:
     return lo <= x <= hi and lo <= y <= hi and lo <= z <= hi
 
@@ -107,15 +115,6 @@ class OrbitRecord:
     def n_recorded(self) -> int:
         return int(self.points.shape[0])
 
-    def state(self, i: int) -> State:
-        return State(*self.points[i])
-
-    @property
-    def final(self) -> State | None:
-        if self.n_recorded == 0:
-            return None
-        return self.state(-1)
-
     def to_csv(self, path_or_file) -> None:
         """Columns step,x,y,z; step is the absolute iteration index."""
         write_csv(path_or_file, ["step", "x", "y", "z"],
@@ -146,9 +145,7 @@ def simulate(
     """
     if n < 0 or transient < 0:
         raise ValueError("n and transient must be non-negative")
-    lo, hi = float(safety[0]), float(safety[1])
-    if not lo < hi:
-        raise ValueError("safety region must have lo < hi")
+    lo, hi = _safety_region(safety)
     if fixed_point_residual(p, s0) < FIXED_POINT_PIN:
         pts = np.tile(np.array(s0.as_tuple()), (n, 1))
         esc = None if _inside(s0.x, s0.y, s0.z, lo, hi) else 0
@@ -233,7 +230,7 @@ def lyapunov_spectrum(
         qr_warmup = min(256, n // 4)
     if not 0 <= qr_warmup < n:
         raise ValueError("qr_warmup must lie in [0, n)")
-    lo, hi = float(safety[0]), float(safety[1])
+    lo, hi = _safety_region(safety)
     pinned = fixed_point_residual(p, s0) < FIXED_POINT_PIN
     x, y, z = s0.x, s0.y, s0.z
     escaped = False
@@ -385,10 +382,6 @@ class BifurcationTable:
     seed: int
     s0_policy: str
     base: Params
-
-    @property
-    def alphas(self) -> tuple[float, ...]:
-        return tuple(r.alpha for r in self.rows)
 
     def to_csv(self, path_or_file) -> None:
         """Non-finite values and the padding of short z tails are blank cells."""
@@ -565,9 +558,7 @@ def bifurcation_scan(
         raise ValueError(f"threads must be at least 1, got {threads}")
     if transient < 0:
         raise ValueError("transient must be non-negative")
-    lo, hi = float(safety[0]), float(safety[1])
-    if not lo < hi:
-        raise ValueError("safety region must have lo < hi")
+    lo, hi = _safety_region(safety)
     alphas = np.linspace(a_lo, a_hi, samples)
     children = np.random.SeedSequence(seed).spawn(samples)
     c1, c2, c3 = p_base.c1, p_base.c2, p_base.c3
@@ -831,10 +822,6 @@ class LogisticSapReport:
     mu: float
     first: CoveringIntervals | None
     second: CoveringIntervals | None
-
-    @property
-    def any_certificate(self) -> bool:
-        return self.first is not None or self.second is not None
 
     def as_dict(self) -> dict:
         return {

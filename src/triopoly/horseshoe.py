@@ -339,18 +339,14 @@ class PathSample:
         return PathSample(1.0 - self.ts[::-1], self.points[::-1].copy())
 
 
-def vertical_segment_path(ob: OrientedBox, x: float | None = None,
-                          y: float | None = None, n: int = 64) -> PathSample:
-    """Straight segment at fixed (x, y) from the bottom face to the top."""
+def vertical_segment_path(ob: OrientedBox, n: int = 64) -> PathSample:
+    """Straight segment through the centre of the box's (x, y) section, from
+    the bottom face to the top, in ``n`` equal steps."""
     b = ob.box
-    if x is None:
-        x = 0.5 * (b.x_l + b.x_r)
-    if y is None:
-        y = 0.5 * (b.y_l + b.y_r)
     ts = np.linspace(0.0, 1.0, n + 1)
     pts = np.column_stack([
-        np.full(n + 1, x),
-        np.full(n + 1, y),
+        np.full(n + 1, 0.5 * (b.x_l + b.x_r)),
+        np.full(n + 1, 0.5 * (b.y_l + b.y_r)),
         b.z_l + (b.z_r - b.z_l) * ts,
     ])
     return PathSample(ts, pts)
@@ -468,10 +464,12 @@ def check_path_stretching(
     image's z-coordinate starts at z_l (bottom face maps to the zero
     plane), exceeds z_r somewhere before the path first touches the
     midplane, and drops back below z_l after it last leaves it; the two
-    bracketed excursions are the stretching witnesses.  Each excursion's
-    grid is sampled in one array call (``PathSample.at_arrays`` and
-    ``eval_map_arrays``); only the bisection of a bracket steps point by
-    point, on the same bits.
+    bracketed excursions are the stretching witnesses.  One routine finds
+    both: the first on [0, t_first] from the bottom level up to the top,
+    the second on [t_last, 1] from the top level down to the bottom.  Each
+    excursion's grid is sampled in one array call (``PathSample.at_arrays``
+    and ``eval_map_arrays``); only the bisection of a bracket steps point
+    by point, on the same bits.
     """
     b = ob.box
     cert = _require_certified(p, b, cert)
@@ -512,91 +510,65 @@ def check_path_stretching(
                 for i in range(base.size - 1)]
         return _sorted_unique(np.concatenate(fine))
 
-    def gs(ts):  # g at every grid point, in one array call
-        return eval_map_arrays(p, *path.at_arrays(ts))[2]
+    def excursion(lo, hi, reached, left):
+        """Witness that g crosses from the ``left`` level to the ``reached``
+        one on [lo, hi]: the first sample in ``reached``, refined by
+        bisection, and the last sample before it still in ``left`` (the
+        grid's start when none is).  None when no sample reaches."""
+        ts = grid(lo, hi)
+        gs = eval_map_arrays(p, *path.at_arrays(ts))[2]
+        hit = np.flatnonzero(reached(gs))
+        if hit.size == 0:
+            return None
+        i = int(hit[0])
+        if i == 0:
+            t_hi, g_hi = float(ts[0]), float(gs[0])
+        else:
+            t_hi, g_hi = _bisect(g, float(ts[i - 1]), float(ts[i]), reached)
+        back = np.flatnonzero((ts <= t_hi) & left(gs))
+        j = int(back[-1]) if back.size else 0
+        return {"t_lo": float(ts[j]), "g_lo": float(gs[j]), "t_hi": t_hi, "g_hi": g_hi}
 
-    witnesses = {}
-    crossings = []
-
-    # first excursion: g rises from z_l to above z_r before t_first
-    ts1 = grid(0.0, t_first)
-    gs1 = gs(ts1)
-    hit = np.flatnonzero(gs1 >= b.z_r)
-    if hit.size == 0:
+    def report(status, witnesses, note, evidence=None):
         return StretchReport(
-            status="needs_refinement",
-            crossings=[],
-            witnesses={},
-            t_mid_first=t_first,
-            t_mid_last=t_last,
-            path_reversed=reversed_path,
-            evidence={},
-            note="no sample of the image reached the top level before the "
-                 "midplane; refine the path sampling",
-        )
-    i = int(hit[0])
-    if i == 0:
-        b1, gb1 = float(ts1[0]), float(gs1[0])
-    else:
-        b1, gb1 = _bisect(g, float(ts1[i - 1]), float(ts1[i]), lambda v: v >= b.z_r)
-    # last sampled moment before b1 at which the image is still at or
-    # below the bottom level; on a grounded box this is t = 0 itself
-    low = np.flatnonzero((ts1 <= b1) & (gs1 <= b.z_l))
-    if low.size == 0:
-        a1, ga1 = 0.0, g(0.0)
-    else:
-        j = int(low[-1])
-        a1, ga1 = float(ts1[j]), float(gs1[j])
-    crossings.append((a1, b1))
-    witnesses["first"] = {"t_lo": a1, "g_lo": ga1, "t_hi": b1, "g_hi": gb1}
-
-    # second excursion: g falls from above z_r back to z_l after t_last
-    ts2 = grid(t_last, 1.0)
-    gs2 = gs(ts2)
-    drop = np.flatnonzero(gs2 <= b.z_l)
-    if drop.size == 0:
-        return StretchReport(
-            status="needs_refinement",
-            crossings=crossings,
+            status=status,
+            crossings=[(w["t_lo"], w["t_hi"]) for w in witnesses.values()],
             witnesses=witnesses,
             t_mid_first=t_first,
             t_mid_last=t_last,
             path_reversed=reversed_path,
-            evidence={},
-            note="image never dropped back to the bottom level after the "
-                 "midplane; refine the path sampling",
+            evidence=evidence or {},
+            note=note,
         )
-    k = int(drop[0])
-    if k == 0:
-        b2, gb2 = float(ts2[0]), float(gs2[0])
-    else:
-        b2, gb2 = _bisect(g, float(ts2[k - 1]), float(ts2[k]), lambda v: v <= b.z_l)
-    highs = np.flatnonzero((ts2 <= b2) & (gs2 >= b.z_r))
-    if highs.size == 0:
-        a2, ga2 = float(ts2[0]), float(gs2[0])
-    else:
-        m = int(highs[-1])
-        a2, ga2 = float(ts2[m]), float(gs2[m])
-    crossings.append((a2, b2))
-    witnesses["second"] = {"t_lo": a2, "g_lo": ga2, "t_hi": b2, "g_hi": gb2}
 
-    disjoint = b1 < a2
-    status = "ok" if disjoint else "failed"
-    return StretchReport(
-        status=status,
-        crossings=crossings,
-        witnesses=witnesses,
-        t_mid_first=t_first,
-        t_mid_last=t_last,
-        path_reversed=reversed_path,
+    def top(v):
+        return v >= b.z_r
+
+    def bottom(v):
+        return v <= b.z_l
+
+    first = excursion(0.0, t_first, top, bottom)
+    if first is None:
+        return report("needs_refinement", {},
+                      "no sample of the image reached the top level before the "
+                      "midplane; refine the path sampling")
+    second = excursion(t_last, 1.0, bottom, top)
+    if second is None:
+        return report("needs_refinement", {"first": first},
+                      "image never dropped back to the bottom level after the "
+                      "midplane; refine the path sampling")
+    disjoint = first["t_hi"] < second["t_lo"]
+    return report(
+        "ok" if disjoint else "failed",
+        {"first": first, "second": second},
+        "" if disjoint else "crossing subintervals overlap; the path "
+                            "may graze the midplane tangentially",
         evidence={
             "xy_containment": "certified-universal: C4/C5 keep the image's "
                               "x and y inside the box for every point of R",
             "z_crossings": "sampled-witness: bracketed on the path samples "
                            "and refined by bisection",
         },
-        note="" if disjoint else "crossing subintervals overlap; the path "
-                                 "may graze the midplane tangentially",
     )
 
 

@@ -378,13 +378,12 @@ class _Scan:
     def judge(self, cand: np.ndarray) -> _Judged:
         return _judge(self.p, cand, DEFAULT_MIN_MARGIN)
 
-    def absorb(self, cand: np.ndarray, j: _Judged, upto: int | None = None) -> None:
-        """Fold the first ``upto`` (default: all) judged rows in row order."""
-        rows = j.valid if upto is None else j.valid & (np.arange(len(cand)) < upto)
-        self.evaluated += int(np.count_nonzero(rows))
-        for i in np.flatnonzero(rows & j.passed):
+    def absorb(self, cand: np.ndarray, j: _Judged) -> None:
+        """Fold the judged rows in row order."""
+        self.evaluated += int(np.count_nonzero(j.valid))
+        for i in np.flatnonzero(j.valid & j.passed):
             self.hits.append((float(j.rank[i]), _box_of(cand[i])))
-        failed = rows & ~j.passed
+        failed = j.valid & ~j.passed
         i = _slot_row(j.rank, failed & j.frontier, self.frontier)
         if i is not None:
             self.frontier = self._near_miss(cand, j, i)

@@ -28,7 +28,7 @@ from triopoly.bounds import (
 )
 from triopoly import bounds as bounds_mod
 from triopoly.bounds import _SCALAR, _VECTOR, _jac_row, _range_f1, _range_f1_sharp, _sums
-from triopoly.certificate import INCONCLUSIVE, certify_box
+from triopoly.certificate import INCONCLUSIVE, certify_box, check_C_analytic
 from triopoly.core import eval_jacobian, eval_map_xyz, Params, State
 from triopoly.jsonio import dumps17
 
@@ -262,11 +262,9 @@ def test_bound_extremum_rejects_bad_arguments():
         bound_extremum(P, _region("full"), "F1", "max", tol=-1.0)
 
 
-def test_report_records_strategy_and_serialises():
+def test_report_encloses_its_best_value():
     rep = bound_extremum(P, _region("top"), "F3", "max", tol=1e-8)
-    d = rep.as_dict()
-    assert "nextafter" in d["strategy"]
-    assert d["enclosure"][0] <= d["best_value"] <= d["enclosure"][1]
+    assert rep.enclosure.lo <= rep.best_value <= rep.enclosure.hi
 
 
 @st.composite
@@ -787,6 +785,21 @@ def test_verdicts_and_statuses_are_frozen():
                 row = ["DomainError"]
             digest.update(json.dumps(row).encode())
     assert digest.hexdigest() == _FROZEN_STATUSES
+
+
+def test_each_engine_reports_only_the_c_statuses_the_merge_expects():
+    """``certify_box(engine="both")`` fuses a C record by ``_merge_status``,
+    which assumes the analytic engine never reports inconclusive and the
+    interval engine never reports inapplicable."""
+    for p, box, kwargs in [*_FROZEN_BOXES.values(), *_status_cases()]:
+        analytic = check_C_analytic(p, box, kwargs.get("min_margin", 1e-12))
+        assert {r.status for r in analytic.conditions} <= {"pass", "fail", "inapplicable"}
+        try:
+            interval = verify_C_rigorous(p, box, **kwargs)
+        except DomainError:
+            continue
+        assert {r.status for r in interval.conditions} <= {"pass", "fail", "inconclusive"}
+
 
 def test_a_point_needs_no_jacobian_row(monkeypatch):
     """Once monotonicity pruning has fixed every axis, neither the pruning

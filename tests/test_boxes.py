@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -39,18 +40,8 @@ def test_box_helpers():
     assert b.contains(b.x_l, b.y_l, b.z_l)
     assert not b.contains(b.x_l - 1e-6, b.y_l, b.z_l)
     assert b.contains(b.x_l - 1e-6, b.y_l, b.z_l, slack=1e-5)
-    assert len(b.corners()) == 8
     nb = b.replace(z_r=0.38)
     assert nb.z_r == 0.38 and nb.x_l == b.x_l
-
-
-def test_oriented_box_faces():
-    ob = OrientedBox(PAPER_BOX)
-    lo, hi = ob.face_values()
-    assert (lo, hi) == (PAPER_BOX.z_l, PAPER_BOX.z_r)
-    assert ob.on_left_face((0.6, 0.4, PAPER_BOX.z_l))
-    assert ob.on_right_face((0.6, 0.4, PAPER_BOX.z_r))
-    assert not ob.on_left_face((0.6, 0.4, PAPER_BOX.z_mid))
 
 
 def test_half_boxes_partition_and_symbols():
@@ -80,7 +71,7 @@ def test_box_contains_its_corners(a, b, c, d, e, f):
             Box(xs[0], xs[1], ys[0], ys[1], zs[0], zs[1])
         return
     box = Box(xs[0], xs[1], ys[0], ys[1], zs[0], zs[1])
-    for corner in box.corners():
+    for corner in itertools.product(*map(box.bounds, range(3))):
         assert box.contains(*corner)
     hb = HalfBoxes.from_oriented(OrientedBox(box))
     assert hb.lower.z_r == hb.upper.z_l == box.z_mid

@@ -14,6 +14,7 @@ from triopoly import Box, PAPER_BOX, PAPER_PARAMS, Params
 from triopoly.certificate import (
     Certificate,
     SubCheck,
+    _merge_status,
     certify_box,
     check_C_analytic,
     check_H,
@@ -154,3 +155,25 @@ def test_one_status_order_decides_records_and_verdicts():
             other = condition_record("Y", subs[:1], "interval")
             cert = Certificate(PAPER_PARAMS, PAPER_BOX, [other, rec], "interval")
             assert cert.verdict == verdicts[worse]
+
+
+# (analytic, interval) -> fused status of one C condition under engine="both"
+_MERGED = {
+    ("pass", "pass"): "pass",
+    ("pass", "fail"): "fail",
+    ("pass", "inconclusive"): "inconclusive",
+    ("fail", "pass"): "fail",
+    ("fail", "fail"): "fail",
+    ("fail", "inconclusive"): "fail",
+    ("inapplicable", "pass"): "pass",
+    ("inapplicable", "fail"): "fail",
+    ("inapplicable", "inconclusive"): "inconclusive",
+}
+
+
+def test_merge_status_over_every_pair_the_engines_report():
+    """The analytic engine reports pass, fail or inapplicable and the
+    interval engine pass, fail or inconclusive (``tests/test_bounds.py``
+    pins both sets); over those pairs a failure dominates and otherwise the
+    interval verdict stands."""
+    assert {pair: _merge_status(*pair) for pair in _MERGED} == _MERGED
