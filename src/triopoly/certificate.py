@@ -42,7 +42,6 @@ __all__ = [
     "certify_box",
     "SCHEMA_VERSION",
     "DEFAULT_MIN_MARGIN",
-    "CONDITION_IDS",
 ]
 
 SCHEMA_VERSION = 1
@@ -50,7 +49,6 @@ DEFAULT_MIN_MARGIN = 1e-12
 
 H_IDS = ("H1", "H2", "H3", "H4", "H5")
 C_IDS = ("C1", "C2", "C3p", "C4", "C5")
-CONDITION_IDS = H_IDS + C_IDS
 
 PASS = "pass"
 FAIL = "fail"

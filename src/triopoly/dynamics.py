@@ -251,9 +251,7 @@ def lyapunov_spectrum(
         return LyapunovSpectrum((math.nan,) * 3, 0, True, note)
 
     frame = np.eye(3)
-    sums = np.zeros(3)
-    sums_all = np.zeros(3)
-    used = 0
+    sums = np.zeros(3)      # sum of log |R_ii| since the warm-up, or within it
     seen = 0
     for step in range(n):
         try:
@@ -265,11 +263,10 @@ def lyapunov_spectrum(
         frame, r = np.linalg.qr(jac @ frame)
         with np.errstate(divide="ignore"):      # an exact-zero diagonal logs -inf
             logs = np.log(np.abs(np.diag(r)))
-        sums_all += logs
+        if step == qr_warmup:
+            sums[:] = 0.0
+        sums += logs
         seen += 1
-        if step >= qr_warmup:
-            sums += logs
-            used += 1
         if pinned:
             continue
         try:
@@ -282,9 +279,9 @@ def lyapunov_spectrum(
             escaped = True
             note = f"orbit left the safety region at step {step + 1}; estimate is partial"
             break
-    if used == 0 and seen > 0:
+    used = seen - qr_warmup if seen > qr_warmup else seen
+    if 0 < seen <= qr_warmup:
         # escaped inside the warmup window; an unwarmed average beats none
-        sums, used = sums_all, seen
         note = (note + "; QR warmup not reached").lstrip("; ")
     if used == 0:
         return LyapunovSpectrum((math.nan,) * 3, 0, escaped, note)

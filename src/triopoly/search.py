@@ -30,10 +30,10 @@ row, bit for bit; ``_Scan.absorb`` folds the verdicts in row order into
 the hit list, the two near-miss slots and the kill counts.  ``Box`` and
 ``NearMiss`` objects are built only for hits and slot winners, and
 certificates only for the ``max_hits`` hits that ``certify_box``
-re-judges.  The refine climb is sequential; it ranks the probes it
-would make until the next improvement in growing blocks (``_ranks``,
-the rank part of ``_judge``), and judges and folds the ones it reached
-in large blocks afterwards.
+re-judges.  The refine climb is sequential: it ranks one probe at a
+time in plain floats (``_rank``, which gives the bits of ``_judge``'s
+rank), and the probes it made are judged and folded in row order
+afterwards, ``_CHUNK`` rows at a time.
 
 The skeleton decoder turns a point of the unit cube into a candidate by
 walking the coordinates in dependency order and interpolating each one
@@ -48,11 +48,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .boxes import Box
-from .certificate import DEFAULT_MIN_MARGIN, SCHEMA_VERSION, certify_box, h_inequalities
+from .certificate import DEFAULT_MIN_MARGIN, SCHEMA_VERSION, _sqrt_or_nan, certify_box, h_inequalities
 from .core import Params
 from .jsonio import dumps17, open_sink
 
@@ -63,7 +64,6 @@ RANK_IDS = ("H2", "H3", "H4", "H5")
 
 _PAD = 1e-9          # interior padding for open windows
 _CHUNK = 16384       # rows decoded and judged per array pass
-_FIRST_BLOCK = 32    # refine probes ranked in the first block after an improvement
 _STRATEGIES = ("grid", "random", "refine")
 
 
@@ -284,10 +284,28 @@ def _record_margins(atoms, m: np.ndarray, undef: np.ndarray):
     return margin, has, np.where(ranked, margin[i, cols], -np.inf)
 
 
-def _ranks(p: Params, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``valid`` and ``rank`` of ``_judge``, without the pass/fail verdicts."""
-    valid, atoms, m, undef = _sub_checks(p, cand)
-    return valid, _record_margins(atoms, m, undef)[2]
+def _rank(p: Params, vec) -> float | None:
+    """``_judge``'s rank of one candidate row, in plain floats; None when
+    the row makes no Box (the ``valid`` rule of ``_sub_checks``).
+
+    Each record's margin is ``min`` over its defined lhs - rhs (a negative
+    square-root operand leaves an atom undefined, as in ``check_H``) and
+    the rank is ``min`` over the records, -inf when none has a margin:
+    the rules that ``_record_margins`` replays over arrays.
+    """
+    x_l, wx, y_l, wy, z_r = map(float, vec)
+    x_r, y_r = x_l + wx, y_l + wy
+    inf = math.inf
+    if not (-inf < x_l < x_r < inf and -inf < y_l < y_r < inf and 0.0 < 0.5 * z_r < inf):
+        return None
+    atoms, operands = h_inequalities(p, x_l, x_r, y_l, y_r, 0.0, z_r, _sqrt_or_nan)
+    margins = {}
+    for cid, _, _, lhs, rhs, _, root in atoms:
+        if root is None or not operands[root] < 0.0:
+            m = lhs - rhs
+            if cid not in margins or m < margins[cid]:     # ``min``: the first wins ties
+                margins[cid] = m
+    return min(margins.values()) if margins else -inf
 
 
 def _judge(p: Params, cand: np.ndarray, min_margin: float) -> _Judged:
@@ -432,78 +450,51 @@ def _grid_rows(budget: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _refine(vec0, budget, scan: _Scan, step0: float = 0.05, step_floor: float = 1e-9):
-    """Greedy coordinate descent on the maximin margin.
+def _climb(p: Params, vec0, budget: int):
+    """The probes of a greedy coordinate climb on the rank that make a
+    Box, in order: the start (none if it makes no Box), then trials until
+    ``budget`` probes are made or the step reaches its floor.
 
     Multiplicative trial steps v -> v (1 +- h) per coordinate, first
-    improvement accepted; h is halved (the bisection) whenever a full
-    sweep yields none.  Every probe is a budgeted corner evaluation and
-    feeds the shared hit/near-miss pool.
-
-    The climb is sequential, but until something improves its next
-    probes are known: the rest of the sweep, then full sweeps at halved
-    steps down to the floor.  It ranks them in blocks that start at
-    ``_FIRST_BLOCK`` rows and double, up to the first improvement within
-    the budget, and starts again from the improved vector.  Only the
-    rank decides the climb, so the probes it reached are judged and
-    folded into ``scan`` later, in row order, ``_CHUNK`` rows at a time.
+    improvement accepted; h starts at 0.05 and is halved (the bisection)
+    whenever a full sweep yields none, down to a floor of 1e-9.
     """
-    cand = np.array([vec0], dtype=float)
-    j = scan.judge(cand)
-    scan.absorb(cand, j)
-    if not j.valid[0]:
+    vec = [float(v) for v in vec0]
+    best = _rank(p, vec)
+    if best is None:
         return
-    vec, best = cand[0], j.rank[0]
-    evaluated = scan.evaluated      # with the reached probes not yet folded
-    queue, queued = [], 0           # those probes, in order
-    h, t0, improved = step0, 0, False     # next trial t: coordinate t // 2, sign (+, -)[t % 2]
-    while True:
-        steps, hh, imp = [], h, improved  # h of each sweep while nothing improves
-        while hh > step_floor:
-            steps.append(hh)
-            hh, imp = (hh if imp else 0.5 * hh), False
-        if not steps:
-            break
-        t = np.concatenate([np.arange(t0, 10), np.tile(np.arange(10), len(steps) - 1)])
-        step = np.concatenate([np.full(10 - t0, steps[0]), np.repeat(steps[1:], 10)])
-        lo, size, r = 0, _FIRST_BLOCK, None
-        while r is None and lo < len(t):
-            tb, sb = t[lo:lo + size], step[lo:lo + size]
-            trials = np.repeat(vec[None, :], len(tb), axis=0)
-            trials[np.arange(len(tb)), tb // 2] = vec[tb // 2] * (1.0 + np.where(tb % 2, -1.0, 1.0) * sb)
-            valid, rank = _ranks(scan.p, trials)
-            before = evaluated + np.cumsum(valid) - valid
-            reached = int(np.count_nonzero(before < budget))
-            better = np.flatnonzero(valid[:reached] & (rank[:reached] > best))
-            upto = int(better[0]) + 1 if better.size else reached
-            queue.append(trials[:upto])
-            queued += upto
-            evaluated += int(np.count_nonzero(valid[:upto]))
-            if queued >= _CHUNK:
-                _fold(scan, queue)
-                queued = 0
-            if better.size:
-                r = upto - 1
-            elif reached < len(trials):
-                break
-            lo, size = lo + size, 2 * size
-        if r is None:
-            break
-        vec, best, h = trials[r], rank[r], float(sb[r])
-        t0, improved = (int(tb[r]) + 1, True) if tb[r] < 9 else (0, False)
-    _fold(scan, queue)
+    yield vec
+    made, h = 1, 0.05
+    while made < budget and h > 1e-9:
+        improved = False
+        for t in range(10):     # coordinate t // 2, sign (+, -)[t % 2]
+            if made >= budget:
+                return
+            trial = vec.copy()
+            trial[t // 2] = vec[t // 2] * (1.0 + (h, -h)[t % 2])
+            rank = _rank(p, trial)
+            if rank is None:
+                continue
+            yield trial
+            made += 1
+            if rank > best:
+                vec, best, improved = trial, rank, True
+        if not improved:
+            h *= 0.5
 
 
-def _fold(scan: _Scan, queue: list) -> None:
-    """Judge the queued candidate blocks and fold them into ``scan`` in
-    order, ``_CHUNK`` rows at a time; empties the queue."""
-    if not queue:
-        return
-    rows = np.concatenate(queue)
-    queue.clear()
-    for lo in range(0, len(rows), _CHUNK):
-        block = rows[lo:lo + _CHUNK]
-        scan.absorb(block, scan.judge(block))
+def _refine(vec0, budget: int, scan: _Scan) -> None:
+    """Climb from ``vec0`` until ``scan`` has evaluated ``budget``
+    candidates or the step reaches its floor (``_climb``).
+
+    The climb ranks one probe at a time in plain floats (``_rank``); the
+    probes feed the shared hit/near-miss pool, judged and folded into
+    ``scan`` in order, ``_CHUNK`` rows at a time.
+    """
+    probes = _climb(scan.p, vec0, budget - scan.evaluated)
+    while block := list(islice(probes, _CHUNK)):
+        rows = np.array(block)
+        scan.absorb(rows, scan.judge(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +639,8 @@ def search_boxes(
         rng = np.random.default_rng(seed)
         _scan_rows(rng.random((budget, 5)), base, scale, scan)
     else:
-        if base is not None:
-            start, climb_budget = base, budget
-        else:
+        start = base
+        if base is None:
             boot = budget // 2
             if boot > 0:
                 rng = np.random.default_rng(seed)
@@ -666,8 +656,7 @@ def search_boxes(
                     near=near, near_miss=None, note=why, killed_by=scan.killed_by(),
                 )
             start = _vec_of(max(pool, key=lambda t: t[0])[1])
-            climb_budget = budget
-        _refine(start, climb_budget, scan)
+        _refine(start, budget, scan)
 
     if base is None and scan.evaluated == 0 and strategy != "refine":
         note = "parameter geometry admits no candidate window (1/(4 c2) >= 1/(4 c1))"

@@ -22,8 +22,8 @@ import numpy as np
 from .boxes import HalfBoxes, OrientedBox
 from .certificate import Certificate
 from .core import (
-    DomainError, Params, State, eval_map_arrays, eval_map_xyz, fixed_point_residual,
-    jacobian_arrays, jacobian_off_domain, map_arrays, map_off_domain,
+    DomainError, Params, State, eval_map_xyz, fixed_point_residual, jacobian_arrays,
+    jacobian_off_domain, map_arrays, map_off_domain,
 )
 from .dynamics import _keep
 from .horseshoe import ConvergenceError, _require_certified, locate_fixed_point_in
@@ -124,27 +124,6 @@ class PeriodicOrbitResult:
                 f"{self.residual:.17g}", self.converged, self.realized]
 
 
-def _itinerary_codes(p: Params, b, pts, k: int) -> np.ndarray:
-    """k-step half-box itineraries of the rows of ``pts``, all at once.
-
-    Each itinerary is a k-bit integer, first symbol most significant
-    (``format(code, f"0{k}b")`` is the word); -1 marks a point whose orbit
-    leaves the box within k symbols, or the map domain within k steps.
-    Symbols follow ``HalfBoxes.symbol_of``: z at or above the midplane is 1.
-    """
-    x, y, z = np.array(pts, dtype=float).reshape(-1, 3).T.copy()
-    codes = np.zeros(x.size, dtype=np.int64)
-    alive = np.ones(x.size, dtype=bool)
-    for _ in range(k):
-        alive &= ((b.x_l <= x) & (x <= b.x_r) & (b.y_l <= y) & (y <= b.y_r)
-                  & (b.z_l <= z) & (z <= b.z_r))
-        codes = 2 * codes + (z >= b.z_mid)
-        alive &= (x + z > 0.0) & (x + y + z > 0.0)
-        i = np.flatnonzero(alive)
-        x[i], y[i], z[i] = eval_map_arrays(p, x[i], y[i], z[i])
-    return np.where(alive, codes, -1)
-
-
 def _shoot(p: Params, halves: HalfBoxes, words: list[str]) -> np.ndarray:
     """Multiple-shooting Newton for periodic orbits with the itineraries
     ``words``, all of one length k, solved in lockstep.
@@ -208,17 +187,31 @@ def _shoot(p: Params, halves: HalfBoxes, words: list[str]) -> np.ndarray:
     return out
 
 
-def _return_residuals(p: Params, pts: np.ndarray, k: int) -> np.ndarray:
-    """max|F^k(s) - s| for each row s of the (n, 3) array ``pts``; inf when
-    the orbit leaves the map domain."""
+def _check_orbits(p: Params, b, pts, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """max|F^k(s) - s| and the k-step half-box itinerary of each row s of
+    ``pts``, from one pass of F^k over all of them.
+
+    Each itinerary is a k-bit integer, first symbol most significant
+    (``format(code, f"0{k}b")`` is the word), and symbols follow
+    ``HalfBoxes.symbol_of``: z at or above the midplane is 1.  An orbit
+    that leaves the map domain within k steps (``map_off_domain``) has
+    residual inf and code -1; one that leaves the box within k symbols
+    has code -1.
+    """
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     x, y, z = pts.T.copy()
-    defined = np.ones(len(pts), dtype=bool)
+    codes = np.zeros(len(pts), dtype=np.int64)
+    inside = np.ones(len(pts), dtype=bool)
+    defined = inside.copy()
     for _ in range(k):
+        inside &= ((b.x_l <= x) & (x <= b.x_r) & (b.y_l <= y) & (y <= b.y_r)
+                   & (b.z_l <= z) & (z <= b.z_r))
+        codes = 2 * codes + (z >= b.z_mid)
         defined &= ~map_off_domain(x + z, x + y + z, p.c2)
         i = np.flatnonzero(defined)
         x[i], y[i], z[i] = map_arrays(p, x[i], y[i], z[i])
     gap = np.abs(np.column_stack((x, y, z)) - pts).max(axis=1)
-    return np.where(defined, gap, math.inf)
+    return np.where(defined, gap, math.inf), np.where(inside & defined, codes, -1)
 
 
 def _realize_words(p: Params, ob: OrientedBox, words: list[str], tol: float,
@@ -227,26 +220,26 @@ def _realize_words(p: Params, ob: OrientedBox, words: list[str], tol: float,
 
     A constant word is realized by the closed-form fixed point of its half
     (``horseshoe.locate_fixed_point_in``); all the others are solved
-    together by one lockstep ``_shoot``.
+    together by one lockstep ``_shoot``.  One ``_check_orbits`` pass then
+    gives every point's itinerary and, for the solved words, the residual.
     """
     k = len(words[0])
     pts = np.full((len(words), 3), np.nan)
-    residual = np.full(len(words), math.inf)
-    shot = np.array([i for i, w in enumerate(words) if w != w[0] * k], dtype=int)
-    if shot.size:
+    fixed = {}      # fixed_point_residual of each constant word's point
+    shot = [i for i, w in enumerate(words) if w != w[0] * k]
+    if shot:
         pts[shot] = _shoot(p, HalfBoxes.from_oriented(ob), [words[i] for i in shot])
-        shot = shot[~np.isnan(pts[shot]).any(axis=1)]
-        residual[shot] = _return_residuals(p, pts[shot], k)
     for i, w in enumerate(words):
         if w == w[0] * k:
             try:
                 pt = locate_fixed_point_in(p, ob, int(w[0]), tol, cert)
-                pts[i], residual[i] = pt.as_tuple(), fixed_point_residual(p, pt)
+                pts[i], fixed[i] = pt.as_tuple(), fixed_point_residual(p, pt)
             except ConvergenceError as exc:
-                residual[i] = exc.best_residual
+                fixed[i] = exc.best_residual
     found = ~np.isnan(pts).any(axis=1)
-    codes = np.full(len(words), -1)
-    codes[found] = _itinerary_codes(p, ob.box, pts[found], k)
+    residual, codes = np.full(len(words), math.inf), np.full(len(words), -1)
+    residual[found], codes[found] = _check_orbits(p, ob.box, pts[found], k)
+    residual[list(fixed)] = list(fixed.values())
     results = []
     for w, pt, r, code, ok in zip(words, pts, residual.tolist(), codes.tolist(), found):
         realized = format(code, f"0{k}b") if code >= 0 else ""

@@ -16,7 +16,7 @@ import pytest
 from triopoly import PAPER_BOX, PAPER_PARAMS
 from triopoly.cli import main
 from triopoly.core import eval_map_xyz
-from triopoly.symbolic import _itinerary_codes
+from triopoly.symbolic import _check_orbits
 
 PAPER_BOX_ARG = "0.5766666668,0.6316666668,0.3366666668,0.4516666668,0.0,0.3951779684"
 PAPER_PARAMS_ARG = "0.4,0.55,0.6,17"
@@ -294,7 +294,7 @@ class TestPeriodic:
         assert residual > 0.0
         img = eval_map_xyz(PAPER_PARAMS, *eval_map_xyz(PAPER_PARAMS, *pt))
         assert residual == max(abs(a - b) for a, b in zip(img, pt))
-        code = _itinerary_codes(PAPER_PARAMS, PAPER_BOX, [pt], 2)[0]
+        code = _check_orbits(PAPER_PARAMS, PAPER_BOX, [pt], 2)[1][0]
         assert rows[1][6] == format(int(code), "02b")
 
 

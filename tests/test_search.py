@@ -22,6 +22,7 @@ from triopoly.search import (
     _decode_skeleton,
     _first_min,
     _judge,
+    _rank,
     _refine,
     _vec_of,
     search_boxes,
@@ -543,6 +544,18 @@ def test_judge_replays_check_H_per_row(p, cand, min_margin):
         if worst is not None:
             assert RANK_IDS[j.worst[i]] == worst.cid
             assert j.kill_ids[j.kill[i]] == _ref_kill(worst)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_params(), _rows())
+@example(*_NAN_FIRST)
+def test_rank_is_the_judged_rank(p, cand):
+    j = _judge(p, cand, 1e-12)
+    for i, vec in enumerate(cand):
+        rank = _rank(p, vec)
+        assert (rank is None) == (not j.valid[i])
+        if rank is not None:
+            assert _bits(rank) == _bits(j.rank[i])
 
 
 @settings(max_examples=80, deadline=None)

@@ -12,6 +12,7 @@ from triopoly import (
 )
 from triopoly.core import (
     DomainError,
+    Params,
     State,
     boundary_fixed_point,
     eval_jacobian,
@@ -22,7 +23,7 @@ from triopoly.core import (
 )
 from triopoly.symbolic import (
     MAX_WORD_LENGTH,
-    _itinerary_codes,
+    _check_orbits,
     _shoot,
     Itinerary,
     count_periodic_words,
@@ -287,6 +288,18 @@ def _itinerary_by_point(p, b, pt, k):
     return out
 
 
+def _residual_by_point(p, pt, k):
+    """Per-point reference: max|F^k(s) - s|, inf once the orbit leaves the
+    domain within k steps."""
+    s = pt
+    try:
+        for _ in range(k):
+            s = eval_map_xyz(p, *s)
+    except DomainError:
+        return math.inf
+    return max(abs(a - b) for a, b in zip(s, pt))
+
+
 @given(
     pts=st.lists(
         st.tuples(st.floats(0.5, 0.7), st.floats(0.3, 0.5), st.floats(-0.05, 0.45)),
@@ -298,20 +311,30 @@ def _itinerary_by_point(p, b, pt, k):
 def test_itinerary_codes_match_per_point_itineraries(pts, k):
     mid = PAPER_BOX.z_mid
     pts = pts + [(0.6, 0.4, mid), (0.6, 0.4, PAPER_BOX.z_r)]  # a tie, a top-face point
-    codes = _itinerary_codes(P, PAPER_BOX, pts, k)
-    for pt, code in zip(pts, codes):
+    gaps, codes = _check_orbits(P, PAPER_BOX, pts, k)
+    for pt, gap, code in zip(pts, gaps, codes):
         want = _itinerary_by_point(P, PAPER_BOX, pt, k)
         assert (format(int(code), f"0{k}b") if code >= 0 else None) == want
+        assert gap == _residual_by_point(P, pt, k)
 
 
 def test_itinerary_codes_drop_orbits_leaving_the_domain():
     # x + z = 0 inside a box reaching down to it: the first map step is off-domain
     b = Box(-0.1, 0.5, 0.1, 0.5, 0.0, 0.4)
     pts = [(0.0, 0.3, 0.0), (0.3, 0.3, 0.1)]
-    codes = _itinerary_codes(P, b, pts, 1)
+    gaps, codes = _check_orbits(P, b, pts, 1)
     want = [_itinerary_by_point(P, b, pt, 1) for pt in pts]
-    assert want[0] is None and codes[0] == -1
+    assert want[0] is None and codes[0] == -1 and gaps[0] == math.inf
     assert want[1] is not None and format(int(codes[1]), "01b") == want[1]
+
+
+def test_check_orbits_stop_where_a_divisor_underflows():
+    # on the domain, but (x+y+z)^2 underflows to 0, so F is undefined there
+    p, pt = Params(1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 8.79e-197)
+    gaps, codes = _check_orbits(p, Box(-1.0, 1.0, -1.0, 1.0, 0.0, 1.0), [pt], 2)
+    assert gaps[0] == math.inf and codes[0] == -1
+    with pytest.raises(DomainError):
+        eval_map_xyz(p, *pt)
 
 
 def _reference_shoot(p, halves, word):
