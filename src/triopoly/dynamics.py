@@ -8,10 +8,9 @@ and to sanity-check the certified statements against plain numerics.
 
 ``simulate`` and ``lyapunov_spectrum`` follow one orbit in scalar floats.
 ``bifurcation_scan`` steps all its alpha samples in lockstep instead: the
-live rows advance as arrays through the map, its Jacobian and one
-stacked QR per step, and each row gets the bits ``simulate`` and then
-``lyapunov_spectrum`` give at its alpha.  One orbit stays scalar because
-a numpy step on one row costs about ten scalar steps.
+live rows advance as arrays through the map, and each row's largest
+exponent comes from one tangent vector, not a QR frame.  One orbit stays
+scalar because a numpy step on one row costs about ten scalar steps.
 
 The one-dimensional covering-interval demo on the logistic family is the
 exception: its verdict is a proof.  Two intervals cover their hull under
@@ -31,12 +30,12 @@ from .core import (
     DomainError,
     Params,
     State,
+    _jacobian_entries,
     eval_jacobian,
     eval_map_arrays,
     eval_map_xyz,
     fixed_point_residual,
     interior_fixed_point,
-    jacobian_arrays,
     jacobian_off_domain,
     map_arrays,
     map_off_domain,
@@ -432,10 +431,10 @@ def _record_rows(p: Params, alpha: np.ndarray, s: np.ndarray, transient: int, n:
     rows stepping together.
 
     Returns the indices of the rows that did not escape, their last
-    ``kz`` recorded z, their final states and the images of those.  A row
-    escapes as in ``simulate``: outside the cube before a step, off the
-    map's domain at one (``map_off_domain``), or outside the cube after
-    the last one.  Escaped rows are dropped when they escape.
+    ``kz`` recorded z and their final states.  A row escapes as in
+    ``simulate``: outside the cube before a step, off the map's domain at
+    one (``map_off_domain``), or outside the cube after the last one.
+    Escaped rows are dropped when they escape.
     """
     rows = np.arange(s.shape[1])
     x, y, z = s
@@ -446,60 +445,64 @@ def _record_rows(p: Params, alpha: np.ndarray, s: np.ndarray, transient: int, n:
         if not ok.all():
             rows, x, y, z, alpha, tail = _keep(ok, rows, x, y, z, alpha, tail)
         if not rows.size:
-            return rows, tail, s[:, :0], s[:, :0]
+            return rows, tail, s[:, :0]
         if step >= rec_from:
             tail[:, step - rec_from] = z
         final = (x, y, z)
         x, y, z = map_arrays(p, x, y, z, alpha)
     ok = _inside_rows(x, y, z, lo, hi)
-    return rows[ok], tail[ok], np.array(final)[:, ok], np.array((x, y, z))[:, ok]
+    return rows[ok], tail[ok], np.array(final)[:, ok]
 
 
-def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, pinned: np.ndarray,
-                       n: int, lo: float, hi: float) -> np.ndarray:
-    """The largest exponent, ``lyapunov_spectrum(p_i, s_i, n, safety=(lo,
-    hi)).exponents[0]``, for every column s_i of the (3, m) array ``s``,
-    all rows stepping together.
+def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
+                       lo: float, hi: float) -> np.ndarray:
+    """The largest exponent over ``n`` steps from each column s_i of the
+    (3, m) array ``s``, all rows stepping together: one tangent vector per
+    row, v <- Jv/|Jv| from e1, with the warm-up of ``lyapunov_spectrum``
+    (Benettin, Galgani, Giorgilli & Strelcyn 1980).  The ``hypot`` norm
+    cannot overflow, and a vector J maps to exactly 0 stays 0: -inf.
 
-    ``pinned`` marks the starts ``lyapunov_spectrum`` pins to a rest
-    point: they keep their state.  Each row keeps its own QR frame; one
-    stacked QR per step gives every row the bits of its own 3x3 QR.  A
-    row whose Jacobian is undefined (``jacobian_off_domain``), or whose
-    orbit leaves the domain or the cube, stops with the partial estimate
-    of the steps it made; one that stops inside the QR warm-up averages
-    all of them.
+    Every start must lie in the map's domain.  One that
+    ``lyapunov_spectrum`` pins to a rest point keeps its state.  A row
+    whose Jacobian is undefined (``jacobian_off_domain``), or whose orbit
+    leaves the domain or the cube, stops with the partial estimate of the
+    steps it made; one that stops inside the warm-up averages all of them.
     """
     warmup = min(256, n // 4)
     out = np.full(s.shape[1], math.nan)
     rows = np.arange(s.shape[1])
     x, y, z = s
-    moving = ~pinned
+    moving = ~(_residual_rows(map_arrays(p, x, y, z, alpha), s) < FIXED_POINT_PIN)
     any_pinned, pinned_only = not moving.all(), not moving.any()
-    frame = np.tile(np.eye(3), (rows.size, 1, 1))
-    acc = np.zeros((rows.size, 3))   # sum of log |R_ii| since the warm-up, or within it
+    va, vb, vc = np.ones(rows.size), np.zeros(rows.size), np.zeros(rows.size)
+    acc = np.zeros(rows.size)   # sum of log |Jv| since the warm-up, or within it
 
-    def drop(stop: np.ndarray, seen: int) -> None:
-        """Finish the rows in ``stop`` after ``seen`` QR factors; keep the rest."""
-        nonlocal rows, x, y, z, alpha, moving, frame, acc, any_pinned, pinned_only
+    def drop(stop: np.ndarray, seen: int) -> bool:
+        """Finish the rows in ``stop`` after ``seen`` steps; true if none is left."""
+        nonlocal rows, x, y, z, alpha, moving, va, vb, vc, acc, any_pinned, pinned_only
         used = seen - warmup if seen > warmup else seen
         if used:
-            out[rows[stop]] = np.sort(acc[stop] / used, axis=1)[:, -1]
-        rows, x, y, z, alpha, moving, frame, acc = _keep(
-            ~stop, rows, x, y, z, alpha, moving, frame, acc)
+            out[rows[stop]] = acc[stop] / used
+        rows, x, y, z, alpha, moving, va, vb, vc, acc = _keep(
+            ~stop, rows, x, y, z, alpha, moving, va, vb, vc, acc)
         any_pinned, pinned_only = not moving.all(), not moving.any()
+        return not rows.size
 
     for step in range(n):
         d, q = x + z, x + y + z
         stop = jacobian_off_domain(d, q, p.c2)
         if stop.any():
-            drop(stop, step)
-            if not rows.size:
+            if drop(stop, step):
                 return out
             d, q = x + z, x + y + z
         if step == warmup:
             acc[:] = 0.0
-        frame, r = np.linalg.qr(jacobian_arrays(p, x, y, z, alpha) @ frame)
-        acc += np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+        j11, j12, j21, j31, j33 = _jacobian_entries(p, alpha, x, y, z, np.sqrt)
+        na, nb, nc = j11 * va + j12 * (vb + vc), j21 * (va + vc), j31 * (va + vb) + j33 * vc
+        r = np.hypot(np.hypot(na, nb), nc)
+        acc += np.log(r)
+        r = np.maximum(r, 5e-324)   # r > 0 is kept; an annihilated v stays 0, not 0/0
+        va, vb, vc = na / r, nb / r, nc / r
         if pinned_only:
             continue
         fx, fy, fz = map_arrays(p, x, y, z, alpha)
@@ -509,10 +512,8 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, pinned: np.n
             x, y, z = np.where(moving, fx, x), np.where(moving, fy, y), np.where(moving, fz, z)
         else:
             x, y, z = fx, fy, fz
-        if stop.any():
-            drop(stop, step + 1)
-            if not rows.size:
-                return out
+        if stop.any() and drop(stop, step + 1):
+            return out
     drop(np.ones(rows.size, dtype=bool), n)
     return out
 
@@ -532,17 +533,18 @@ def bifurcation_scan(
 ) -> BifurcationTable:
     """Sweep alpha over a closed subinterval of (0, 20].
 
-    Each row is what ``simulate`` (``n_record`` states after
-    ``transient``) and then ``lyapunov_spectrum`` (``lyap_steps`` steps
-    from the last recorded state) give at its alpha, bit for bit.
+    Each row's escape flag and z tail are ``simulate``'s (``n_record``
+    states after ``transient``) at its alpha, bit for bit.  Its ``lyap1``
+    (``lyap_steps`` steps on) lies within 1e-12 of ``lyapunov_spectrum``'s
+    largest exponent, or of its second where the top two lie within 2e-3.
     Per-alpha escapes are recorded and the scan continues.  Seeding is
     per-alpha (spawned from one root seed), so the table is identical for
     identical arguments.
 
-    The samples run in lockstep: every map step, Jacobian and QR factor
-    of all live rows is one array operation, and a row leaves the arrays
-    when it escapes.  ``threads`` is accepted and has no effect; it must
-    be at least 1.
+    The samples run in lockstep: every map step and tangent step of all
+    live rows is one array operation, and a row leaves the arrays when it
+    escapes.  ``threads`` is accepted and has no effect; it must be at
+    least 1.
     """
     a_lo, a_hi = float(alpha_range[0]), float(alpha_range[1])
     if not (0.0 < a_lo <= a_hi <= 20.0):
@@ -571,8 +573,8 @@ def bifurcation_scan(
     escaped = ~(pinned & _inside_rows(*s0, lo, hi))
     moving = np.flatnonzero(~pinned)
     with np.errstate(all="ignore"):     # as in float arithmetic: inf and nan, no warnings
-        kept, tail, final, image = _record_rows(p_base, alphas[moving], s0[:, moving],
-                                                transient, n_record, kz, lo, hi)
+        kept, tail, final = _record_rows(p_base, alphas[moving], s0[:, moving],
+                                         transient, n_record, kz, lo, hi)
     kept = moving[kept]
     escaped[kept] = False
     tails[kept] = tail
@@ -585,17 +587,13 @@ def bifurcation_scan(
             raise ValueError("need at least one step")
         start = s0.copy()
         start[:, kept] = final
-        again = pinned.copy()
-        again[kept] = _residual_rows(image, final) < FIXED_POINT_PIN
         with np.errstate(all="ignore"):
-            lyap1[live] = _largest_exponents(p_base, alphas[live], start[:, live], again[live],
-                                             lyap_steps, lo, hi)
+            lyap1[live] = _largest_exponents(p_base, alphas[live], start[:, live], lyap_steps,
+                                             lo, hi)
 
-    rows = tuple(
-        BifurcationRow(float(a), True, math.nan, ()) if esc
-        else BifurcationRow(float(a), False, float(l1), tuple(float(v) for v in t))
-        for a, esc, l1, t in zip(alphas, escaped, lyap1, tails)
-    )
+    # an escaped row's lyap1 is still nan
+    rows = tuple(BifurcationRow(float(a), bool(esc), float(l1), () if esc else tuple(map(float, t)))
+                 for a, esc, l1, t in zip(alphas, escaped, lyap1, tails))
     policy_name = s0_policy if isinstance(s0_policy, str) else getattr(
         s0_policy, "__name__", type(s0_policy).__name__
     )

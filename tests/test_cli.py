@@ -408,7 +408,7 @@ def test_stdout_and_out_file_carry_the_same_bytes(capsys, tmp_path, argv):
 
 
 # sha256 of each subcommand's output, recorded before the option tables were
-# rebuilt; bifurcate's with the per-sample scan the lockstep one replaced
+# rebuilt; bifurcate's with the one-vector largest exponent
 _FROZEN = {
     "certify-analytic": (["certify", "--preset", "paper", "--engine", "analytic"],
                          {"": "0b271f67d9e99c376ea4d23e8c5b482fdeaffdc9c1e1f24fb9caf611124dd8b8"}),
@@ -431,7 +431,7 @@ _FROZEN = {
                  {"": "e49877e692542103c84e40c7c7aa5eee856455e3d0a1d0359523884d00ebbe3f"}),
     "bifurcate": (["bifurcate", "--params", "0.4,0.55,0.6,10", "--alpha-range", "9,10.5",
                    "--samples", "4", "--transient", "100"],
-                  {"": "e3a29c3b4f50ff99efff95e0a0d0817afffee43361e50d844912735096ab092b"}),
+                  {"": "28edf3927a6599ecd26987999ef6ebabb630debcdd2004d90cf03a5c12b21115"}),
     "demo-logistic": (["demo-logistic", "--mu", "3.88"],
                       {"": "dd6d33931cdb40d45d570e337212514dacbe3bb4c3005280ea959c8263be250e"}),
     "horseshoe": (["horseshoe", "--preset", "paper", "--resolution", "16", "--paths", "5",

@@ -2,6 +2,7 @@
 import hashlib
 import io
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -17,14 +18,18 @@ from triopoly.core import (
     State,
     boundary_fixed_point,
     eval_jacobian,
+    eval_map_xyz,
+    fixed_point_residual,
     interior_fixed_point,
 )
 from triopoly.dynamics import (
     DEFAULT_SAFETY,
+    FIXED_POINT_PIN,
     BifurcationRow,
     BifurcationTable,
     CoveringIntervals,
     _critical_points,
+    _largest_exponents,
     _policy_start,
     bifurcation_scan,
     classify_eigenvalues,
@@ -334,25 +339,75 @@ def _csv(table) -> str:
     return buf.getvalue()
 
 
+def _one_vector_exponent(p, s0, n, safety=DEFAULT_SAFETY):
+    """The largest exponent along the orbit of s0 by one tangent vector in
+    scalar floats: ``lyapunov_spectrum``'s pinning, warm-up, stops and
+    notes, with v <- Jv / |Jv| from e1 in place of the QR frame.  Returns
+    the estimate and the note."""
+    warmup = min(256, n // 4)
+    lo, hi = safety
+    pinned = fixed_point_residual(p, s0) < FIXED_POINT_PIN
+    x, y, z = s0.x, s0.y, s0.z
+    va, vb, vc = 1.0, 0.0, 0.0
+    acc, seen, note = 0.0, 0, "pinned at a fixed point" if pinned else ""
+    for step in range(n):
+        try:
+            jac = eval_jacobian(p, State(x, y, z))
+        except DomainError:
+            note = f"Jacobian undefined at step {step}; estimate is partial"
+            break
+        if step == warmup:
+            acc = 0.0
+        na = jac[0, 0] * va + jac[0, 1] * (vb + vc)
+        nb = jac[1, 0] * (va + vc)
+        nc = jac[2, 0] * (va + vb) + jac[2, 2] * vc
+        r = np.hypot(np.hypot(na, nb), nc)
+        with np.errstate(divide="ignore"):     # Jv = 0 logs -inf
+            acc += np.log(r)
+        va, vb, vc = (na / r, nb / r, nc / r) if r else (0.0, 0.0, 0.0)
+        seen += 1
+        if pinned:
+            continue
+        try:
+            x, y, z = eval_map_xyz(p, x, y, z)
+        except DomainError:
+            note = f"orbit left the domain at step {step + 1}; estimate is partial"
+            break
+        if not (lo <= x <= hi and lo <= y <= hi and lo <= z <= hi):
+            note = f"orbit left the safety region at step {step + 1}; estimate is partial"
+            break
+    used = seen - warmup if seen > warmup else seen
+    if 0 < seen <= warmup:
+        note = (note + "; warmup not reached").lstrip("; ")
+    return (float(acc / used) if used else math.nan), note
+
+
+def _recorded_orbits(p_base, alpha_range, samples, s0_policy="perturbed-nash", transient=1000,
+                     n_record=200, seed=0, safety=DEFAULT_SAFETY):
+    """Each sample's params and ``simulate`` record, one alpha at a time."""
+    alphas = np.linspace(float(alpha_range[0]), float(alpha_range[1]), samples)
+    for a, child in zip(alphas, np.random.SeedSequence(seed).spawn(samples)):
+        pa = Params(p_base.c1, p_base.c2, p_base.c3, float(a))
+        s0 = _policy_start(s0_policy, pa, np.random.default_rng(child))
+        yield pa, simulate(pa, s0, n_record, transient=transient, safety=safety)
+
+
 def _oracle_scan(p_base, alpha_range, samples, s0_policy="perturbed-nash", transient=1000,
                  n_record=200, z_values=32, lyap_steps=2000, seed=0, safety=DEFAULT_SAFETY):
-    """The per-sample scan that the lockstep ``bifurcation_scan`` replaced:
-    ``_policy_start``, ``simulate`` and ``lyapunov_spectrum`` at each alpha
-    in turn.  Returns the table and the note of each spectrum."""
-    alphas = np.linspace(float(alpha_range[0]), float(alpha_range[1]), samples)
-    children = np.random.SeedSequence(seed).spawn(samples)
+    """The per-sample reference for the lockstep ``bifurcation_scan``:
+    ``_policy_start``, ``simulate`` and ``_one_vector_exponent`` at each
+    alpha in turn.  Returns the table and the note of each exponent."""
     rows, notes = [], []
-    for a, child in zip(alphas, children):
-        a = float(a)
-        pa = Params(p_base.c1, p_base.c2, p_base.c3, a)
-        s0 = _policy_start(s0_policy, pa, np.random.default_rng(child))
-        rec = simulate(pa, s0, n_record, transient=transient, safety=safety)
+    for pa, rec in _recorded_orbits(p_base, alpha_range, samples, s0_policy, transient,
+                                    n_record, seed, safety):
         if rec.escaped or rec.n_recorded == 0:
-            rows.append(BifurcationRow(a, True, math.nan, ()))
+            rows.append(BifurcationRow(pa.alpha, True, math.nan, ()))
             continue
-        ly = lyapunov_spectrum(pa, State(*rec.points[-1]), lyap_steps, safety=safety)
-        notes.append(ly.note)
-        rows.append(BifurcationRow(a, False, ly.exponents[0],
+        if lyap_steps < 1:
+            raise ValueError("need at least one step")
+        lyap1, note = _one_vector_exponent(pa, State(*rec.points[-1]), lyap_steps, safety)
+        notes.append(note)
+        rows.append(BifurcationRow(pa.alpha, False, lyap1,
                                    tuple(float(v) for v in rec.points[-z_values:, 2])))
     name = s0_policy if isinstance(s0_policy, str) else getattr(
         s0_policy, "__name__", type(s0_policy).__name__)
@@ -449,10 +504,10 @@ class TestLockstepScan:
         assert _paths(*_oracle_scan(P, **_SCAN_CASES[case])) >= _SCAN_PATHS[case]
 
     def test_alpha_sweep_scan_bytes_are_frozen(self):
-        # sha256 of the per-sample scan's CSV at the benchmark's alpha-sweep size
+        # sha256 of the one-vector scan's CSV at the benchmark's alpha-sweep size
         tab = bifurcation_scan(P, (7, 10.5), 36, seed=12)
         assert hashlib.sha256(_csv(tab).encode()).hexdigest() == \
-            "b72a70f7460347007fcc7dd604d5674d5f0a626622483aa27c9712ba041afe85"
+            "ddfce430e6143f8ba65ea64c7dad3679dbb43628a955f393075d41829e8385b0"
 
     def test_off_domain_start_raises_as_before(self):
         # (x+y+z)^2 underflows at the start itself: the rest-point test raises
@@ -467,25 +522,118 @@ class TestLockstepScan:
         with pytest.raises(ValueError):
             bifurcation_scan(P, (6.0, 7.0), 2, lyap_steps=0)
 
-    def test_stacked_qr_and_matmul_are_per_matrix_bit_for_bit(self):
-        """The scan's rows carry the bits of ``lyapunov_spectrum`` only if
-        ``J @ F`` and ``np.linalg.qr`` over an (m, 3, 3) stack run the same
-        kernels as on each 3x3 matrix; checked here on random stacks, with
-        frames fed back and rows dropped as in the scan."""
-        rng = np.random.default_rng(20261018)
-        frames = np.tile(np.eye(3), (48, 1, 1))
-        for _ in range(40):
-            jac = rng.normal(size=(len(frames), 3, 3)) * 10.0 ** rng.uniform(-3, 3, (len(frames), 1, 1))
-            prod = jac @ frames
-            q, r = np.linalg.qr(prod)
-            logs = np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
-            for i in range(len(frames)):
-                p1 = jac[i] @ frames[i]
-                q1, r1 = np.linalg.qr(p1)
-                assert p1.tobytes() == prod[i].tobytes()
-                assert q1.tobytes() == q[i].tobytes() and r1.tobytes() == r[i].tobytes()
-                assert np.log(np.abs(np.diag(r1))).tobytes() == logs[i].tobytes()
-            frames = q[rng.random(len(frames)) > 0.03]
+    def test_stacked_hypot_and_log_are_per_element_bit_for_bit(self):
+        """The scan's rows carry the bits of the scalar reference only if
+        ``np.hypot`` and ``np.log`` over an array give each element the
+        bits of the call on that element alone; checked here on random
+        arrays of every length up to 48, with zeros, subnormals, huge and
+        non-finite values mixed in."""
+        rng = np.random.default_rng(20261019)
+        special = np.array([0.0, -0.0, 5e-324, 1e-310, 1e200, -1e200, 1.7e308, np.inf, np.nan])
+        with np.errstate(all="ignore"):
+            for m in range(1, 49):
+                a = rng.normal(size=m) * 10.0 ** rng.uniform(-300, 300, m)
+                b = rng.normal(size=m) * 10.0 ** rng.uniform(-300, 300, m)
+                a[rng.random(m) < 0.2] = rng.choice(special)
+                b[rng.random(m) < 0.2] = rng.choice(special)
+                h = np.hypot(a, b)
+                logs = np.log(h)
+                for i in range(m):
+                    assert np.hypot(a[i], b[i]).tobytes() == h[i].tobytes()
+                    assert np.log(h[i]).tobytes() == logs[i].tobytes()
+
+
+# the frozen full-length scans: the 36-sample alpha-sweep scan, the CLI's
+# ``bifurcate`` case and the 141-sample script default
+_FROZEN_SCANS = {
+    "alpha-sweep": (P, dict(alpha_range=(7, 10.5), samples=36, seed=12)),
+    "cli": (Params(0.4, 0.55, 0.6, 10.0), dict(alpha_range=(9.0, 10.5), samples=4,
+                                               transient=100)),
+    "script": (P, dict(alpha_range=(7.0, 10.5), samples=141)),
+}
+
+
+def _lyap1_masked(text: str) -> str:
+    """The CSV with each finite ``lyap1`` cell replaced by ``f``."""
+    lines = text.splitlines(keepends=True)
+    cells = [line.split(",") for line in lines[1:]]
+    return lines[0] + "".join(",".join(c[:2] + ["f" if c[2] else ""] + c[3:]) for c in cells)
+
+
+class TestOneVectorExponent:
+    """The one-vector largest exponent against the QR frame it replaced."""
+
+    @pytest.mark.parametrize("case,digest", [
+        ("alpha-sweep", "84fbe230a5e260ccdcf936d576ddc689a4c31cb27d0df10b44c001456126ceb8"),
+        ("cli", "ca068ef346730bc3a74ec1266146d32cd83e186b8b99e04b2cf29bc1d826f151"),
+        ("script", "44baf88fa1a107b3b9f5673a9ffacee4dffdc1ed7509fa292b8c6325d3110145"),
+    ])
+    def test_scans_keep_the_qr_bytes_outside_lyap1(self, case, digest):
+        # sha256 with finite lyap1 masked, recorded with the QR-frame scan:
+        # escape flags, z tails and non-finite cells did not move
+        p, kw = _FROZEN_SCANS[case]
+        masked = _lyap1_masked(_csv(bifurcation_scan(p, **kw)))
+        assert hashlib.sha256(masked.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("case,near_tie", [
+        ("alpha-sweep", (8.5,)), ("cli", ()), ("script", (8.5, 9.525))])
+    def test_lyap1_is_the_top_qr_exponent_or_a_near_tie(self, case, near_tie):
+        """Each finite lyap1 lies within 1e-12 of the QR frame's top
+        exponent, except on a row whose top two QR exponents lie within
+        2e-3: there the tangent vector may settle on either, and here it
+        lies within 1e-12 of the second.  Those rows sit on stable cycles
+        whose dominant multipliers are a complex pair."""
+        p, kw = _FROZEN_SCANS[case]
+        ties = []
+        tab = bifurcation_scan(p, **kw)
+        for row, (pa, rec) in zip(tab.rows, _recorded_orbits(p, **kw)):
+            if row.escaped:
+                assert math.isnan(row.lyap1)
+                continue
+            top, second, _ = lyapunov_spectrum(pa, State(*rec.points[-1]), 2000).exponents
+            if abs(row.lyap1 - top) <= 1e-12:
+                continue
+            assert top - second < 2e-3 and abs(row.lyap1 - second) <= 1e-12, row.alpha
+            ties.append(row.alpha)
+        assert tuple(ties) == near_tie
+
+    def test_pinned_rest_point_rows_give_the_dominant_log_modulus(self):
+        # at the rest point J is constant, so v aligns with its dominant
+        # eigenvector and the average misses log max|eig| by O(1/n)
+        lyap_steps = 2000
+        tab = bifurcation_scan(P, (0.5, 20.0), 40, s0_policy="nash", lyap_steps=lyap_steps)
+        for row in tab.rows:
+            pa = Params(P.c1, P.c2, P.c3, row.alpha)
+            eig = np.linalg.eigvals(eval_jacobian(pa, interior_fixed_point(pa)))
+            assert not row.escaped
+            assert abs(row.lyap1 - math.log(np.max(np.abs(eig)))) <= 5.0 / lyap_steps, row.alpha
+
+    def test_huge_entries_do_not_overflow_the_norm(self):
+        # x + z = 1e-320 makes dF2/dx ~ 1e160 at the start, whose square
+        # overflows to inf; hypot does not.  Three steps leave no warm-up, so
+        # the estimate is the QR frame's first column, one of its exponents
+        p = Params(0.4, 0.55, 0.6, 10.0)
+        s = State(1e-320, 0.5, 0.0)
+        assert eval_jacobian(p, s)[1, 0] > math.sqrt(sys.float_info.max)
+        got = _largest_exponents(p, np.array([p.alpha]), np.array([s.as_tuple()]).T, 3,
+                                 *DEFAULT_SAFETY)[0]
+        qr = lyapunov_spectrum(p, s, 3, qr_warmup=0).exponents
+        assert math.isfinite(got) and min(abs(e - got) for e in qr) <= 1e-12
+
+    def test_an_annihilated_vector_gives_minus_inf_not_nan(self):
+        # c1 q = 1, c2 d = 1/4 and z = 0 make J e1 exactly 0 at the start;
+        # the vector stays 0 through the warm-up reset, and the row beside it
+        # keeps its own estimate
+        p = Params(0.5, 0.25, 0.6, 3.0)
+        zero, other = State(1.0, 1.0, 0.0), State(0.3, 0.3, 0.3)
+        assert not eval_jacobian(p, zero)[:, 0].any()
+        s = np.array([zero.as_tuple(), other.as_tuple()]).T
+        with np.errstate(all="ignore"):
+            got = _largest_exponents(p, np.full(2, p.alpha), s, 40, *DEFAULT_SAFETY)
+            alone = _largest_exponents(p, np.full(1, p.alpha), s[:, 1:], 40, *DEFAULT_SAFETY)
+        assert got[0] == -math.inf
+        assert got[1:].tobytes() == alone.tobytes()
+        assert alone[0] == _one_vector_exponent(p, other, 40)[0]
 
 
 class TestLogisticDemo:

@@ -40,11 +40,11 @@ def test_bifurcation_sweep(tmp_path, capsys):
 
 
 def test_bifurcation_sweep_default_bytes_are_frozen(tmp_path, capsys):
-    # 141 samples over [7, 10.5]; sha256 recorded with the per-sample scan
+    # 141 samples over [7, 10.5]; sha256 recorded with the one-vector exponent
     out = tmp_path / "bif.csv"
     assert _main("bifurcation_sweep.py")(["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "4495cdd0ae8824f2b0b3b512cd288c98402ca72b471e7295af206c980077790e"
+        "57a5e458a279f64f49dc53096afde9fc3e154898a63755cb84844216454538b8"
 
 
 def test_bifurcation_sweep_has_no_threads_flag(capsys):
