@@ -549,16 +549,10 @@ class Threshold(NamedTuple):
 class BoundReport:
     """Certified enclosure of min or max of one component over a region."""
 
-    component: str
     which: str
-    region: tuple
     enclosure: Interval
-    best_point: tuple[float, float, float]
-    best_value: float
     subdivisions: int
     status: str  # "ok" | "decided" | "inconclusive"
-    tol: float
-    budget: int
 
     @property
     def width(self) -> float:
@@ -648,13 +642,9 @@ def bound_extremum(
     def unsigned(inc, ub):  # the enclosure [lo, hi] of f itself
         return (inc, ub) if want_max else (-ub, -inc)
 
-    def mid_of(t):
-        return (0.5 * (t[0] + t[1]), 0.5 * (t[2] + t[3]), 0.5 * (t[4] + t[5]))
-
     start, s = _collapse(p, t6, component, want_max)
     e0, pv = map(signed, _tight_range(p, start, s, component))
-    m0 = mid_of(start)
-    incumbent, best_point = pv[0], m0
+    incumbent = pv[0]
 
     seq = 0
     heap = [(-e0[1], seq, start)]
@@ -691,9 +681,7 @@ def bound_extremum(
         ):
             child, s = _collapse(p, child, component, want_max)
             e, pv = map(signed, _tight_range(p, child, s, component))
-            cm = mid_of(child)
-            if pv[0] > incumbent:
-                incumbent, best_point = pv[0], cm
+            incumbent = max(incumbent, pv[0])
             if e[1] > incumbent:
                 seq += 1
                 heapq.heappush(heap, (-e[1], seq, child))
@@ -701,20 +689,8 @@ def bound_extremum(
         # heap exhausted: every box was pruned at or below the incumbent
         ub = incumbent
 
-    lo, hi = unsigned(incumbent, ub)
-    best_value = incumbent if want_max else -incumbent
-    return BoundReport(
-        component=component,
-        which=which,
-        region=t6,
-        enclosure=Interval(lo, hi),
-        best_point=best_point,
-        best_value=best_value,
-        subdivisions=expansions,
-        status=status,
-        tol=tol,
-        budget=budget,
-    )
+    return BoundReport(which=which, enclosure=Interval(*unsigned(incumbent, ub)),
+                       subdivisions=expansions, status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +722,6 @@ def verify_C_rigorous(
     b: Box,
     tol: float = 1e-8,
     budget: int = 10**6,
-    min_margin: float = DEFAULT_MIN_MARGIN,
 ) -> Certificate:
     """Interval-arithmetic verdicts for (C1), (C2), (C3'), (C4), (C5).
 
@@ -801,7 +776,7 @@ def verify_C_rigorous(
 
     # C3': min F3 over the midplane > z_r (strict).
     conditions.append(record("C3p", checked("C3p", midplane, "F3", "min",
-                                            Threshold(b.z_r, ">", min_margin))))
+                                            Threshold(b.z_r, ">", DEFAULT_MIN_MARGIN))))
 
     # C4: range of F1 over the whole box inside [x_l, x_r].
     conditions.append(record("C4", checked("C4min", full, "F1", "min", Threshold(b.x_l, ">=")),
@@ -811,14 +786,7 @@ def verify_C_rigorous(
     conditions.append(record("C5", checked("C5min", full, "F2", "min", Threshold(b.y_l, ">=")),
                              checked("C5max", full, "F2", "max", Threshold(b.y_r, "<="))))
 
-    return Certificate(
-        params=p,
-        box=b,
-        conditions=conditions,
-        engine="interval",
-        tol=tol,
-        min_margin=min_margin,
-    )
+    return Certificate(params=p, box=b, conditions=conditions, engine="interval", tol=tol)
 
 
 # ---------------------------------------------------------------------------

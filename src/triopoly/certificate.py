@@ -130,7 +130,6 @@ class Certificate:
     engine: str
     verdict: str = ""
     tol: Optional[float] = None
-    min_margin: float = DEFAULT_MIN_MARGIN
 
     def __post_init__(self) -> None:
         if not self.verdict:
@@ -163,7 +162,6 @@ class Certificate:
             conditions=conds,
             engine=engine,
             tol=self.tol if self.tol is not None else other.tol,
-            min_margin=self.min_margin,
         )
 
     def as_dict(self) -> dict:
@@ -175,7 +173,7 @@ class Certificate:
             "params": self.params.as_dict(),
             "box": self.box.as_dict(),
             "tol": self.tol,
-            "min_margin": self.min_margin,
+            "min_margin": DEFAULT_MIN_MARGIN,
             "conditions": [c.as_dict() for c in self.conditions],
         }
 
@@ -221,9 +219,9 @@ def condition_record(cid, subchecks, engine, note="", interval=None) -> Conditio
 # atomic inequality helpers
 # ---------------------------------------------------------------------------
 
-def _strict(cid, lhs, rhs, min_margin, note="") -> SubCheck:
+def _strict(cid, lhs, rhs, note="") -> SubCheck:
     margin = lhs - rhs
-    status = PASS if margin > min_margin else FAIL
+    status = PASS if margin > DEFAULT_MIN_MARGIN else FAIL
     return SubCheck(cid, lhs, rhs, ">", margin, status, note)
 
 
@@ -267,7 +265,7 @@ def h_inequalities(p: Params, xl, xr, yl, yr, zl, zr, sqrt=math.sqrt):
 
     Returns ``(atoms, operands)``.  ``atoms`` lists
     ``(condition, id, relation, lhs, rhs, note, root)`` in record order;
-    relation ``">"`` is strict (passes when lhs - rhs > min_margin) and
+    relation ``">"`` is strict (passes when lhs - rhs > DEFAULT_MIN_MARGIN) and
     ``">="`` weak (passes when lhs - rhs >= 0).  ``root`` is the key in
     ``operands`` of the square-root operand the sides depend on, or None;
     a negative operand leaves those atoms undefined, so ``sqrt`` must
@@ -327,7 +325,7 @@ def h_inequalities(p: Params, xl, xr, yl, yr, zl, zr, sqrt=math.sqrt):
     return atoms, operands
 
 
-def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certificate:
+def check_H(p: Params, b: Box) -> Certificate:
     """Evaluate the five hypothesis groups on the box corners.
 
     H2's lower bound for z_r involves sqrt(alpha/(alpha*c3 - 1) * (x_l+y_l))
@@ -354,7 +352,7 @@ def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certif
                 subs[cid].append(
                     _undefined(sid, relation, f"sqrt of negative operand ({root} < 0)"))
         elif relation == ">":
-            subs[cid].append(_strict(sid, lhs, rhs, min_margin, note))
+            subs[cid].append(_strict(sid, lhs, rhs, note))
         else:
             subs[cid].append(_weak(sid, lhs, rhs, note))
 
@@ -365,13 +363,7 @@ def check_H(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certif
             "H2", f"alpha*c3 = {p.alpha * p.c3} <= 1: escape bound undefined", ">=")
     records = [h1, h2] + [condition_record(cid, subs[cid], "analytic")
                           for cid in ("H3", "H4", "H5")]
-    return Certificate(
-        params=p,
-        box=b,
-        conditions=records,
-        engine="analytic",
-        min_margin=min_margin,
-    )
+    return Certificate(params=p, box=b, conditions=records, engine="analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +375,7 @@ def _f3_point(p: Params, x: float, y: float, z: float) -> float:
     return z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / (q * q))
 
 
-def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) -> Certificate:
+def check_C_analytic(p: Params, b: Box) -> Certificate:
     """Closed-form verdicts for the five covering conditions.
 
     Each condition is reduced to extremal values of a one-variable section:
@@ -443,7 +435,7 @@ def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) 
         )
     else:
         worst = _f3_point(p, xr, yr, z_mid)
-        sub = _strict("C3p", worst, zr, min_margin, "min F3 on midplane > z_r")
+        sub = _strict("C3p", worst, zr, "min F3 on midplane > z_r")
         c3_rec = condition_record("C3p", [sub], "analytic",
                                   note="min F3 on midplane at (x_r, y_r, z_mid)")
 
@@ -491,7 +483,6 @@ def check_C_analytic(p: Params, b: Box, min_margin: float = DEFAULT_MIN_MARGIN) 
         box=b,
         conditions=[c1_rec, c2_rec, c3_rec, c4_rec, c5_rec],
         engine="analytic",
-        min_margin=min_margin,
     )
 
 
@@ -515,7 +506,6 @@ def certify_box(
     b: Box,
     engine: str = "analytic",
     tol: float = 1e-8,
-    min_margin: float = DEFAULT_MIN_MARGIN,
     budget: int = 10**6,
 ) -> Certificate:
     """Full certificate: H layer plus C layer under the requested engine.
@@ -536,18 +526,18 @@ def certify_box(
     """
     if engine not in ("analytic", "interval", "both"):
         raise ValueError(f"unknown engine {engine!r}")
-    h_cert = check_H(p, b, min_margin)
+    h_cert = check_H(p, b)
 
     if engine == "analytic":
-        return h_cert.merged_with(check_C_analytic(p, b, min_margin), engine="analytic")
+        return h_cert.merged_with(check_C_analytic(p, b), engine="analytic")
 
     from .bounds import verify_C_rigorous  # deferred: bounds imports Box types
 
-    i_cert = verify_C_rigorous(p, b, tol=tol, budget=budget, min_margin=min_margin)
+    i_cert = verify_C_rigorous(p, b, tol=tol, budget=budget)
     if engine == "interval":
         return h_cert.merged_with(i_cert, engine="interval")
 
-    a_cert = check_C_analytic(p, b, min_margin)
+    a_cert = check_C_analytic(p, b)
     fused: list[ConditionRecord] = []
     for cid in C_IDS:
         ra = a_cert.condition(cid)
@@ -578,5 +568,4 @@ def certify_box(
         conditions=list(h_cert.conditions) + fused,
         engine="both",
         tol=tol,
-        min_margin=min_margin,
     )

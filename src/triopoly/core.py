@@ -279,17 +279,14 @@ def eval_jacobian(p: Params, s: State) -> np.ndarray:
     )
 
 
-def jacobian_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                    alpha=None) -> np.ndarray:
+def jacobian_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """``eval_jacobian`` at each point of float64 arrays, as an (n, 3, 3)
     stack, bit for bit the same per point.
 
-    ``alpha``, an array like ``x``, gives each point its own adjustment
-    rate.  Nothing is checked: the caller passes only points where
+    Nothing is checked: the caller passes only points where
     ``jacobian_off_domain`` is false.
     """
-    j11, j12, j21, j31, j33 = _jacobian_entries(
-        p, p.alpha if alpha is None else alpha, x, y, z, np.sqrt)
+    j11, j12, j21, j31, j33 = _jacobian_entries(p, p.alpha, x, y, z, np.sqrt)
     entries = np.array((j11, j12, j12, j21, np.zeros_like(j21), j21, j31, j31, j33))
     return np.ascontiguousarray(entries.T).reshape(-1, 3, 3)
 

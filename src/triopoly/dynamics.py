@@ -92,12 +92,9 @@ class OrbitRecord:
     stops there, so nothing at or past it is recorded.
     """
 
-    initial: State
-    params: Params
     transient: int
     points: np.ndarray
     escape_step: int | None = None
-    safety: tuple[float, float] = DEFAULT_SAFETY
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -150,8 +147,7 @@ def simulate(
         esc = None if _inside(s0.x, s0.y, s0.z, lo, hi) else 0
         if esc == 0:
             pts = pts[:0]
-        return OrbitRecord(initial=s0, params=p, transient=transient,
-                           points=pts, escape_step=esc, safety=(lo, hi))
+        return OrbitRecord(transient=transient, points=pts, escape_step=esc)
     x, y, z = s0.x, s0.y, s0.z
     out = np.empty((n, 3), dtype=float)
     m = 0
@@ -173,14 +169,7 @@ def simulate(
         # for the orbit to count as non-escaping at horizon n
         if not _inside(x, y, z, lo, hi):
             escape = transient + n
-    return OrbitRecord(
-        initial=s0,
-        params=p,
-        transient=transient,
-        points=out[:m].copy(),
-        escape_step=escape,
-        safety=(lo, hi),
-    )
+    return OrbitRecord(transient=transient, points=out[:m].copy(), escape_step=escape)
 
 
 @dataclass(frozen=True)
@@ -206,18 +195,18 @@ def lyapunov_spectrum(
     s0: State,
     n: int,
     transient: int = 0,
-    qr_warmup: int | None = None,
     safety: tuple[float, float] = DEFAULT_SAFETY,
 ) -> LyapunovSpectrum:
-    """All three Lyapunov exponents along the orbit of s0.
+    """All three Lyapunov exponents along the orbit of s0, after
+    ``transient`` map steps.
 
     Standard discrete QR method: push an orthonormal frame through the
     Jacobian at every step and average the log of the R diagonal.  The
-    first ``qr_warmup`` factors (default min(256, n // 4)) are discarded
-    so the frame can align with the Oseledets splitting first; without
-    this the O(1) misalignment of the initial frame pollutes the average
-    by O(1/n), which is visible at fixed points where everything else is
-    exact.
+    first min(256, n // 4) factors, the warm-up ``bifurcation_scan`` uses
+    too, are discarded so the frame can align with the Oseledets
+    splitting first; without this the O(1) misalignment of the initial
+    frame pollutes the average by O(1/n), which is visible at fixed points
+    where everything else is exact.
 
     A start within 1e-12 residual of a rest point is pinned: the exact
     orbit is constant, while iterating in floats would let rounding noise
@@ -225,10 +214,9 @@ def lyapunov_spectrum(
     """
     if n < 1:
         raise ValueError("need at least one step")
-    if qr_warmup is None:
-        qr_warmup = min(256, n // 4)
-    if not 0 <= qr_warmup < n:
-        raise ValueError("qr_warmup must lie in [0, n)")
+    if transient < 0:
+        raise ValueError("transient must be non-negative")
+    warmup = min(256, n // 4)
     lo, hi = _safety_region(safety)
     pinned = fixed_point_residual(p, s0) < FIXED_POINT_PIN
     x, y, z = s0.x, s0.y, s0.z
@@ -262,7 +250,7 @@ def lyapunov_spectrum(
         frame, r = np.linalg.qr(jac @ frame)
         with np.errstate(divide="ignore"):      # an exact-zero diagonal logs -inf
             logs = np.log(np.abs(np.diag(r)))
-        if step == qr_warmup:
+        if step == warmup:
             sums[:] = 0.0
         sums += logs
         seen += 1
@@ -278,8 +266,8 @@ def lyapunov_spectrum(
             escaped = True
             note = f"orbit left the safety region at step {step + 1}; estimate is partial"
             break
-    used = seen - qr_warmup if seen > qr_warmup else seen
-    if 0 < seen <= qr_warmup:
+    used = seen - warmup if seen > warmup else seen
+    if 0 < seen <= warmup:
         # escaped inside the warmup window; an unwarmed average beats none
         note = (note + "; QR warmup not reached").lstrip("; ")
     if used == 0:
@@ -375,9 +363,6 @@ class BifurcationTable:
     """
 
     rows: tuple[BifurcationRow, ...]
-    seed: int
-    s0_policy: str
-    base: Params
 
     def to_csv(self, path_or_file) -> None:
         """Non-finite values and the padding of short z tails are blank cells."""
@@ -525,7 +510,6 @@ def bifurcation_scan(
     s0_policy="perturbed-nash",
     transient: int = 1000,
     n_record: int = 200,
-    z_values: int = 32,
     lyap_steps: int = 2000,
     seed: int = 0,
     threads: int = 1,
@@ -533,8 +517,9 @@ def bifurcation_scan(
 ) -> BifurcationTable:
     """Sweep alpha over a closed subinterval of (0, 20].
 
-    Each row's escape flag and z tail are ``simulate``'s (``n_record``
-    states after ``transient``) at its alpha, bit for bit.  Its ``lyap1``
+    Each row's escape flag and z tail (the last min(32, ``n_record``) z
+    values) are ``simulate``'s (``n_record`` states after ``transient``) at
+    its alpha, bit for bit.  Its ``lyap1``
     (``lyap_steps`` steps on) lies within 1e-12 of ``lyapunov_spectrum``'s
     largest exponent, or of its second where the top two lie within 2e-3.
     Per-alpha escapes are recorded and the scan continues.  Seeding is
@@ -551,8 +536,10 @@ def bifurcation_scan(
         raise ValueError(f"alpha range must sit inside (0, 20], got {alpha_range}")
     if samples < 2:
         raise ValueError("need at least two samples")
-    if z_values < 1 or n_record < 1:
-        raise ValueError("z_values and n_record must be positive")
+    if n_record < 1:
+        raise ValueError("n_record must be positive")
+    if lyap_steps < 1:
+        raise ValueError("lyap_steps must be at least 1")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     if transient < 0:
@@ -568,7 +555,7 @@ def bifurcation_scan(
     pinned = _residual_rows(eval_map_arrays(p_base, *s0, alpha=alphas), s0) < FIXED_POINT_PIN
 
     # recorded phase: a pinned start is its own constant orbit
-    kz = min(z_values, n_record)
+    kz = min(32, n_record)
     tails = np.repeat(s0[2][:, None], kz, axis=1)
     escaped = ~(pinned & _inside_rows(*s0, lo, hi))
     moving = np.flatnonzero(~pinned)
@@ -583,8 +570,6 @@ def bifurcation_scan(
     lyap1 = np.full(samples, math.nan)
     live = np.flatnonzero(~escaped)
     if live.size:
-        if lyap_steps < 1:
-            raise ValueError("need at least one step")
         start = s0.copy()
         start[:, kept] = final
         with np.errstate(all="ignore"):
@@ -594,10 +579,7 @@ def bifurcation_scan(
     # an escaped row's lyap1 is still nan
     rows = tuple(BifurcationRow(float(a), bool(esc), float(l1), () if esc else tuple(map(float, t)))
                  for a, esc, l1, t in zip(alphas, escaped, lyap1, tails))
-    policy_name = s0_policy if isinstance(s0_policy, str) else getattr(
-        s0_policy, "__name__", type(s0_policy).__name__
-    )
-    return BifurcationTable(rows=rows, seed=seed, s0_policy=policy_name, base=p_base)
+    return BifurcationTable(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -94,20 +94,15 @@ def _require_certified(p: Params, b: Box, cert: Certificate | None) -> Certifica
 
 @dataclass(frozen=True)
 class KSetEnclosure:
-    """Rigorous cover of K_index by axis-aligned cells.
+    """Rigorous cover of K0 or K1 by axis-aligned cells.
 
     ``cells`` is an (m, 6) read-only array of [xl, xh, yl, yh, zl, zh] rows
     in deterministic (z, y, x) grid order.
     """
 
-    index: int
-    resolution: int
-    box: Box
     cells: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.index not in (0, 1):
-            raise ValueError("index must be 0 or 1")
         self.cells.setflags(write=False)
 
     @property
@@ -270,11 +265,9 @@ def build_K_enclosures(
     b = ob.box
     nz_half = max(1, (resolution + 1) // 2)
     covers = []
-    for index, (z0, z1) in enumerate(((b.z_l, b.z_mid), (b.z_mid, b.z_r))):
+    for z0, z1 in ((b.z_l, b.z_mid), (b.z_mid, b.z_r)):
         cells = _grid_cells(b, resolution, resolution, z0, z1, nz_half)
-        excluded = _excludable(p, cells, b, MAX_SPLIT_DEPTH)
-        covers.append(KSetEnclosure(index=index, resolution=resolution, box=b,
-                                    cells=cells[~excluded]))
+        covers.append(KSetEnclosure(cells[~_excludable(p, cells, b, MAX_SPLIT_DEPTH)]))
     return tuple(covers)
 
 
@@ -339,30 +332,29 @@ class PathSample:
         return PathSample(1.0 - self.ts[::-1], self.points[::-1].copy())
 
 
-def vertical_segment_path(ob: OrientedBox, n: int = 64) -> PathSample:
+def vertical_segment_path(ob: OrientedBox) -> PathSample:
     """Straight segment through the centre of the box's (x, y) section, from
-    the bottom face to the top, in ``n`` equal steps."""
+    the bottom face to the top, in 64 equal steps."""
     b = ob.box
-    ts = np.linspace(0.0, 1.0, n + 1)
+    ts = np.linspace(0.0, 1.0, 65)
     pts = np.column_stack([
-        np.full(n + 1, 0.5 * (b.x_l + b.x_r)),
-        np.full(n + 1, 0.5 * (b.y_l + b.y_r)),
+        np.full(ts.size, 0.5 * (b.x_l + b.x_r)),
+        np.full(ts.size, 0.5 * (b.y_l + b.y_r)),
         b.z_l + (b.z_r - b.z_l) * ts,
     ])
     return PathSample(ts, pts)
 
 
-def random_crossing_path(ob: OrientedBox, rng: np.random.Generator,
-                         n_knots: int = 9) -> PathSample:
-    """Random polyline from the bottom face to the top, monotone in z."""
-    if n_knots < 2:
-        raise ValueError("need at least the two endpoint knots")
+def random_crossing_path(ob: OrientedBox, rng: np.random.Generator) -> PathSample:
+    """Random polyline through 9 knots from the bottom face to the top,
+    monotone in z."""
     b = ob.box
-    ts = np.linspace(0.0, 1.0, n_knots)
-    zs = b.z_l + (b.z_r - b.z_l) * np.sort(rng.uniform(0.0, 1.0, n_knots))
+    n = 9
+    ts = np.linspace(0.0, 1.0, n)
+    zs = b.z_l + (b.z_r - b.z_l) * np.sort(rng.uniform(0.0, 1.0, n))
     zs[0], zs[-1] = b.z_l, b.z_r
-    xs = rng.uniform(b.x_l, b.x_r, n_knots)
-    ys = rng.uniform(b.y_l, b.y_r, n_knots)
+    xs = rng.uniform(b.x_l, b.x_r, n)
+    ys = rng.uniform(b.y_l, b.y_r, n)
     return PathSample(ts, np.column_stack([xs, ys, zs]))
 
 
@@ -435,12 +427,12 @@ def _first_linear_crossing(ts, vs, level) -> float | None:
     return None
 
 
-def _bisect(fn, lo, hi, wanted, iters=80):
+def _bisect(fn, lo, hi, wanted):
     """Refine t in [lo, hi] where fn enters the set ``wanted`` accepts;
     ``wanted(fn(hi))`` holds.  Returns the endpoint on the wanted side after
-    refinement and fn there."""
+    at most 80 halvings and fn there."""
     fhi = fn(hi)
-    for _ in range(iters):
+    for _ in range(80):
         if hi - lo <= 1e-13:
             break
         mid = 0.5 * (lo + hi)

@@ -199,8 +199,6 @@ class _Judged:
     frontier: np.ndarray   # H4 and H5 pass: only H2/H3 can fail
     worst: np.ndarray      # index into RANK_IDS of the binding failure
     status: np.ndarray     # (4, n) _STATUS codes of H2..H5
-    margin: np.ndarray     # (4, n) their record margins, where ``defined``
-    defined: np.ndarray    # (4, n) the record has a margin (check_H: not None)
     kill: np.ndarray       # index into kill_ids of the sub-check that killed the row
     kill_ids: tuple
 
@@ -308,7 +306,7 @@ def _rank(p: Params, vec) -> float | None:
     return min(margins.values()) if margins else -inf
 
 
-def _judge(p: Params, cand: np.ndarray, min_margin: float) -> _Judged:
+def _judge(p: Params, cand: np.ndarray) -> _Judged:
     """Judge (n, 5) candidate rows against the H layer in one array pass.
 
     Replays ``check_H`` and the scalar ranking rules row by row, ties and
@@ -325,7 +323,7 @@ def _judge(p: Params, cand: np.ndarray, min_margin: float) -> _Judged:
     cols = np.arange(n)
     strict = np.array([a[2] == ">" for a in atoms])[:, None]
     with np.errstate(invalid="ignore"):
-        good = ~undef & np.where(strict, m > min_margin, m >= 0.0)
+        good = ~undef & np.where(strict, m > DEFAULT_MIN_MARGIN, m >= 0.0)
     margin, has, rank = _record_margins(atoms, m, undef)
     status = np.full((len(RANK_IDS), n), 2)      # H2 stays inapplicable without atoms
     kill = np.zeros((len(RANK_IDS), n), dtype=np.intp)
@@ -344,8 +342,6 @@ def _judge(p: Params, cand: np.ndarray, min_margin: float) -> _Judged:
         frontier=~nonpass[2] & ~nonpass[3],
         worst=worst,
         status=status,
-        margin=margin,
-        defined=has,
         kill=kill[worst, cols],
         kill_ids=("H2",) + tuple(a[1] for a in atoms),
     )
@@ -394,7 +390,7 @@ class _Scan:
         return self.frontier if self.frontier is not None else self.fallback
 
     def judge(self, cand: np.ndarray) -> _Judged:
-        return _judge(self.p, cand, DEFAULT_MIN_MARGIN)
+        return _judge(self.p, cand)
 
     def absorb(self, cand: np.ndarray, j: _Judged) -> None:
         """Fold the judged rows in row order."""

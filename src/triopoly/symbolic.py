@@ -55,8 +55,6 @@ def normalize_word(w) -> str:
 
 @dataclass(frozen=True)
 class Itinerary:
-    start: State
-    horizon: int
     symbols: tuple[int, ...]
     exit_step: int | None = None
     ties: tuple[int, ...] = ()
@@ -100,13 +98,7 @@ def itinerary(p: Params, ob: OrientedBox, s0: State, n: int) -> Itinerary:
             exit_step = step + 1
             break
         cur = nxt
-    return Itinerary(
-        start=s0,
-        horizon=n,
-        symbols=tuple(symbols),
-        exit_step=exit_step,
-        ties=tuple(ties),
-    )
+    return Itinerary(symbols=tuple(symbols), exit_step=exit_step, ties=tuple(ties))
 
 
 @dataclass
@@ -116,7 +108,6 @@ class PeriodicOrbitResult:
     residual: float
     realized: str
     converged: bool
-    note: str = ""
 
     def as_row(self) -> list:
         pt = self.point.as_tuple() if self.point else (math.nan,) * 3
@@ -218,11 +209,14 @@ def _realize_words(p: Params, ob: OrientedBox, words: list[str], tol: float,
                    cert: Certificate) -> list[PeriodicOrbitResult]:
     """``find_periodic_orbit`` for each of ``words``, all of one length k.
 
-    A constant word is realized by the closed-form fixed point of its half
-    (``horseshoe.locate_fixed_point_in``); all the others are solved
-    together by one lockstep ``_shoot``.  One ``_check_orbits`` pass then
-    gives every point's itinerary and, for the solved words, the residual.
+    ``tol`` must be positive.  A constant word is realized by the
+    closed-form fixed point of its half (``horseshoe.locate_fixed_point_in``);
+    all the others are solved together by one lockstep ``_shoot``.  One
+    ``_check_orbits`` pass then gives every point's itinerary and, for the
+    solved words, the residual.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     k = len(words[0])
     pts = np.full((len(words), 3), np.nan)
     fixed = {}      # fixed_point_residual of each constant word's point
@@ -243,15 +237,12 @@ def _realize_words(p: Params, ob: OrientedBox, words: list[str], tol: float,
     results = []
     for w, pt, r, code, ok in zip(words, pts, residual.tolist(), codes.tolist(), found):
         realized = format(code, f"0{k}b") if code >= 0 else ""
-        converged = r < tol and realized == w
         results.append(PeriodicOrbitResult(
             word=w,
             point=State(*pt) if ok else None,
             residual=r,
             realized=realized,
-            converged=converged,
-            note="" if converged else "no point with this itinerary met tol; the "
-                 "certificate guarantees one, so this is a numerics failure",
+            converged=r < tol and realized == w,
         ))
     return results
 
@@ -276,8 +267,6 @@ def find_periodic_orbit(
     and the itinerary equals the word.
     """
     word = normalize_word(w)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     cert = _require_certified(p, ob.box, cert)
     return _realize_words(p, ob, [word], tol, cert)[0]
 

@@ -28,7 +28,7 @@ from triopoly.bounds import (
 )
 from triopoly import bounds as bounds_mod
 from triopoly.bounds import _SCALAR, _VECTOR, _jac_row, _range_f1, _range_f1_sharp, _sums
-from triopoly.certificate import INCONCLUSIVE, certify_box, check_C_analytic
+from triopoly.certificate import DEFAULT_MIN_MARGIN, INCONCLUSIVE, certify_box, check_C_analytic
 from triopoly.core import eval_jacobian, eval_map_xyz, Params, State
 from triopoly.jsonio import dumps17
 
@@ -235,7 +235,9 @@ def test_bound_extremum_matches_closed_forms(key):
     assert rep.status == "ok"
     assert rep.enclosure.width <= 1e-8 * 1.01
     assert rep.enclosure.lo - 1e-12 <= want <= rep.enclosure.hi + 1e-12
-    assert abs(rep.best_value - want) <= 1e-8
+    # the best value the search certified: the low end for a max, the high for a min
+    best = rep.enclosure.lo if which == "max" else rep.enclosure.hi
+    assert abs(best - want) <= 1e-8
 
 
 def test_bound_extremum_budget_exhaustion_is_sound():
@@ -249,7 +251,6 @@ def test_bound_extremum_deterministic():
     a = bound_extremum(P, _region("full"), "F1", "max", tol=1e-8)
     b = bound_extremum(P, _region("full"), "F1", "max", tol=1e-8)
     assert a.enclosure == b.enclosure
-    assert a.best_point == b.best_point
     assert a.subdivisions == b.subdivisions
 
 
@@ -260,11 +261,6 @@ def test_bound_extremum_rejects_bad_arguments():
         bound_extremum(P, _region("full"), "F1", "widest")
     with pytest.raises(ValueError):
         bound_extremum(P, _region("full"), "F1", "max", tol=-1.0)
-
-
-def test_report_encloses_its_best_value():
-    rep = bound_extremum(P, _region("top"), "F3", "max", tol=1e-8)
-    assert rep.enclosure.lo <= rep.best_value <= rep.enclosure.hi
 
 
 @st.composite
@@ -753,19 +749,17 @@ def test_frozen_rows_reach_every_record_path():
 def _status_cases(n=400):
     """Seeded boxes and settings: the paper box with its five free bounds
     moved by 0.2-5 %, z_l > 0 in every fifth, alpha drawn from [16, 22] in
-    every third, budgets 1, 3, 30 and the default, min_margin 1e-12 and
-    2e-3."""
+    every third, budgets 1, 3, 30 and the default."""
     rng = np.random.default_rng(20261018)
     for i in range(n):
         f = 1.0 + rng.uniform(0.002, 0.05) * rng.uniform(-1.0, 1.0, 5)
         z_l = 0.05 * B.z_r * rng.uniform() if i % 5 == 0 else 0.0
         box = Box(B.x_l * f[0], B.x_r * f[1], B.y_l * f[2], B.y_r * f[3], z_l, B.z_r * f[4])
         p = P if i % 3 else Params(P.c1, P.c2, P.c3, rng.uniform(16.0, 22.0))
-        yield p, box, {"budget": (1, 3, 30, 10**6)[i % 4],
-                       "min_margin": (1e-12, 2e-3)[i // 4 % 2]}
+        yield p, box, {"budget": (1, 3, 30, 10**6)[i % 4]}
 
 
-_FROZEN_STATUSES = "35660ab175625c310a0a919e6d353a400680fdc7e48b46faee736a1475286303"
+_FROZEN_STATUSES = "ec345ee2c6f54cddd65ac209d95ab41047f17e5038a67ac41be38714402327ef"
 
 
 def test_verdicts_and_statuses_are_frozen():
@@ -792,7 +786,7 @@ def test_each_engine_reports_only_the_c_statuses_the_merge_expects():
     which assumes the analytic engine never reports inconclusive and the
     interval engine never reports inapplicable."""
     for p, box, kwargs in [*_FROZEN_BOXES.values(), *_status_cases()]:
-        analytic = check_C_analytic(p, box, kwargs.get("min_margin", 1e-12))
+        analytic = check_C_analytic(p, box)
         assert {r.status for r in analytic.conditions} <= {"pass", "fail", "inapplicable"}
         try:
             interval = verify_C_rigorous(p, box, **kwargs)
@@ -941,7 +935,29 @@ def test_threshold_stop_keeps_the_strict_c3p_side(need, want):
         P, _region("mid"), "F3", "min", lambda e: B.z_r, ">", need, budget=10**6)
     _assert_stops_on_the_same_side(direct, stopped, threshold)
     assert threshold.decide(*stopped.enclosure.as_pair())[0] == want
-    assert verify_C_rigorous(P, B, min_margin=need).condition("C3p").status == want
+
+
+def test_c3p_threshold_needs_the_fixed_margin(monkeypatch):
+    """``verify_C_rigorous`` judges C3' against z_r with ``need`` equal to
+    DEFAULT_MIN_MARGIN: an enclosure passes only when its lower end clears
+    z_r by more than 1e-12."""
+    thresholds, real = [], bounds_mod.bound_extremum
+
+    def spy(*args):
+        thresholds.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(bounds_mod, "bound_extremum", spy)
+    verify_C_rigorous(P, B)
+    (threshold,) = [t for t in thresholds if t.relation == ">"]
+    assert threshold == Threshold(B.z_r, ">", DEFAULT_MIN_MARGIN)
+    above = B.z_r + DEFAULT_MIN_MARGIN
+    while above - B.z_r <= DEFAULT_MIN_MARGIN:    # exact: the two are close
+        above = math.nextafter(above, math.inf)
+    below = math.nextafter(above, -math.inf)
+    assert 0.0 < below - B.z_r <= DEFAULT_MIN_MARGIN
+    assert threshold.decide(above, 1.0)[0] == "pass"
+    assert threshold.decide(below, 1.0)[0] == INCONCLUSIVE
 
 
 def _expansions(cert):
@@ -972,4 +988,4 @@ def test_incumbent_above_every_bound_left_is_the_extremum():
     an inverted enclosure and raise."""
     rep = bound_extremum(Params(0.4, 0.55, 0.5, 17.0), IntervalBox.from_box(B), "F3", "min")
     assert rep.status == "ok"
-    assert rep.enclosure.as_pair() == (0.0, 0.0) and rep.best_value == 0.0
+    assert rep.enclosure.as_pair() == (0.0, 0.0)

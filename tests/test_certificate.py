@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from triopoly import Box, PAPER_BOX, PAPER_PARAMS, Params
 from triopoly.certificate import (
+    DEFAULT_MIN_MARGIN,
     Certificate,
     SubCheck,
     _merge_status,
@@ -68,6 +69,31 @@ def test_weak_reaction_coefficient_is_inapplicable_not_fail():
     cert = check_H(weak, PAPER_BOX)
     assert cert.condition("H2").status == "inapplicable"
     assert cert.condition("H2").status != "fail"
+
+
+def _straddle(margin_of, a, b, level):
+    """Adjacent floats (below, above) between a and b, by bisection, with
+    margin_of(below) <= level < margin_of(above); a and b must straddle
+    ``level`` that way."""
+    assert margin_of(a) <= level < margin_of(b)
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        if margin_of(mid) <= level:
+            a = mid
+        else:
+            b = mid
+    return a, b
+
+
+def test_c3p_passes_only_clear_of_the_fixed_margin():
+    """C3' is strict: min F3 on the midplane must exceed z_r by more than
+    DEFAULT_MIN_MARGIN (1e-12), so a positive margin at or below that
+    fails.  Alpha alone moves the margin through 1e-12."""
+    def c3p(alpha):
+        return check_C_analytic(Params(0.4, 0.55, 0.6, alpha), PAPER_BOX).condition("C3p")
+
+    below, above = _straddle(lambda a: c3p(a).margin, 16.0, 17.0, DEFAULT_MIN_MARGIN)
+    assert 0.0 < c3p(below).margin <= DEFAULT_MIN_MARGIN and c3p(below).status == "fail"
+    assert c3p(above).margin > DEFAULT_MIN_MARGIN and c3p(above).status == "pass"
 
 
 def test_alpha_eight_not_certifiable_on_paper_box():

@@ -9,7 +9,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -238,6 +241,16 @@ class TestDynamicsCommands:
         assert rows[0][:3] == ["alpha", "escaped", "lyap1"]
         assert [r[0] for r in rows[1:]] == ["8", "8.5", "9"]
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--start", "0.6,0.4,0.3", "--steps", "5"),
+        ("lyapunov", "--start", "0.6,0.4,0.3", "--steps", "5"),
+        ("bifurcate", "--alpha-range", "8,9", "--samples", "2"),
+    ], ids=lambda argv: argv[0])
+    def test_negative_transient_exits_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--preset", "paper", "--transient=-3")
+        assert code == 3 and out == ""
+        assert "transient" in err
+
     def test_demo_logistic_reports_covering(self, capsys):
         code, out, _ = run(capsys, "demo-logistic", "--mu", "3.88")
         assert code == 0
@@ -279,6 +292,13 @@ class TestPeriodic:
                            "--box", bad, "--word", "01")
         assert code == 1
         assert "certif" in err
+
+    @pytest.mark.parametrize("words", [("--word", "01"), ("--max-k", "2")])
+    @pytest.mark.parametrize("tol", ["0", "-1e-8", "nan"])
+    def test_nonpositive_tol_exits_3_before_any_output(self, capsys, words, tol):
+        code, out, err = run(capsys, "periodic", "--preset", "paper", *words, f"--tol={tol}")
+        assert code == 3 and out == ""
+        assert "tol must be positive" in err
 
     def test_stalled_newton_writes_csv_then_exits_4(self, capsys):
         # the 2-cycle is found, but no float residual is below 1e-300
@@ -450,3 +470,34 @@ def test_cli_bytes_are_frozen(capsys, tmp_path, argv, digests):
     got = {suffix: hashlib.sha256((tmp_path / f"out{suffix}").read_bytes()).hexdigest()
            for suffix in digests}
     assert got == digests
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path):
+    """numpy 2.4's ``np.unique`` (and ``np.isin`` and its kin) imports
+    numpy.ma on a fresh process's first call, ~10 ms.  One process runs
+    every subcommand at a tiny size, and none may import it."""
+    box = ["--preset", "paper"]
+    runs = [
+        ["certify", *box, "--engine", "both", "--out", "cert.json"],
+        ["search", *box, "--budget", "200", "--out", "hits.jsonl"],
+        ["horseshoe", *box, "--resolution", "8", "--paths", "2", "--out", "hs"],
+        ["periodic", *box, "--max-k", "3", "--out", "words.csv"],
+        ["simulate", *box, "--start", "0.6,0.4,0.2", "--steps", "5", "--out", "orbit.csv"],
+        ["lyapunov", *box, "--start", "0.6,0.4,0.2", "--steps", "50", "--out", "lyap.csv"],
+        ["bifurcate", "--params", "0.4,0.55,0.6,10", "--alpha-range", "8,9", "--samples", "3",
+         "--transient", "100", "--out", "bif.csv"],
+        ["demo-logistic", "--mu", "3.88", "--out", "demo.json"],
+    ]
+    code = ("import json, sys\n"
+            "from triopoly.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    src = os.path.dirname(os.path.dirname(main.__code__.co_filename))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes, imported = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs), done.stderr
+    assert not imported, "numpy.ma was imported"

@@ -188,12 +188,13 @@ class TestLyapunov:
     def test_zero_qr_diagonal_logs_minus_inf_silently(self):
         """A QR diagonal entry that is exactly 0 (the tangent map at a
         nearly-zero state) logs -inf, as in the lockstep scan, without
-        numpy's divide-by-zero warning."""
+        numpy's divide-by-zero warning.  Five steps discard the first
+        factor as warm-up; three steps keep every factor."""
         p, v = Params(0.4, 0.55, 0.6, 1.5), 1e-106
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             warm = lyapunov_spectrum(p, State(v, v, v), 5)
-            cold = lyapunov_spectrum(p, State(v, v, v), 5, qr_warmup=0)
+            cold = lyapunov_spectrum(p, State(v, v, v), 3)
         assert all(math.isfinite(e) for e in warm.exponents)
         assert cold.exponents[2] == -math.inf
 
@@ -204,8 +205,8 @@ class TestLyapunov:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             lyapunov_spectrum(P, CHAOS_START, 0)
-        with pytest.raises(ValueError):
-            lyapunov_spectrum(P, CHAOS_START, 10, qr_warmup=10)
+        with pytest.raises(ValueError, match="transient"):
+            lyapunov_spectrum(P, CHAOS_START, 10, transient=-1)
 
 
 @pytest.mark.parametrize("safety", [(1.0, 1.0), (2.0, -2.0)])
@@ -321,7 +322,7 @@ class TestBifurcationScan:
             bifurcation_scan(P, rng, samples)
 
     def test_csv_shape(self):
-        tab = bifurcation_scan(P, (6.0, 6.5), 2, seed=0, z_values=4)
+        tab = bifurcation_scan(P, (6.0, 6.5), 2, seed=0, n_record=4)
         buf = io.StringIO()
         tab.to_csv(buf)
         lines = buf.getvalue().splitlines()
@@ -393,25 +394,23 @@ def _recorded_orbits(p_base, alpha_range, samples, s0_policy="perturbed-nash", t
 
 
 def _oracle_scan(p_base, alpha_range, samples, s0_policy="perturbed-nash", transient=1000,
-                 n_record=200, z_values=32, lyap_steps=2000, seed=0, safety=DEFAULT_SAFETY):
+                 n_record=200, lyap_steps=2000, seed=0, safety=DEFAULT_SAFETY):
     """The per-sample reference for the lockstep ``bifurcation_scan``:
     ``_policy_start``, ``simulate`` and ``_one_vector_exponent`` at each
     alpha in turn.  Returns the table and the note of each exponent."""
+    if lyap_steps < 1:
+        raise ValueError("need at least one step")
     rows, notes = [], []
     for pa, rec in _recorded_orbits(p_base, alpha_range, samples, s0_policy, transient,
                                     n_record, seed, safety):
         if rec.escaped or rec.n_recorded == 0:
             rows.append(BifurcationRow(pa.alpha, True, math.nan, ()))
             continue
-        if lyap_steps < 1:
-            raise ValueError("need at least one step")
         lyap1, note = _one_vector_exponent(pa, State(*rec.points[-1]), lyap_steps, safety)
         notes.append(note)
         rows.append(BifurcationRow(pa.alpha, False, lyap1,
-                                   tuple(float(v) for v in rec.points[-z_values:, 2])))
-    name = s0_policy if isinstance(s0_policy, str) else getattr(
-        s0_policy, "__name__", type(s0_policy).__name__)
-    return BifurcationTable(rows=tuple(rows), seed=seed, s0_policy=name, base=p_base), notes
+                                   tuple(float(v) for v in rec.points[-32:, 2])))
+    return BifurcationTable(tuple(rows)), notes
 
 
 def _random_start(p, rng):
@@ -441,7 +440,7 @@ _SCAN_CASES = {
                                   transient=0, n_record=1, lyap_steps=7, seed=3,
                                   safety=(0.0, 0.7)),
     "underflow": dict(alpha_range=(0.5, 3.0), samples=8, s0_policy=_tiny_start, transient=0,
-                      n_record=1, z_values=2, lyap_steps=5, seed=7),
+                      n_record=1, lyap_steps=5, seed=7),
 }
 _SCAN_PATHS = {
     "all-escaping": {"escaped"},
@@ -475,8 +474,7 @@ def _scan_args(draw):
         samples=draw(st.integers(2, 8)),
         s0_policy=draw(st.sampled_from(["perturbed-nash", "nash", _random_start, _tiny_start])),
         transient=draw(st.integers(0, 40)),
-        n_record=draw(st.integers(1, 20)),
-        z_values=draw(st.integers(1, 24)),
+        n_record=draw(st.integers(1, 40)),
         lyap_steps=draw(st.integers(1, 120)),
         seed=draw(st.integers(0, 2**32 - 1)),
         safety=draw(st.sampled_from([DEFAULT_SAFETY, (0.0, 0.7), (0.1, 0.65), (0.05, 0.5)])),
@@ -517,10 +515,15 @@ class TestLockstepScan:
         with pytest.raises(DomainError):
             bifurcation_scan(P, (1.0, 2.0), 2, s0_policy=tiny)
 
-    def test_lyap_steps_checked_only_when_a_row_reaches_them(self):
-        assert all(r.escaped for r in bifurcation_scan(P, (16.0, 20.0), 3, lyap_steps=0).rows)
-        with pytest.raises(ValueError):
-            bifurcation_scan(P, (6.0, 7.0), 2, lyap_steps=0)
+    def test_lyap_steps_checked_up_front(self):
+        # every row escapes in the first two scans, so no row reaches a
+        # Lyapunov step; the count is still checked
+        for kw in ({"alpha_range": (16.0, 20.0), "samples": 3},
+                   {"alpha_range": (5.0, 12.0), "samples": 3, "s0_policy": "nash",
+                    "safety": (0.05, 0.5)},
+                   {"alpha_range": (6.0, 7.0), "samples": 2}):
+            with pytest.raises(ValueError, match="lyap_steps"):
+                bifurcation_scan(P, lyap_steps=0, **kw)
 
     def test_stacked_hypot_and_log_are_per_element_bit_for_bit(self):
         """The scan's rows carry the bits of the scalar reference only if
@@ -617,7 +620,7 @@ class TestOneVectorExponent:
         assert eval_jacobian(p, s)[1, 0] > math.sqrt(sys.float_info.max)
         got = _largest_exponents(p, np.array([p.alpha]), np.array([s.as_tuple()]).T, 3,
                                  *DEFAULT_SAFETY)[0]
-        qr = lyapunov_spectrum(p, s, 3, qr_warmup=0).exponents
+        qr = lyapunov_spectrum(p, s, 3).exponents
         assert math.isfinite(got) and min(abs(e - got) for e in qr) <= 1e-12
 
     def test_an_annihilated_vector_gives_minus_inf_not_nan(self):

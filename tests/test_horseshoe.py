@@ -401,14 +401,9 @@ class TestPathSample:
     @given(t=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_z_interpolation_monotone_on_vertical_segment(self, t):
-        path = vertical_segment_path(OB, n=16)
+        path = vertical_segment_path(OB)
         z = path.at(t)[2]
         assert PAPER_BOX.z_l <= z <= PAPER_BOX.z_r
-
-    def test_random_path_knot_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            random_crossing_path(OB, rng, n_knots=1)
 
 
 class TestPathStretching:

@@ -11,19 +11,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triopoly.boxes import Box, InvalidBoxError
-from triopoly.certificate import certify_box, check_H
+from triopoly.certificate import DEFAULT_MIN_MARGIN, certify_box, check_H
 from triopoly.core import Params
 from triopoly.presets import PAPER_BOX, PAPER_PARAMS
 from triopoly.search import (
     RANK_IDS,
     _CHUNK,
     _Scan,
+    _box_of,
     _decode_near,
     _decode_skeleton,
     _first_min,
     _judge,
     _rank,
+    _record_margins,
     _refine,
+    _sub_checks,
     _vec_of,
     search_boxes,
 )
@@ -115,6 +118,30 @@ class TestRandomStrategy:
         res = search_boxes(PAPER_PARAMS, "random", 60_000, seed=42)
         assert len(res) >= 1
         assert all(cert.passed for _, cert in res)
+
+
+def test_strict_atom_within_the_fixed_margin_fails_in_check_H_and_judge():
+    """H3 is strict: a margin in (0, 1e-12] fails it in ``check_H`` and in
+    ``_judge`` alike, and one just above 1e-12 passes both.  z_r, H3's right
+    side, moves the margin exactly; every other H record keeps passing."""
+    b = PAPER_BOX
+
+    def vec(z_r):
+        return np.array([b.x_l, b.x_r - b.x_l, b.y_l, b.y_r - b.y_l, z_r])
+
+    def h3(z_r):
+        return check_H(PAPER_PARAMS, _box_of(vec(z_r))).condition("H3")
+
+    reentry = h3(b.z_r).lhs
+    above = reentry - DEFAULT_MIN_MARGIN
+    while reentry - above <= DEFAULT_MIN_MARGIN:
+        above = math.nextafter(above, -math.inf)
+    below = math.nextafter(above, math.inf)
+    assert 0.0 < h3(below).margin <= DEFAULT_MIN_MARGIN < h3(above).margin
+    j = _judge(PAPER_PARAMS, np.array([vec(below), vec(above)]))
+    k = RANK_IDS.index("H3")
+    assert h3(below).status == "fail" and j.status[k, 0] == 1 and not j.passed[0]
+    assert h3(above).status == "pass" and j.status[k, 1] == 0 and j.passed[1]
 
 
 class TestGridStrategy:
@@ -514,30 +541,27 @@ _NAN_FIRST = (LOW_ALPHA, np.array([[5e307, 5e307, 5e307, 5e307, 0.1],
                                    [0.6, 0.05, 0.35, 0.1, 0.3]]))
 
 
-# a negative min_margin lets strict sub-checks pass below zero, so a
-# record can fail by an undefined square root alone and still bind
-_min_margin = st.sampled_from([1e-12, 0.0, -1.0])
-
-
 @settings(max_examples=150, deadline=None)
-@given(_any_params(), _rows(), _min_margin)
-@example(*_NAN_FIRST, 1e-12)
-@example(PAPER_PARAMS, np.array([[0.6, 0.05, -0.01, 0.51, 0.5]]), -1.0)  # killed by undefined H4h
-@example(PAPER_PARAMS, np.array([[0.6, 0.05, 0.35, 0.1, 5e-324]]), 1e-12)  # z too thin to split
-def test_judge_replays_check_H_per_row(p, cand, min_margin):
-    j = _judge(p, cand, min_margin)
+@given(_any_params(), _rows())
+@example(*_NAN_FIRST)
+@example(PAPER_PARAMS, np.array([[0.6, 0.05, -0.01, 0.51, 0.5]]))  # H4h undefined
+@example(PAPER_PARAMS, np.array([[0.6, 0.05, 0.35, 0.1, 5e-324]]))  # z too thin to split
+def test_judge_replays_check_H_per_row(p, cand):
+    j = _judge(p, cand)
+    _, atoms, m, undef = _sub_checks(p, cand)
+    margin, defined, _ = _record_margins(atoms, m, undef)
     for i, vec in enumerate(cand):
         b = _ref_box(vec)
         assert bool(j.valid[i]) == (b is not None)
         if b is None:
             continue
-        cert = check_H(p, b, min_margin)
+        cert = check_H(p, b)
         for k, cid in enumerate(RANK_IDS):
             rec = cert.condition(cid)
             assert ("pass", "fail", "inapplicable")[j.status[k, i]] == rec.status
-            assert bool(j.defined[k, i]) == (rec.margin is not None)
+            assert bool(defined[k, i]) == (rec.margin is not None)
             if rec.margin is not None:
-                assert _bits(j.margin[k, i]) == _bits(rec.margin)
+                assert _bits(margin[k, i]) == _bits(rec.margin)
         assert _bits(j.rank[i]) == _bits(_ref_rank_margin(cert))
         assert bool(j.passed[i]) == (cert.verdict == "certified")
         worst = _ref_binding_failure(cert)
@@ -550,7 +574,7 @@ def test_judge_replays_check_H_per_row(p, cand, min_margin):
 @given(_any_params(), _rows())
 @example(*_NAN_FIRST)
 def test_rank_is_the_judged_rank(p, cand):
-    j = _judge(p, cand, 1e-12)
+    j = _judge(p, cand)
     for i, vec in enumerate(cand):
         rank = _rank(p, vec)
         assert (rank is None) == (not j.valid[i])

@@ -418,8 +418,8 @@ class TestLockstepNewton:
         # its matrix is I minus the cyclic shift, which is singular
         real, calls = symbolic.jacobian_arrays, []
 
-        def identity_for_first_word(p, x, y, z, alpha=None):
-            blocks = real(p, x, y, z, alpha)
+        def identity_for_first_word(p, x, y, z):
+            blocks = real(p, x, y, z)
             if not calls:
                 blocks[:k] = np.eye(3)
             calls.append(x.size)
