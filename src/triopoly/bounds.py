@@ -66,6 +66,7 @@ from .certificate import (
     INCONCLUSIVE,
     PASS,
     SubCheck,
+    _check_tol,
     condition_record,
 )
 from .core import DomainError, Params, eval_map_xyz
@@ -626,8 +627,7 @@ def bound_extremum(
         raise ValueError(f"component must be F1, F2 or F3, got {component!r}")
     if which not in ("min", "max"):
         raise ValueError(f"which must be 'min' or 'max', got {which!r}")
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    _check_tol(tol)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if threshold is not None and threshold.relation not in ("<=", ">=", ">"):

@@ -501,6 +501,11 @@ def _merge_status(a: str, i: str) -> str:
     return FAIL if a == FAIL else i
 
 
+def _check_tol(tol: float) -> None:
+    if tol <= 0.0 or not math.isfinite(tol):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def certify_box(
     p: Params,
     b: Box,
@@ -526,6 +531,9 @@ def certify_box(
     """
     if engine not in ("analytic", "interval", "both"):
         raise ValueError(f"unknown engine {engine!r}")
+    _check_tol(tol)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     h_cert = check_H(p, b)
 
     if engine == "analytic":

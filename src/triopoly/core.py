@@ -100,24 +100,23 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     """Dekker's exact product: returns (fl(a*b), a*b - fl(a*b)).
 
     Elementwise on float64 arrays too: only + - * are used.  A square
-    (``b is a``) splits its factor once.
+    (``b is a``) splits its factor once and forms ah*al once.
     """
     prod = a * b
     c = 134217729.0 * a  # Veltkamp split at 2**27 + 1
     ah = c - (c - a)
     al = a - ah
     if b is a:
-        bh, bl = ah, al
-    else:
-        c = 134217729.0 * b
-        bh = c - (c - b)
-        bl = b - bh
-    err = ((ah * bh - prod) + ah * bl + al * bh) + al * bl
-    return prod, err
+        cross = ah * al
+        return prod, ((ah * ah - prod) + cross + cross) + al * al
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    return prod, ((ah * bh - prod) + ah * bl + al * bh) + al * bl
 
 
-def _psi(d: float, c2: float, sqrt=math.sqrt) -> float:
-    """sqrt(d/c2) - d with a compensated square root.
+def _psi(d: float, r: float, c2: float, sqrt) -> float:
+    """sqrt(d/c2) - d with a compensated square root, from d and r = d/c2.
 
     The difference is an order of magnitude smaller than either term near
     the interesting boxes, so the naive expression loses ~10 ulps to the
@@ -125,7 +124,6 @@ def _psi(d: float, c2: float, sqrt=math.sqrt) -> float:
     products brings the result back within about an ulp.  With
     ``sqrt=np.sqrt`` it runs elementwise on arrays, to the same bits.
     """
-    r = d / c2
     s = sqrt(r)
     p_hi, p_lo = _two_prod(r, c2)
     div_err = ((d - p_hi) - p_lo) / c2  # d/c2 - fl(d/c2), to first order
@@ -135,9 +133,26 @@ def _psi(d: float, c2: float, sqrt=math.sqrt) -> float:
     return (s - d) + corr
 
 
-def _underflow(d: float, q: float) -> str:
-    return (f"x + z = {d}, x + y + z = {q}: a divisor built from them "
-            f"underflows to 0")
+def _sums(p: Params, alpha, x, y, z) -> tuple:
+    """(d, q2, r, aa, q, a) = (x+z, q*q, d/c2, alpha*a, a+z, x+y), formed once
+    for the map and its domain mask; the map reads the first four, and
+    a + z rounds as x + y + z does.  Floats or arrays."""
+    a = x + y
+    d = x + z
+    q = a + z
+    return d, q * q, d / p.c2, alpha * a, q, a
+
+
+def _with_jacobian_sums(p: Params, s: tuple) -> tuple:
+    """``_sums`` s and the two the Jacobian and its mask add: c2*d and
+    q3 = q2*q, which rounds as q*q*q does."""
+    d, q2, _, _, q, _ = s
+    return s + (p.c2 * d, q2 * q)
+
+
+def _own_rate(p: Params, alpha):
+    """g = 1 - alpha*c3 in z' = z*(g + alpha*(x+y)/(x+y+z)^2), fixed per rate."""
+    return 1.0 - alpha * p.c3
 
 
 def _domain_error(d: float, q: float) -> DomainError:
@@ -146,7 +161,15 @@ def _domain_error(d: float, q: float) -> DomainError:
         return DomainError(f"x + z = {d} <= 0: square root undefined")
     if q <= 0.0:
         return DomainError(f"x + y + z = {q} <= 0: aggregate share undefined")
-    return DomainError(_underflow(d, q))
+    return DomainError(f"x + z = {d}, x + y + z = {q}: a divisor built from them "
+                       f"underflows to 0")
+
+
+# The masks from the shared sums.  c2 > 0, so r = d/c2 and cd = c2*d have the
+# sign of d, and q3 that of q: each is <= 0 exactly where that sign is, or
+# where it underflows to 0.
+def _map_off(q, q2, r):
+    return (r <= 0.0) | (q <= 0.0) | (q2 == 0.0)
 
 
 def map_off_domain(d, q, c2):
@@ -158,7 +181,11 @@ def map_off_domain(d, q, c2):
     exactly the points where ``eval_map_xyz`` raises.  Elementwise on
     arrays.
     """
-    return (d <= 0.0) | (q <= 0.0) | (q * q == 0.0) | (d / c2 == 0.0)
+    return _map_off(q, q * q, d / c2)
+
+
+def _jacobian_off(cd, q3):
+    return (cd <= 0.0) | (q3 <= 0.0)
 
 
 def jacobian_off_domain(d, q, c2):
@@ -168,22 +195,39 @@ def jacobian_off_domain(d, q, c2):
     underflow to 0; sqrt(c2*d) is 0 exactly when c2*d is.  Elementwise on
     arrays.
     """
-    return (d <= 0.0) | (q <= 0.0) | (c2 * d == 0.0) | (q * q * q == 0.0)
+    return _jacobian_off(c2 * d, q * q * q)
+
+
+def _map_from_sums(p: Params, g, x, y, z, s: tuple, sqrt):
+    """The map from its ``_sums`` s and g = ``_own_rate``, where ``_map_off``
+    is false; floats, or arrays with ``sqrt=np.sqrt``, to the same bits."""
+    d, q2, r, aa = s[:4]
+    f1 = (2.0 * x + y + z - p.c1 * q2) / 2.0
+    f2 = _psi(d, r, p.c2, sqrt)
+    f3 = z * (g + aa / q2)
+    return f1, f2, f3
+
+
+def _jacobian_from_sums(p: Params, alpha, g, z, s: tuple, sqrt):
+    """``_jacobian_entries`` from ``_with_jacobian_sums`` s and g = ``_own_rate``,
+    where ``_jacobian_off`` is false; floats, or arrays with ``sqrt=np.sqrt``."""
+    _, _, _, aa, q, a, cd, q3 = s
+    cq = p.c1 * q
+    j11 = 1.0 - cq
+    j12 = 0.5 - cq
+    j21 = 1.0 / (2.0 * sqrt(cd)) - 1.0
+    j31 = alpha * z * (q - 2.0 * a) / q3
+    j33 = g + aa * (q - 2.0 * z) / q3
+    return j11, j12, j21, j31, j33
 
 
 def eval_map_xyz(p: Params, x: float, y: float, z: float) -> tuple[float, float, float]:
     """Plain-float hot path for the map.  Raises DomainError off-domain."""
-    d = x + z
-    q = x + y + z
-    if d <= 0.0 or q <= 0.0:
+    s = _sums(p, p.alpha, x, y, z)
+    d, q2, r, _, q, _ = s
+    if _map_off(q, q2, r):
         raise _domain_error(d, q)
-    f1 = (2.0 * x + y + z - p.c1 * (q * q)) / 2.0
-    try:
-        f2 = _psi(d, p.c2)
-        f3 = z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / (q * q))
-    except ZeroDivisionError:
-        raise DomainError(_underflow(d, q)) from None
-    return f1, f2, f3
+    return _map_from_sums(p, _own_rate(p, p.alpha), x, y, z, s, math.sqrt)
 
 
 def map_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
@@ -192,12 +236,10 @@ def map_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
     points where ``map_off_domain`` is false."""
     if alpha is None:
         alpha = p.alpha
-    q = x + y + z
-    q2 = q * q
-    f1 = (2.0 * x + y + z - p.c1 * q2) / 2.0
-    f2 = _psi(x + z, p.c2, np.sqrt)
-    f3 = z * (1.0 - alpha * p.c3 + alpha * (x + y) / q2)
-    return f1, f2, f3
+    # only the sums the map reads: on cover-sized arrays (~16k points) the
+    # map runs measurably slower while q and a stay alive
+    s = _sums(p, alpha, x, y, z)[:4]
+    return _map_from_sums(p, _own_rate(p, alpha), x, y, z, s, np.sqrt)
 
 
 def eval_map_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
@@ -229,21 +271,10 @@ def _jacobian_entries(p: Params, alpha, x, y, z, sqrt=math.sqrt):
     """The five distinct Jacobian entries (j11, j12, j21, j31, j33) at (x, y, z).
 
     One formula for floats and, with ``sqrt=np.sqrt``, elementwise for
-    arrays, to the same bits; ``alpha`` stands in for ``p.alpha``.  On
-    floats a divisor that underflows to 0 raises ZeroDivisionError; on
-    arrays the caller excludes those points first (``jacobian_off_domain``).
+    arrays, to the same bits; ``alpha`` stands in for ``p.alpha``.
     """
-    a = x + y
-    d = x + z
-    q = x + y + z
-    q3 = q * q * q
-    cq = p.c1 * q
-    j11 = 1.0 - cq
-    j12 = 0.5 - cq
-    j21 = 1.0 / (2.0 * sqrt(p.c2 * d)) - 1.0
-    j31 = alpha * z * (q - 2.0 * a) / q3
-    j33 = 1.0 - alpha * p.c3 + alpha * a * (q - 2.0 * z) / q3
-    return j11, j12, j21, j31, j33
+    s = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
+    return _jacobian_from_sums(p, alpha, _own_rate(p, alpha), z, s, sqrt)
 
 
 def eval_jacobian(p: Params, s: State) -> np.ndarray:
@@ -257,19 +288,14 @@ def eval_jacobian(p: Params, s: State) -> np.ndarray:
         dF3/dz = 1 - alpha*c3 + alpha*A*(Q - 2z)/Q^3
 
     D = 0 is a derivative singularity on top of the map's own domain needs,
-    so the same strict positivity is enforced here.
+    so the same strict positivity is enforced here (``jacobian_off_domain``).
     """
     x, y, z = s.x, s.y, s.z
     d = x + z
     q = x + y + z
-    if d <= 0.0:
-        raise DomainError(f"x + z = {d} <= 0: dF2 undefined")
-    if q <= 0.0:
-        raise DomainError(f"x + y + z = {q} <= 0: dF3 undefined")
-    try:
-        j11, j12, j21, j31, j33 = _jacobian_entries(p, p.alpha, x, y, z)
-    except ZeroDivisionError:
-        raise DomainError(_underflow(d, q)) from None
+    if jacobian_off_domain(d, q, p.c2):
+        raise _domain_error(d, q)
+    j11, j12, j21, j31, j33 = _jacobian_entries(p, p.alpha, x, y, z)
     return np.array(
         [
             [j11, j12, j12],

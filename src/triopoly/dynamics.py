@@ -9,8 +9,11 @@ and to sanity-check the certified statements against plain numerics.
 ``simulate`` and ``lyapunov_spectrum`` follow one orbit in scalar floats.
 ``bifurcation_scan`` steps all its alpha samples in lockstep instead: the
 live rows advance as arrays through the map, and each row's largest
-exponent comes from one tangent vector, not a QR frame.  One orbit stays
-scalar because a numpy step on one row costs about ten scalar steps.
+exponent comes from one tangent vector, not a QR frame.  Each step forms
+the sums x + y, x + z, x + y + z and their powers once (``core._sums``)
+and shares them between the domain masks, the map and the tangent; each
+row's 1 - alpha*c3 is fixed for the whole scan.  One orbit stays scalar
+because a numpy step on one row costs about ten scalar steps.
 
 The one-dimensional covering-interval demo on the logistic family is the
 exception: its verdict is a proof.  Two intervals cover their hull under
@@ -30,15 +33,19 @@ from .core import (
     DomainError,
     Params,
     State,
-    _jacobian_entries,
+    _jacobian_from_sums,
+    _jacobian_off,
+    _map_from_sums,
+    _map_off,
+    _own_rate,
+    _sums,
+    _with_jacobian_sums,
     eval_jacobian,
     eval_map_arrays,
     eval_map_xyz,
     fixed_point_residual,
     interior_fixed_point,
-    jacobian_off_domain,
     map_arrays,
-    map_off_domain,
 )
 from .jsonio import write_csv
 
@@ -423,18 +430,21 @@ def _record_rows(p: Params, alpha: np.ndarray, s: np.ndarray, transient: int, n:
     """
     rows = np.arange(s.shape[1])
     x, y, z = s
+    g = _own_rate(p, alpha)
     tail = np.empty((rows.size, kz))
     rec_from = transient + n - kz
     for step in range(transient + n):
-        ok = _inside_rows(x, y, z, lo, hi) & ~map_off_domain(x + z, x + y + z, p.c2)
+        sums = _sums(p, alpha, x, y, z)
+        _, q2, r, _, q, _ = sums
+        ok = _inside_rows(x, y, z, lo, hi) & ~_map_off(q, q2, r)
         if not ok.all():
-            rows, x, y, z, alpha, tail = _keep(ok, rows, x, y, z, alpha, tail)
+            rows, x, y, z, alpha, g, tail, *sums = _keep(ok, rows, x, y, z, alpha, g, tail, *sums)
         if not rows.size:
             return rows, tail, s[:, :0]
         if step >= rec_from:
             tail[:, step - rec_from] = z
         final = (x, y, z)
-        x, y, z = map_arrays(p, x, y, z, alpha)
+        x, y, z = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
     ok = _inside_rows(x, y, z, lo, hi)
     return rows[ok], tail[ok], np.array(final)[:, ok]
 
@@ -457,6 +467,7 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
     out = np.full(s.shape[1], math.nan)
     rows = np.arange(s.shape[1])
     x, y, z = s
+    g = _own_rate(p, alpha)
     moving = ~(_residual_rows(map_arrays(p, x, y, z, alpha), s) < FIXED_POINT_PIN)
     any_pinned, pinned_only = not moving.all(), not moving.any()
     va, vb, vc = np.ones(rows.size), np.zeros(rows.size), np.zeros(rows.size)
@@ -464,41 +475,43 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
 
     def drop(stop: np.ndarray, seen: int) -> bool:
         """Finish the rows in ``stop`` after ``seen`` steps; true if none is left."""
-        nonlocal rows, x, y, z, alpha, moving, va, vb, vc, acc, any_pinned, pinned_only
+        nonlocal rows, x, y, z, alpha, g, moving, va, vb, vc, acc, sums, any_pinned, pinned_only
         used = seen - warmup if seen > warmup else seen
         if used:
             out[rows[stop]] = acc[stop] / used
-        rows, x, y, z, alpha, moving, va, vb, vc, acc = _keep(
-            ~stop, rows, x, y, z, alpha, moving, va, vb, vc, acc)
+        rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums = _keep(
+            ~stop, rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums)
         any_pinned, pinned_only = not moving.all(), not moving.any()
         return not rows.size
 
+    sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
+    stop = _jacobian_off(*sums[6:])
     for step in range(n):
-        d, q = x + z, x + y + z
-        stop = jacobian_off_domain(d, q, p.c2)
-        if stop.any():
-            if drop(stop, step):
-                return out
-            d, q = x + z, x + y + z
+        # the rows the last map step stopped, and those whose Jacobian is
+        # undefined here: either way ``step`` factors were seen
+        if stop.any() and drop(stop, step):
+            return out
         if step == warmup:
             acc[:] = 0.0
-        j11, j12, j21, j31, j33 = _jacobian_entries(p, alpha, x, y, z, np.sqrt)
+        j11, j12, j21, j31, j33 = _jacobian_from_sums(p, alpha, g, z, sums, np.sqrt)
         na, nb, nc = j11 * va + j12 * (vb + vc), j21 * (va + vc), j31 * (va + vb) + j33 * vc
-        r = np.hypot(np.hypot(na, nb), nc)
-        acc += np.log(r)
-        r = np.maximum(r, 5e-324)   # r > 0 is kept; an annihilated v stays 0, not 0/0
-        va, vb, vc = na / r, nb / r, nc / r
+        norm = np.hypot(np.hypot(na, nb), nc)
+        acc += np.log(norm)
+        norm = np.maximum(norm, 5e-324)   # > 0 is kept; an annihilated v stays 0, not 0/0
+        va, vb, vc = na / norm, nb / norm, nc / norm
         if pinned_only:
+            stop = moving   # all false: no row moves, so none stops
             continue
-        fx, fy, fz = map_arrays(p, x, y, z, alpha)
-        stop = map_off_domain(d, q, p.c2) | ~_inside_rows(fx, fy, fz, lo, hi)
+        fx, fy, fz = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
+        _, q2, r, _, q, _ = sums[:6]
+        stop = _map_off(q, q2, r) | ~_inside_rows(fx, fy, fz, lo, hi)
         if any_pinned:
             stop &= moving
             x, y, z = np.where(moving, fx, x), np.where(moving, fy, y), np.where(moving, fz, z)
         else:
             x, y, z = fx, fy, fz
-        if stop.any() and drop(stop, step + 1):
-            return out
+        sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
+        stop |= _jacobian_off(*sums[6:])
     drop(np.ones(rows.size, dtype=bool), n)
     return out
 

@@ -53,7 +53,9 @@ from itertools import islice
 import numpy as np
 
 from .boxes import Box
-from .certificate import DEFAULT_MIN_MARGIN, SCHEMA_VERSION, _sqrt_or_nan, certify_box, h_inequalities
+from .certificate import (
+    DEFAULT_MIN_MARGIN, SCHEMA_VERSION, _check_tol, _sqrt_or_nan, certify_box, h_inequalities,
+)
 from .core import Params
 from .jsonio import dumps17, open_sink
 
@@ -620,6 +622,7 @@ def search_boxes(
         raise ValueError(f"scale must lie in (0, 1), got {scale}")
     if engine not in ("analytic", "interval", "both"):
         raise ValueError(f"unknown engine {engine!r}")
+    _check_tol(tol)
     if max_hits < 1:
         raise ValueError(f"max_hits must be at least 1, got {max_hits}")
     if threads < 1:

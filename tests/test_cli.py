@@ -388,6 +388,19 @@ def test_removed_option_exits_3_as_flag_and_config_key(capsys, tmp_path, command
     assert option in err
 
 
+@pytest.mark.parametrize("command", ["certify", "search", "horseshoe"])
+@pytest.mark.parametrize("option", ["--tol=-1", "--tol=nan", "--budget=0"])
+def test_bad_tol_or_budget_exits_3_under_the_analytic_engine(capsys, tmp_path, command, option):
+    # the analytic engine never refines an interval, yet the arguments are
+    # checked as under the interval engine (horseshoe takes no --budget)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, command, "--preset", "paper", "--engine", "analytic",
+                            option, "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert option[2:].split("=")[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,option", [
     (["certify", *_VALID["certify"]], "engine"),
     (["search", *_VALID["search"]], "strategy"),

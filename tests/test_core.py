@@ -23,6 +23,13 @@ from triopoly import (
 )
 from triopoly.core import (
     _jacobian_entries,
+    _jacobian_from_sums,
+    _jacobian_off,
+    _map_from_sums,
+    _map_off,
+    _own_rate,
+    _sums,
+    _with_jacobian_sums,
     boundary_fixed_point,
     eval_map_arrays,
     interior_fixed_point,
@@ -273,3 +280,103 @@ def test_jacobian_arrays_default_to_the_params_rate():
     got = jacobian_arrays(PAPER_PARAMS, x, y, z)
     want = np.array([eval_jacobian(PAPER_PARAMS, State(*pt)) for pt in zip(x, y, z)])
     assert got.tobytes() == want.tobytes()
+
+
+# The kernels as written before the shared sums, the reference the fused
+# step must match bit for bit: x + y + z in one expression, q*q*q, x + z
+# formed by every kernel, 1 - alpha*c3 inside the z-update and j33, the
+# four-term domain masks, and a square that multiplies both split factors.
+def _reference_two_prod(a, b):
+    prod = a * b
+    c = 134217729.0 * a
+    ah = c - (c - a)
+    al = a - ah
+    c = 134217729.0 * b
+    bh = c - (c - b)
+    bl = b - bh
+    return prod, ((ah * bh - prod) + ah * bl + al * bh) + al * bl
+
+
+def _reference_map(p, x, y, z, alpha):
+    q = x + y + z
+    q2 = q * q
+    d = x + z
+    r = d / p.c2
+    s = np.sqrt(r)
+    p_hi, p_lo = _reference_two_prod(r, p.c2)
+    div_err = ((d - p_hi) - p_lo) / p.c2
+    q_hi, q_lo = _reference_two_prod(s, s)
+    resid = (r - q_hi) - q_lo
+    f2 = (s - d) + (resid + div_err) / (2.0 * s)
+    f1 = (2.0 * x + y + z - p.c1 * q2) / 2.0
+    f3 = z * (1.0 - alpha * p.c3 + alpha * (x + y) / q2)
+    return f1, f2, f3
+
+
+def _reference_jacobian(p, alpha, x, y, z):
+    a = x + y
+    d = x + z
+    q = x + y + z
+    q3 = q * q * q
+    cq = p.c1 * q
+    j21 = 1.0 / (2.0 * np.sqrt(p.c2 * d)) - 1.0
+    j31 = alpha * z * (q - 2.0 * a) / q3
+    j33 = 1.0 - alpha * p.c3 + alpha * a * (q - 2.0 * z) / q3
+    return 1.0 - cq, 0.5 - cq, j21, j31, j33
+
+
+def _reference_masks(x, y, z, c2):
+    d = x + z
+    q = x + y + z
+    return ((d <= 0.0) | (q <= 0.0) | (q * q == 0.0) | (d / c2 == 0.0),
+            (d <= 0.0) | (q <= 0.0) | (c2 * d == 0.0) | (q * q * q == 0.0))
+
+
+def _same_bits(got, want):
+    """Equal bit for bit, except that any NaN matches any NaN (its sign and
+    payload depend on the operand order of a product)."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(got)
+    return (nan == np.isnan(want)).all() and got[~nan].tobytes() == want[~nan].tobytes()
+
+
+# (x+y+z)^2 underflows, subnormals, signed zeros, inf and NaN
+_edge = st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 1e-110, 2.0 ** -1022, 1e-310, 5e-324,
+                         -5e-324, 1e200, math.inf, -math.inf, math.nan])
+_edge_coord = st.one_of(_coord, _coord, _edge)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_params(), st.lists(st.tuples(_edge_coord, _edge_coord, _edge_coord, st.floats(0.1, 40.0)),
+                           min_size=1, max_size=24))
+@example(PAPER_PARAMS, [(1e-170, 1e-170, 1e-170, 2.0), (0.6, 0.4, 0.2, 9.0),
+                        _CUBE_UNDERFLOW + (3.0,), (math.nan, 0.4, 0.2, 5.0),
+                        (0.6, -math.inf, 0.2, 7.0), (-0.3, 1.0, 0.2, 8.0), (5e-324, 0.0, 0.0, 1.0)])
+def test_fused_step_gives_the_reference_kernels_bits(p, pts):
+    """The sums formed once per step with a rate per row and the hoisted
+    g = 1 - alpha*c3, as the scan makes it: both masks, the map and the
+    Jacobian entries read it and give the bits of ``map_off_domain``,
+    ``jacobian_off_domain``, ``map_arrays`` and ``_jacobian_entries``, and
+    of the kernels as written before the sums were shared."""
+    x, y, z, alpha = np.array(pts).T
+    with np.errstate(all="ignore"):
+        sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
+        g = _own_rate(p, alpha)
+        _, q2, r, _, q, _, cd, q3 = sums
+        map_off, jac_off = _map_off(q, q2, r), _jacobian_off(cd, q3)
+        want_map_off, want_jac_off = _reference_masks(x, y, z, p.c2)
+        assert (map_off == want_map_off).all() and (jac_off == want_jac_off).all()
+        assert (map_off == map_off_domain(x + z, x + y + z, p.c2)).all()
+        assert (jac_off == jacobian_off_domain(x + z, x + y + z, p.c2)).all()
+
+        on = ~map_off
+        fused = _map_from_sums(p, g[on], x[on], y[on], z[on], tuple(v[on] for v in sums),
+                               np.sqrt)
+        assert _same_bits(fused, map_arrays(p, x[on], y[on], z[on], alpha[on]))
+        assert _same_bits(fused, _reference_map(p, x[on], y[on], z[on], alpha[on]))
+
+        on = ~jac_off
+        fused = _jacobian_from_sums(p, alpha[on], g[on], z[on], tuple(v[on] for v in sums),
+                                    np.sqrt)
+        assert _same_bits(fused, _jacobian_entries(p, alpha[on], x[on], y[on], z[on], np.sqrt))
+        assert _same_bits(fused, _reference_jacobian(p, alpha[on], x[on], y[on], z[on]))

@@ -424,6 +424,20 @@ def _tiny_start(p, rng):
     return State(v, v, v)
 
 
+# starts by alpha for the "escapes-between-live-rows" case: the row at 8.5
+# starts outside the cube and escapes in the record phase between live rows;
+# the one at 10 stops 25 steps into the Lyapunov phase, where its Jacobian
+# is undefined, between the row at 9.5 and the rest point pinned at 10.5
+_BETWEEN_STARTS = {8.0: (0.66, 0.44, 0.38), 8.5: (0.6, 0.4, 20.0), 9.0: (0.47, 0.4, 0.29),
+                   9.5: (0.67, 0.48, 0.32), 10.0: (0.63, 0.49, 0.11)}
+
+
+def _between_live_rows(p, rng):
+    if p.alpha in _BETWEEN_STARTS:
+        return State(*_BETWEEN_STARTS[p.alpha])
+    return interior_fixed_point(p)
+
+
 # each case reaches the paths named in _SCAN_PATHS
 _SCAN_CASES = {
     "all-escaping": dict(alpha_range=(16.0, 20.0), samples=5, transient=200, n_record=20,
@@ -441,6 +455,13 @@ _SCAN_CASES = {
                                   safety=(0.0, 0.7)),
     "underflow": dict(alpha_range=(0.5, 3.0), samples=8, s0_policy=_tiny_start, transient=0,
                       n_record=1, lyap_steps=5, seed=7),
+    "escapes-between-live-rows": dict(alpha_range=(8.0, 10.5), samples=6,
+                                      s0_policy=_between_live_rows, transient=0, n_record=5,
+                                      lyap_steps=60),
+    # the moving row stops at Lyapunov step 25; the pinned one runs on alone
+    "pinned-outlives-a-stop": dict(alpha_range=(10.0, 10.5), samples=2,
+                                   s0_policy=_between_live_rows, transient=0, n_record=5,
+                                   lyap_steps=60),
 }
 _SCAN_PATHS = {
     "all-escaping": {"escaped"},
@@ -450,6 +471,8 @@ _SCAN_PATHS = {
     "nash-outside-safety": {"escaped"},
     "callable-tight-safety": {"escaped", "bounded", "partial"},
     "underflow": {"bounded", "Jacobian undefined"},
+    "escapes-between-live-rows": {"escaped", "bounded", "partial after warmup", "pinned"},
+    "pinned-outlives-a-stop": {"bounded", "partial after warmup", "pinned"},
 }
 
 
@@ -493,6 +516,8 @@ class TestLockstepScan:
     @example(_SCAN_CASES["nash-outside-safety"])
     @example(_SCAN_CASES["callable-tight-safety"])
     @example(_SCAN_CASES["underflow"])
+    @example(_SCAN_CASES["escapes-between-live-rows"])
+    @example(_SCAN_CASES["pinned-outlives-a-stop"])
     def test_csv_bytes_equal_the_per_sample_scan(self, kw):
         want, _ = _oracle_scan(P, **kw)
         assert _csv(bifurcation_scan(P, **kw)) == _csv(want)
@@ -500,6 +525,14 @@ class TestLockstepScan:
     @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
     def test_cases_reach_their_paths(self, case):
         assert _paths(*_oracle_scan(P, **_SCAN_CASES[case])) >= _SCAN_PATHS[case]
+
+    def test_rows_escape_between_live_rows_in_both_phases(self):
+        # a row that leaves the arrays between two live rows with other rates
+        # shifts every later row, so each row's hoisted 1 - alpha*c3 must be
+        # compacted with it
+        table, notes = _oracle_scan(P, **_SCAN_CASES["escapes-between-live-rows"])
+        assert [r.escaped for r in table.rows] == [False, True, False, False, False, False]
+        assert ["partial" in note for note in notes] == [False, False, False, True, False]
 
     def test_alpha_sweep_scan_bytes_are_frozen(self):
         # sha256 of the one-vector scan's CSV at the benchmark's alpha-sweep size
