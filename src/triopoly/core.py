@@ -28,10 +28,6 @@ __all__ = [
     "eval_map_xyz",
     "eval_map_arrays",
     "eval_jacobian",
-    "map_arrays",
-    "jacobian_arrays",
-    "map_off_domain",
-    "jacobian_off_domain",
     "fixed_points",
     "interior_fixed_point",
     "boundary_fixed_point",
@@ -168,34 +164,28 @@ def _domain_error(d: float, q: float) -> DomainError:
 # The masks from the shared sums.  c2 > 0, so r = d/c2 and cd = c2*d have the
 # sign of d, and q3 that of q: each is <= 0 exactly where that sign is, or
 # where it underflows to 0.
-def _map_off(q, q2, r):
+def _map_off(s: tuple):
+    """Where the map is undefined, from its ``_sums`` s.
+
+    Off the domain (x + z <= 0 or x + y + z <= 0), or on it but with a
+    divisor that underflows to 0: (x+y+z)^2 in the z-update, or d/c2,
+    whose square root divides the compensation term of the y-update.
+    These are exactly the points where ``eval_map_xyz`` raises.
+    Elementwise on arrays.
+    """
+    q2, r, q = s[1], s[2], s[4]
     return (r <= 0.0) | (q <= 0.0) | (q2 == 0.0)
 
 
-def map_off_domain(d, q, c2):
-    """Where the map is undefined, from d = x + z and q = x + y + z.
+def _jacobian_off(s: tuple):
+    """Where ``eval_jacobian`` raises, from its ``_with_jacobian_sums`` s.
 
-    Off the domain (d <= 0 or q <= 0), or on it but with a divisor that
-    underflows to 0: (x+y+z)^2 in the z-update, or d/c2, whose square
-    root divides the compensation term of the y-update.  These are
-    exactly the points where ``eval_map_xyz`` raises.  Elementwise on
-    arrays.
+    Besides x + z <= 0 or x + y + z <= 0, the divisors sqrt(c2*d) and
+    (x+y+z)^3 may underflow to 0; sqrt(c2*d) is 0 exactly when c2*d is.
+    Elementwise on arrays.
     """
-    return _map_off(q, q * q, d / c2)
-
-
-def _jacobian_off(cd, q3):
+    cd, q3 = s[6], s[7]
     return (cd <= 0.0) | (q3 <= 0.0)
-
-
-def jacobian_off_domain(d, q, c2):
-    """Where ``eval_jacobian`` raises, from d = x + z and q = x + y + z.
-
-    Besides d <= 0 or q <= 0, the divisors sqrt(c2*d) and (x+y+z)^3 may
-    underflow to 0; sqrt(c2*d) is 0 exactly when c2*d is.  Elementwise on
-    arrays.
-    """
-    return _jacobian_off(c2 * d, q * q * q)
 
 
 def _map_from_sums(p: Params, g, x, y, z, s: tuple, sqrt):
@@ -209,8 +199,9 @@ def _map_from_sums(p: Params, g, x, y, z, s: tuple, sqrt):
 
 
 def _jacobian_from_sums(p: Params, alpha, g, z, s: tuple, sqrt):
-    """``_jacobian_entries`` from ``_with_jacobian_sums`` s and g = ``_own_rate``,
-    where ``_jacobian_off`` is false; floats, or arrays with ``sqrt=np.sqrt``."""
+    """The five distinct Jacobian entries (j11, j12, j21, j31, j33) from
+    ``_with_jacobian_sums`` s and g = ``_own_rate``, where ``_jacobian_off``
+    is false; floats, or arrays with ``sqrt=np.sqrt``, to the same bits."""
     _, _, _, aa, q, a, cd, q3 = s
     cq = p.c1 * q
     j11 = 1.0 - cq
@@ -224,22 +215,9 @@ def _jacobian_from_sums(p: Params, alpha, g, z, s: tuple, sqrt):
 def eval_map_xyz(p: Params, x: float, y: float, z: float) -> tuple[float, float, float]:
     """Plain-float hot path for the map.  Raises DomainError off-domain."""
     s = _sums(p, p.alpha, x, y, z)
-    d, q2, r, _, q, _ = s
-    if _map_off(q, q2, r):
-        raise _domain_error(d, q)
+    if _map_off(s):
+        raise _domain_error(s[0], s[4])
     return _map_from_sums(p, _own_rate(p, p.alpha), x, y, z, s, math.sqrt)
-
-
-def map_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
-               alpha=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``eval_map_arrays`` without its check: the caller passes only
-    points where ``map_off_domain`` is false."""
-    if alpha is None:
-        alpha = p.alpha
-    # only the sums the map reads: on cover-sized arrays (~16k points) the
-    # map runs measurably slower while q and a stay alive
-    s = _sums(p, alpha, x, y, z)[:4]
-    return _map_from_sums(p, _own_rate(p, alpha), x, y, z, s, np.sqrt)
 
 
 def eval_map_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
@@ -251,30 +229,21 @@ def eval_map_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
     result.  ``alpha``, an array like ``x``, gives each point its own
     adjustment rate in place of ``p.alpha``.  Raises DomainError when any
     point is off the domain, or where the scalar map would divide by an
-    underflowed zero (``map_off_domain``).
+    underflowed zero (``_map_off``).
     """
-    d = x + z
-    q = x + y + z
-    bad = map_off_domain(d, q, p.c2)
+    if alpha is None:
+        alpha = p.alpha
+    s = _sums(p, alpha, x, y, z)
+    bad = _map_off(s)
     if np.any(bad):
-        raise _domain_error(d[bad][0], q[bad][0])
-    return map_arrays(p, x, y, z, alpha)
+        raise _domain_error(s[0][bad][0], s[4][bad][0])
+    return _map_from_sums(p, _own_rate(p, alpha), x, y, z, s, np.sqrt)
 
 
 def eval_map(p: Params, s: State) -> State:
     """One step of the triopoly map."""
     f1, f2, f3 = eval_map_xyz(p, s.x, s.y, s.z)
     return State(f1, f2, f3)
-
-
-def _jacobian_entries(p: Params, alpha, x, y, z, sqrt=math.sqrt):
-    """The five distinct Jacobian entries (j11, j12, j21, j31, j33) at (x, y, z).
-
-    One formula for floats and, with ``sqrt=np.sqrt``, elementwise for
-    arrays, to the same bits; ``alpha`` stands in for ``p.alpha``.
-    """
-    s = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
-    return _jacobian_from_sums(p, alpha, _own_rate(p, alpha), z, s, sqrt)
 
 
 def eval_jacobian(p: Params, s: State) -> np.ndarray:
@@ -288,14 +257,13 @@ def eval_jacobian(p: Params, s: State) -> np.ndarray:
         dF3/dz = 1 - alpha*c3 + alpha*A*(Q - 2z)/Q^3
 
     D = 0 is a derivative singularity on top of the map's own domain needs,
-    so the same strict positivity is enforced here (``jacobian_off_domain``).
+    so the same strict positivity is enforced here (``_jacobian_off``).
     """
-    x, y, z = s.x, s.y, s.z
-    d = x + z
-    q = x + y + z
-    if jacobian_off_domain(d, q, p.c2):
-        raise _domain_error(d, q)
-    j11, j12, j21, j31, j33 = _jacobian_entries(p, p.alpha, x, y, z)
+    sums = _with_jacobian_sums(p, _sums(p, p.alpha, s.x, s.y, s.z))
+    if _jacobian_off(sums):
+        raise _domain_error(sums[0], sums[4])
+    j11, j12, j21, j31, j33 = _jacobian_from_sums(p, p.alpha, _own_rate(p, p.alpha), s.z, sums,
+                                                  math.sqrt)
     return np.array(
         [
             [j11, j12, j12],
@@ -303,18 +271,6 @@ def eval_jacobian(p: Params, s: State) -> np.ndarray:
             [j31, j31, j33],
         ]
     )
-
-
-def jacobian_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``eval_jacobian`` at each point of float64 arrays, as an (n, 3, 3)
-    stack, bit for bit the same per point.
-
-    Nothing is checked: the caller passes only points where
-    ``jacobian_off_domain`` is false.
-    """
-    j11, j12, j21, j31, j33 = _jacobian_entries(p, p.alpha, x, y, z, np.sqrt)
-    entries = np.array((j11, j12, j12, j21, np.zeros_like(j21), j21, j31, j31, j33))
-    return np.ascontiguousarray(entries.T).reshape(-1, 3, 3)
 
 
 def interior_fixed_point(p: Params) -> State:

@@ -45,7 +45,6 @@ from .core import (
     eval_map_xyz,
     fixed_point_residual,
     interior_fixed_point,
-    map_arrays,
 )
 from .jsonio import write_csv
 
@@ -425,7 +424,7 @@ def _record_rows(p: Params, alpha: np.ndarray, s: np.ndarray, transient: int, n:
     Returns the indices of the rows that did not escape, their last
     ``kz`` recorded z and their final states.  A row escapes as in
     ``simulate``: outside the cube before a step, off the map's domain at
-    one (``map_off_domain``), or outside the cube after the last one.
+    one (``core._map_off``), or outside the cube after the last one.
     Escaped rows are dropped when they escape.
     """
     rows = np.arange(s.shape[1])
@@ -435,8 +434,7 @@ def _record_rows(p: Params, alpha: np.ndarray, s: np.ndarray, transient: int, n:
     rec_from = transient + n - kz
     for step in range(transient + n):
         sums = _sums(p, alpha, x, y, z)
-        _, q2, r, _, q, _ = sums
-        ok = _inside_rows(x, y, z, lo, hi) & ~_map_off(q, q2, r)
+        ok = _inside_rows(x, y, z, lo, hi) & ~_map_off(sums)
         if not ok.all():
             rows, x, y, z, alpha, g, tail, *sums = _keep(ok, rows, x, y, z, alpha, g, tail, *sums)
         if not rows.size:
@@ -459,7 +457,7 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
 
     Every start must lie in the map's domain.  One that
     ``lyapunov_spectrum`` pins to a rest point keeps its state.  A row
-    whose Jacobian is undefined (``jacobian_off_domain``), or whose orbit
+    whose Jacobian is undefined (``core._jacobian_off``), or whose orbit
     leaves the domain or the cube, stops with the partial estimate of the
     steps it made; one that stops inside the warm-up averages all of them.
     """
@@ -468,7 +466,8 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
     rows = np.arange(s.shape[1])
     x, y, z = s
     g = _own_rate(p, alpha)
-    moving = ~(_residual_rows(map_arrays(p, x, y, z, alpha), s) < FIXED_POINT_PIN)
+    sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
+    moving = ~(_residual_rows(_map_from_sums(p, g, x, y, z, sums, np.sqrt), s) < FIXED_POINT_PIN)
     any_pinned, pinned_only = not moving.all(), not moving.any()
     va, vb, vc = np.ones(rows.size), np.zeros(rows.size), np.zeros(rows.size)
     acc = np.zeros(rows.size)   # sum of log |Jv| since the warm-up, or within it
@@ -484,8 +483,7 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
         any_pinned, pinned_only = not moving.all(), not moving.any()
         return not rows.size
 
-    sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
-    stop = _jacobian_off(*sums[6:])
+    stop = _jacobian_off(sums)
     for step in range(n):
         # the rows the last map step stopped, and those whose Jacobian is
         # undefined here: either way ``step`` factors were seen
@@ -503,15 +501,14 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
             stop = moving   # all false: no row moves, so none stops
             continue
         fx, fy, fz = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
-        _, q2, r, _, q, _ = sums[:6]
-        stop = _map_off(q, q2, r) | ~_inside_rows(fx, fy, fz, lo, hi)
+        stop = _map_off(sums) | ~_inside_rows(fx, fy, fz, lo, hi)
         if any_pinned:
             stop &= moving
             x, y, z = np.where(moving, fx, x), np.where(moving, fy, y), np.where(moving, fz, z)
         else:
             x, y, z = fx, fy, fz
         sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
-        stop |= _jacobian_off(*sums[6:])
+        stop |= _jacobian_off(sums)
     drop(np.ones(rows.size, dtype=bool), n)
     return out
 

@@ -317,8 +317,7 @@ def _judge(p: Params, cand: np.ndarray) -> _Judged:
     records' margins, and the binding failure is the first non-passing
     record, replaced only by a later one with a strictly smaller margin.
     The sub-check that killed a row is the failing one with the smallest
-    margin inside its binding failure (an undefined one when none failing
-    has a margin; "H2" itself when H2 is inapplicable).
+    margin inside its binding failure ("H2" itself when H2 is inapplicable).
     """
     valid, atoms, m, undef = _sub_checks(p, cand)
     n = len(cand)
@@ -331,8 +330,8 @@ def _judge(p: Params, cand: np.ndarray) -> _Judged:
     kill = np.zeros((len(RANK_IDS), n), dtype=np.intp)
     for k, sl in _records(atoms):
         status[k] = np.where(good[sl].all(axis=0), 0, 1)
-        i, failed = _first_min(m[sl], ~undef[sl] & ~good[sl])
-        kill[k] = 1 + sl.start + np.where(failed, i, undef[sl].argmax(axis=0))
+        i, _ = _first_min(m[sl], ~undef[sl] & ~good[sl])
+        kill[k] = 1 + sl.start + i
 
     nonpass = status != 0
     w, w_any = _first_min(margin, nonpass & has)

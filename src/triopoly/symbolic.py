@@ -22,8 +22,8 @@ import numpy as np
 from .boxes import HalfBoxes, OrientedBox
 from .certificate import Certificate
 from .core import (
-    DomainError, Params, State, _jacobian_off, _map_from_sums, _map_off, _own_rate, _sums,
-    _with_jacobian_sums, eval_map_xyz, fixed_point_residual, jacobian_arrays,
+    DomainError, Params, State, _jacobian_from_sums, _jacobian_off, _map_from_sums, _map_off,
+    _own_rate, _sums, _with_jacobian_sums, eval_map_xyz, fixed_point_residual,
 )
 from .dynamics import _keep
 from .horseshoe import ConvergenceError, _require_certified, locate_fixed_point_in
@@ -123,8 +123,8 @@ def _shoot(p: Params, halves: HalfBoxes, words: list[str]) -> np.ndarray:
     from node i at the centre of half ``word[i]``.  The Jacobian of G has
     the blocks DF(s_i) on its diagonal and -I on its cyclic superdiagonal,
     so F^k is never chained (Galias & Zgliczynski, Physica D 115, 1998).
-    One Newton step forms the shared sums once for both domain masks and
-    the map, and makes one Jacobian call and one stacked solve for every
+    One Newton step forms the shared sums once for both domain masks, the
+    map and the Jacobian blocks, and makes one stacked solve for every
     live word, yet each word keeps its own stop (max|G| < 1e-13), step
     clamp (0.1) and cap (80 steps) and gets the bits it would get alone.
     Returns s_0 of each word as a row of an (n, 3) array; the row is NaN
@@ -137,25 +137,26 @@ def _shoot(p: Params, halves: HalfBoxes, words: list[str]) -> np.ndarray:
     out = np.full((len(words), 3), np.nan)
     rows = np.arange(len(words))
     superdiagonal = -np.kron(np.roll(np.eye(k), 1, axis=1), np.eye(3))
+    own = _own_rate(p, p.alpha)
     for _ in range(80):
         x, y, z = np.moveaxis(s, 2, 0)
         sums = _with_jacobian_sums(p, _sums(p, p.alpha, x, y, z))
-        _, q2, r, _, q, _ = sums[:6]
-        ok = ~_map_off(q, q2, r).any(axis=1)
+        ok = ~_map_off(sums).any(axis=1)
         if not ok.all():
             rows, s, x, y, z, *sums = _keep(ok, rows, s, x, y, z, *sums)
-        f = _map_from_sums(p, _own_rate(p, p.alpha), x, y, z, sums, np.sqrt)
+        f = _map_from_sums(p, own, x, y, z, sums, np.sqrt)
         g = np.stack(f, axis=2) - np.roll(s, -1, axis=1)
         done = np.abs(g).max(axis=(1, 2)) < 1e-13
         out[rows[done]] = s[done, 0]
-        cd, q3 = sums[6:]
-        ok = ~done & ~_jacobian_off(cd, q3).any(axis=1)
+        ok = ~done & ~_jacobian_off(sums).any(axis=1)
         if not ok.all():
-            rows, s, g, x, y, z = _keep(ok, rows, s, g, x, y, z)
+            rows, s, g, z, *sums = _keep(ok, rows, s, g, z, *sums)
         if not rows.size:
             break
         jac = np.tile(superdiagonal, (rows.size, 1, 1))
-        blocks = jacobian_arrays(p, x.ravel(), y.ravel(), z.ravel()).reshape(-1, k, 3, 3)
+        j11, j12, j21, j31, j33 = _jacobian_from_sums(p, p.alpha, own, z, sums, np.sqrt)
+        blocks = np.stack((j11, j12, j12, j21, np.zeros_like(j21), j21, j31, j31, j33),
+                          axis=2).reshape(-1, k, 3, 3)
         for i in range(k):
             jac[:, 3 * i:3 * i + 3, 3 * i:3 * i + 3] += blocks[:, i]
         rhs = -g.reshape(-1, 3 * k, 1)
@@ -188,7 +189,7 @@ def _check_orbits(p: Params, b, pts, k: int) -> tuple[np.ndarray, np.ndarray]:
     Each itinerary is a k-bit integer, first symbol most significant
     (``format(code, f"0{k}b")`` is the word), and symbols follow
     ``HalfBoxes.symbol_of``: z at or above the midplane is 1.  An orbit
-    that leaves the map domain within k steps (``map_off_domain``, from
+    that leaves the map domain within k steps (``core._map_off``, from
     the sums each step shares with the map) has residual inf and code -1;
     one that leaves the box within k symbols has code -1.
     """
@@ -197,16 +198,16 @@ def _check_orbits(p: Params, b, pts, k: int) -> tuple[np.ndarray, np.ndarray]:
     codes = np.zeros(len(pts), dtype=np.int64)
     inside = np.ones(len(pts), dtype=bool)
     defined = inside.copy()
+    own = _own_rate(p, p.alpha)
     for _ in range(k):
         inside &= ((b.x_l <= x) & (x <= b.x_r) & (b.y_l <= y) & (y <= b.y_r)
                    & (b.z_l <= z) & (z <= b.z_r))
         codes = 2 * codes + (z >= b.z_mid)
         sums = _sums(p, p.alpha, x, y, z)
-        _, q2, r, _, q, _ = sums
-        defined &= ~_map_off(q, q2, r)
+        defined &= ~_map_off(sums)
         i = np.flatnonzero(defined)
-        x[i], y[i], z[i] = _map_from_sums(p, _own_rate(p, p.alpha), x[i], y[i], z[i],
-                                            _keep(defined, *sums), np.sqrt)
+        x[i], y[i], z[i] = _map_from_sums(p, own, x[i], y[i], z[i], _keep(defined, *sums),
+                                          np.sqrt)
     gap = np.abs(np.column_stack((x, y, z)) - pts).max(axis=1)
     return np.where(defined, gap, math.inf), np.where(inside & defined, codes, -1)
 

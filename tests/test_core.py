@@ -22,7 +22,6 @@ from triopoly import (
     fixed_points,
 )
 from triopoly.core import (
-    _jacobian_entries,
     _jacobian_from_sums,
     _jacobian_off,
     _map_from_sums,
@@ -33,10 +32,6 @@ from triopoly.core import (
     boundary_fixed_point,
     eval_map_arrays,
     interior_fixed_point,
-    jacobian_arrays,
-    jacobian_off_domain,
-    map_arrays,
-    map_off_domain,
 )
 
 # image of (1, 1, 1) under the reference parameters, recomputed independently
@@ -232,6 +227,12 @@ def test_underflowed_divisor_is_a_domain_error():
 _CUBE_UNDERFLOW = (1e-110, 1e-110, 1e-110)
 
 
+def _entries(p, alpha, x, y, z):
+    """The Jacobian entries at points with rates ``alpha``, from their own sums."""
+    s = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
+    return _jacobian_from_sums(p, alpha, _own_rate(p, alpha), z, s, np.sqrt)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_params(), st.lists(st.tuples(_coord, _coord, _coord, st.floats(0.1, 40.0)),
                            min_size=1, max_size=24))
@@ -242,8 +243,8 @@ def test_array_map_and_jacobian_with_per_point_alpha_are_scalar_bit_for_bit(p, p
     ``eval_map_xyz`` and ``eval_jacobian`` at Params(..., alpha=a_i), and
     the off-domain masks hold exactly where those raise."""
     x, y, z, a = np.array(pts).T
-    map_off = map_off_domain(x + z, x + y + z, p.c2)
-    jac_off = jacobian_off_domain(x + z, x + y + z, p.c2)
+    sums = _with_jacobian_sums(p, _sums(p, a, x, y, z))
+    map_off, jac_off = _map_off(sums), _jacobian_off(sums)
     maps, jacs = [], []
     for i, (xi, yi, zi, ai) in enumerate(pts):
         pa = replace(p, alpha=ai)
@@ -261,25 +262,16 @@ def test_array_map_and_jacobian_with_per_point_alpha_are_scalar_bit_for_bit(p, p
             assert not jac_off[i]
     on = ~map_off
     if on.any():
-        got = np.column_stack(map_arrays(p, x[on], y[on], z[on], a[on]))
+        got = np.column_stack(eval_map_arrays(p, x[on], y[on], z[on], alpha=a[on]))
         assert got.tobytes() == np.array(maps).tobytes()
-        checked = np.column_stack(eval_map_arrays(p, x[on], y[on], z[on], alpha=a[on]))
-        assert checked.tobytes() == got.tobytes()
     if map_off.any():
         with pytest.raises(DomainError):
             eval_map_arrays(p, x, y, z, alpha=a)
     on = ~jac_off
     if on.any():
-        j11, j12, j21, j31, j33 = _jacobian_entries(p, a[on], x[on], y[on], z[on], np.sqrt)
+        j11, j12, j21, j31, j33 = _entries(p, a[on], x[on], y[on], z[on])
         got = np.stack([j11, j12, j12, j21, np.zeros_like(j21), j21, j31, j31, j33], axis=1)
         assert got.tobytes() == np.array(jacs).reshape(-1, 9).tobytes()
-
-
-def test_jacobian_arrays_default_to_the_params_rate():
-    x, y, z = np.array([[0.6, 0.4, 0.2], [0.59, 0.38, 0.1]]).T
-    got = jacobian_arrays(PAPER_PARAMS, x, y, z)
-    want = np.array([eval_jacobian(PAPER_PARAMS, State(*pt)) for pt in zip(x, y, z)])
-    assert got.tobytes() == want.tobytes()
 
 
 # The kernels as written before the shared sums, the reference the fused
@@ -354,29 +346,27 @@ _edge_coord = st.one_of(_coord, _coord, _edge)
                         (0.6, -math.inf, 0.2, 7.0), (-0.3, 1.0, 0.2, 8.0), (5e-324, 0.0, 0.0, 1.0)])
 def test_fused_step_gives_the_reference_kernels_bits(p, pts):
     """The sums formed once per step with a rate per row and the hoisted
-    g = 1 - alpha*c3, as the scan makes it: both masks, the map and the
-    Jacobian entries read it and give the bits of ``map_off_domain``,
-    ``jacobian_off_domain``, ``map_arrays`` and ``_jacobian_entries``, and
-    of the kernels as written before the sums were shared."""
+    g = 1 - alpha*c3, as the scan makes it, then compacted to the rows a
+    mask keeps: both masks, the map and the Jacobian entries read them and
+    give the bits of ``eval_map_arrays`` and of entries from the kept
+    points' own sums, and of the kernels as written before the sums were
+    shared."""
     x, y, z, alpha = np.array(pts).T
     with np.errstate(all="ignore"):
         sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
         g = _own_rate(p, alpha)
-        _, q2, r, _, q, _, cd, q3 = sums
-        map_off, jac_off = _map_off(q, q2, r), _jacobian_off(cd, q3)
+        map_off, jac_off = _map_off(sums), _jacobian_off(sums)
         want_map_off, want_jac_off = _reference_masks(x, y, z, p.c2)
         assert (map_off == want_map_off).all() and (jac_off == want_jac_off).all()
-        assert (map_off == map_off_domain(x + z, x + y + z, p.c2)).all()
-        assert (jac_off == jacobian_off_domain(x + z, x + y + z, p.c2)).all()
 
         on = ~map_off
         fused = _map_from_sums(p, g[on], x[on], y[on], z[on], tuple(v[on] for v in sums),
                                np.sqrt)
-        assert _same_bits(fused, map_arrays(p, x[on], y[on], z[on], alpha[on]))
+        assert _same_bits(fused, eval_map_arrays(p, x[on], y[on], z[on], alpha=alpha[on]))
         assert _same_bits(fused, _reference_map(p, x[on], y[on], z[on], alpha[on]))
 
         on = ~jac_off
         fused = _jacobian_from_sums(p, alpha[on], g[on], z[on], tuple(v[on] for v in sums),
                                     np.sqrt)
-        assert _same_bits(fused, _jacobian_entries(p, alpha[on], x[on], y[on], z[on], np.sqrt))
+        assert _same_bits(fused, _entries(p, alpha[on], x[on], y[on], z[on]))
         assert _same_bits(fused, _reference_jacobian(p, alpha[on], x[on], y[on], z[on]))

@@ -546,6 +546,10 @@ _NAN_FIRST = (LOW_ALPHA, np.array([[5e307, 5e307, 5e307, 5e307, 0.1],
 @example(*_NAN_FIRST)
 @example(PAPER_PARAMS, np.array([[0.6, 0.05, -0.01, 0.51, 0.5]]))  # H4h undefined
 @example(PAPER_PARAMS, np.array([[0.6, 0.05, 0.35, 0.1, 5e-324]]))  # z too thin to split
+# a square root undefined in a record that does not bind
+@example(PAPER_PARAMS, np.array([[-0.9, 0.05, -0.3, 0.1, 0.5]]))
+@example(LOW_ALPHA, np.array([[-0.9, 0.05, -0.3, 0.1, 0.5]]))
+@example(PAPER_PARAMS, np.array([[-0.2, 0.1, 0.3, 0.1, 0.5]]))
 def test_judge_replays_check_H_per_row(p, cand):
     j = _judge(p, cand)
     _, atoms, m, undef = _sub_checks(p, cand)

@@ -2,7 +2,8 @@
 
 Production code is ``src/``, ``scripts/`` and ``perfbench/``.  Three rules
 hold for what ``src/triopoly`` defines, each with an allowlist below that
-says why an entry is kept:
+says why an entry is kept, and a fourth, with no allowlist, for what it
+exports:
 
 * Every function, class and method, and every module-level name assigned
   other than ``__all__``, must be read somewhere in production code or
@@ -21,6 +22,10 @@ says why an entry is kept:
   name too, so a field that shares its name with a live attribute (``box``,
   ``params``, ``seed``, ``tol``) is not flagged, and such fields must be
   checked by hand.
+* Every ``__all__`` entry of a module must name something that module
+  binds at its top level (a function, class, assignment or import).  A
+  stale entry breaks only ``from module import *``, so nothing else
+  would catch it.
 """
 import ast
 import pathlib
@@ -220,3 +225,32 @@ def _read_attributes() -> set:
 def test_every_unread_field_is_allowlisted():
     read = _read_attributes()
     assert {f for f in _fields() if f.rsplit(".", 1)[1] not in read} == ALLOWED_FIELDS
+
+
+# ---------------------------------------------------------------------------
+# exports
+# ---------------------------------------------------------------------------
+
+def _bound_and_exported(tree: ast.Module) -> tuple[set, list]:
+    """The names a module binds at its top level, and its ``__all__``."""
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return bound, exported
+
+
+def test_every_exported_name_is_bound():
+    stale = set()
+    for path in SOURCES:
+        bound, exported = _bound_and_exported(ast.parse(path.read_text()))
+        stale |= {f"{path.stem}.{name}" for name in exported if name not in bound}
+    assert stale == set()

@@ -414,18 +414,19 @@ class TestLockstepNewton:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_a_singular_system_fails_only_its_own_word(self, monkeypatch, k):
-        # the first word's blocks become the identity at the first step, so
-        # its matrix is I minus the cyclic shift, which is singular
-        real, calls = symbolic.jacobian_arrays, []
+        # the first word's entries become (1, 0, 0, 0, 1) at the first step:
+        # each block B is diag(1, 0, 1), B^k - I is singular, and so is its matrix
+        real, calls = symbolic._jacobian_from_sums, []
 
-        def identity_for_first_word(p, x, y, z):
-            blocks = real(p, x, y, z)
+        def singular_for_first_word(p, alpha, g, z, s, sqrt):
+            entries = real(p, alpha, g, z, s, sqrt)
             if not calls:
-                blocks[:k] = np.eye(3)
-            calls.append(x.size)
-            return blocks
+                for e, v in zip(entries, (1.0, 0.0, 0.0, 0.0, 1.0)):
+                    e[0] = v
+            calls.append(z.size)
+            return entries
 
-        monkeypatch.setattr(symbolic, "jacobian_arrays", identity_for_first_word)
+        monkeypatch.setattr(symbolic, "_jacobian_from_sums", singular_for_first_word)
         results = count_periodic_words(P, OB, k)
         first = _shot_words(k)[0]
         assert calls[0] == k * len(_shot_words(k)) and calls[1] < calls[0]
