@@ -26,7 +26,9 @@ decoded in chunks of 16384 as (n, 5) arrays; ``_judge`` evaluates the
 H inequalities of :func:`triopoly.certificate.h_inequalities` (the same
 definition ``check_H`` builds its records from) over the whole chunk and
 replays the record, rank and binding-failure rules of ``check_H`` per
-row, bit for bit; ``_Scan.absorb`` folds the verdicts in row order into
+row, bit for bit: each ``min`` is one ordered pass that offers a record's
+atoms, or the four record margins, a whole array row at a time
+(``_first_min``).  ``_Scan.absorb`` folds the verdicts in row order into
 the hit list, the two near-miss slots and the kill counts.  ``Box`` and
 ``NearMiss`` objects are built only for hits and slot winners, and
 certificates only for the ``max_hits`` hits that ``certify_box``
@@ -205,33 +207,27 @@ class _Judged:
     kill_ids: tuple
 
 
-def _first_min(m: np.ndarray, ok: np.ndarray):
-    """Per column of ``m``, the row that Python's ``min`` by value picks
-    among the entries where ``ok``, and whether there is one.
+def _first_min(m: np.ndarray, ok: np.ndarray, rows: bool = True):
+    """Per column of ``m``, what Python's ``min`` by value picks among the
+    entries where ``ok``: its row (None unless ``rows``: a masked write per
+    row), its value (-inf when there is none) and whether there is one.
 
-    ``min`` takes the first entry and then only a strictly smaller one, so
-    the first of equal values wins (0.0 and -0.0 are equal), a leading NaN
-    stays and a later NaN never wins.  Only elementwise operations and
-    reductions along the short axis are used.
+    The entries are offered in row order: the first is taken, then only a
+    strictly smaller one, so the first of equal values wins (0.0 and -0.0
+    are equal), a leading NaN stays and a later NaN never wins.
     """
-    k, n = m.shape
-    rows = np.arange(k)[:, None]
-    nan = np.isnan(m)
-    any_nan = nan.any()
-    if any_nan:
-        first = np.minimum.reduce(np.where(ok, rows, k), axis=0)
-        found = first < k
-        first[~found] = 0
-        lead = found & nan[first, np.arange(n)]
-        ok = ok & ~nan
-    clean = np.where(ok, m, np.inf)
-    low = np.minimum.reduce(clean, axis=0)
-    pick = np.minimum.reduce(np.where(ok & (clean == low), rows, k), axis=0)
-    if any_nan:
-        pick = np.where(lead, first, pick)
-    else:
-        found = pick < k
-    return np.where(found, pick, 0), found
+    n = m.shape[1]
+    pick = np.zeros(n, dtype=np.intp) if rows else None
+    low = np.full(n, -np.inf)
+    none = np.ones(n, dtype=bool)
+    for r, (row, offered) in enumerate(zip(m, ok)):
+        take = (row < low) | none
+        take &= offered
+        np.copyto(low, row, where=take)
+        if rows:
+            np.copyto(pick, r, where=take)
+        none &= ~offered
+    return pick, low, ~none
 
 
 def _sub_checks(p: Params, cand: np.ndarray):
@@ -245,12 +241,14 @@ def _sub_checks(p: Params, cand: np.ndarray):
     """
     n = len(cand)
     x_l, wx, y_l, wy, z_r = cand.T
+    inf = np.inf
     with np.errstate(all="ignore"):
         x_r = x_l + wx
         y_r = y_l + wy
-        # Box's rules with z_l = 0; 0 < z_r / 2 is its split rule z_l < z_mid < z_r
-        valid = (np.isfinite(np.stack((x_l, x_r, y_l, y_r, z_r))).all(axis=0)
-                 & (x_l < x_r) & (y_l < y_r) & (0.0 < 0.5 * z_r))
+        z_mid = 0.5 * z_r
+        # the chained comparisons of ``_rank``: Box's rules with z_l = 0
+        valid = ((-inf < x_l) & (x_l < x_r) & (x_r < inf) & (-inf < y_l) & (y_l < y_r)
+                 & (y_r < inf) & (0.0 < z_mid) & (z_mid < inf))
         atoms, operands = h_inequalities(p, x_l, x_r, y_l, y_r, 0.0, z_r, np.sqrt)
         negative = {k: v < 0.0 for k, v in operands.items()}
         never = np.zeros(n, dtype=bool)
@@ -266,22 +264,28 @@ def _records(atoms) -> list:
             for k, cid in enumerate(RANK_IDS) if cid in cids]
 
 
-def _record_margins(atoms, m: np.ndarray, undef: np.ndarray):
-    """Each record's margin, whether it has one, and each row's rank.
+def _record_verdicts(atoms, m: np.ndarray, undef: np.ndarray):
+    """Each H record's margin, whether it has one and its status code, as
+    (4, n) arrays in ``RANK_IDS`` order, and whether each atom passes.
 
-    A record's margin is that of the first smallest of its defined
-    sub-checks (``min`` by key); the rank is ``min`` over the records'
-    margins, -inf when no record has one.
+    A record's margin is ``min`` over its defined sub-checks, taken by one
+    ordered pass over its atoms (``_first_min``).  A record without atoms
+    (H2 when alpha*c3 <= 1) stays inapplicable.
     """
     n = m.shape[1]
-    cols = np.arange(n)
-    margin = np.full((len(RANK_IDS), n), np.nan)
+    # lhs - rhs > DEFAULT_MIN_MARGIN is lhs - rhs >= the next float above it
+    floor = np.array([np.nextafter(DEFAULT_MIN_MARGIN, np.inf) if a[2] == ">" else 0.0
+                      for a in atoms])
+    defined = ~undef
+    with np.errstate(invalid="ignore"):
+        good = defined & (m >= floor[:, None])
+    margin = np.full((len(RANK_IDS), n), -np.inf)
     has = np.zeros((len(RANK_IDS), n), dtype=bool)
+    status = np.full((len(RANK_IDS), n), 2)
     for k, sl in _records(atoms):
-        i, has[k] = _first_min(m[sl], ~undef[sl])
-        margin[k] = m[sl][i, cols]
-    i, ranked = _first_min(margin, has)
-    return margin, has, np.where(ranked, margin[i, cols], -np.inf)
+        _, margin[k], has[k] = _first_min(m[sl], defined[sl], rows=False)
+        status[k] = np.where(good[sl].all(axis=0), 0, 1)
+    return margin, has, status, good
 
 
 def _rank(p: Params, vec) -> float | None:
@@ -291,7 +295,7 @@ def _rank(p: Params, vec) -> float | None:
     Each record's margin is ``min`` over its defined lhs - rhs (a negative
     square-root operand leaves an atom undefined, as in ``check_H``) and
     the rank is ``min`` over the records, -inf when none has a margin:
-    the rules that ``_record_margins`` replays over arrays.
+    the rules that ``_judge`` replays over arrays.
     """
     x_l, wx, y_l, wy, z_r = map(float, vec)
     x_r, y_r = x_l + wx, y_l + wy
@@ -312,30 +316,26 @@ def _judge(p: Params, cand: np.ndarray) -> _Judged:
     """Judge (n, 5) candidate rows against the H layer in one array pass.
 
     Replays ``check_H`` and the scalar ranking rules row by row, ties and
-    NaN included: each record's margin is that of the first smallest of its
-    defined sub-checks (``min`` by key), the rank is ``min`` over the
-    records' margins, and the binding failure is the first non-passing
-    record, replaced only by a later one with a strictly smaller margin.
-    The sub-check that killed a row is the failing one with the smallest
-    margin inside its binding failure ("H2" itself when H2 is inapplicable).
+    NaN included, with ordered ``min`` passes (``_first_min``): a record's
+    margin is the first smallest of its defined sub-checks, the rank the
+    first smallest record margin, the binding failure the first smallest
+    among the non-passing records with a margin (else the first of them),
+    and the kill the first smallest failing sub-check inside the binding
+    failure ("H2" itself when H2 is inapplicable).  Only records that bind
+    some row are searched for their kill.
     """
     valid, atoms, m, undef = _sub_checks(p, cand)
-    n = len(cand)
-    cols = np.arange(n)
-    strict = np.array([a[2] == ">" for a in atoms])[:, None]
-    with np.errstate(invalid="ignore"):
-        good = ~undef & np.where(strict, m > DEFAULT_MIN_MARGIN, m >= 0.0)
-    margin, has, rank = _record_margins(atoms, m, undef)
-    status = np.full((len(RANK_IDS), n), 2)      # H2 stays inapplicable without atoms
-    kill = np.zeros((len(RANK_IDS), n), dtype=np.intp)
-    for k, sl in _records(atoms):
-        status[k] = np.where(good[sl].all(axis=0), 0, 1)
-        i, _ = _first_min(m[sl], ~undef[sl] & ~good[sl])
-        kill[k] = 1 + sl.start + i
-
+    margin, has, status, good = _record_verdicts(atoms, m, undef)
+    _, rank, _ = _first_min(margin, has, rows=False)
     nonpass = status != 0
-    w, w_any = _first_min(margin, nonpass & has)
+    w, _, w_any = _first_min(margin, nonpass & has)
     worst = np.where(w_any, w, nonpass.argmax(axis=0))
+    kill = np.zeros(len(cand), dtype=np.intp)     # "H2" itself when H2 has no atoms
+    for k, sl in _records(atoms):
+        binds = nonpass[k] & (worst == k)
+        if binds.any():
+            i, _, _ = _first_min(m[sl], ~undef[sl] & ~good[sl])
+            kill = np.where(binds, 1 + sl.start + i, kill)
     return _Judged(
         valid=valid,
         rank=rank,
@@ -343,7 +343,7 @@ def _judge(p: Params, cand: np.ndarray) -> _Judged:
         frontier=~nonpass[2] & ~nonpass[3],
         worst=worst,
         status=status,
-        kill=kill[worst, cols],
+        kill=kill,
         kill_ids=("H2",) + tuple(a[1] for a in atoms),
     )
 

@@ -31,6 +31,24 @@ def test_alpha_feasibility_scan(tmp_path, capsys):
     assert len(rows) == 2 and all(r[4].startswith(("H2", "H3", "H4", "H5")) for r in rows)
 
 
+def test_alpha_feasibility_scan_is_frozen(tmp_path, capsys):
+    # sha256 and table rows recorded with the stacked-reduction selection in
+    # ``search._judge`` that the ordered pass replaced
+    out = tmp_path / "scan.csv"
+    code = _main("alpha_feasibility_scan.py")(
+        ["--alpha-range", "14,17", "--samples", "4", "--budget", "4000", "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+        "7721374863a73bded2b320252371d11b766393d329d6787a68e215f738d1655b"
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith(" 1")]
+    assert rows == [
+        " 14.000     0     -0.01708237291895609        H2   H2b  58%",
+        " 15.000     0   -0.0096222005905692853        H2   H2b  59%",
+        " 16.000     0    -0.003086407456302398        H2   H2b  60%",
+        " 17.000     2   0.00059538699076244761             H2b  60%",
+    ]
+
+
 def test_bifurcation_sweep(tmp_path, capsys):
     out = tmp_path / "bif.csv"
     code = _main("bifurcation_sweep.py")(

@@ -24,7 +24,7 @@ from triopoly.search import (
     _first_min,
     _judge,
     _rank,
-    _record_margins,
+    _record_verdicts,
     _refine,
     _sub_checks,
     _vec_of,
@@ -528,12 +528,17 @@ def test_first_min_is_pythons_min(cols):
     values, masks = cols
     m = np.array(values, dtype=float).T
     ok = np.array(masks).T
-    got, found = _first_min(m, ok)
+    got, low, found = _first_min(m, ok)
+    no_rows, value_only, found_too = _first_min(m, ok, rows=False)
+    assert no_rows is None
+    assert value_only.tobytes() == low.tobytes() and (found_too == found).all()
     for c in range(m.shape[1]):
         picks = [r for r in range(len(m)) if ok[r, c]]
         assert bool(found[c]) == bool(picks)
         if picks:
-            assert got[c] == min(picks, key=lambda r: m[r, c])
+            want = min(picks, key=lambda r: m[r, c])
+            assert got[c] == want
+            assert _bits(low[c]) == _bits(m[want, c])
 
 
 # H2 inapplicable and x_r + y_r overflowing: the rank fold starts at a NaN
@@ -553,7 +558,7 @@ _NAN_FIRST = (LOW_ALPHA, np.array([[5e307, 5e307, 5e307, 5e307, 0.1],
 def test_judge_replays_check_H_per_row(p, cand):
     j = _judge(p, cand)
     _, atoms, m, undef = _sub_checks(p, cand)
-    margin, defined, _ = _record_margins(atoms, m, undef)
+    margin, defined, *_ = _record_verdicts(atoms, m, undef)
     for i, vec in enumerate(cand):
         b = _ref_box(vec)
         assert bool(j.valid[i]) == (b is not None)
@@ -662,6 +667,23 @@ def test_killed_by_names_the_escape_bound_below_the_threshold():
     assert len(res) == 0
     assert sum(res.killed_by.values()) == res.evaluated
     assert max(res.killed_by, key=res.killed_by.get).startswith(("H2", "H3"))
+
+
+# the kill counts, recorded with the stacked-reduction selection that the
+# ordered pass replaced; the JSONL digests above do not cover them
+FROZEN_KILLED_BY = {
+    (10.0, 4_000, 0): {"H2b": 2195, "H3": 1805},
+    (15.0, 4_000, 0): {"H2b": 2359, "H3": 1641},
+    (17.0, 4_000, 0): {"H2b": 2396, "H3": 1602},
+    (17.0, 16_389, 5): {"H2b": 9901, "H3": 6478},       # straddles _CHUNK
+}
+
+
+@pytest.mark.parametrize("alpha,budget,seed", sorted(FROZEN_KILLED_BY))
+def test_killed_by_is_frozen(alpha, budget, seed):
+    p = Params(0.4, 0.55, 0.6, alpha)
+    res = search_boxes(p, "random", budget, seed=seed)
+    assert res.killed_by == FROZEN_KILLED_BY[alpha, budget, seed]
 
 
 def test_killed_by_stays_out_of_the_jsonl():
