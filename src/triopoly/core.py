@@ -188,14 +188,18 @@ def _jacobian_off(s: tuple):
     return (cd <= 0.0) | (q3 <= 0.0)
 
 
+def _f3_from_sums(g, z, s: tuple):
+    """F3 from its ``_sums`` s and g = ``_own_rate``; floats or arrays."""
+    return z * (g + s[3] / s[1])
+
+
 def _map_from_sums(p: Params, g, x, y, z, s: tuple, sqrt):
     """The map from its ``_sums`` s and g = ``_own_rate``, where ``_map_off``
     is false; floats, or arrays with ``sqrt=np.sqrt``, to the same bits."""
-    d, q2, r, aa = s[:4]
+    d, q2, r = s[:3]
     f1 = (2.0 * x + y + z - p.c1 * q2) / 2.0
     f2 = _psi(d, r, p.c2, sqrt)
-    f3 = z * (g + aa / q2)
-    return f1, f2, f3
+    return f1, f2, _f3_from_sums(g, z, s)
 
 
 def _jacobian_from_sums(p: Params, alpha, g, z, s: tuple, sqrt):
@@ -233,11 +237,22 @@ def eval_map_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray,
     """
     if alpha is None:
         alpha = p.alpha
+    s = _checked_array_sums(p, alpha, x, y, z)
+    return _map_from_sums(p, _own_rate(p, alpha), x, y, z, s, np.sqrt)
+
+
+def _checked_array_sums(p: Params, alpha, x, y, z) -> tuple:
+    """``_sums`` of arrays; raises DomainError where any point is ``_map_off``."""
     s = _sums(p, alpha, x, y, z)
     bad = _map_off(s)
     if np.any(bad):
         raise _domain_error(s[0][bad][0], s[4][bad][0])
-    return _map_from_sums(p, _own_rate(p, alpha), x, y, z, s, np.sqrt)
+    return s
+
+
+def _f3_arrays(p: Params, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``eval_map_arrays(p, x, y, z)[2]`` to the bit, or its DomainError."""
+    return _f3_from_sums(_own_rate(p, p.alpha), z, _checked_array_sums(p, p.alpha, x, y, z))
 
 
 def eval_map(p: Params, s: State) -> State:

@@ -20,6 +20,11 @@ split of a cell stops at its first kept sub-cell.  Everything kept is
 therefore a genuine cover; the interesting empirical fact, which the tests
 pin down, is that the boundary layer below the midplane drops out and the
 two covers end up disjoint, as the midplane condition predicts.
+
+Both tests run cheap-first to the same answer.  The exclusion adds the
+mean-value form only where the plain range of F3 meets [z_l, z_r] (the
+refined enclosure is the plain one intersected with that form), and the
+centre test forms F1 and F2 only where F3 puts the centre's image inside.
 """
 from __future__ import annotations
 
@@ -35,7 +40,8 @@ from .bounds import _batch_enclosures
 from .bounds import batch_image_enclosure  # noqa: F401
 from .certificate import Certificate, certify_box
 from .core import (
-    Params, State, eval_map_arrays, eval_map_xyz, fixed_point_residual, fixed_points,
+    Params, State, _f3_arrays, eval_map_arrays, eval_map_xyz, fixed_point_residual,
+    fixed_points,
 )
 from .jsonio import write_csv
 
@@ -53,11 +59,10 @@ __all__ = [
 
 RETAIN_MARGIN = 1e-9  # centre image strictly inside R by this much: keep cell
 MAX_SPLIT_DEPTH = 5
-# cells per batch-kernel call.  The kernels make dozens of temporaries per
-# call; at 16k cells (128 KiB each) they stay near the core, while the
-# largest split level of res-64 covers (84k cells) streams them through
-# memory.  With one call per level those covers build ~15 % slower and
-# peak 16 MB higher, with the same bits.
+# cells per call of the enclosure kernels and of the centre map, which make
+# dozens of temporaries per call (128 KiB each at 16k cells).  With one call
+# per level, res-64 covers (84k cells at the largest split level) built
+# ~15 % slower and peaked 16 MB higher, with the same bits.
 _CHUNK = 16384
 # image samples per path segment when the stretching check brackets a crossing
 _SAMPLES_PER_SEGMENT = 16
@@ -196,22 +201,36 @@ def _split_cells_8(cells: np.ndarray) -> np.ndarray:
 
 
 def _image_misses_box(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
-    """True for cells whose F3 enclosure misses [z_l, z_r] (see ``_excludable``)."""
-    out = np.empty(cells.shape[0], dtype=bool)
+    """True for cells whose F3 enclosure misses [z_l, z_r] (see ``_excludable``).
+
+    The mean-value form, most of an enclosure's cost, runs only on the rows
+    whose plain range meets [z_l, z_r]: a plain miss is a refined miss.
+    """
+    out = np.ones(cells.shape[0], dtype=bool)
     for i in range(0, cells.shape[0], _CHUNK):
-        ((lo, hi),) = _batch_enclosures(p, cells[i:i + _CHUNK], ("F3",))
-        out[i:i + _CHUNK] = (hi < b.z_l) | (lo > b.z_r)
+        chunk = cells[i:i + _CHUNK]
+        ((lo, hi),) = _batch_enclosures(p, chunk, ("F3",), refine=False)
+        meets = np.flatnonzero(~((hi < b.z_l) | (lo > b.z_r)))
+        ((lo, hi),) = _batch_enclosures(p, chunk[meets], ("F3",))
+        out[i + meets] = (hi < b.z_l) | (lo > b.z_r)
     return out
 
 
 def _centre_maps_inside(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
-    mids = 0.5 * (cells[:, 0::2] + cells[:, 1::2])
-    fx, fy, fz = eval_map_arrays(p, mids[:, 0], mids[:, 1], mids[:, 2])
-    return (
-        (b.x_l + RETAIN_MARGIN < fx) & (fx < b.x_r - RETAIN_MARGIN)
-        & (b.y_l + RETAIN_MARGIN < fy) & (fy < b.y_r - RETAIN_MARGIN)
-        & (b.z_l + RETAIN_MARGIN < fz) & (fz < b.z_r - RETAIN_MARGIN)
-    )
+    """True for cells whose centre maps inside R by ``RETAIN_MARGIN``; F1 and
+    F2, with F2's compensated square root, only where F3 clears it."""
+    out = np.zeros(cells.shape[0], dtype=bool)
+    for i in range(0, cells.shape[0], _CHUNK):
+        chunk = cells[i:i + _CHUNK]
+        mx, my, mz = (0.5 * (chunk[:, k] + chunk[:, k + 1]) for k in (0, 2, 4))
+        fz = _f3_arrays(p, mx, my, mz)
+        inz = np.flatnonzero((b.z_l + RETAIN_MARGIN < fz) & (fz < b.z_r - RETAIN_MARGIN))
+        fx, fy, _ = eval_map_arrays(p, mx[inz], my[inz], mz[inz])
+        out[i + inz] = (
+            (b.x_l + RETAIN_MARGIN < fx) & (fx < b.x_r - RETAIN_MARGIN)
+            & (b.y_l + RETAIN_MARGIN < fy) & (fy < b.y_r - RETAIN_MARGIN)
+        )
+    return out
 
 
 def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int) -> np.ndarray:
@@ -221,8 +240,10 @@ def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int) -> np.ndarray:
     live sub-cell to its cell.  A cell is kept at its first sub-cell whose
     centre maps strictly inside R or, at the last level, whose image
     enclosure meets R; its other sub-cells are then dropped, since they
-    can no longer change the answer.  The centre goes first because it is
-    cheap and the enclosure, which contains its image, cannot disagree.
+    can no longer change the answer.  Cheap first, to the same answer: the
+    centre before the enclosure, which contains its image and so cannot
+    disagree; and within each test, F3 before F1 and F2 at the centres and
+    the plain range before the mean-value form, filters that change no mask.
 
     Only F3 is enclosed.  Every cell lies in the certified box R, so C4
     and C5 give F1(cell) in [x_l, x_r] and F2(cell) in [y_l, y_r]; an

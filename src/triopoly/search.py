@@ -322,7 +322,10 @@ def _judge(p: Params, cand: np.ndarray) -> _Judged:
     among the non-passing records with a margin (else the first of them),
     and the kill the first smallest failing sub-check inside the binding
     failure ("H2" itself when H2 is inapplicable).  Only records that bind
-    some row are searched for their kill.
+    some row are searched for their kill.  A binding record always fails a
+    defined sub-check: a negative square-root operand also fails H2a, H5a
+    or H5e by a negative margin, which binds before any record that only
+    an undefined sub-check fails.
     """
     valid, atoms, m, undef = _sub_checks(p, cand)
     margin, has, status, good = _record_verdicts(atoms, m, undef)

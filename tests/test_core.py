@@ -22,6 +22,7 @@ from triopoly import (
     fixed_points,
 )
 from triopoly.core import (
+    _f3_arrays,
     _jacobian_from_sums,
     _jacobian_off,
     _map_from_sums,
@@ -209,8 +210,32 @@ def test_eval_map_arrays_domain_errors(x, y, z):
         eval_map_arrays(PAPER_PARAMS, np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))
 
 
+def test_f3_arrays_is_the_third_map_component_bit_for_bit():
+    """On random points of the paper box and its corners."""
+    b = PAPER_BOX
+    rng = np.random.default_rng(27)
+    pts = [rng.uniform(lo, hi, 4096) for lo, hi in ((b.x_l, b.x_r), (b.y_l, b.y_r), (b.z_l, b.z_r))]
+    corners = np.array(np.meshgrid((b.x_l, b.x_r), (b.y_l, b.y_r), (b.z_l, b.z_r))).reshape(3, -1)
+    x, y, z = (np.concatenate([c, a]) for c, a in zip(corners, pts))
+    got = _f3_arrays(PAPER_PARAMS, x, y, z)
+    assert got.tobytes() == eval_map_arrays(PAPER_PARAMS, x, y, z)[2].tobytes()
+
+
 # (x+y+z)^2 and (x+y+z)^3 underflow to 0 although x + y + z > 0
 _UNDERFLOW = (Params(1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 8.79e-197))
+
+
+@pytest.mark.parametrize("p,x,y,z", [
+    (PAPER_PARAMS, 0.0, 1.0, 0.0), (PAPER_PARAMS, -0.3, 1.0, 0.2),
+    (PAPER_PARAMS, 0.5, -1.0, 0.2), (_UNDERFLOW[0], *_UNDERFLOW[1]),
+])
+def test_f3_arrays_raises_the_map_s_domain_error(p, x, y, z):
+    pts = (np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))
+    with pytest.raises(DomainError) as want:
+        eval_map_arrays(p, *pts)
+    with pytest.raises(DomainError) as got:
+        _f3_arrays(p, *pts)
+    assert str(got.value) == str(want.value)
 
 
 def test_underflowed_divisor_is_a_domain_error():

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triopoly import PAPER_BOX, PAPER_PARAMS, Box, OrientedBox, certify_box, horseshoe
-from triopoly.bounds import batch_image_enclosure
+from triopoly.bounds import _batch_enclosures, batch_image_enclosure
 from triopoly.core import (
     Params, boundary_fixed_point, eval_map_xyz, fixed_points, interior_fixed_point,
 )
@@ -266,6 +266,47 @@ class TestKEnclosures:
                 assert (lo[:, 0] <= b.x_r).all() and (hi[:, 0] >= b.x_l).all()
                 assert (lo[:, 1] <= b.y_r).all() and (hi[:, 1] >= b.y_l).all()
 
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_refined_f3_enclosure_lies_inside_the_plain_one(self, seed):
+        """The premise of ``_image_misses_box``'s plain-range filter: a row
+        whose plain F3 range misses [z_l, z_r] has a refined enclosure that
+        misses it too, so the filter drops no row the refined test keeps."""
+        b = PAPER_BOX if seed is None else _perturbed_box(seed)
+        for res in (16, 32):
+            for cells in _grid_and_split(b, res):
+                for i in range(0, cells.shape[0], horseshoe._CHUNK):
+                    chunk = cells[i:i + horseshoe._CHUNK]
+                    ((lo, hi),) = _batch_enclosures(P, chunk, ("F3",), refine=False)
+                    ((rlo, rhi),) = _batch_enclosures(P, chunk, ("F3",))
+                    assert (lo <= rlo).all() and (rhi <= hi).all()
+
+    def test_each_stage_sees_the_pinned_rows(self, monkeypatch):
+        """The res-32 paper-box build sends every row to the plain F3 range
+        and every centre to F3 alone, but only the rows the cheap test
+        leaves open to the mean-value form and to F1 and F2.  Without the
+        filters, all 72 322 rows and 138 088 centres went to both."""
+        seen = {"plain": 0, "refined": 0, "centre": 0, "full map": 0}
+        encl, f3, full = (horseshoe._batch_enclosures, horseshoe._f3_arrays,
+                          horseshoe.eval_map_arrays)
+
+        def counted_encl(p, cells, comps, refine=True):
+            seen["refined" if refine else "plain"] += cells.shape[0]
+            return encl(p, cells, comps, refine)
+
+        def counted_f3(p, x, y, z):
+            seen["centre"] += x.size
+            return f3(p, x, y, z)
+
+        def counted_full(p, x, y, z, alpha=None):
+            seen["full map"] += x.size
+            return full(p, x, y, z, alpha)
+
+        monkeypatch.setattr(horseshoe, "_batch_enclosures", counted_encl)
+        monkeypatch.setattr(horseshoe, "_f3_arrays", counted_f3)
+        monkeypatch.setattr(horseshoe, "eval_map_arrays", counted_full)
+        build_K_enclosures(P, OB, 32)
+        assert seen == {"plain": 72322, "refined": 37760, "centre": 138088, "full map": 26975}
+
     @pytest.mark.parametrize("res", [16, 32])
     def test_a_centre_kept_cell_has_an_enclosure_that_meets_the_box(self, res):
         """The centre test may run first only because it never keeps a cell
@@ -299,18 +340,25 @@ class TestKEnclosures:
         assert got.tobytes() == want.tobytes()
 
     def test_centre_test_matches_per_cell_map(self):
-        b = PAPER_BOX
-        cells = _grid_cells(b, 12, 12, b.z_l, b.z_r, 12)
-        want = []
-        for row in cells:
-            fx, fy, fz = eval_map_xyz(P, *(0.5 * (row[0::2] + row[1::2])))
-            want.append(
-                b.x_l + RETAIN_MARGIN < fx < b.x_r - RETAIN_MARGIN
-                and b.y_l + RETAIN_MARGIN < fy < b.y_r - RETAIN_MARGIN
-                and b.z_l + RETAIN_MARGIN < fz < b.z_r - RETAIN_MARGIN
-            )
-        got = _centre_maps_inside(P, cells, b)
-        assert got.tolist() == want and 0 < got.sum() < got.size
+        """On the res-12 grid, and at res 26 on the paper box and a perturbed
+        one: 17 576 cells span more than one chunk, and some centres whose
+        z clears the margin go on to the x- and y-test."""
+        for seed, res in ((None, 12), (None, 26), (0, 26)):
+            b = PAPER_BOX if seed is None else _perturbed_box(seed)
+            cells = _grid_cells(b, res, res, b.z_l, b.z_r, res)
+            want, z_inside = [], 0
+            for row in cells:
+                fx, fy, fz = eval_map_xyz(P, *(0.5 * (row[0::2] + row[1::2])))
+                z_ok = b.z_l + RETAIN_MARGIN < fz < b.z_r - RETAIN_MARGIN
+                z_inside += z_ok
+                want.append(
+                    b.x_l + RETAIN_MARGIN < fx < b.x_r - RETAIN_MARGIN
+                    and b.y_l + RETAIN_MARGIN < fy < b.y_r - RETAIN_MARGIN
+                    and z_ok
+                )
+            got = _centre_maps_inside(P, cells, b)
+            assert got.tolist() == want and 0 < got.sum() <= z_inside < got.size
+            assert (got.size > horseshoe._CHUNK) == (res == 26)
 
 
 def _hex(values):

@@ -591,6 +591,30 @@ def test_rank_is_the_judged_rank(p, cand):
             assert _bits(rank) == _bits(j.rank[i])
 
 
+def test_kill_is_the_smallest_failing_sub_check_not_the_smallest_one(monkeypatch):
+    """Rows whose binding record has a passing sub-check below its failing
+    one, which the replay tests never draw: a weak atom at exactly 0 beside
+    a strict atom in (0, 1e-12], and a passing atom before a failing NaN;
+    with them, a tie between failing sub-checks.  ``_sub_checks`` is
+    replaced by these synthetic margins; every other sub-check passes by 1."""
+    cand = np.array([[0.6, 0.05, 0.35, 0.1, 0.3]] * 3)
+    valid, atoms, m, undef = _sub_checks(PAPER_PARAMS, cand)
+    ids = [a[1] for a in atoms]
+    m = np.ones_like(m)
+    rows = (
+        {"H4e": 0.0, "H4a": 1e-13},                 # both defined, H4e passes
+        {"H4a": 0.3, "H4b": math.nan},
+        {"H2a": 0.5, "H2b": -0.5, "H2c": -0.5},
+    )
+    for col, row in enumerate(rows):
+        for sid, v in row.items():
+            m[ids.index(sid), col] = v
+    monkeypatch.setattr("triopoly.search._sub_checks", lambda p, c: (valid, atoms, m, undef))
+    j = _judge(PAPER_PARAMS, cand)
+    assert [RANK_IDS[k] for k in j.worst] == ["H4", "H4", "H2"]
+    assert [j.kill_ids[k] for k in j.kill] == ["H4a", "H4b", "H2b"]
+
+
 @settings(max_examples=80, deadline=None)
 @given(_any_params(), _rows(), st.lists(st.integers(1, 12), min_size=1, max_size=4))
 @example(*_NAN_FIRST, [1])
