@@ -204,10 +204,19 @@ def test_eval_map_arrays_is_eval_map_xyz_bit_for_bit(p, pts):
         assert got.tobytes() == want.tobytes()  # -0.0 and 0.0 differ here
 
 
+def _same_domain_error(p, x, y, z):
+    """``eval_map_arrays`` and ``_f3_arrays`` raise with the same text."""
+    pts = (np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))
+    with pytest.raises(DomainError) as want:
+        eval_map_arrays(p, *pts)
+    with pytest.raises(DomainError) as got:
+        _f3_arrays(p, *pts)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("x,y,z", [(0.0, 1.0, 0.0), (-0.3, 1.0, 0.2), (0.5, -1.0, 0.2)])
 def test_eval_map_arrays_domain_errors(x, y, z):
-    with pytest.raises(DomainError):
-        eval_map_arrays(PAPER_PARAMS, np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))
+    _same_domain_error(PAPER_PARAMS, x, y, z)
 
 
 def test_f3_arrays_is_the_third_map_component_bit_for_bit():
@@ -225,27 +234,13 @@ def test_f3_arrays_is_the_third_map_component_bit_for_bit():
 _UNDERFLOW = (Params(1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 8.79e-197))
 
 
-@pytest.mark.parametrize("p,x,y,z", [
-    (PAPER_PARAMS, 0.0, 1.0, 0.0), (PAPER_PARAMS, -0.3, 1.0, 0.2),
-    (PAPER_PARAMS, 0.5, -1.0, 0.2), (_UNDERFLOW[0], *_UNDERFLOW[1]),
-])
-def test_f3_arrays_raises_the_map_s_domain_error(p, x, y, z):
-    pts = (np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))
-    with pytest.raises(DomainError) as want:
-        eval_map_arrays(p, *pts)
-    with pytest.raises(DomainError) as got:
-        _f3_arrays(p, *pts)
-    assert str(got.value) == str(want.value)
-
-
 def test_underflowed_divisor_is_a_domain_error():
     p, (x, y, z) = _UNDERFLOW
     with pytest.raises(DomainError):
         eval_map_xyz(p, x, y, z)
     with pytest.raises(DomainError):
         eval_jacobian(p, State(x, y, z))
-    with pytest.raises(DomainError):
-        eval_map_arrays(p, np.array([0.6, x]), np.array([0.4, y]), np.array([0.2, z]))
+    _same_domain_error(p, x, y, z)
 
 
 # (x+y+z)^3 underflows to 0 and (x+y+z)^2 does not: only the Jacobian is undefined
