@@ -43,9 +43,8 @@ interval extensions are inclusion-monotone: a subbox never produces a wider
 enclosure than its parent, which is the contract callers rely on when they
 subdivide by hand.  The mean-value intersection does not have that property
 and stays internal to ``bound_extremum`` and the batch enclosures.  The
-exact x-update range is internal to ``bound_extremum`` alone, which leaves
-the public enclosures, and the batch enclosures the horseshoe covers are
-built from, as they were.
+exact x-update range is internal to ``bound_extremum`` alone: neither the
+public enclosures nor the batch enclosures of the horseshoe covers use it.
 """
 from __future__ import annotations
 

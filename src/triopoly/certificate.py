@@ -128,12 +128,11 @@ class Certificate:
     box: Box
     conditions: list[ConditionRecord]
     engine: str
-    verdict: str = ""
+    verdict: str = field(init=False)    # always derived from the conditions
     tol: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not self.verdict:
-            self.verdict = derive_verdict(self.conditions)
+        self.verdict = derive_verdict(self.conditions)
 
     @property
     def passed(self) -> bool:

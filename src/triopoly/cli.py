@@ -47,11 +47,11 @@ _USAGE_EXIT = 3
 _RUNTIME_EXIT = 4
 
 
-class _CliError(ValueError):
+class _CliError(argparse.ArgumentTypeError):
     """Input or usage problem; maps to exit code 3.
 
-    Subclasses ValueError so argparse treats a raise inside a ``type=``
-    caster as a normal conversion failure.
+    An ``ArgumentTypeError``, so argparse prints its message when a
+    ``type=`` caster raises it.
     """
 
 
@@ -76,19 +76,24 @@ def _floats(text: str, n: int, what: str) -> tuple[float, ...]:
         raise _CliError(f"{what}: {exc}") from None
 
 
+def _built(record, values):
+    """``record(*values)``, its ValueError as a _CliError."""
+    try:
+        return record(*values)
+    except ValueError as exc:
+        raise _CliError(str(exc)) from None
+
+
 def _parse_params(text) -> Params:
-    c1, c2, c3, alpha = _floats(text, 4, "--params")
-    return Params(c1=c1, c2=c2, c3=c3, alpha=alpha)
+    return _built(Params, _floats(text, 4, "--params"))
 
 
 def _parse_box(text) -> Box:
-    x_l, x_r, y_l, y_r, z_l, z_r = _floats(text, 6, "--box")
-    return Box(x_l=x_l, x_r=x_r, y_l=y_l, y_r=y_r, z_l=z_l, z_r=z_r)
+    return _built(Box, _floats(text, 6, "--box"))
 
 
 def _parse_start(text) -> State:
-    x, y, z = _floats(text, 3, "--start")
-    return State(x=x, y=y, z=z)
+    return _built(State, _floats(text, 3, "--start"))
 
 
 def _parse_pair(text) -> tuple[float, float]:
@@ -198,7 +203,7 @@ def _from_config(dest: str, text: str):
     cast, extras = _OPTIONS[dest]
     try:
         value = cast(text)
-    except ValueError as exc:
+    except _CliError as exc:
         raise _CliError(f"config key {dest}: {exc}") from None
     choices = extras.get("choices")
     if choices is not None and value not in choices:

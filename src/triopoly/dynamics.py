@@ -214,9 +214,14 @@ def lyapunov_spectrum(
     frame pollutes the average by O(1/n), which is visible at fixed points
     where everything else is exact.
 
+    One walk of ``transient + n`` map steps; the frame joins at step
+    ``transient``.  An orbit that stops in the transient has no estimate
+    (nan, 0 steps); one that stops later has that of the factors seen.
+
     A start within 1e-12 residual of a rest point is pinned: the exact
     orbit is constant, while iterating in floats would let rounding noise
-    grow along the unstable direction and eject the orbit.
+    grow along the unstable direction and eject the orbit.  It skips the
+    transient.
     """
     if n < 1:
         raise ValueError("need at least one step")
@@ -226,56 +231,45 @@ def lyapunov_spectrum(
     lo, hi = _safety_region(safety)
     pinned = fixed_point_residual(p, s0) < FIXED_POINT_PIN
     x, y, z = s0.x, s0.y, s0.z
-    escaped = False
     note = "pinned at a fixed point" if pinned else ""
-    if not pinned:
-        for step in range(transient):
-            try:
-                x, y, z = eval_map_xyz(p, x, y, z)
-            except DomainError:
-                escaped = True
-                note = f"orbit left the domain at transient step {step + 1}"
-                break
-            if not _inside(x, y, z, lo, hi):
-                escaped = True
-                note = f"orbit left the safety region at transient step {step + 1}"
-                break
-    if escaped:
-        return LyapunovSpectrum((math.nan,) * 3, 0, True, note)
-
+    escaped = True      # until the walk runs to its end
     frame = np.eye(3)
     sums = np.zeros(3)      # sum of log |R_ii| since the warm-up, or within it
     seen = 0
-    for step in range(n):
-        try:
-            jac = eval_jacobian(p, State(x, y, z))
-        except DomainError:
-            escaped = True
-            note = f"Jacobian undefined at step {step}; estimate is partial"
-            break
-        frame, r = np.linalg.qr(jac @ frame)
-        with np.errstate(divide="ignore"):      # an exact-zero diagonal logs -inf
-            logs = np.log(np.abs(np.diag(r)))
-        if step == warmup:
-            sums[:] = 0.0
-        sums += logs
-        seen += 1
-        if pinned:
-            continue
+    for step in range(transient if pinned else 0, transient + n):
+        k = step - transient        # the frame's step; negative in the transient
+        if k >= 0:
+            try:
+                jac = eval_jacobian(p, State(x, y, z))
+            except DomainError:
+                note = f"Jacobian undefined at step {k}; estimate is partial"
+                break
+            frame, r = np.linalg.qr(jac @ frame)
+            with np.errstate(divide="ignore"):      # an exact-zero diagonal logs -inf
+                logs = np.log(np.abs(np.diag(r)))
+            if k == warmup:
+                sums[:] = 0.0
+            sums += logs
+            seen += 1
+            if pinned:
+                continue
         try:
             x, y, z = eval_map_xyz(p, x, y, z)
         except DomainError:
-            escaped = True
-            note = f"orbit left the domain at step {step + 1}; estimate is partial"
-            break
-        if not _inside(x, y, z, lo, hi):
-            escaped = True
-            note = f"orbit left the safety region at step {step + 1}; estimate is partial"
-            break
+            left = "the domain"
+        else:
+            if _inside(x, y, z, lo, hi):
+                continue
+            left = "the safety region"
+        note = (f"orbit left {left} at step {k + 1}; estimate is partial" if k >= 0
+                else f"orbit left {left} at transient step {step + 1}")
+        break
+    else:
+        escaped = False
     used = seen - warmup if seen > warmup else seen
     if 0 < seen <= warmup:
         # escaped inside the warmup window; an unwarmed average beats none
-        note = (note + "; QR warmup not reached").lstrip("; ")
+        note += "; QR warmup not reached"
     if used == 0:
         return LyapunovSpectrum((math.nan,) * 3, 0, escaped, note)
     exps = np.sort(sums / used)[::-1]
@@ -460,6 +454,7 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
     whose Jacobian is undefined (``core._jacobian_off``), or whose orbit
     leaves the domain or the cube, stops with the partial estimate of the
     steps it made; one that stops inside the warm-up averages all of them.
+    Every row still live at step ``n`` stops there.
     """
     warmup = min(256, n // 4)
     out = np.full(s.shape[1], math.nan)
@@ -471,24 +466,21 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
     any_pinned, pinned_only = not moving.all(), not moving.any()
     va, vb, vc = np.ones(rows.size), np.zeros(rows.size), np.zeros(rows.size)
     acc = np.zeros(rows.size)   # sum of log |Jv| since the warm-up, or within it
-
-    def drop(stop: np.ndarray, seen: int) -> bool:
-        """Finish the rows in ``stop`` after ``seen`` steps; true if none is left."""
-        nonlocal rows, x, y, z, alpha, g, moving, va, vb, vc, acc, sums, any_pinned, pinned_only
-        used = seen - warmup if seen > warmup else seen
-        if used:
-            out[rows[stop]] = acc[stop] / used
-        rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums = _keep(
-            ~stop, rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums)
-        any_pinned, pinned_only = not moving.all(), not moving.any()
-        return not rows.size
-
     stop = _jacobian_off(sums)
-    for step in range(n):
-        # the rows the last map step stopped, and those whose Jacobian is
-        # undefined here: either way ``step`` factors were seen
-        if stop.any() and drop(stop, step):
-            return out
+    for step in range(n + 1):
+        # the rows the last map step stopped, those whose Jacobian is
+        # undefined here, and at step n all: each has seen ``step`` factors
+        if step == n:
+            stop = np.ones(rows.size, dtype=bool)
+        if stop.any():
+            used = step - warmup if step > warmup else step
+            if used:
+                out[rows[stop]] = acc[stop] / used
+            rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums = _keep(
+                ~stop, rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums)
+            if not rows.size:
+                break
+            any_pinned, pinned_only = not moving.all(), not moving.any()
         if step == warmup:
             acc[:] = 0.0
         j11, j12, j21, j31, j33 = _jacobian_from_sums(p, alpha, g, z, sums, np.sqrt)
@@ -509,7 +501,6 @@ def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
             x, y, z = fx, fy, fz
         sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
         stop |= _jacobian_off(sums)
-    drop(np.ones(rows.size, dtype=bool), n)
     return out
 
 
@@ -688,18 +679,19 @@ def _branch_preimage(mu: float, m: int, br: _Branch, target: float) -> float:
     return 0.5 * (a + b)
 
 
-def _nudge_outward(mu: float, m: int, x: float, limit: float, want_ge: float | None,
-                   want_le: float | None, toward: float) -> float | None:
-    """Move x by ulps toward `toward` until f^m(x) clears the target side.
+def _nudge_outward(mu: float, m: int, x: float, limit: float, toward: float,
+                   target: float, below: bool) -> float | None:
+    """Move x by ulps toward `toward`, never past `limit`, until f^m(x) is
+    at or below `target` (`below`), or at or above it; None if it is not
+    within 64 ulps.
 
     The comparison is exact (rational), not floating point; see
     _exact_orbit_value for why.
     """
+    t = Fraction(target)
     for _ in range(64):
         v = _exact_orbit_value(mu, x, m)
-        if want_ge is not None and v >= Fraction(want_ge):
-            return x
-        if want_le is not None and v <= Fraction(want_le):
+        if (v <= t) if below else (v >= t):
             return x
         nxt = math.nextafter(x, toward)
         if nxt == x or (toward > x and nxt > limit) or (toward < x and nxt < limit):
@@ -732,17 +724,17 @@ class CoveringIntervals:
 
 def _interval_on_branch(mu: float, m: int, br: _Branch,
                         h_lo: float, h_hi: float) -> tuple[float, float] | None:
-    """Subinterval of the branch mapping exactly onto [h_lo, h_hi]."""
-    if br.increasing:
-        u = _branch_preimage(mu, m, br, h_lo)
-        v = _branch_preimage(mu, m, br, h_hi)
-        u = _nudge_outward(mu, m, u, br.lo, want_le=h_lo, want_ge=None, toward=br.lo - 1.0)
-        v = _nudge_outward(mu, m, v, br.hi, want_ge=h_hi, want_le=None, toward=br.hi + 1.0)
-    else:
-        u = _branch_preimage(mu, m, br, h_hi)
-        v = _branch_preimage(mu, m, br, h_lo)
-        u = _nudge_outward(mu, m, u, br.lo, want_ge=h_hi, want_le=None, toward=br.lo - 1.0)
-        v = _nudge_outward(mu, m, v, br.hi, want_le=h_lo, want_ge=None, toward=br.hi + 1.0)
+    """Subinterval of the branch mapping exactly onto [h_lo, h_hi].
+
+    Its left end u maps to h_lo on an increasing branch and to h_hi on a
+    decreasing one, its right end v to the other hull end; each is nudged
+    outward until its exact image reaches its end.
+    """
+    to_u, to_v = (h_lo, h_hi) if br.increasing else (h_hi, h_lo)
+    u = _nudge_outward(mu, m, _branch_preimage(mu, m, br, to_u), br.lo, br.lo - 1.0,
+                       to_u, below=br.increasing)
+    v = _nudge_outward(mu, m, _branch_preimage(mu, m, br, to_v), br.hi, br.hi + 1.0,
+                       to_v, below=not br.increasing)
     if u is None or v is None or not u < v:
         return None
     return (u, v)

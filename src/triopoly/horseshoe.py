@@ -69,7 +69,9 @@ _SAMPLES_PER_SEGMENT = 16
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iterative search exhausts its budget."""
+    """Raised by ``locate_fixed_point_in`` when no closed-form fixed point
+    in the requested half meets ``tol``; ``best_residual`` is the smallest
+    residual among those in the half (inf when none lies there)."""
 
     def __init__(self, message: str, best_residual: float = math.inf):
         super().__init__(message)

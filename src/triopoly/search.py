@@ -382,12 +382,12 @@ class _Scan:
     """
 
     p: Params
-    hits: list = field(default_factory=list)      # (margin, Box)
-    frontier: NearMiss | None = None
-    fallback: NearMiss | None = None
-    evaluated: int = 0
-    kill_ids: tuple = ()
-    killed: np.ndarray | None = None
+    hits: list = field(init=False, default_factory=list)      # (margin, Box)
+    frontier: NearMiss | None = field(init=False, default=None)
+    fallback: NearMiss | None = field(init=False, default=None)
+    evaluated: int = field(init=False, default=0)
+    kill_ids: tuple = field(init=False, default=())
+    killed: np.ndarray | None = field(init=False, default=None)
 
     @property
     def miss(self) -> NearMiss | None:

@@ -183,6 +183,13 @@ def test_one_status_order_decides_records_and_verdicts():
             assert cert.verdict == verdicts[worse]
 
 
+def test_a_verdict_cannot_be_passed_over_the_conditions():
+    rec = condition_record("X", [SubCheck("a", 0.0, 1.0, ">", -1.0, "fail")], "interval")
+    with pytest.raises(TypeError, match="verdict"):
+        Certificate(PAPER_PARAMS, PAPER_BOX, [rec], "interval", verdict="certified")
+    assert Certificate(PAPER_PARAMS, PAPER_BOX, [rec], "interval").verdict == "failed"
+
+
 # (analytic, interval) -> fused status of one C condition under engine="both"
 _MERGED = {
     ("pass", "pass"): "pass",

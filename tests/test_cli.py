@@ -164,6 +164,31 @@ class TestConfigFile:
         assert code == 3
         assert f"error: config key {key}: " in err
 
+    @pytest.mark.parametrize("argv,key,value,reason", [
+        (["certify", "--preset", "paper"], "box", "1,2",
+         "--box needs 6 comma-separated numbers, got '1,2'"),
+        (["certify", "--preset", "paper"], "box", "1,0,0,1,0,1", "need x_l < x_r"),
+        (["certify", "--preset", "paper"], "tol", "x", "expected a number, got 'x'"),
+        (["certify", "--box", "1,2,0,1,0,1"], "params", "0,1,1,1",
+         "parameter c1 must be a finite positive number"),
+        (["search", "--preset", "paper"], "seed", "abc", "expected an integer, got 'abc'"),
+        (["simulate", "--preset", "paper", "--steps", "2"], "start", "1,2",
+         "--start needs 3 comma-separated numbers, got '1,2'"),
+        (["simulate", "--preset", "paper", "--steps", "2"], "start", "nan,0,0",
+         "coordinate x must be finite"),
+    ])
+    def test_a_malformed_value_prints_its_reason_as_flag_and_config_key(
+            self, capsys, tmp_path, argv, key, value, reason):
+        code, out, err = run(capsys, *argv, f"--{key}", value)
+        assert code == 3 and out == ""
+        assert f"error: argument --{key}: {reason}" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err2 = run(capsys, *argv, "--config", str(cfg))
+        assert code == 3 and out == ""
+        assert f"error: config key {key}: {reason}" in err2
+        assert "_parse_" not in err + err2
+
     def test_missing_config_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, "certify", "--config", str(tmp_path / "nope.cfg"))
         assert code == 3
@@ -467,6 +492,13 @@ _FROZEN = {
                   {"": "28edf3927a6599ecd26987999ef6ebabb630debcdd2004d90cf03a5c12b21115"}),
     "demo-logistic": (["demo-logistic", "--mu", "3.88"],
                       {"": "dd6d33931cdb40d45d570e337212514dacbe3bb4c3005280ea959c8263be250e"}),
+    # no pair at 3.2, 3.5 and 3.83, the second iterate's at 4.0, both at 4.2
+    **{f"demo-logistic-{mu}": (["demo-logistic", "--mu", mu], {"": digest}) for mu, digest in [
+        ("3.2", "d9cae0e32a242cc3f4ecab09d06c83ddab5a2ce8a75e53f94fd120cea2b69ce7"),
+        ("3.5", "001c594b0e81d743bf32bc16d1e46a21b11dff3023aff5f622b4ab3293bb6999"),
+        ("3.83", "39af607696b1b5b931e7e110a324c56c6af59f832a12fd38e26c94eb103775d9"),
+        ("4.0", "acfecbab547787113cefa027c1260e1cfd8b7709c9186cde662c434d9463b92e"),
+        ("4.2", "86338421120c2593a7d6b5fe14950dc86c550a7fd239d8d70f2cef0bc8117bb2")]},
     "horseshoe": (["horseshoe", "--preset", "paper", "--resolution", "16", "--paths", "5",
                    "--seed", "0"],
                   {"-k0.csv": "8b9c27c0af4357249dd5ff9bd65d01ceefc3bea48ad4c205b464e6fb9bd56c15",

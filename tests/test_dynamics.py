@@ -65,6 +65,52 @@ def _params_with_alpha(alpha: float) -> Params:
     return Params(P.c1, P.c2, P.c3, alpha)
 
 
+# (params, start, n, transient, safety, (exponent hex, steps, escaped, note))
+# for each note ``lyapunov_spectrum`` can write.  The orbit of _ESCAPE at the
+# reference parameters leaves the cube (0, 0.7) at step 2 and has no Jacobian
+# at step 3.  With c2 = 1e100, _OFF_MAP maps to a state whose x + z is
+# ~1e-230: c2 (x + z) > 0 keeps its Jacobian defined, while (x + z)/c2
+# underflows to 0, so the map leaves its domain there.
+_ESCAPE, _CUBE, _WIDE = State(0.5, 0.4, 0.3), (0.0, 0.7), (-1e300, 1e300)
+_OFF_MAP, _HUGE_C2 = State(1e-110, 2.0, 1e-230), Params(0.5, 1e100, 0.5, 1.0)
+_NAN3 = ["nan"] * 3
+_LYAPUNOV_PINS = {
+    "pinned": (P, interior_fixed_point(P), 40, 0, DEFAULT_SAFETY, (
+        ["0x1.51db5a424dea3p+0", "-0x1.682cc063adfa4p-1", "-0x1.0a1deade4782cp+1"], 30, False,
+        "pinned at a fixed point")),
+    "bounded": (_params_with_alpha(9.0), State(0.63, 0.35, 0.20), 300, 10, DEFAULT_SAFETY, (
+        ["0x1.0127b9b508cd7p-2", "-0x1.5b16c121fa4a6p-1", "-0x1.12088274c1eb5p+1"], 225, False,
+        "")),
+    "transient-domain": (P, _ESCAPE, 10, 200, _WIDE, (
+        _NAN3, 0, True, "orbit left the domain at transient step 4")),
+    "transient-cube": (P, _ESCAPE, 10, 200, _CUBE, (
+        _NAN3, 0, True, "orbit left the safety region at transient step 2")),
+    "jacobian-at-start": (P, State(1e-110, 1e-110, 1e-110), 10, 0, DEFAULT_SAFETY, (
+        _NAN3, 0, True, "Jacobian undefined at step 0; estimate is partial")),
+    "jacobian-in-warmup": (P, _ESCAPE, 2000, 0, _WIDE, (
+        ["0x1.1c41064e801a7p+1", "-0x1.41530856bc077p-1", "-0x1.04454ae517f47p+1"], 3, True,
+        "Jacobian undefined at step 3; estimate is partial; QR warmup not reached")),
+    "jacobian-after-warmup": (P, _ESCAPE, 8, 0, _WIDE, (
+        ["0x1.164a3843a6710p+2", "-0x1.4668ec348417cp-1", "-0x1.a656588d5dfbdp+0"], 1, True,
+        "Jacobian undefined at step 3; estimate is partial")),
+    "cube-in-warmup": (P, _ESCAPE, 2000, 1, _CUBE, (
+        ["0x1.bdb5340b7865dp-2", "-0x1.2c165286d0a15p-1", "-0x1.c11967ad8b9cbp+0"], 1, True,
+        "orbit left the safety region at step 1; estimate is partial; QR warmup not reached")),
+    "cube-after-warmup": (P, _ESCAPE, 4, 0, _CUBE, (
+        ["0x1.b13a53ad7fcacp+0", "-0x1.38926af34eef4p-1", "-0x1.7e543110f713cp+1"], 1, True,
+        "orbit left the safety region at step 2; estimate is partial")),
+    "domain-in-warmup": (_HUGE_C2, _OFF_MAP, 2000, 0, DEFAULT_SAFETY, (
+        ["0x1.e38afacef0802p+6", "0x1.28903fca635f6p+6", "0x1.440d32baafa31p+2"], 2, True,
+        "orbit left the domain at step 2; estimate is partial; QR warmup not reached")),
+    "domain-after-warmup": (_HUGE_C2, _OFF_MAP, 5, 0, DEFAULT_SAFETY, (
+        ["0x1.e38afacef0802p+7", "0x1.29f323fa53030p+7", "-0x1.62e42fefa39efp-1"], 1, True,
+        "orbit left the domain at step 2; estimate is partial")),
+    "domain-after-transient": (_HUGE_C2, _OFF_MAP, 3, 1, DEFAULT_SAFETY, (
+        ["0x1.e38afacef0802p+7", "0x1.29f323fa53030p+7", "-0x1.62e42fefa39efp-1"], 1, True,
+        "orbit left the domain at step 1; estimate is partial")),
+}
+
+
 class TestSimulate:
     def test_nash_start_is_constant_orbit(self):
         fp = interior_fixed_point(P)
@@ -184,6 +230,12 @@ class TestLyapunov:
         assert 0 < ly.steps < 5000
         assert all(math.isfinite(v) for v in ly.exponents)
         assert "partial" in ly.note
+
+    @pytest.mark.parametrize("case", sorted(_LYAPUNOV_PINS))
+    def test_every_stop_keeps_its_bits_and_note(self, case):
+        p, s0, n, transient, safety, want = _LYAPUNOV_PINS[case]
+        ly = lyapunov_spectrum(p, s0, n, transient=transient, safety=safety)
+        assert ([v.hex() for v in ly.exponents], ly.steps, ly.escaped, ly.note) == want
 
     def test_zero_qr_diagonal_logs_minus_inf_silently(self):
         """A QR diagonal entry that is exactly 0 (the tangent map at a
@@ -749,6 +801,15 @@ class TestLogisticDemo:
         assert _critical_points(mu, 2) == [0.5 - r, 0.5, 0.5 + r]
         # the hump of f stays below 1/2 for mu < 2: no second-level preimages
         assert _critical_points(1.5, 2) == [0.5]
+
+    def test_covering_pairs_are_frozen(self):
+        # sha256 of every pair (or None) of the first three iterates on a mu
+        # grid, recorded before the branch rule took one pair of target ends
+        h = hashlib.sha256()
+        for mu in np.linspace(3.4, 4.6, 121):
+            for m in (1, 2, 3):
+                h.update(repr(find_covering_pair(float(mu), m)).encode())
+        assert h.hexdigest() == "29f894d5bd1cde19c0e6587c2ce80d011ab86959ec1770db0a0c72649388b4f7"
 
     @given(mu=st.floats(0.5, 4.5), m=st.integers(1, 2))
     @settings(max_examples=20, deadline=None)

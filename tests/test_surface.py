@@ -7,21 +7,26 @@ exports:
 
 * Every function, class and method, and every module-level name assigned
   other than ``__all__``, must be read somewhere in production code or
-  README.md, other than by its own definition.  Names are matched as
-  names: a read anywhere (a load, an attribute, an import) reaches every
-  definition of that name, so a method that shares its name with a live
-  one is not flagged.  Assigning a name is not reading it, so a constant
-  that outlives the code that read it is flagged.
+  the code of README.md, other than by its own definition.  README names
+  count only inside code spans and fenced blocks, so prose that uses a
+  common word does not keep a function of that name alive.  Names are
+  matched as names: a read anywhere (a load, an attribute, an import)
+  reaches every definition of that name, so a method that shares its
+  name with a live one is not flagged.  Assigning a name is not reading
+  it, so a constant that outlives the code that read it is flagged.
 * Every parameter with a default, of every function and method (nested
   ones too), must be passed by some production call: by keyword, by
   position, or through ``*args``/``**kwargs``.  A call reaches every
   definition with its callee's name; a class's ``__init__`` is called by
-  the class name, and a method's ``self`` takes no position.
+  the class name, and a method's ``self`` takes no position.  The
+  generated constructor of a dataclass or NamedTuple counts too: each
+  field with a default is a parameter, in field order, and a
+  ``field(init=False)`` is none.
 * Every field of a dataclass or NamedTuple must be read as an attribute
-  (``obj.field``) in production code or README.md.  Fields are matched by
-  name too, so a field that shares its name with a live attribute (``box``,
-  ``params``, ``seed``, ``tol``) is not flagged, and such fields must be
-  checked by hand.
+  (``obj.field``) in production code or the code of README.md.  Fields
+  are matched by name too, so a field that shares its name with a live
+  attribute (``box``, ``params``, ``seed``, ``tol``) is not flagged, and
+  such fields must be checked by hand.
 * Every ``__all__`` entry of a module must name something that module
   binds at its top level (a function, class, assignment or import).  A
   stale entry breaks only ``from module import *``, so nothing else
@@ -39,6 +44,7 @@ ALLOWED = {
     "entropy_lower_bound",
     "exited",  # Itinerary.exited
     "interval_eval",
+    "itinerary",  # symbolic.itinerary
     # ROADMAP items 4 and 9 build on the interval Jacobian; item 5 rewrites
     # the equilibrium classification
     "interval_jacobian",
@@ -80,8 +86,13 @@ def _production_trees():
             yield ast.parse(path.read_text())
 
 
-def _readme() -> str:
-    return (ROOT / "README.md").read_text()
+_FENCE = re.compile(r"^```[^\n]*\n(.*?)^```", re.S | re.M)
+
+
+def _readme_code() -> str:
+    """README.md's fenced blocks and inline code spans, one a line."""
+    text = (ROOT / "README.md").read_text()
+    return "\n".join(_FENCE.findall(text) + re.findall(r"`([^`]+)`", _FENCE.sub("", text)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +116,7 @@ def _defined_names() -> set:
 
 
 def _referenced_names() -> set:
-    names = set(re.findall(r"\w+", _readme()))
+    names = set(re.findall(r"\w+", _readme_code()))
     for tree in _production_trees():
         for n in ast.walk(tree):
             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
@@ -133,6 +144,10 @@ def _defaulted_parameters() -> dict:
     def visit(node, module, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if _is_record(child):
+                    for i, (name, defaulted) in enumerate(_init_fields(child)):
+                        if defaulted:
+                            out[f"{module}.{prefix}{child.name}.__init__.{name}"] = (child.name, i)
                 visit(child, module, f"{prefix}{child.name}.", True)
             elif isinstance(child, ast.FunctionDef):
                 a = child.args
@@ -154,6 +169,24 @@ def _defaulted_parameters() -> dict:
 
     for path in SOURCES:
         visit(ast.parse(path.read_text()), path.stem, "", False)
+    return out
+
+
+def _init_fields(cls: ast.ClassDef) -> list:
+    """(name, has a default) of each parameter of a record's generated
+    constructor, in order; a ``field(init=False)`` makes none."""
+    out = []
+    for n in cls.body:
+        if not (isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)):
+            continue
+        v = n.value
+        if isinstance(v, ast.Call) and isinstance(v.func, ast.Name) and v.func.id == "field":
+            kw = {k.arg: k.value for k in v.keywords}
+            if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+                continue
+            out.append((n.target.id, "default" in kw or "default_factory" in kw))
+        else:
+            out.append((n.target.id, v is not None))
     return out
 
 
@@ -215,7 +248,7 @@ def _fields() -> set:
 
 
 def _read_attributes() -> set:
-    names = set(re.findall(r"\.(\w+)", _readme()))
+    names = set(re.findall(r"\.(\w+)", _readme_code()))
     for tree in _production_trees():
         names |= {n.attr for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
