@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Convergence study of the two symbol-set covers as the grid refines.
 
-At each resolution the covers are rigorous outer enclosures of the two
-invariant-set components, so their volumes decrease monotonically while
-staying disjoint; the table makes the over-approximation decay visible.
-Optionally exports the finest covers as CSV cell lists.
+At each resolution the covers are rigorous outer covers of K0 and K1, the
+points of each half of the box that stay in the box for one step.  No
+step guarantees that a finer cover lies inside a coarser one, so the falling
+volumes in the table are observed, not proved; the script fails if the two
+covers ever intersect.  Optionally exports the finest covers as CSV cell
+lists.
 """
 from __future__ import annotations
 

@@ -769,9 +769,10 @@ def find_covering_pair(mu: float, m: int) -> CoveringIntervals | None:
     hull is the hull of the two branch domains, and the intervals are the
     branch preimages of that hull (nudged outward by ulps so the endpoint
     inequalities hold in floating point, not just in exact arithmetic).
+    Raises ValueError unless mu is finite and positive.
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be a finite positive number, got {mu!r}")
     if m < 1:
         raise ValueError("iterate must be at least 1")
     branches = _monotone_branches(mu, m)
@@ -818,9 +819,9 @@ def logistic_sap_demo(mu: float) -> LogisticSapReport:
     interval (mu > 4); the second iterate already admits one well below
     that, which is the one-dimensional prototype of certifying chaos for
     a map composed with itself.  Absence is a valid (negative) report.
+    Raises ValueError, through ``find_covering_pair``, unless mu is finite
+    and positive.
     """
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
     return LogisticSapReport(
         mu=mu,
         first=find_covering_pair(mu, 1),

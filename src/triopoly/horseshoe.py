@@ -14,17 +14,19 @@ cell can map back into R).  Only the z-coordinate is tested because a
 point of R can leave R only along z: on a certified box C4 and C5 put F1
 and F2 of every point of R inside [x_l, x_r] and [y_l, y_r].  A cell near
 the decision boundary is split into sub-cells, level by level, until one
-sub-cell is kept (its centre maps strictly inside R, or at the last level
-its F3 enclosure meets [z_l, z_r]) or every sub-cell is excluded; the
-split of a cell stops at its first kept sub-cell.  Everything kept is
-therefore a genuine cover; the interesting empirical fact, which the tests
-pin down, is that the boundary layer below the midplane drops out and the
-two covers end up disjoint, as the midplane condition predicts.
+sub-cell is kept (its centre or a corner maps strictly inside R, or at the
+last level its F3 enclosure meets [z_l, z_r]) or every sub-cell is
+excluded; the split of a cell stops at its first kept sub-cell.  Everything
+kept is therefore a genuine cover; the interesting empirical fact, which
+the tests pin down, is that the boundary layer below the midplane drops
+out and the two covers end up disjoint, as the midplane condition predicts.
 
-Both tests run cheap-first to the same answer.  The exclusion adds the
-mean-value form only where the plain range of F3 meets [z_l, z_r] (the
-refined enclosure is the plain one intersected with that form), and the
-centre test forms F1 and F2 only where F3 puts the centre's image inside.
+Both tests run cheap-first to the same answer.  The sample-point test
+evaluates F3 alone, at a corner only where the centre and the corners
+before it left the cell open; the exclusion adds the mean-value form only
+where the plain range of F3 meets [z_l, z_r] (the refined enclosure is the
+plain one intersected with that form).  ``_excludable`` proves that a
+sample point keeps only cells that the enclosures alone would keep.
 """
 from __future__ import annotations
 
@@ -57,13 +59,16 @@ __all__ = [
     "random_crossing_path",
 ]
 
-RETAIN_MARGIN = 1e-9  # centre image strictly inside R by this much: keep cell
+RETAIN_MARGIN = 1e-9  # a sample point's float F3 this far inside [z_l, z_r]: keep the cell
 MAX_SPLIT_DEPTH = 5
-# cells per call of the enclosure kernels and of the centre map, which make
-# dozens of temporaries per call (128 KiB each at 16k cells).  With one call
-# per level, res-64 covers (84k cells at the largest split level) built
-# ~15 % slower and peaked 16 MB higher, with the same bits.
-_CHUNK = 16384
+# cells per call of the enclosure kernels and of the sample-point F3, which
+# make dozens of temporaries per call.  Only a grid's top level fills a call;
+# at res 32 the split levels hold under 2 000 cells.  In cold benchmark
+# passes 8192 peaked ~1 MB lower than 16384 in every pair and built covers
+# ~2 % faster in most; warm res-64 builds read ~3 % slower, inside their
+# spread.  One call per level built res-64 covers ~15 % slower and peaked
+# 16 MB higher, with the same bits.
+_CHUNK = 8192
 # image samples per path segment when the stretching check brackets a crossing
 _SAMPLES_PER_SEGMENT = 16
 
@@ -218,20 +223,28 @@ def _image_misses_box(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
     return out
 
 
-def _centre_maps_inside(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
-    """True for cells whose centre maps inside R by ``RETAIN_MARGIN``; F1 and
-    F2, with F2's compensated square root, only where F3 clears it."""
+# the sample points of a cell: its centre (None), then its eight corners,
+# each as the columns of its x, y and z bounds, z fastest
+_SAMPLES = (None,) + tuple([k >> 2, 2 + (k >> 1 & 1), 4 + (k & 1)] for k in range(8))
+
+
+def _a_point_maps_inside(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
+    """True for cells with a sample point, the centre or a corner, whose
+    float F3 lies in [z_l, z_r] by ``RETAIN_MARGIN``.  Each point is formed
+    only on the rows that no earlier point kept."""
     out = np.zeros(cells.shape[0], dtype=bool)
     for i in range(0, cells.shape[0], _CHUNK):
         chunk = cells[i:i + _CHUNK]
-        mx, my, mz = (0.5 * (chunk[:, k] + chunk[:, k + 1]) for k in (0, 2, 4))
-        fz = _f3_arrays(p, mx, my, mz)
-        inz = np.flatnonzero((b.z_l + RETAIN_MARGIN < fz) & (fz < b.z_r - RETAIN_MARGIN))
-        fx, fy, _ = eval_map_arrays(p, mx[inz], my[inz], mz[inz])
-        out[i + inz] = (
-            (b.x_l + RETAIN_MARGIN < fx) & (fx < b.x_r - RETAIN_MARGIN)
-            & (b.y_l + RETAIN_MARGIN < fy) & (fy < b.y_r - RETAIN_MARGIN)
-        )
+        open_ = np.arange(chunk.shape[0])
+        for cols in _SAMPLES:
+            rows = chunk[open_]
+            pts = 0.5 * (rows[:, 0::2] + rows[:, 1::2]) if cols is None else rows[:, cols]
+            fz = _f3_arrays(p, *pts.T)
+            inside = (b.z_l + RETAIN_MARGIN < fz) & (fz < b.z_r - RETAIN_MARGIN)
+            out[i + open_[inside]] = True
+            open_ = open_[~inside]
+            if open_.size == 0:
+                break
     return out
 
 
@@ -239,25 +252,36 @@ def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int) -> np.ndarray:
     """True for cells whose whole image provably misses the box.
 
     One pass per split level, ``depth`` splits deep.  ``root`` maps each
-    live sub-cell to its cell.  A cell is kept at its first sub-cell whose
-    centre maps strictly inside R or, at the last level, whose image
-    enclosure meets R; its other sub-cells are then dropped, since they
-    can no longer change the answer.  Cheap first, to the same answer: the
-    centre before the enclosure, which contains its image and so cannot
-    disagree; and within each test, F3 before F1 and F2 at the centres and
-    the plain range before the mean-value form, filters that change no mask.
+    live sub-cell to its cell.  The answer is that of the enclosures alone:
+    each level splits the sub-cells whose F3 enclosure meets [z_l, z_r],
+    and a cell is kept when a sub-cell of the last level still meets.
+    Cheap first, to the same answer: the plain range before the mean-value
+    form, a filter that changes no mask, and before each split a
+    sample-point test that keeps a cell outright, after which its other
+    sub-cells are dropped, since they can no longer change the answer.
+
+    Why a sample point keeps only cells the enclosures keep: let P, the
+    centre or a corner of a live sub-cell, have a float F3 inside
+    [z_l + RETAIN_MARGIN, z_r - RETAIN_MARGIN].  The float F3 of a point
+    of R is far closer than that margin to the true one (a few ulps of a
+    number of order 1), so the true F3(P) lies in [z_l, z_r].  Every
+    sub-cell that contains P has an outward F3 enclosure containing F3(P),
+    so it meets and is split; one of its children contains P again.  So
+    some sub-cell at the last level contains P and meets, and the cell is
+    kept at the latest there.
 
     Only F3 is enclosed.  Every cell lies in the certified box R, so C4
     and C5 give F1(cell) in [x_l, x_r] and F2(cell) in [y_l, y_r]; an
     enclosure contains that range, so an x- or y-test could never fire.
     And if one could, leaving it out only keeps more cells, which is still
-    a sound cover.
+    a sound cover.  For the same reason the sample points test F3 alone:
+    C4 and C5 already put F1 and F2 of each point inside R.
     """
     kept = np.zeros(cells.shape[0], dtype=bool)
     root = np.arange(cells.shape[0])
     for level in range(depth, -1, -1):
         if level > 0:
-            kept[root[_centre_maps_inside(p, cells, b)]] = True
+            kept[root[_a_point_maps_inside(p, cells, b)]] = True
             live = ~kept[root]
             cells, root = cells[live], root[live]
         meets = ~_image_misses_box(p, cells, b)

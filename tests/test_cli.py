@@ -284,6 +284,12 @@ class TestDynamicsCommands:
         assert doc["second_iterate"]["verified"] is True
         assert "samples" not in doc["second_iterate"]
 
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf", "0"])
+    def test_demo_logistic_rejects_a_mu_that_is_not_finite_and_positive(self, capsys, mu):
+        code, out, err = run(capsys, "demo-logistic", f"--mu={mu}")
+        assert (code, out) == (3, "")
+        assert "invalid input: mu must be a finite positive number" in err
+
 
 class TestPeriodic:
     def test_single_word(self, capsys):

@@ -781,6 +781,12 @@ class TestLogisticDemo:
         with pytest.raises(ValueError):
             find_covering_pair(1.0, 0)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_mu_must_be_finite_and_positive(self, mu):
+        for call in (lambda: logistic_sap_demo(mu), lambda: find_covering_pair(mu, 2)):
+            with pytest.raises(ValueError, match="mu must be a finite positive number"):
+                call()
+
     def test_covering_needs_only_bracketing_endpoints(self):
         # i0 contains the critical point of f^2 where f(x) = 1/2, so f^2 is
         # not monotone on it; its endpoint images still bracket the hull,

@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from triopoly import PAPER_BOX, PAPER_PARAMS, Box, OrientedBox, certify_box, horseshoe
 from triopoly.bounds import _batch_enclosures, batch_image_enclosure
 from triopoly.core import (
-    Params, boundary_fixed_point, eval_map_xyz, fixed_points, interior_fixed_point,
+    Params, boundary_fixed_point, eval_map_arrays, eval_map_xyz, fixed_points,
+    interior_fixed_point,
 )
 from triopoly.horseshoe import (
     MAX_SPLIT_DEPTH,
     RETAIN_MARGIN,
     ConvergenceError,
     PathSample,
-    _centre_maps_inside,
+    _a_point_maps_inside,
     _excludable,
     _grid_cells,
     _sorted_unique,
@@ -81,14 +82,26 @@ def _grid_and_split(b, res):
     return grid, _split_cells_8(grid)
 
 
+def _reference_centre_maps_inside(p, cells, b):
+    """The earlier keep rule: the centre's F1, F2 and F3 all lie inside R by
+    ``RETAIN_MARGIN``."""
+    fx, fy, fz = eval_map_arrays(p, *(0.5 * (cells[:, 0::2] + cells[:, 1::2])).T)
+    return (
+        (b.x_l + RETAIN_MARGIN < fx) & (fx < b.x_r - RETAIN_MARGIN)
+        & (b.y_l + RETAIN_MARGIN < fy) & (fy < b.y_r - RETAIN_MARGIN)
+        & (b.z_l + RETAIN_MARGIN < fz) & (fz < b.z_r - RETAIN_MARGIN)
+    )
+
+
 def _reference_excludable(p, cells, b, depth):
-    """The depth-first split: every sub-cell at every depth gets its
-    enclosure, and the centre is tried only on cells it leaves undecided."""
+    """The depth-first split under the earlier centre rule: every sub-cell
+    at every depth gets its enclosure, and the centre is tried only on
+    cells it leaves undecided."""
     excluded = horseshoe._image_misses_box(p, cells, b)
     if depth == 0:
         return excluded
     idx = np.flatnonzero(~excluded)
-    work = idx[~horseshoe._centre_maps_inside(p, cells[idx], b)]
+    work = idx[~_reference_centre_maps_inside(p, cells[idx], b)]
     if work.size == 0:
         return excluded
     child_excl = _reference_excludable(p, _split_cells_8(cells[work]), b, depth - 1)
@@ -206,10 +219,38 @@ class TestKEnclosures:
         assert _cover_digest(k0) == "c3c0ed54204e54a4709c229a62dec421b7c009b0e6751f38d1f8d2cdd607b548"
         assert _cover_digest(k1) == "b298047a503f260ac4f8061477d987ab3c02a752582273654a0559bf751bd593"
 
+    @pytest.mark.parametrize("seed, res, counts, digests", [
+        (0, 16, (868, 1357),
+         ("4a078256490939ff215cc99bffeb93fb75663cadbcabf7a94bd74313c36a8b52",
+          "c859bf452daef699bfcaa588c99380922b749bac4040bdb95e1553e94fd73897")),
+        (0, 32, (6414, 9594),
+         ("f69a96caec6ab669daa1b93ed342864381abc247de1aad2077b000a342ef3c19",
+          "7ef29cd6bbb730754838c267130439bb59117dce9107f67c8d3f1a8b05f5af5b")),
+        (0, 64, (49056, 71863),
+         ("e94a20c122f244baf6c778ddef9099fb7a3d1f466b5d56948249c84e0d275fff",
+          "66c7ad94a4453fa7cc595c0a0a700481c00db7d2a20ebf5d82b97aa916edd49e")),
+        (1, 16, (874, 1359),
+         ("b181186e51e409e63fe07eabecf9377f911a17fda3b6e1559a5ec96f4bf04541",
+          "c43e8b5b391e655353eddab12cdf91506a9645a71274ef58a3ef8cb01c1f79dd")),
+        (1, 32, (6449, 9630),
+         ("79006a0795d4eb265ea7f83c8218516ecb43922ccf4917ec71a386801b0710fa",
+          "87e4ee2891105dfda50540dbe35c59ca429ceeefef9ce20babae8246f1939096")),
+        (1, 64, (49315, 72146),
+         ("2253ebe079350a8bd29c92c2893bb0d0f97f200430b58871055aeff5a1631415",
+          "1cd6398db5b0444c12685f782c118c4869b6817836117ce1cf08427add9e5337")),
+    ])
+    def test_perturbed_box_covers_are_frozen(self, seed, res, counts, digests):
+        """The same freeze on two boxes whose faces are not the paper's, so
+        a keep rule tuned to the paper box's decision surface shows here."""
+        k0, k1 = build_K_enclosures(P, OrientedBox(_perturbed_box(seed)), res)
+        assert (k0.cell_count, k1.cell_count) == counts
+        assert (_cover_digest(k0), _cover_digest(k1)) == digests
+
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_level_loop_matches_the_depth_first_split(self, seed, monkeypatch):
-        """Same excluded mask as the reference at every resolution and split
-        depth, with no more cells sent to the enclosure."""
+        """Same excluded mask as the depth-first split under the earlier
+        centre rule, at every resolution and split depth, with no more cells
+        sent to the enclosure."""
         b = PAPER_BOX if seed is None else _perturbed_box(seed)
         assert certify_box(P, b).passed
         sent = []
@@ -281,43 +322,51 @@ class TestKEnclosures:
                     assert (lo <= rlo).all() and (rhi <= hi).all()
 
     def test_each_stage_sees_the_pinned_rows(self, monkeypatch):
-        """The res-32 paper-box build sends every row to the plain F3 range
-        and every centre to F3 alone, but only the rows the cheap test
-        leaves open to the mean-value form and to F1 and F2.  Without the
-        filters, all 72 322 rows and 138 088 centres went to both."""
-        seen = {"plain": 0, "refined": 0, "centre": 0, "full map": 0}
-        encl, f3, full = (horseshoe._batch_enclosures, horseshoe._f3_arrays,
-                          horseshoe.eval_map_arrays)
+        """The res-32 paper-box build sends each open row's sample points to
+        F3 alone, the rows they leave open to the plain F3 range, and only
+        the rows the plain range leaves open to the mean-value form.  The
+        full map never runs.  Under the centre rule with F1 and F2, 122 776
+        sub-cells were split and 72 322 rows went to the plain range."""
+        seen = {"plain": 0, "refined": 0, "points": 0, "full map": 0, "split": 0}
+        encl, f3, full, split = (horseshoe._batch_enclosures, horseshoe._f3_arrays,
+                                 horseshoe.eval_map_arrays, horseshoe._split_cells_8)
 
         def counted_encl(p, cells, comps, refine=True):
             seen["refined" if refine else "plain"] += cells.shape[0]
             return encl(p, cells, comps, refine)
 
         def counted_f3(p, x, y, z):
-            seen["centre"] += x.size
+            seen["points"] += x.size
             return f3(p, x, y, z)
 
         def counted_full(p, x, y, z, alpha=None):
             seen["full map"] += x.size
             return full(p, x, y, z, alpha)
 
+        def counted_split(cells):
+            out = split(cells)
+            seen["split"] += out.shape[0]
+            return out
+
         monkeypatch.setattr(horseshoe, "_batch_enclosures", counted_encl)
         monkeypatch.setattr(horseshoe, "_f3_arrays", counted_f3)
         monkeypatch.setattr(horseshoe, "eval_map_arrays", counted_full)
+        monkeypatch.setattr(horseshoe, "_split_cells_8", counted_split)
         build_K_enclosures(P, OB, 32)
-        assert seen == {"plain": 72322, "refined": 37760, "centre": 138088, "full map": 26975}
+        assert seen == {"plain": 18668, "refined": 3441, "points": 187692,
+                        "full map": 0, "split": 1936}
 
     @pytest.mark.parametrize("res", [16, 32])
     def test_a_centre_kept_cell_has_an_enclosure_that_meets_the_box(self, res):
-        """The centre test may run first only because it never keeps a cell
-        the exclusion test would drop: the F3 enclosure that
+        """The sample-point test may run first only because it never keeps a
+        cell the exclusion test would drop: the F3 enclosure that
         ``_image_misses_box`` tests meets [z_l, z_r].  The F1 and F2
         columns, which C4 and C5 keep inside R, are checked with it."""
         b = PAPER_BOX
         for z0, z1 in ((b.z_l, b.z_mid), (b.z_mid, b.z_r)):
             grid = _grid_cells(b, res, res, z0, z1, res // 2)
             for cells in (grid, _split_cells_8(grid)):
-                kept = cells[_centre_maps_inside(P, cells, b)]
+                kept = cells[_a_point_maps_inside(P, cells, b)]
                 lo, hi = batch_image_enclosure(P, kept, refine=True)
                 assert kept.shape[0] > 0
                 assert (lo[:, 0] <= b.x_r).all() and (hi[:, 0] >= b.x_l).all()
@@ -340,25 +389,63 @@ class TestKEnclosures:
         assert got.tobytes() == want.tobytes()
 
     def test_centre_test_matches_per_cell_map(self):
-        """On the res-12 grid, and at res 26 on the paper box and a perturbed
-        one: 17 576 cells span more than one chunk, and some centres whose
-        z clears the margin go on to the x- and y-test."""
+        """The sample-point test is the per-cell scalar rule: some point, the
+        centre or a corner, has F3 inside [z_l, z_r] by ``RETAIN_MARGIN``.
+        On the res-12 grid, and at res 26 on the paper box and a perturbed
+        one, where 17 576 cells span more than one chunk; some cells are
+        kept by a corner alone."""
         for seed, res in ((None, 12), (None, 26), (0, 26)):
             b = PAPER_BOX if seed is None else _perturbed_box(seed)
             cells = _grid_cells(b, res, res, b.z_l, b.z_r, res)
-            want, z_inside = [], 0
+
+            def inside(x, y, z):
+                return b.z_l + RETAIN_MARGIN < eval_map_xyz(P, x, y, z)[2] < b.z_r - RETAIN_MARGIN
+
+            want, by_centre = [], 0
             for row in cells:
-                fx, fy, fz = eval_map_xyz(P, *(0.5 * (row[0::2] + row[1::2])))
-                z_ok = b.z_l + RETAIN_MARGIN < fz < b.z_r - RETAIN_MARGIN
-                z_inside += z_ok
-                want.append(
-                    b.x_l + RETAIN_MARGIN < fx < b.x_r - RETAIN_MARGIN
-                    and b.y_l + RETAIN_MARGIN < fy < b.y_r - RETAIN_MARGIN
-                    and z_ok
-                )
-            got = _centre_maps_inside(P, cells, b)
-            assert got.tolist() == want and 0 < got.sum() <= z_inside < got.size
+                centre = inside(*(0.5 * (row[0::2] + row[1::2])))
+                by_centre += centre
+                want.append(centre or any(
+                    inside(row[kx], row[ky], row[kz])
+                    for kx in (0, 1) for ky in (2, 3) for kz in (4, 5)
+                ))
+            got = _a_point_maps_inside(P, cells, b)
+            assert got.tolist() == want and 0 < by_centre < got.sum() < got.size
             assert (got.size > horseshoe._CHUNK) == (res == 26)
+
+
+@st.composite
+def _sub_boxes(draw):
+    """A box, the paper one or a perturbed one, and one cell inside it of
+    any shape, flat ones included."""
+    seed = draw(st.one_of(st.none(), st.integers(0, 2**16)))
+    b = PAPER_BOX if seed is None else _perturbed_box(seed)
+    row = []
+    for lo, hi in ((b.x_l, b.x_r), (b.y_l, b.y_r), (b.z_l, b.z_r)):
+        u, v = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))))
+        row += [min(lo + u * (hi - lo), hi), min(lo + v * (hi - lo), hi)]
+    return b, np.array([row])
+
+
+@given(case=_sub_boxes())
+@settings(max_examples=300, deadline=None)
+def test_a_sample_point_inside_means_the_enclosure_meets(case):
+    """The premise of the sample-point keep rule, on any cell of R: when the
+    float F3 of its centre or of a corner lies inside [z_l, z_r] by
+    ``RETAIN_MARGIN``, the cell's refined F3 enclosure, and the point's own,
+    meet [z_l, z_r], so no enclosure test could drop a cell the point keeps."""
+    b, cell = case
+    kept = False
+    for cols in horseshoe._SAMPLES:
+        pt = 0.5 * (cell[:, 0::2] + cell[:, 1::2]) if cols is None else cell[:, cols]
+        fz = eval_map_xyz(P, *pt[0])[2]
+        if not b.z_l + RETAIN_MARGIN < fz < b.z_r - RETAIN_MARGIN:
+            continue
+        kept = True
+        for box in (cell, np.repeat(pt, 2, axis=1)):
+            ((lo, hi),) = _batch_enclosures(P, box, ("F3",))
+            assert lo[0] <= b.z_r and hi[0] >= b.z_l, (cols, box)
+    assert _a_point_maps_inside(P, cell, b).tolist() == [kept]
 
 
 def _hex(values):
