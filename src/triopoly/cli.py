@@ -117,6 +117,13 @@ def _parse_int(text) -> int:
         raise _CliError(f"expected an integer, got {text!r}") from None
 
 
+def _parse_count(text) -> int:
+    value = _parse_int(text)
+    if value < 0:
+        raise _CliError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_float(text) -> float:
     try:
         return float(text)
@@ -139,7 +146,7 @@ _OPTIONS = {
                              "validation on purpose"}),
     "engine": (str, {"choices": ("analytic", "interval", "both")}),
     "tol": (_parse_float, {}),
-    "seed": (_parse_int, {}),
+    "seed": (_parse_count, {}),
     "out": (str, {"help": "output file (default: stdout); a prefix for horseshoe"}),
     "budget": (_parse_int, {"help": "interval-refinement budget of the rigorous engine "
                                     "(certify) or candidate evaluations (search)"}),
@@ -147,7 +154,7 @@ _OPTIONS = {
     "scale": (_parse_float, {"help": "relative half-width of the perturbation around --box"}),
     "max_hits": (_parse_int, {}),
     "resolution": (_parse_int, {}),
-    "paths": (_parse_int, {"help": "number of random crossing paths"}),
+    "paths": (_parse_count, {"help": "number of random crossing paths"}),
     "word": (str, {"help": "binary word, e.g. 011"}),
     "max_k": (_parse_int, {"help": "realize every word of length 1..K"}),
     "dedupe_cyclic": (_parse_bool, {"action": "store_const", "const": True,

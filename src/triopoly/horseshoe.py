@@ -22,11 +22,13 @@ the tests pin down, is that the boundary layer below the midplane drops
 out and the two covers end up disjoint, as the midplane condition predicts.
 
 Both tests run cheap-first to the same answer.  The sample-point test
-evaluates F3 alone, at a corner only where the centre and the corners
-before it left the cell open; the exclusion adds the mean-value form only
-where the plain range of F3 meets [z_l, z_r] (the refined enclosure is the
-plain one intersected with that form).  ``_excludable`` proves that a
-sample point keeps only cells that the enclosures alone would keep.
+evaluates F3 alone, once at each vertex of the grid (or, below the top
+level, of each split cell's 3 x 3 x 3 lattice) and once at each cell
+centre, so a corner shared by eight cells is formed once; the exclusion
+adds the mean-value form only where the plain range of F3 meets
+[z_l, z_r] (the refined enclosure is the plain one intersected with that
+form).  ``_excludable`` proves that a sample point keeps only cells that
+the enclosures alone would keep.
 """
 from __future__ import annotations
 
@@ -61,13 +63,15 @@ __all__ = [
 
 RETAIN_MARGIN = 1e-9  # a sample point's float F3 this far inside [z_l, z_r]: keep the cell
 MAX_SPLIT_DEPTH = 5
-# cells per call of the enclosure kernels and of the sample-point F3, which
-# make dozens of temporaries per call.  Only a grid's top level fills a call;
-# at res 32 the split levels hold under 2 000 cells.  In cold benchmark
-# passes 8192 peaked ~1 MB lower than 16384 in every pair and built covers
-# ~2 % faster in most; warm res-64 builds read ~3 % slower, inside their
-# spread.  One call per level built res-64 covers ~15 % slower and peaked
-# 16 MB higher, with the same bits.
+# cells per call of the enclosure kernels, which make dozens of
+# temporaries per call.  Only a grid's top level fills a call; at res 32
+# the split levels hold under 2 000 cells.  In cold benchmark passes 8192
+# peaked ~1 MB lower than 16384 in every pair and built covers ~2 % faster
+# in most; warm res-64 builds read ~3 % slower, inside their spread.  One
+# call per level built res-64 covers ~15 % slower and peaked 16 MB higher,
+# with the same bits.  The sample-point test is not chunked: it holds a
+# few floats per lattice vertex and centre, 18 513 vertices and 16 384
+# centres for a res-32 half.
 _CHUNK = 8192
 # image samples per path segment when the stretching check brackets a crossing
 _SAMPLES_PER_SEGMENT = 16
@@ -182,10 +186,16 @@ class KSetEnclosure:
                   ([f"{v:.17g}" for v in row] for row in self.cells))
 
 
+def _grid_edges(b: Box, nx: int, ny: int, z_lo: float, z_hi: float, nz: int) -> tuple:
+    """The x, y and z edges of an nx x ny x nz grid of the box's x and y
+    range and [z_lo, z_hi], as the (1, n+1) rows of a ``_lattice_keep``
+    lattice."""
+    return tuple(np.linspace(lo, hi, n + 1)[None]
+                 for lo, hi, n in ((b.x_l, b.x_r, nx), (b.y_l, b.y_r, ny), (z_lo, z_hi, nz)))
+
+
 def _grid_cells(b: Box, nx: int, ny: int, z_lo: float, z_hi: float, nz: int) -> np.ndarray:
-    xe = np.linspace(b.x_l, b.x_r, nx + 1)
-    ye = np.linspace(b.y_l, b.y_r, ny + 1)
-    ze = np.linspace(z_lo, z_hi, nz + 1)
+    xe, ye, ze = (e[0] for e in _grid_edges(b, nx, ny, z_lo, z_hi, nz))
     # "ij" indexing over (z, y, x) keeps x fastest: the (z, y, x) grid order
     zl, yl, xl = np.meshgrid(ze[:-1], ye[:-1], xe[:-1], indexing="ij")
     zh, yh, xh = np.meshgrid(ze[1:], ye[1:], xe[1:], indexing="ij")
@@ -223,34 +233,41 @@ def _image_misses_box(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
     return out
 
 
-# the sample points of a cell: its centre (None), then its eight corners,
-# each as the columns of its x, y and z bounds, z fastest
-_SAMPLES = (None,) + tuple([k >> 2, 2 + (k >> 1 & 1), 4 + (k & 1)] for k in range(8))
+def _halved_edges(cells: np.ndarray) -> tuple:
+    """The 3 x 3 x 3 lattice (lo, mid, hi) of each row, as (m, 3) x, y and
+    z edges: the corners ``_split_cells_8`` gives its eight children, in
+    the same (z, y, x) order."""
+    lo, hi = cells[:, 0::2], cells[:, 1::2]
+    e = np.stack([lo, 0.5 * (lo + hi), hi], axis=-1)
+    return e[:, 0], e[:, 1], e[:, 2]
 
 
-def _a_point_maps_inside(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
+def _lattice_keep(p: Params, b: Box, xe: np.ndarray, ye: np.ndarray, ze: np.ndarray) -> np.ndarray:
     """True for cells with a sample point, the centre or a corner, whose
-    float F3 lies in [z_l, z_r] by ``RETAIN_MARGIN``.  Each point is formed
-    only on the rows that no earlier point kept."""
-    out = np.zeros(cells.shape[0], dtype=bool)
-    for i in range(0, cells.shape[0], _CHUNK):
-        chunk = cells[i:i + _CHUNK]
-        open_ = np.arange(chunk.shape[0])
-        for cols in _SAMPLES:
-            rows = chunk[open_]
-            pts = 0.5 * (rows[:, 0::2] + rows[:, 1::2]) if cols is None else rows[:, cols]
-            fz = _f3_arrays(p, *pts.T)
-            inside = (b.z_l + RETAIN_MARGIN < fz) & (fz < b.z_r - RETAIN_MARGIN)
-            out[i + open_[inside]] = True
-            open_ = open_[~inside]
-            if open_.size == 0:
-                break
-    return out
+    float F3 lies in [z_l, z_r] by ``RETAIN_MARGIN``.
+
+    ``xe``, ``ye`` and ``ze`` are (m, n+1) edge arrays of m lattices; the
+    answer runs over their cells in (z, y, x) order, lattice by lattice.
+    F3 is formed once at each lattice vertex, which up to eight cells
+    share, and once at each cell centre.
+    """
+    def inside(x, y, z):
+        fz = _f3_arrays(p, *np.broadcast_arrays(
+            x[:, None, None, :], y[:, None, :, None], z[:, :, None, None]))
+        return (b.z_l + RETAIN_MARGIN < fz) & (fz < b.z_r - RETAIN_MARGIN)
+
+    v = inside(xe, ye, ze)
+    # a cell's corners are the vertices at +0 and +1 along each axis
+    v = v[:, :-1] | v[:, 1:]
+    v = v[:, :, :-1] | v[:, :, 1:]
+    v = v[..., :-1] | v[..., 1:]
+    return (v | inside(*(0.5 * (e[:, :-1] + e[:, 1:]) for e in (xe, ye, ze)))).ravel()
 
 
-def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int) -> np.ndarray:
+def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int, edges: tuple) -> np.ndarray:
     """True for cells whose whole image provably misses the box.
 
+    ``cells`` are the rows of the grid whose ``_grid_edges`` are ``edges``.
     One pass per split level, ``depth`` splits deep.  ``root`` maps each
     live sub-cell to its cell.  The answer is that of the enclosures alone:
     each level splits the sub-cells whose F3 enclosure meets [z_l, z_r],
@@ -259,6 +276,10 @@ def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int) -> np.ndarray:
     form, a filter that changes no mask, and before each split a
     sample-point test that keeps a cell outright, after which its other
     sub-cells are dropped, since they can no longer change the answer.
+    The sample points are the vertices and cell centres of a lattice
+    (``_lattice_keep``): the grid at the top level, and at each split
+    level the 3 x 3 x 3 lattice of each split cell.  A vertex stands for
+    the corner of every cell that shares it.
 
     Why a sample point keeps only cells the enclosures keep: let P, the
     centre or a corner of a live sub-cell, have a float F3 inside
@@ -281,14 +302,16 @@ def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int) -> np.ndarray:
     root = np.arange(cells.shape[0])
     for level in range(depth, -1, -1):
         if level > 0:
-            kept[root[_a_point_maps_inside(p, cells, b)]] = True
+            kept[root[_lattice_keep(p, b, *edges)]] = True
             live = ~kept[root]
             cells, root = cells[live], root[live]
         meets = ~_image_misses_box(p, cells, b)
         if level == 0:
             kept[root[meets]] = True
         else:
-            cells, root = _split_cells_8(cells[meets]), np.repeat(root[meets], 8)
+            parents = cells[meets]
+            edges = _halved_edges(parents)
+            cells, root = _split_cells_8(parents), np.repeat(root[meets], 8)
     return ~kept
 
 
@@ -314,7 +337,8 @@ def build_K_enclosures(
     covers = []
     for z0, z1 in ((b.z_l, b.z_mid), (b.z_mid, b.z_r)):
         cells = _grid_cells(b, resolution, resolution, z0, z1, nz_half)
-        covers.append(KSetEnclosure(cells[~_excludable(p, cells, b, MAX_SPLIT_DEPTH)]))
+        edges = _grid_edges(b, resolution, resolution, z0, z1, nz_half)
+        covers.append(KSetEnclosure(cells[~_excludable(p, cells, b, MAX_SPLIT_DEPTH, edges)]))
     return tuple(covers)
 
 

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from triopoly import PAPER_BOX, PAPER_PARAMS
+from triopoly import PAPER_BOX, PAPER_PARAMS, cli
 from triopoly.cli import main
 from triopoly.core import eval_map_xyz
 from triopoly.symbolic import _check_orbits
@@ -188,6 +188,26 @@ class TestConfigFile:
         assert code == 3 and out == ""
         assert f"error: config key {key}: {reason}" in err2
         assert "_parse_" not in err + err2
+
+    @pytest.mark.parametrize("key,value", [("paths", "-2"), ("seed", "-1")])
+    def test_a_negative_count_exits_3_before_any_work(
+            self, capsys, tmp_path, monkeypatch, key, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("horseshoe ran before its flags were checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "certify_box", no_work)
+        reason = f"expected a non-negative integer, got '{value}'"
+        argv = ["horseshoe", "--preset", "paper", "--resolution", "4"]
+        code, out, err = run(capsys, *argv, f"--{key}", value)
+        assert (code, out) == (3, "")
+        assert f"error: argument --{key}: {reason}" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert f"error: config key {key}: {reason}" in err
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_missing_config_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, "certify", "--config", str(tmp_path / "nope.cfg"))

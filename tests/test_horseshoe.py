@@ -22,9 +22,11 @@ from triopoly.horseshoe import (
     RETAIN_MARGIN,
     ConvergenceError,
     PathSample,
-    _a_point_maps_inside,
     _excludable,
     _grid_cells,
+    _grid_edges,
+    _halved_edges,
+    _lattice_keep,
     _sorted_unique,
     _split_cells_8,
     build_K_enclosures,
@@ -80,6 +82,37 @@ def _reference_image_misses_box(p, cells, b):
 def _grid_and_split(b, res):
     grid = _grid_cells(b, res, res, b.z_l, b.z_r, res)
     return grid, _split_cells_8(grid)
+
+
+def _cube(b, res):
+    """The res^3 grid of the whole box: its cells and its ``_grid_edges``."""
+    return (_grid_cells(b, res, res, b.z_l, b.z_r, res),
+            _grid_edges(b, res, res, b.z_l, b.z_r, res))
+
+
+def _sample_points(row):
+    """A cell's centre, then its eight corners, as (x, y, z) float tuples."""
+    yield tuple(0.5 * (row[0::2] + row[1::2]))
+    for kx in (0, 1):
+        for ky in (2, 3):
+            for kz in (4, 5):
+                yield row[kx], row[ky], row[kz]
+
+
+def _per_cell_keep(b, cells):
+    """The keep rule cell by cell on scalars: some sample point has F3
+    inside [z_l, z_r] by ``RETAIN_MARGIN``; with the count kept by the
+    centre."""
+    def inside(x, y, z):
+        return b.z_l + RETAIN_MARGIN < eval_map_xyz(P, x, y, z)[2] < b.z_r - RETAIN_MARGIN
+
+    want, by_centre = [], 0
+    for row in cells:
+        points = _sample_points(row)
+        centre = inside(*next(points))
+        by_centre += centre
+        want.append(centre or any(inside(*pt) for pt in points))
+    return want, by_centre
 
 
 def _reference_centre_maps_inside(p, cells, b):
@@ -262,12 +295,12 @@ class TestKEnclosures:
 
         monkeypatch.setattr(horseshoe, "_image_misses_box", counted)
         for res in range(2, 9):
-            cells = _grid_cells(b, res, res, b.z_l, b.z_r, res)
+            cells, edges = _cube(b, res)
             for depth in range(MAX_SPLIT_DEPTH + 1):
                 sent.append(0)
                 want = _reference_excludable(P, cells, b, depth)
                 sent.append(0)
-                got = _excludable(P, cells, b, depth)
+                got = _excludable(P, cells, b, depth, edges)
                 assert got.tolist() == want.tolist(), (res, depth)
                 assert sent[-1] <= sent[-2], (res, depth)
 
@@ -288,9 +321,9 @@ class TestKEnclosures:
 
         monkeypatch.setattr(horseshoe, "_image_misses_box", both)
         for res in range(2, 9):
-            cells = _grid_cells(b, res, res, b.z_l, b.z_r, res)
+            cells, edges = _cube(b, res)
             for depth in range(MAX_SPLIT_DEPTH + 1):
-                _excludable(P, cells, b, depth)
+                _excludable(P, cells, b, depth, edges)
         for res in (16, 32):
             for cells in _grid_and_split(b, res):
                 assert 0 < both(P, cells, b).sum() < cells.shape[0]
@@ -322,10 +355,12 @@ class TestKEnclosures:
                     assert (lo <= rlo).all() and (rhi <= hi).all()
 
     def test_each_stage_sees_the_pinned_rows(self, monkeypatch):
-        """The res-32 paper-box build sends each open row's sample points to
+        """The res-32 paper-box build sends each level's lattice points to
         F3 alone, the rows they leave open to the plain F3 range, and only
         the rows the plain range leaves open to the mean-value form.  The
-        full map never runs.  Under the centre rule with F1 and F2, 122 776
+        full map never runs.  The points are the 2 x 18 513 grid vertices
+        and 2 x 16 384 centres, then 27 vertices and 8 centres for each of
+        the 242 split cells.  Under the centre rule with F1 and F2, 122 776
         sub-cells were split and 72 322 rows went to the plain range."""
         seen = {"plain": 0, "refined": 0, "points": 0, "full map": 0, "split": 0}
         encl, f3, full, split = (horseshoe._batch_enclosures, horseshoe._f3_arrays,
@@ -353,7 +388,7 @@ class TestKEnclosures:
         monkeypatch.setattr(horseshoe, "eval_map_arrays", counted_full)
         monkeypatch.setattr(horseshoe, "_split_cells_8", counted_split)
         build_K_enclosures(P, OB, 32)
-        assert seen == {"plain": 18668, "refined": 3441, "points": 187692,
+        assert seen == {"plain": 18668, "refined": 3441, "points": 78264,
                         "full map": 0, "split": 1936}
 
     @pytest.mark.parametrize("res", [16, 32])
@@ -365,8 +400,9 @@ class TestKEnclosures:
         b = PAPER_BOX
         for z0, z1 in ((b.z_l, b.z_mid), (b.z_mid, b.z_r)):
             grid = _grid_cells(b, res, res, z0, z1, res // 2)
-            for cells in (grid, _split_cells_8(grid)):
-                kept = cells[_a_point_maps_inside(P, cells, b)]
+            for cells, edges in ((grid, _grid_edges(b, res, res, z0, z1, res // 2)),
+                                 (_split_cells_8(grid), _halved_edges(grid))):
+                kept = cells[_lattice_keep(P, b, *edges)]
                 lo, hi = batch_image_enclosure(P, kept, refine=True)
                 assert kept.shape[0] > 0
                 assert (lo[:, 0] <= b.x_r).all() and (hi[:, 0] >= b.x_l).all()
@@ -389,29 +425,33 @@ class TestKEnclosures:
         assert got.tobytes() == want.tobytes()
 
     def test_centre_test_matches_per_cell_map(self):
-        """The sample-point test is the per-cell scalar rule: some point, the
+        """The lattice test is the per-cell scalar rule: some point, the
         centre or a corner, has F3 inside [z_l, z_r] by ``RETAIN_MARGIN``.
         On the res-12 grid, and at res 26 on the paper box and a perturbed
-        one, where 17 576 cells span more than one chunk; some cells are
-        kept by a corner alone."""
+        one; some cells are kept by a corner alone."""
         for seed, res in ((None, 12), (None, 26), (0, 26)):
             b = PAPER_BOX if seed is None else _perturbed_box(seed)
-            cells = _grid_cells(b, res, res, b.z_l, b.z_r, res)
-
-            def inside(x, y, z):
-                return b.z_l + RETAIN_MARGIN < eval_map_xyz(P, x, y, z)[2] < b.z_r - RETAIN_MARGIN
-
-            want, by_centre = [], 0
-            for row in cells:
-                centre = inside(*(0.5 * (row[0::2] + row[1::2])))
-                by_centre += centre
-                want.append(centre or any(
-                    inside(row[kx], row[ky], row[kz])
-                    for kx in (0, 1) for ky in (2, 3) for kz in (4, 5)
-                ))
-            got = _a_point_maps_inside(P, cells, b)
+            cells, edges = _cube(b, res)
+            want, by_centre = _per_cell_keep(b, cells)
+            got = _lattice_keep(P, b, *edges)
             assert got.tolist() == want and 0 < by_centre < got.sum() < got.size
-            assert (got.size > horseshoe._CHUNK) == (res == 26)
+
+    @pytest.mark.parametrize("seed", [None, 0])
+    def test_split_lattice_matches_per_cell_map(self, seed):
+        """Each parent's 3 x 3 x 3 lattice answers for its eight
+        ``_split_cells_8`` children in their order, on parents of any size
+        and place in R: the same rule cell by cell on the children."""
+        b = PAPER_BOX if seed is None else _perturbed_box(seed)
+        rng = np.random.default_rng(5)
+        lo, hi = np.array([b.x_l, b.y_l, b.z_l]), np.array([b.x_r, b.y_r, b.z_r])
+        u = np.sort(rng.uniform(0.0, 1.0, (400, 3, 2)) ** np.array([1.0, 3.0]), axis=2)
+        parents = (lo[:, None] + u * (hi - lo)[:, None]).reshape(-1, 6)
+        children = _split_cells_8(parents)
+        xe, ye, ze = _halved_edges(parents)
+        assert xe.shape == ye.shape == ze.shape == (400, 3)
+        want, by_centre = _per_cell_keep(b, children)
+        got = _lattice_keep(P, b, xe, ye, ze)
+        assert got.tolist() == want and 0 < by_centre < got.sum() < got.size
 
 
 @st.composite
@@ -436,16 +476,17 @@ def test_a_sample_point_inside_means_the_enclosure_meets(case):
     meet [z_l, z_r], so no enclosure test could drop a cell the point keeps."""
     b, cell = case
     kept = False
-    for cols in horseshoe._SAMPLES:
-        pt = 0.5 * (cell[:, 0::2] + cell[:, 1::2]) if cols is None else cell[:, cols]
-        fz = eval_map_xyz(P, *pt[0])[2]
+    for pt in _sample_points(cell[0]):
+        fz = eval_map_xyz(P, *pt)[2]
         if not b.z_l + RETAIN_MARGIN < fz < b.z_r - RETAIN_MARGIN:
             continue
         kept = True
-        for box in (cell, np.repeat(pt, 2, axis=1)):
+        for box in (cell, np.repeat([pt], 2, axis=1)):
             ((lo, hi),) = _batch_enclosures(P, box, ("F3",))
-            assert lo[0] <= b.z_r and hi[0] >= b.z_l, (cols, box)
-    assert _a_point_maps_inside(P, cell, b).tolist() == [kept]
+            assert lo[0] <= b.z_r and hi[0] >= b.z_l, (pt, box)
+    # the cell as a one-cell lattice: (1, 2) edges per axis
+    edges = (cell[:, 0:2], cell[:, 2:4], cell[:, 4:6])
+    assert _lattice_keep(P, b, *edges).tolist() == [kept]
 
 
 def _hex(values):
