@@ -18,6 +18,7 @@ Identical invocations with identical seeds produce byte-identical outputs.
 """
 from __future__ import annotations
 
+import math
 import sys
 
 import argparse
@@ -39,7 +40,9 @@ from .horseshoe import (
 from .jsonio import dumps17, open_sink, write_csv
 from .presets import get_preset, preset_params
 from .search import search_boxes
-from .symbolic import count_periodic_words, find_periodic_orbit, orbits_to_csv
+from .symbolic import (
+    MAX_WORD_LENGTH, count_periodic_words, find_periodic_orbit, normalize_word, orbits_to_csv,
+)
 
 __all__ = ["main"]
 
@@ -117,11 +120,21 @@ def _parse_int(text) -> int:
         raise _CliError(f"expected an integer, got {text!r}") from None
 
 
-def _parse_count(text) -> int:
-    value = _parse_int(text)
-    if value < 0:
-        raise _CliError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _int_in(lo: int, hi: float, what: str):
+    """A caster for integers in lo..hi, which its error calls ``what``."""
+    def cast(text) -> int:
+        value = _parse_int(text)
+        if not lo <= value <= hi:
+            raise _CliError(f"expected {what}, got {text!r}")
+        return value
+    return cast
+
+
+_parse_count = _int_in(0, math.inf, "a non-negative integer")
+
+
+def _parse_word(text) -> str:
+    return _built(normalize_word, (text,))
 
 
 def _parse_float(text) -> float:
@@ -153,15 +166,16 @@ _OPTIONS = {
     "strategy": (str, {"choices": ("grid", "random", "refine")}),
     "scale": (_parse_float, {"help": "relative half-width of the perturbation around --box"}),
     "max_hits": (_parse_int, {}),
-    "resolution": (_parse_int, {}),
+    "resolution": (_int_in(2, math.inf, "an integer >= 2"), {}),
     "paths": (_parse_count, {"help": "number of random crossing paths"}),
-    "word": (str, {"help": "binary word, e.g. 011"}),
-    "max_k": (_parse_int, {"help": "realize every word of length 1..K"}),
+    "word": (_parse_word, {"help": "binary word, e.g. 011"}),
+    "max_k": (_int_in(1, MAX_WORD_LENGTH, f"an integer in 1..{MAX_WORD_LENGTH}"),
+              {"help": "realize every word of length 1..K"}),
     "dedupe_cyclic": (_parse_bool, {"action": "store_const", "const": True,
                                     "help": "keep one representative per cyclic class"}),
     "start": (_parse_start, {"metavar": "x,y,z"}),
-    "steps": (_parse_int, {}),
-    "transient": (_parse_int, {}),
+    "steps": (_parse_count, {}),
+    "transient": (_parse_count, {}),
     "alpha_range": (_parse_pair, {"metavar": "lo,hi"}),
     "samples": (_parse_int, {}),
     "policy": (str, {"choices": ("nash", "perturbed-nash")}),
@@ -337,8 +351,6 @@ def _cmd_periodic(args) -> int:
     if args.word is not None:
         results = [find_periodic_orbit(args.params, ob, args.word, tol=args.tol, cert=cert)]
     else:
-        if args.max_k < 1:
-            raise _CliError("--max-k must be at least 1")
         results = []
         for k in range(1, args.max_k + 1):
             results.extend(count_periodic_words(args.params, ob, k, tol=args.tol,

@@ -21,14 +21,15 @@ kept is therefore a genuine cover; the interesting empirical fact, which
 the tests pin down, is that the boundary layer below the midplane drops
 out and the two covers end up disjoint, as the midplane condition predicts.
 
-Both tests run cheap-first to the same answer.  The sample-point test
-evaluates F3 alone, once at each vertex of the grid (or, below the top
-level, of each split cell's 3 x 3 x 3 lattice) and once at each cell
-centre, so a corner shared by eight cells is formed once; the exclusion
-adds the mean-value form only where the plain range of F3 meets
-[z_l, z_r] (the refined enclosure is the plain one intersected with that
-form).  ``_excludable`` proves that a sample point keeps only cells that
-the enclosures alone would keep.
+Every level is a lattice given by its edges, whose cells one constructor
+builds (``_lattice_cells``): the grid at the top, and below it the
+3 x 3 x 3 lattice of each split cell.  Both tests run cheap-first to the
+same answer.  The sample-point test evaluates F3 alone, once at each
+lattice vertex and once at each cell centre, so a corner shared by eight
+cells is formed once; the exclusion adds the mean-value form only where
+the plain range of F3 meets [z_l, z_r] (the refined enclosure is the
+plain one intersected with that form).  ``_kept_cells`` proves that a
+sample point keeps only cells that the enclosures alone would keep.
 """
 from __future__ import annotations
 
@@ -188,37 +189,25 @@ class KSetEnclosure:
 
 def _grid_edges(b: Box, nx: int, ny: int, z_lo: float, z_hi: float, nz: int) -> tuple:
     """The x, y and z edges of an nx x ny x nz grid of the box's x and y
-    range and [z_lo, z_hi], as the (1, n+1) rows of a ``_lattice_keep``
-    lattice."""
+    range and [z_lo, z_hi], as the (1, n+1) rows of one lattice (see
+    ``_lattice_cells``)."""
     return tuple(np.linspace(lo, hi, n + 1)[None]
                  for lo, hi, n in ((b.x_l, b.x_r, nx), (b.y_l, b.y_r, ny), (z_lo, z_hi, nz)))
 
 
-def _grid_cells(b: Box, nx: int, ny: int, z_lo: float, z_hi: float, nz: int) -> np.ndarray:
-    xe, ye, ze = (e[0] for e in _grid_edges(b, nx, ny, z_lo, z_hi, nz))
-    # "ij" indexing over (z, y, x) keeps x fastest: the (z, y, x) grid order
-    zl, yl, xl = np.meshgrid(ze[:-1], ye[:-1], xe[:-1], indexing="ij")
-    zh, yh, xh = np.meshgrid(ze[1:], ye[1:], xe[1:], indexing="ij")
-    return np.stack([xl, xh, yl, yh, zl, zh], axis=-1).reshape(-1, 6)
-
-
-def _split_cells_8(cells: np.ndarray) -> np.ndarray:
-    mx = 0.5 * (cells[:, 0] + cells[:, 1])
-    my = 0.5 * (cells[:, 2] + cells[:, 3])
-    mz = 0.5 * (cells[:, 4] + cells[:, 5])
-    out = np.empty((cells.shape[0], 8, 6))
-    for k in range(8):
-        out[:, k, 0] = cells[:, 0] if k & 1 == 0 else mx
-        out[:, k, 1] = mx if k & 1 == 0 else cells[:, 1]
-        out[:, k, 2] = cells[:, 2] if k & 2 == 0 else my
-        out[:, k, 3] = my if k & 2 == 0 else cells[:, 3]
-        out[:, k, 4] = cells[:, 4] if k & 4 == 0 else mz
-        out[:, k, 5] = mz if k & 4 == 0 else cells[:, 5]
+def _lattice_cells(xe: np.ndarray, ye: np.ndarray, ze: np.ndarray) -> np.ndarray:
+    """The [xl, xh, yl, yh, zl, zh] rows of m lattices given by their
+    (m, n+1) x, y and z edges, in (z, y, x) order, lattice by lattice: the
+    cells ``_lattice_keep`` answers for."""
+    out = np.empty((xe.shape[0], ze.shape[1] - 1, ye.shape[1] - 1, xe.shape[1] - 1, 6))
+    out[..., 0], out[..., 1] = xe[:, None, None, :-1], xe[:, None, None, 1:]
+    out[..., 2], out[..., 3] = ye[:, None, :-1, None], ye[:, None, 1:, None]
+    out[..., 4], out[..., 5] = ze[:, :-1, None, None], ze[:, 1:, None, None]
     return out.reshape(-1, 6)
 
 
 def _image_misses_box(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
-    """True for cells whose F3 enclosure misses [z_l, z_r] (see ``_excludable``).
+    """True for cells whose F3 enclosure misses [z_l, z_r] (see ``_kept_cells``).
 
     The mean-value form, most of an enclosure's cost, runs only on the rows
     whose plain range meets [z_l, z_r]: a plain miss is a refined miss.
@@ -235,8 +224,8 @@ def _image_misses_box(p: Params, cells: np.ndarray, b: Box) -> np.ndarray:
 
 def _halved_edges(cells: np.ndarray) -> tuple:
     """The 3 x 3 x 3 lattice (lo, mid, hi) of each row, as (m, 3) x, y and
-    z edges: the corners ``_split_cells_8`` gives its eight children, in
-    the same (z, y, x) order."""
+    z edges: the lattice of its eight halves, which ``_lattice_cells``
+    builds in (z, y, x) order."""
     lo, hi = cells[:, 0::2], cells[:, 1::2]
     e = np.stack([lo, 0.5 * (lo + hi), hi], axis=-1)
     return e[:, 0], e[:, 1], e[:, 2]
@@ -264,22 +253,23 @@ def _lattice_keep(p: Params, b: Box, xe: np.ndarray, ye: np.ndarray, ze: np.ndar
     return (v | inside(*(0.5 * (e[:, :-1] + e[:, 1:]) for e in (xe, ye, ze)))).ravel()
 
 
-def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int, edges: tuple) -> np.ndarray:
-    """True for cells whose whole image provably misses the box.
+def _kept_cells(p: Params, b: Box, edges: tuple, depth: int) -> np.ndarray:
+    """The rows of the lattice ``edges`` that the cover keeps, in order; a
+    row left out provably maps wholly outside the box.
 
-    ``cells`` are the rows of the grid whose ``_grid_edges`` are ``edges``.
-    One pass per split level, ``depth`` splits deep.  ``root`` maps each
-    live sub-cell to its cell.  The answer is that of the enclosures alone:
-    each level splits the sub-cells whose F3 enclosure meets [z_l, z_r],
-    and a cell is kept when a sub-cell of the last level still meets.
-    Cheap first, to the same answer: the plain range before the mean-value
-    form, a filter that changes no mask, and before each split a
-    sample-point test that keeps a cell outright, after which its other
-    sub-cells are dropped, since they can no longer change the answer.
-    The sample points are the vertices and cell centres of a lattice
-    (``_lattice_keep``): the grid at the top level, and at each split
-    level the 3 x 3 x 3 lattice of each split cell.  A vertex stands for
-    the corner of every cell that shares it.
+    Every level is a lattice whose rows ``_lattice_cells`` builds: the grid
+    of ``edges`` at the top, and at each split level the 3 x 3 x 3 lattice
+    of each split cell (``_halved_edges``).  One pass per split level,
+    ``depth`` splits deep.  ``root`` maps each live sub-cell to its
+    top-level cell.  The answer is that of the enclosures alone: each level
+    splits the sub-cells whose F3 enclosure meets [z_l, z_r], and a cell is
+    kept when a sub-cell of the last level still meets.  Cheap first, to
+    the same answer: the plain range before the mean-value form, a filter
+    that changes no mask, and before each split a sample-point test that
+    keeps a cell outright, after which its other sub-cells are dropped,
+    since they can no longer change the answer.  The sample points are the
+    vertices and cell centres of each level's lattice (``_lattice_keep``);
+    a vertex stands for the corner of every cell that shares it.
 
     Why a sample point keeps only cells the enclosures keep: let P, the
     centre or a corner of a live sub-cell, have a float F3 inside
@@ -298,6 +288,7 @@ def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int, edges: tuple) 
     a sound cover.  For the same reason the sample points test F3 alone:
     C4 and C5 already put F1 and F2 of each point inside R.
     """
+    top = cells = _lattice_cells(*edges)
     kept = np.zeros(cells.shape[0], dtype=bool)
     root = np.arange(cells.shape[0])
     for level in range(depth, -1, -1):
@@ -309,10 +300,9 @@ def _excludable(p: Params, cells: np.ndarray, b: Box, depth: int, edges: tuple) 
         if level == 0:
             kept[root[meets]] = True
         else:
-            parents = cells[meets]
-            edges = _halved_edges(parents)
-            cells, root = _split_cells_8(parents), np.repeat(root[meets], 8)
-    return ~kept
+            edges = _halved_edges(cells[meets])
+            cells, root = _lattice_cells(*edges), np.repeat(root[meets], 8)
+    return top[kept]
 
 
 def build_K_enclosures(
@@ -334,12 +324,10 @@ def build_K_enclosures(
     _require_certified(p, ob.box, cert)
     b = ob.box
     nz_half = max(1, (resolution + 1) // 2)
-    covers = []
-    for z0, z1 in ((b.z_l, b.z_mid), (b.z_mid, b.z_r)):
-        cells = _grid_cells(b, resolution, resolution, z0, z1, nz_half)
-        edges = _grid_edges(b, resolution, resolution, z0, z1, nz_half)
-        covers.append(KSetEnclosure(cells[~_excludable(p, cells, b, MAX_SPLIT_DEPTH, edges)]))
-    return tuple(covers)
+    return tuple(
+        KSetEnclosure(_kept_cells(
+            p, b, _grid_edges(b, resolution, resolution, z0, z1, nz_half), MAX_SPLIT_DEPTH))
+        for z0, z1 in ((b.z_l, b.z_mid), (b.z_mid, b.z_r)))
 
 
 # ---------------------------------------------------------------------------

@@ -393,9 +393,6 @@ class _Scan:
     def miss(self) -> NearMiss | None:
         return self.frontier if self.frontier is not None else self.fallback
 
-    def judge(self, cand: np.ndarray) -> _Judged:
-        return _judge(self.p, cand)
-
     def absorb(self, cand: np.ndarray, j: _Judged) -> None:
         """Fold the judged rows in row order."""
         self.evaluated += int(np.count_nonzero(j.valid))
@@ -434,7 +431,7 @@ def _scan_rows(rows: np.ndarray, base, scale: float, scan: _Scan) -> None:
         cand = _decode_near(block, base, scale) if base is not None else _decode_skeleton(block, scan.p)
         if cand is None:
             return
-        scan.absorb(cand, scan.judge(cand))
+        scan.absorb(cand, _judge(scan.p, cand))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +491,7 @@ def _refine(vec0, budget: int, scan: _Scan) -> None:
     probes = _climb(scan.p, vec0, budget - scan.evaluated)
     while block := list(islice(probes, _CHUNK)):
         rows = np.array(block)
-        scan.absorb(rows, scan.judge(rows))
+        scan.absorb(rows, _judge(scan.p, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +644,14 @@ def search_boxes(
                 rng = np.random.default_rng(seed)
                 _scan_rows(rng.random((boot, 5)), None, scale, scan)
             pool = scan.hits or ([] if scan.miss is None else [(scan.miss.margin, scan.miss.box)])
-            if not pool:
-                why = ("refine without a seed box needs budget >= 2 for its bootstrap pass"
-                       if boot == 0 else
-                       "no evaluable candidate: the parameter geometry leaves no window")
-                return SearchResult(
-                    hits=(), margins=(), params=p, strategy=strategy, seed=seed,
-                    budget=budget, evaluated=scan.evaluated, engine=engine, scale=scale,
-                    near=near, near_miss=None, note=why, killed_by=scan.killed_by(),
-                )
-            start = _vec_of(max(pool, key=lambda t: t[0])[1])
-        _refine(start, budget, scan)
+            if pool:
+                start = _vec_of(max(pool, key=lambda t: t[0])[1])
+            else:
+                note = ("refine without a seed box needs budget >= 2 for its bootstrap pass"
+                        if boot == 0 else
+                        "no evaluable candidate: the parameter geometry leaves no window")
+        if start is not None:
+            _refine(start, budget, scan)
 
     if base is None and scan.evaluated == 0 and strategy != "refine":
         note = "parameter geometry admits no candidate window (1/(4 c2) >= 1/(4 c1))"

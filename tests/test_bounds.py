@@ -834,9 +834,9 @@ _FROZEN_BATCH_RES32 = "62b7bb4e07204d721a4e0274157d988cb12228e4cd153081b6ba42794
 
 
 def test_batch_image_enclosure_on_the_res32_grid_is_frozen():
-    from triopoly.horseshoe import _grid_cells
+    from triopoly.horseshoe import _grid_edges, _lattice_cells
 
-    cells = np.concatenate([_grid_cells(B, 32, 32, z0, z1, 16)
+    cells = np.concatenate([_lattice_cells(*_grid_edges(B, 32, 32, z0, z1, 16))
                             for z0, z1 in ((B.z_l, B.z_mid), (B.z_mid, B.z_r))])
     lo, hi = batch_image_enclosure(P, cells, refine=True)
     digest = hashlib.sha256(lo.astype("<f8").tobytes() + hi.astype("<f8").tobytes())

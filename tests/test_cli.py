@@ -209,6 +209,56 @@ class TestConfigFile:
         assert f"error: config key {key}: {reason}" in err
         assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
 
+    @pytest.mark.parametrize("command,key,value,reason", [
+        ("horseshoe", "resolution", "1", "expected an integer >= 2, got '1'"),
+        ("periodic", "max_k", "0", "expected an integer in 1..6, got '0'"),
+        ("periodic", "max_k", "7", "expected an integer in 1..6, got '7'"),
+        ("periodic", "word", "012", "symbol word must be a nonempty string over 0/1, got '012'"),
+    ])
+    def test_a_value_the_command_cannot_use_exits_3_before_certifying(
+            self, capsys, tmp_path, monkeypatch, command, key, value, reason):
+        calls = []
+        certify = cli.certify_box
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return certify(*args, **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "certify_box", counted)
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run(capsys, command, "--preset", "paper", f"{flag}={value}")
+        assert (code, out, calls) == (3, "", [])
+        assert f"error: argument {flag}: {reason}" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code, out, err = run(capsys, command, "--preset", "paper", "--config", str(cfg))
+        assert (code, out, calls) == (3, "", [])
+        assert f"error: config key {key}: {reason}" in err
+        assert [f.name for f in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", ["simulate", "lyapunov"])
+    @pytest.mark.parametrize("key", ["steps", "transient"])
+    def test_a_negative_step_count_names_its_flag(self, capsys, tmp_path, command, key):
+        values = {"start": "0.6,0.4,0.2", "steps": "5", "transient": "0", key: "-1"}
+        reason = "expected a non-negative integer, got '-1'"
+        code, out, err = run(capsys, command, "--preset", "paper",
+                             *(f"--{k}={v}" for k, v in values.items()))
+        assert (code, out) == (3, "")
+        assert f"error: argument --{key}: {reason}" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = -1\n")
+        code, out, err = run(capsys, command, "--preset", "paper", "--config", str(cfg),
+                             *(f"--{k}={v}" for k, v in values.items() if k != key))
+        assert (code, out) == (3, "")
+        assert f"error: config key {key}: {reason}" in err
+
+    def test_zero_lyapunov_steps_is_left_to_the_library(self, capsys):
+        code, out, err = run(capsys, "lyapunov", "--preset", "paper",
+                             "--start", "0.6,0.4,0.2", "--steps", "0")
+        assert (code, out) == (3, "")
+        assert "invalid input: need at least one step" in err
+
     def test_missing_config_file_exits_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, "certify", "--config", str(tmp_path / "nope.cfg"))
         assert code == 3

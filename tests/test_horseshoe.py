@@ -22,13 +22,12 @@ from triopoly.horseshoe import (
     RETAIN_MARGIN,
     ConvergenceError,
     PathSample,
-    _excludable,
-    _grid_cells,
     _grid_edges,
     _halved_edges,
+    _kept_cells,
+    _lattice_cells,
     _lattice_keep,
     _sorted_unique,
-    _split_cells_8,
     build_K_enclosures,
     check_path_stretching,
     locate_fixed_point_in,
@@ -79,15 +78,32 @@ def _reference_image_misses_box(p, cells, b):
     return out
 
 
+def _split_8(cells):
+    """The eight halves of each row, x fastest, then y, then z: the
+    reference for ``_lattice_cells`` of ``_halved_edges``."""
+    mx = 0.5 * (cells[:, 0] + cells[:, 1])
+    my = 0.5 * (cells[:, 2] + cells[:, 3])
+    mz = 0.5 * (cells[:, 4] + cells[:, 5])
+    out = np.empty((cells.shape[0], 8, 6))
+    for k in range(8):
+        out[:, k, 0] = cells[:, 0] if k & 1 == 0 else mx
+        out[:, k, 1] = mx if k & 1 == 0 else cells[:, 1]
+        out[:, k, 2] = cells[:, 2] if k & 2 == 0 else my
+        out[:, k, 3] = my if k & 2 == 0 else cells[:, 3]
+        out[:, k, 4] = cells[:, 4] if k & 4 == 0 else mz
+        out[:, k, 5] = mz if k & 4 == 0 else cells[:, 5]
+    return out.reshape(-1, 6)
+
+
 def _grid_and_split(b, res):
-    grid = _grid_cells(b, res, res, b.z_l, b.z_r, res)
-    return grid, _split_cells_8(grid)
+    grid = _lattice_cells(*_grid_edges(b, res, res, b.z_l, b.z_r, res))
+    return grid, _lattice_cells(*_halved_edges(grid))
 
 
 def _cube(b, res):
     """The res^3 grid of the whole box: its cells and its ``_grid_edges``."""
-    return (_grid_cells(b, res, res, b.z_l, b.z_r, res),
-            _grid_edges(b, res, res, b.z_l, b.z_r, res))
+    edges = _grid_edges(b, res, res, b.z_l, b.z_r, res)
+    return _lattice_cells(*edges), edges
 
 
 def _sample_points(row):
@@ -137,7 +153,7 @@ def _reference_excludable(p, cells, b, depth):
     work = idx[~_reference_centre_maps_inside(p, cells[idx], b)]
     if work.size == 0:
         return excluded
-    child_excl = _reference_excludable(p, _split_cells_8(cells[work]), b, depth - 1)
+    child_excl = _reference_excludable(p, _split_8(cells[work]), b, depth - 1)
     excluded[work] = child_excl.reshape(-1, 8).all(axis=1)
     return excluded
 
@@ -281,9 +297,9 @@ class TestKEnclosures:
 
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_level_loop_matches_the_depth_first_split(self, seed, monkeypatch):
-        """Same excluded mask as the depth-first split under the earlier
-        centre rule, at every resolution and split depth, with no more cells
-        sent to the enclosure."""
+        """Same kept rows as the depth-first split under the earlier centre
+        rule, at every resolution and split depth, with no more cells sent
+        to the enclosure."""
         b = PAPER_BOX if seed is None else _perturbed_box(seed)
         assert certify_box(P, b).passed
         sent = []
@@ -300,14 +316,14 @@ class TestKEnclosures:
                 sent.append(0)
                 want = _reference_excludable(P, cells, b, depth)
                 sent.append(0)
-                got = _excludable(P, cells, b, depth, edges)
-                assert got.tolist() == want.tolist(), (res, depth)
+                got = _kept_cells(P, b, edges, depth)
+                assert got.tobytes() == cells[~want].tobytes(), (res, depth)
                 assert sent[-1] <= sent[-2], (res, depth)
 
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_z_test_matches_the_three_component_rule(self, seed, monkeypatch):
         """Testing F3 alone drops exactly the cells that the x-, y- and
-        z-tests together dropped: every mask ``_excludable`` asks for, at
+        z-tests together dropped: every mask ``_kept_cells`` asks for, at
         res 2-8 and every split depth, and on the res-16 and res-32 grids
         and their first split."""
         b = PAPER_BOX if seed is None else _perturbed_box(seed)
@@ -323,7 +339,7 @@ class TestKEnclosures:
         for res in range(2, 9):
             cells, edges = _cube(b, res)
             for depth in range(MAX_SPLIT_DEPTH + 1):
-                _excludable(P, cells, b, depth, edges)
+                _kept_cells(P, b, edges, depth)
         for res in (16, 32):
             for cells in _grid_and_split(b, res):
                 assert 0 < both(P, cells, b).sum() < cells.shape[0]
@@ -360,11 +376,12 @@ class TestKEnclosures:
         the rows the plain range leaves open to the mean-value form.  The
         full map never runs.  The points are the 2 x 18 513 grid vertices
         and 2 x 16 384 centres, then 27 vertices and 8 centres for each of
-        the 242 split cells.  Under the centre rule with F1 and F2, 122 776
-        sub-cells were split and 72 322 rows went to the plain range."""
+        the 242 split cells, whose 3 x 3 x 3 lattices give the split rows.
+        Under the centre rule with F1 and F2, 122 776 sub-cells were split
+        and 72 322 rows went to the plain range."""
         seen = {"plain": 0, "refined": 0, "points": 0, "full map": 0, "split": 0}
         encl, f3, full, split = (horseshoe._batch_enclosures, horseshoe._f3_arrays,
-                                 horseshoe.eval_map_arrays, horseshoe._split_cells_8)
+                                 horseshoe.eval_map_arrays, horseshoe._lattice_cells)
 
         def counted_encl(p, cells, comps, refine=True):
             seen["refined" if refine else "plain"] += cells.shape[0]
@@ -378,15 +395,17 @@ class TestKEnclosures:
             seen["full map"] += x.size
             return full(p, x, y, z, alpha)
 
-        def counted_split(cells):
-            out = split(cells)
-            seen["split"] += out.shape[0]
+        def counted_split(xe, ye, ze):
+            out = split(xe, ye, ze)
+            # the split levels' lattices; the res-32 grid has 33 edges per axis
+            if xe.shape[1] == 3:
+                seen["split"] += out.shape[0]
             return out
 
         monkeypatch.setattr(horseshoe, "_batch_enclosures", counted_encl)
         monkeypatch.setattr(horseshoe, "_f3_arrays", counted_f3)
         monkeypatch.setattr(horseshoe, "eval_map_arrays", counted_full)
-        monkeypatch.setattr(horseshoe, "_split_cells_8", counted_split)
+        monkeypatch.setattr(horseshoe, "_lattice_cells", counted_split)
         build_K_enclosures(P, OB, 32)
         assert seen == {"plain": 18668, "refined": 3441, "points": 78264,
                         "full map": 0, "split": 1936}
@@ -399,21 +418,20 @@ class TestKEnclosures:
         columns, which C4 and C5 keep inside R, are checked with it."""
         b = PAPER_BOX
         for z0, z1 in ((b.z_l, b.z_mid), (b.z_mid, b.z_r)):
-            grid = _grid_cells(b, res, res, z0, z1, res // 2)
-            for cells, edges in ((grid, _grid_edges(b, res, res, z0, z1, res // 2)),
-                                 (_split_cells_8(grid), _halved_edges(grid))):
-                kept = cells[_lattice_keep(P, b, *edges)]
+            grid_edges = _grid_edges(b, res, res, z0, z1, res // 2)
+            for edges in (grid_edges, _halved_edges(_lattice_cells(*grid_edges))):
+                kept = _lattice_cells(*edges)[_lattice_keep(P, b, *edges)]
                 lo, hi = batch_image_enclosure(P, kept, refine=True)
                 assert kept.shape[0] > 0
                 assert (lo[:, 0] <= b.x_r).all() and (hi[:, 0] >= b.x_l).all()
                 assert (lo[:, 1] <= b.y_r).all() and (hi[:, 1] >= b.y_l).all()
                 assert (lo[:, 2] <= b.z_r).all() and (hi[:, 2] >= b.z_l).all()
 
-    @pytest.mark.parametrize("n", [(1, 1, 1), (2, 3, 5), (7, 4, 3), (16, 16, 8)])
+    @pytest.mark.parametrize("n", [(1, 1, 1), (2, 3, 5), (7, 4, 3), (16, 16, 8), (32, 32, 16)])
     def test_grid_cells_in_z_y_x_order(self, n):
         nx, ny, nz = n
         b = PAPER_BOX
-        got = _grid_cells(b, nx, ny, b.z_mid, b.z_r, nz)
+        got = _lattice_cells(*_grid_edges(b, nx, ny, b.z_mid, b.z_r, nz))
         xe = np.linspace(b.x_l, b.x_r, nx + 1)
         ye = np.linspace(b.y_l, b.y_r, ny + 1)
         ze = np.linspace(b.z_mid, b.z_r, nz + 1)
@@ -423,6 +441,18 @@ class TestKEnclosures:
         ])
         assert got.shape == (nx * ny * nz, 6)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [0, 1, 500])
+    def test_split_lattice_cells_are_the_eight_halves(self, m):
+        """Each parent's ``_halved_edges`` lattice gives its eight halves,
+        x fastest, to the bit, on parents of any size and place."""
+        rng = np.random.default_rng(m)
+        u = np.sort(rng.uniform(-1.0, 1.0, (m, 3, 2)) * 10.0 ** rng.integers(-8, 3, (m, 3, 1)),
+                    axis=2)
+        parents = u.reshape(-1, 6)
+        got = _lattice_cells(*_halved_edges(parents))
+        assert got.shape == (8 * m, 6)
+        assert got.tobytes() == _split_8(parents).tobytes()
 
     def test_centre_test_matches_per_cell_map(self):
         """The lattice test is the per-cell scalar rule: some point, the
@@ -438,16 +468,16 @@ class TestKEnclosures:
 
     @pytest.mark.parametrize("seed", [None, 0])
     def test_split_lattice_matches_per_cell_map(self, seed):
-        """Each parent's 3 x 3 x 3 lattice answers for its eight
-        ``_split_cells_8`` children in their order, on parents of any size
-        and place in R: the same rule cell by cell on the children."""
+        """Each parent's 3 x 3 x 3 lattice answers for its eight halves in
+        ``_lattice_cells`` order, on parents of any size and place in R:
+        the same rule cell by cell on the children."""
         b = PAPER_BOX if seed is None else _perturbed_box(seed)
         rng = np.random.default_rng(5)
         lo, hi = np.array([b.x_l, b.y_l, b.z_l]), np.array([b.x_r, b.y_r, b.z_r])
         u = np.sort(rng.uniform(0.0, 1.0, (400, 3, 2)) ** np.array([1.0, 3.0]), axis=2)
         parents = (lo[:, None] + u * (hi - lo)[:, None]).reshape(-1, 6)
-        children = _split_cells_8(parents)
         xe, ye, ze = _halved_edges(parents)
+        children = _lattice_cells(xe, ye, ze)
         assert xe.shape == ye.shape == ze.shape == (400, 3)
         want, by_centre = _per_cell_keep(b, children)
         got = _lattice_keep(P, b, xe, ye, ze)

@@ -627,7 +627,7 @@ def test_scan_fold_replays_the_per_candidate_rules(p, cand, cuts):
     for size in cuts + [len(cand)]:       # chunk boundaries must not matter
         block = cand[start:start + size]
         if len(block):
-            scan.absorb(block, scan.judge(block))
+            scan.absorb(block, _judge(p, block))
         start += size
     _assert_same_scan(scan, ref)
 

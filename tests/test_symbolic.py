@@ -221,7 +221,7 @@ class TestCountPeriodicWords:
             raise AssertionError("periodic words must not build a cover")
 
         monkeypatch.setattr(horseshoe, "build_K_enclosures", no_cover)
-        monkeypatch.setattr(horseshoe, "_excludable", no_cover)
+        monkeypatch.setattr(horseshoe, "_kept_cells", no_cover)
         results = count_periodic_words(P, OB, 4)
         assert all(r.converged for r in results)
 
