@@ -344,6 +344,8 @@ def _cmd_periodic(args) -> int:
     _require(args, "params", "box")
     if (args.word is None) == (args.max_k is None):
         raise _CliError("periodic needs exactly one of --word or --max-k")
+    if args.word is not None and args.dedupe_cyclic:
+        raise _CliError("--dedupe-cyclic applies only with --max-k")
     cert = _certified(args, "symbolic words are only pinned for certified boxes")
     if cert is None:
         return 1

@@ -7,13 +7,15 @@ alpha.  None of it feeds the certification engines; it exists to explore
 and to sanity-check the certified statements against plain numerics.
 
 ``simulate`` and ``lyapunov_spectrum`` follow one orbit in scalar floats.
-``bifurcation_scan`` steps all its alpha samples in lockstep instead: the
-live rows advance as arrays through the map, and each row's largest
-exponent comes from one tangent vector, not a QR frame.  Each step forms
-the sums x + y, x + z, x + y + z and their powers once (``core._sums``)
-and shares them between the domain masks, the map and the tangent; each
-row's 1 - alpha*c3 is fixed for the whole scan.  One orbit stays scalar
-because a numpy step on one row costs about ten scalar steps.
+``bifurcation_scan`` steps all its alpha samples in lockstep instead, in
+one walk per row: the live rows advance as arrays through the map, each
+row records its z tail up to its last recorded state, and from there a
+tangent vector, not a QR frame, gives its largest exponent.  Each step
+forms the sums x + y, x + z, x + y + z and their powers once
+(``core._sums``) and shares them between the domain masks, the map and
+the tangent; each row's 1 - alpha*c3 is fixed for the whole scan.  One
+orbit stays scalar because a numpy step on one row costs about ten
+scalar steps.
 
 The one-dimensional covering-interval demo on the logistic family is the
 exception: its verdict is a proof.  Two intervals cover their hull under
@@ -409,99 +411,96 @@ def _keep(mask: np.ndarray, *arrays) -> tuple:
     return tuple(a[mask] for a in arrays)
 
 
-def _record_rows(p: Params, alpha: np.ndarray, s: np.ndarray, transient: int, n: int,
-                 kz: int, lo: float, hi: float):
-    """``simulate(p_i, s_i, n, transient, (lo, hi))`` for unpinned starts
-    s_i (columns of the (3, m) array ``s``; p_i has rate ``alpha[i]``), all
-    rows stepping together.
+def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, n: int,
+               lo: float, hi: float):
+    """Each row's escape flag, z tail and largest exponent, all rows stepping
+    together: row i starts at column s_i of the (3, m) array ``s`` with rate
+    ``alpha[i]``.  Returns the (m,) escape flags, the (m,) exponents and the
+    (m, kz) tails.
 
-    Returns the indices of the rows that did not escape, their last
-    ``kz`` recorded z and their final states.  A row escapes as in
-    ``simulate``: outside the cube before a step, off the map's domain at
-    one (``core._map_off``), or outside the cube after the last one.
-    Escaped rows are dropped when they escape.
+    Up to its last recorded state x_S (S = ``last``) a row is ``simulate``:
+    it escapes when a state up to x_{S+1} leaves the cube or a state up to
+    x_S is off the map's domain (``core._map_off``), and its tail holds z at
+    steps S + 1 - kz .. S.  From x_S on it is the one-vector
+    ``lyapunov_spectrum``: v <- Jv/|Jv| from e1 for ``n`` steps, with its
+    warm-up (Benettin, Galgani, Giorgilli & Strelcyn 1980).  The ``hypot``
+    norm cannot overflow, and a vector J maps to exactly 0 stays 0: -inf.
+    A row that leaves the domain or the cube after x_{S+1}, or whose
+    Jacobian is undefined (``core._jacobian_off``), stops with the partial
+    estimate of the steps it made; one that stops inside the warm-up
+    averages all of them, and one stopped at x_S has no estimate (nan).
+    Escaped rows have no estimate either.
+
+    A row pinned to a rest point (as ``simulate`` pins it at the start, and
+    ``lyapunov_spectrum`` at x_S) keeps its state.  When every row is pinned
+    from the start, the record steps are skipped.  Each step forms the next
+    state's sums after the move, so no step forms any once every row left
+    is pinned.  Every start must lie in the map's domain.
     """
-    rows = np.arange(s.shape[1])
+    m = s.shape[1]
+    escaped = np.zeros(m, dtype=bool)
+    lyap1 = np.full(m, math.nan)
+    tails = np.repeat(s[2][:, None], kz, axis=1)    # a pinned start's if no record step runs
+    rows = np.arange(m)
     x, y, z = s
     g = _own_rate(p, alpha)
-    tail = np.empty((rows.size, kz))
-    rec_from = transient + n - kz
-    for step in range(transient + n):
-        sums = _sums(p, alpha, x, y, z)
-        ok = _inside_rows(x, y, z, lo, hi) & ~_map_off(sums)
-        if not ok.all():
-            rows, x, y, z, alpha, g, tail, *sums = _keep(ok, rows, x, y, z, alpha, g, tail, *sums)
-        if not rows.size:
-            return rows, tail, s[:, :0]
-        if step >= rec_from:
-            tail[:, step - rec_from] = z
-        final = (x, y, z)
-        x, y, z = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
-    ok = _inside_rows(x, y, z, lo, hi)
-    return rows[ok], tail[ok], np.array(final)[:, ok]
-
-
-def _largest_exponents(p: Params, alpha: np.ndarray, s: np.ndarray, n: int,
-                       lo: float, hi: float) -> np.ndarray:
-    """The largest exponent over ``n`` steps from each column s_i of the
-    (3, m) array ``s``, all rows stepping together: one tangent vector per
-    row, v <- Jv/|Jv| from e1, with the warm-up of ``lyapunov_spectrum``
-    (Benettin, Galgani, Giorgilli & Strelcyn 1980).  The ``hypot`` norm
-    cannot overflow, and a vector J maps to exactly 0 stays 0: -inf.
-
-    Every start must lie in the map's domain.  One that
-    ``lyapunov_spectrum`` pins to a rest point keeps its state.  A row
-    whose Jacobian is undefined (``core._jacobian_off``), or whose orbit
-    leaves the domain or the cube, stops with the partial estimate of the
-    steps it made; one that stops inside the warm-up averages all of them.
-    Every row still live at step ``n`` stops there.
-    """
-    warmup = min(256, n // 4)
-    out = np.full(s.shape[1], math.nan)
-    rows = np.arange(s.shape[1])
-    x, y, z = s
-    g = _own_rate(p, alpha)
-    sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
-    moving = ~(_residual_rows(_map_from_sums(p, g, x, y, z, sums, np.sqrt), s) < FIXED_POINT_PIN)
+    moving = ~(_residual_rows(eval_map_arrays(p, x, y, z, alpha=alpha), s) < FIXED_POINT_PIN)
     any_pinned, pinned_only = not moving.all(), not moving.any()
-    va, vb, vc = np.ones(rows.size), np.zeros(rows.size), np.zeros(rows.size)
-    acc = np.zeros(rows.size)   # sum of log |Jv| since the warm-up, or within it
-    stop = _jacobian_off(sums)
-    for step in range(n + 1):
-        # the rows the last map step stopped, those whose Jacobian is
-        # undefined here, and at step n all: each has seen ``step`` factors
-        if step == n:
-            stop = np.ones(rows.size, dtype=bool)
-        if stop.any():
-            used = step - warmup if step > warmup else step
-            if used:
-                out[rows[stop]] = acc[stop] / used
+    va, vb, vc = np.ones(m), np.zeros(m), np.zeros(m)
+    acc = np.zeros(m)       # sum of log |Jv| since the warm-up, or within it
+    warmup = min(256, n // 4)
+    sums = _sums(p, alpha, x, y, z)
+    leave = ~_inside_rows(x, y, z, lo, hi)
+    for t in range(last if pinned_only else 0, last + n + 1):
+        k = t - last        # the tangent's step; negative before x_S
+        if k == 0:
+            sums = _with_jacobian_sums(p, tuple(sums))     # a list after a drop
+            f, here = _map_from_sums(p, g, x, y, z, sums, np.sqrt), (x, y, z)
+            # simulate's last checks: the map at x_S, the cube at x_{S+1}
+            leave |= _map_off(sums) | ~_inside_rows(*np.where(moving, f, here), lo, hi)
+            escaped[rows[leave]] = True
+            moving = ~(_residual_rows(f, here) < FIXED_POINT_PIN)
+            leave |= _jacobian_off(sums)     # not escaped; its lyap1 stays nan
+        elif k == n:
+            leave = np.ones(rows.size, dtype=bool)
+        # the rows that leave here: escapes up to x_S, and after it stops
+        # with k factors
+        if k == 0 or leave.any():
+            if k < 0:
+                escaped[rows[leave]] = True
+            elif k > 0:
+                lyap1[rows[leave]] = acc[leave] / (k - warmup if k > warmup else k)
             rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums = _keep(
-                ~stop, rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums)
+                ~leave, rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums)
             if not rows.size:
                 break
             any_pinned, pinned_only = not moving.all(), not moving.any()
-        if step == warmup:
-            acc[:] = 0.0
-        j11, j12, j21, j31, j33 = _jacobian_from_sums(p, alpha, g, z, sums, np.sqrt)
-        na, nb, nc = j11 * va + j12 * (vb + vc), j21 * (va + vc), j31 * (va + vb) + j33 * vc
-        norm = np.hypot(np.hypot(na, nb), nc)
-        acc += np.log(norm)
-        norm = np.maximum(norm, 5e-324)   # > 0 is kept; an annihilated v stays 0, not 0/0
-        va, vb, vc = na / norm, nb / norm, nc / norm
+        if k <= 0 and t > last - kz:
+            tails[rows, kz - 1 + k] = z
+        if k >= 0:
+            if k == warmup:
+                acc[:] = 0.0
+            j11, j12, j21, j31, j33 = _jacobian_from_sums(p, alpha, g, z, sums, np.sqrt)
+            na, nb, nc = j11 * va + j12 * (vb + vc), j21 * (va + vc), j31 * (va + vb) + j33 * vc
+            norm = np.hypot(np.hypot(na, nb), nc)
+            acc += np.log(norm)
+            norm = np.maximum(norm, 5e-324)   # > 0 is kept; an annihilated v stays 0, not 0/0
+            va, vb, vc = na / norm, nb / norm, nc / norm
         if pinned_only:
-            stop = moving   # all false: no row moves, so none stops
+            leave = moving      # all false: no row moves, so none stops
             continue
+        off = _map_off(sums)
         fx, fy, fz = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
-        stop = _map_off(sums) | ~_inside_rows(fx, fy, fz, lo, hi)
         if any_pinned:
-            stop &= moving
             x, y, z = np.where(moving, fx, x), np.where(moving, fy, y), np.where(moving, fz, z)
         else:
             x, y, z = fx, fy, fz
-        sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
-        stop |= _jacobian_off(sums)
-    return out
+        sums = _sums(p, alpha, x, y, z)
+        leave = off | ~_inside_rows(x, y, z, lo, hi)
+        if k >= 0:
+            sums = _with_jacobian_sums(p, sums)
+            leave |= _jacobian_off(sums)
+    return escaped, lyap1, tails
 
 
 def bifurcation_scan(
@@ -520,17 +519,17 @@ def bifurcation_scan(
 
     Each row's escape flag and z tail (the last min(32, ``n_record``) z
     values) are ``simulate``'s (``n_record`` states after ``transient``) at
-    its alpha, bit for bit.  Its ``lyap1``
-    (``lyap_steps`` steps on) lies within 1e-12 of ``lyapunov_spectrum``'s
+    its alpha, bit for bit.  Its ``lyap1`` (``lyap_steps`` steps on from
+    the last recorded state) lies within 1e-12 of ``lyapunov_spectrum``'s
     largest exponent, or of its second where the top two lie within 2e-3.
     Per-alpha escapes are recorded and the scan continues.  Seeding is
     per-alpha (spawned from one root seed), so the table is identical for
     identical arguments.
 
-    The samples run in lockstep: every map step and tangent step of all
-    live rows is one array operation, and a row leaves the arrays when it
-    escapes.  ``threads`` is accepted and has no effect; it must be at
-    least 1.
+    The samples run in lockstep, one walk per row (``_scan_rows``): every
+    map step and tangent step of all live rows is one array operation,
+    and a row leaves the arrays when it escapes or its exponent stops.
+    ``threads`` is accepted and has no effect; it must be at least 1.
     """
     a_lo, a_hi = float(alpha_range[0]), float(alpha_range[1])
     if not (0.0 < a_lo <= a_hi <= 20.0):
@@ -553,29 +552,9 @@ def bifurcation_scan(
         _policy_start(s0_policy, Params(c1, c2, c3, float(a)), np.random.default_rng(child)).as_tuple()
         for a, child in zip(alphas, children)
     ]).T
-    pinned = _residual_rows(eval_map_arrays(p_base, *s0, alpha=alphas), s0) < FIXED_POINT_PIN
-
-    # recorded phase: a pinned start is its own constant orbit
-    kz = min(32, n_record)
-    tails = np.repeat(s0[2][:, None], kz, axis=1)
-    escaped = ~(pinned & _inside_rows(*s0, lo, hi))
-    moving = np.flatnonzero(~pinned)
     with np.errstate(all="ignore"):     # as in float arithmetic: inf and nan, no warnings
-        kept, tail, final = _record_rows(p_base, alphas[moving], s0[:, moving],
-                                         transient, n_record, kz, lo, hi)
-    kept = moving[kept]
-    escaped[kept] = False
-    tails[kept] = tail
-
-    # Lyapunov phase from each surviving row's last recorded state
-    lyap1 = np.full(samples, math.nan)
-    live = np.flatnonzero(~escaped)
-    if live.size:
-        start = s0.copy()
-        start[:, kept] = final
-        with np.errstate(all="ignore"):
-            lyap1[live] = _largest_exponents(p_base, alphas[live], start[:, live], lyap_steps,
-                                             lo, hi)
+        escaped, lyap1, tails = _scan_rows(p_base, alphas, s0, transient + n_record - 1,
+                                           min(32, n_record), lyap_steps, lo, hi)
 
     # an escaped row's lyap1 is still nan
     rows = tuple(BifurcationRow(float(a), bool(esc), float(l1), () if esc else tuple(map(float, t)))

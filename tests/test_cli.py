@@ -387,6 +387,24 @@ class TestPeriodic:
         code, _, _ = run(capsys, "periodic", "--preset", "paper")
         assert code == 3
 
+    def test_dedupe_cyclic_with_a_word_exits_3_before_certifying(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        calls = []
+        certify = cli.certify_box
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "certify_box", counted)
+        argv = ["periodic", "--preset", "paper", "--word", "01"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dedupe_cyclic = true\n")
+        for extra in (["--dedupe-cyclic"], ["--config", str(cfg)]):
+            code, out, err = run(capsys, *argv, *extra)
+            assert (code, out, calls) == (3, "", [])
+            assert "error: --dedupe-cyclic applies only with --max-k" in err
+
     def test_uncertified_box_exits_1(self, capsys):
         bad = PAPER_BOX_ARG.rsplit(",", 1)[0] + ",0.38"
         code, _, err = run(capsys, "periodic", "--params", PAPER_PARAMS_ARG,

@@ -18,6 +18,7 @@ from triopoly.core import (
     State,
     boundary_fixed_point,
     eval_jacobian,
+    eval_map,
     eval_map_xyz,
     fixed_point_residual,
     interior_fixed_point,
@@ -29,8 +30,8 @@ from triopoly.dynamics import (
     BifurcationTable,
     CoveringIntervals,
     _critical_points,
-    _largest_exponents,
     _policy_start,
+    _scan_rows,
     bifurcation_scan,
     classify_eigenvalues,
     classify_equilibrium,
@@ -514,6 +515,23 @@ _SCAN_CASES = {
     "pinned-outlives-a-stop": dict(alpha_range=(10.0, 10.5), samples=2,
                                    s0_policy=_between_live_rows, transient=0, n_record=5,
                                    lyap_steps=60),
+    # the moving row starts outside the cube; the pinned one walks the
+    # record steps alone
+    "pinned-outlives-an-escape": dict(alpha_range=(8.5, 10.5), samples=2,
+                                      s0_policy=_between_live_rows, transient=5, n_record=5,
+                                      lyap_steps=60),
+    # every start is 1e-3 off the rest point, and every orbit reaches it
+    # (within 3.4e-15) by its last recorded state, where it is pinned
+    "pinned-at-the-last-record": dict(alpha_range=(1.0, 6.5), samples=4),
+    # tiny starts: the Jacobian is undefined at the start, the last recorded
+    # state, and the map sends z to ~2 alpha / 9, inside the cube (0, 0.7)
+    # below alpha ~3.15 and outside it above
+    "jacobian-off-last-record-bounded": dict(alpha_range=(0.5, 2.8), samples=6,
+                                             s0_policy=_tiny_start, transient=0, n_record=1,
+                                             lyap_steps=20, seed=7, safety=(0.0, 0.7)),
+    "jacobian-off-last-record-escaped": dict(alpha_range=(3.5, 6.0), samples=6,
+                                             s0_policy=_tiny_start, transient=0, n_record=1,
+                                             lyap_steps=20, seed=7, safety=(0.0, 0.7)),
 }
 _SCAN_PATHS = {
     "all-escaping": {"escaped"},
@@ -525,10 +543,16 @@ _SCAN_PATHS = {
     "underflow": {"bounded", "Jacobian undefined"},
     "escapes-between-live-rows": {"escaped", "bounded", "partial after warmup", "pinned"},
     "pinned-outlives-a-stop": {"bounded", "partial after warmup", "pinned"},
+    "pinned-outlives-an-escape": {"escaped", "bounded", "pinned"},
+    "pinned-at-the-last-record": {"bounded", "pinned"},
+    "jacobian-off-last-record-bounded": {"bounded", "Jacobian undefined at x_S"},
+    "jacobian-off-last-record-escaped": {"escaped", "escaped at x_S+1, Jacobian undefined at x_S"},
 }
 
 
-def _paths(table, notes) -> set:
+def _paths(kw) -> set:
+    """The paths the per-sample scan of the case ``kw`` takes."""
+    table, notes = _oracle_scan(P, **kw)
     out = {"escaped" if r.escaped else "bounded" for r in table.rows}
     for note in notes:
         out |= {tag for tag, hit in [
@@ -536,8 +560,27 @@ def _paths(table, notes) -> set:
             ("partial", "partial" in note),
             ("warmup not reached", "warmup not reached" in note),
             ("partial after warmup", "partial" in note and "warmup" not in note),
-            ("Jacobian undefined", "Jacobian undefined" in note)] if hit}
+            ("Jacobian undefined", "Jacobian undefined" in note),
+            ("Jacobian undefined at x_S", "Jacobian undefined at step 0;" in note)] if hit}
+    # an orbit that records all its states, has no Jacobian at the last one,
+    # x_S, and escapes next although the map is defined at x_S: its x_{S+1}
+    # left the cube
+    record = {key: v for key, v in kw.items() if key != "lyap_steps"}
+    n_record = record.get("n_record", 200)
+    for pa, rec in _recorded_orbits(P, **record):
+        if rec.n_recorded == n_record and rec.escape_step == rec.transient + n_record:
+            x_s = State(*rec.points[-1])
+            if not _undefined(eval_map, pa, x_s) and _undefined(eval_jacobian, pa, x_s):
+                out.add("escaped at x_S+1, Jacobian undefined at x_S")
     return out
+
+
+def _undefined(f, *args) -> bool:
+    try:
+        f(*args)
+    except DomainError:
+        return True
+    return False
 
 
 @st.composite
@@ -570,13 +613,17 @@ class TestLockstepScan:
     @example(_SCAN_CASES["underflow"])
     @example(_SCAN_CASES["escapes-between-live-rows"])
     @example(_SCAN_CASES["pinned-outlives-a-stop"])
+    @example(_SCAN_CASES["pinned-outlives-an-escape"])
+    @example(_SCAN_CASES["pinned-at-the-last-record"])
+    @example(_SCAN_CASES["jacobian-off-last-record-bounded"])
+    @example(_SCAN_CASES["jacobian-off-last-record-escaped"])
     def test_csv_bytes_equal_the_per_sample_scan(self, kw):
         want, _ = _oracle_scan(P, **kw)
         assert _csv(bifurcation_scan(P, **kw)) == _csv(want)
 
     @pytest.mark.parametrize("case", sorted(_SCAN_CASES))
     def test_cases_reach_their_paths(self, case):
-        assert _paths(*_oracle_scan(P, **_SCAN_CASES[case])) >= _SCAN_PATHS[case]
+        assert _paths(_SCAN_CASES[case]) >= _SCAN_PATHS[case]
 
     def test_rows_escape_between_live_rows_in_both_phases(self):
         # a row that leaves the arrays between two live rows with other rates
@@ -648,6 +695,15 @@ def _lyap1_masked(text: str) -> str:
     return lines[0] + "".join(",".join(c[:2] + ["f" if c[2] else ""] + c[3:]) for c in cells)
 
 
+def _largest_exponent(p, s, n):
+    """The scan's walk from each column of the (3, m) starts ``s`` at rate
+    ``p.alpha``, with no transient and one recorded state: ``n`` tangent
+    steps from the start itself.  Every row must stay unescaped."""
+    escaped, lyap1, _ = _scan_rows(p, np.full(s.shape[1], p.alpha), s, 0, 1, n, *DEFAULT_SAFETY)
+    assert not escaped.any()
+    return lyap1
+
+
 class TestOneVectorExponent:
     """The one-vector largest exponent against the QR frame it replaced."""
 
@@ -703,8 +759,7 @@ class TestOneVectorExponent:
         p = Params(0.4, 0.55, 0.6, 10.0)
         s = State(1e-320, 0.5, 0.0)
         assert eval_jacobian(p, s)[1, 0] > math.sqrt(sys.float_info.max)
-        got = _largest_exponents(p, np.array([p.alpha]), np.array([s.as_tuple()]).T, 3,
-                                 *DEFAULT_SAFETY)[0]
+        got = _largest_exponent(p, np.array([s.as_tuple()]).T, 3)[0]
         qr = lyapunov_spectrum(p, s, 3).exponents
         assert math.isfinite(got) and min(abs(e - got) for e in qr) <= 1e-12
 
@@ -717,8 +772,8 @@ class TestOneVectorExponent:
         assert not eval_jacobian(p, zero)[:, 0].any()
         s = np.array([zero.as_tuple(), other.as_tuple()]).T
         with np.errstate(all="ignore"):
-            got = _largest_exponents(p, np.full(2, p.alpha), s, 40, *DEFAULT_SAFETY)
-            alone = _largest_exponents(p, np.full(1, p.alpha), s[:, 1:], 40, *DEFAULT_SAFETY)
+            got = _largest_exponent(p, s, 40)
+            alone = _largest_exponent(p, s[:, 1:], 40)
         assert got[0] == -math.inf
         assert got[1:].tobytes() == alone.tobytes()
         assert alone[0] == _one_vector_exponent(p, other, 40)[0]
