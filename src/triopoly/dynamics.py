@@ -463,6 +463,10 @@ def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, 
             leave |= _jacobian_off(sums)     # not escaped; its lyap1 stays nan
         elif k == n:
             leave = np.ones(rows.size, dtype=bool)
+        # every row's z, x_S's included for rows that leave at x_S with an
+        # undefined Jacobian (an escaped row's tail is never read)
+        if k <= 0 and t > last - kz:
+            tails[rows, kz - 1 + k] = z
         # the rows that leave here: escapes up to x_S, and after it stops
         # with k factors
         if k == 0 or leave.any():
@@ -475,8 +479,6 @@ def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, 
             if not rows.size:
                 break
             any_pinned, pinned_only = not moving.all(), not moving.any()
-        if k <= 0 and t > last - kz:
-            tails[rows, kz - 1 + k] = z
         if k >= 0:
             if k == warmup:
                 acc[:] = 0.0
@@ -489,8 +491,11 @@ def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, 
         if pinned_only:
             leave = moving      # all false: no row moves, so none stops
             continue
-        off = _map_off(sums)
-        fx, fy, fz = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
+        if k == 0:      # the hand-off's image; the rows off the map left there
+            off, (fx, fy, fz) = False, _keep(~leave, *f)
+        else:
+            off = _map_off(sums)
+            fx, fy, fz = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
         if any_pinned:
             x, y, z = np.where(moving, fx, x), np.where(moving, fy, y), np.where(moving, fz, z)
         else:

@@ -477,6 +477,13 @@ def _tiny_start(p, rng):
     return State(v, v, v)
 
 
+def _falling_start(p, rng):
+    # y falls from 2.5 to ~1e-115 in one step: x + y + z cubed underflows
+    # there, so the Jacobian is undefined while the map stays defined, and
+    # the orbit stays inside the cube
+    return State(1e-240, 2.5, 1e-230)
+
+
 # starts by alpha for the "escapes-between-live-rows" case: the row at 8.5
 # starts outside the cube and escapes in the record phase between live rows;
 # the one at 10 stops 25 steps into the Lyapunov phase, where its Jacobian
@@ -532,6 +539,10 @@ _SCAN_CASES = {
     "jacobian-off-last-record-escaped": dict(alpha_range=(3.5, 6.0), samples=6,
                                              s0_policy=_tiny_start, transient=0, n_record=1,
                                              lyap_steps=20, seed=7, safety=(0.0, 0.7)),
+    # the Jacobian is undefined at x_S = x_2, which the orbit reached by moving
+    "jacobian-off-moved-last-record": dict(alpha_range=(1.0, 1.5), samples=2,
+                                           s0_policy=_falling_start, transient=1, n_record=2,
+                                           lyap_steps=20),
 }
 _SCAN_PATHS = {
     "all-escaping": {"escaped"},
@@ -547,6 +558,7 @@ _SCAN_PATHS = {
     "pinned-at-the-last-record": {"bounded", "pinned"},
     "jacobian-off-last-record-bounded": {"bounded", "Jacobian undefined at x_S"},
     "jacobian-off-last-record-escaped": {"escaped", "escaped at x_S+1, Jacobian undefined at x_S"},
+    "jacobian-off-moved-last-record": {"bounded", "Jacobian undefined at a moved x_S"},
 }
 
 
@@ -572,6 +584,10 @@ def _paths(kw) -> set:
             x_s = State(*rec.points[-1])
             if not _undefined(eval_map, pa, x_s) and _undefined(eval_jacobian, pa, x_s):
                 out.add("escaped at x_S+1, Jacobian undefined at x_S")
+        # a recorded orbit that moved into x_S, where its Jacobian is undefined
+        if (not rec.escaped and rec.n_recorded >= 2 and (rec.points[-1] != rec.points[-2]).any()
+                and _undefined(eval_jacobian, pa, State(*rec.points[-1]))):
+            out.add("Jacobian undefined at a moved x_S")
     return out
 
 
@@ -617,6 +633,7 @@ class TestLockstepScan:
     @example(_SCAN_CASES["pinned-at-the-last-record"])
     @example(_SCAN_CASES["jacobian-off-last-record-bounded"])
     @example(_SCAN_CASES["jacobian-off-last-record-escaped"])
+    @example(_SCAN_CASES["jacobian-off-moved-last-record"])
     def test_csv_bytes_equal_the_per_sample_scan(self, kw):
         want, _ = _oracle_scan(P, **kw)
         assert _csv(bifurcation_scan(P, **kw)) == _csv(want)
