@@ -131,6 +131,7 @@ def _int_in(lo: int, hi: float, what: str):
 
 
 _parse_count = _int_in(0, math.inf, "a non-negative integer")
+_parse_positive = _int_in(1, math.inf, "an integer >= 1")
 
 
 def _parse_word(text) -> str:
@@ -161,11 +162,11 @@ _OPTIONS = {
     "tol": (_parse_float, {}),
     "seed": (_parse_count, {}),
     "out": (str, {"help": "output file (default: stdout); a prefix for horseshoe"}),
-    "budget": (_parse_int, {"help": "interval-refinement budget of the rigorous engine "
-                                    "(certify) or candidate evaluations (search)"}),
+    "budget": (_parse_positive, {"help": "interval-refinement budget of the rigorous engine "
+                                         "(certify) or candidate evaluations (search)"}),
     "strategy": (str, {"choices": ("grid", "random", "refine")}),
     "scale": (_parse_float, {"help": "relative half-width of the perturbation around --box"}),
-    "max_hits": (_parse_int, {}),
+    "max_hits": (_parse_positive, {}),
     "resolution": (_int_in(2, math.inf, "an integer >= 2"), {}),
     "paths": (_parse_count, {"help": "number of random crossing paths"}),
     "word": (_parse_word, {"help": "binary word, e.g. 011"}),
@@ -177,7 +178,7 @@ _OPTIONS = {
     "steps": (_parse_count, {}),
     "transient": (_parse_count, {}),
     "alpha_range": (_parse_pair, {"metavar": "lo,hi"}),
-    "samples": (_parse_int, {}),
+    "samples": (_int_in(2, math.inf, "an integer >= 2"), {}),
     "policy": (str, {"choices": ("nash", "perturbed-nash")}),
     "mu": (_parse_float, {}),
 }

@@ -13,10 +13,10 @@ rigorous enclosure of F3 over it misses [z_l, z_r] (so no point of the
 cell can map back into R).  Only the z-coordinate is tested because a
 point of R can leave R only along z: on a certified box C4 and C5 put F1
 and F2 of every point of R inside [x_l, x_r] and [y_l, y_r].  A cell near
-the decision boundary is split into sub-cells, level by level, until one
-sub-cell is kept (its centre or a corner maps strictly inside R, or at the
-last level its F3 enclosure meets [z_l, z_r]) or every sub-cell is
-excluded; the split of a cell stops at its first kept sub-cell.  Everything
+the decision boundary is split into eight, depth first, ``_CHUNK // 8``
+cells at a time; it is kept when a sub-cell is (its centre or a corner
+maps strictly inside R, or at the last level its F3 enclosure meets
+[z_l, z_r]) and dropped when every sub-cell is excluded.  Everything
 kept is therefore a genuine cover; the interesting empirical fact, which
 the tests pin down, is that the boundary layer below the midplane drops
 out and the two covers end up disjoint, as the midplane condition predicts.
@@ -65,14 +65,14 @@ __all__ = [
 RETAIN_MARGIN = 1e-9  # a sample point's float F3 this far inside [z_l, z_r]: keep the cell
 MAX_SPLIT_DEPTH = 5
 # cells per call of the enclosure kernels, which make dozens of
-# temporaries per call.  Only a grid's top level fills a call; at res 32
-# the split levels hold under 2 000 cells.  In cold benchmark passes 8192
-# peaked ~1 MB lower than 16384 in every pair and built covers ~2 % faster
-# in most; warm res-64 builds read ~3 % slower, inside their spread.  One
-# call per level built res-64 covers ~15 % slower and peaked 16 MB higher,
-# with the same bits.  The sample-point test is not chunked: it holds a
-# few floats per lattice vertex and centre, 18 513 vertices and 16 384
-# centres for a res-32 half.
+# temporaries per call, and rows per split call (``_CHUNK // 8`` parents).
+# Only a grid's top level fills a call; at res 32 the split levels hold
+# under 2 000 cells.  In cold benchmark passes 8192 peaked ~1 MB lower than
+# 16384 in every pair and built covers ~2 % faster in most; warm res-64
+# builds read ~3 % slower, inside their spread.  One call per level built
+# res-64 covers ~15 % slower and peaked 16 MB higher, with the same bits.
+# The top lattice is not chunked: its sample-point test holds a few floats
+# per vertex and centre, 18 513 vertices and 16 384 centres for a res-32 half.
 _CHUNK = 8192
 # image samples per path segment when the stretching check brackets a crossing
 _SAMPLES_PER_SEGMENT = 16
@@ -257,28 +257,27 @@ def _kept_cells(p: Params, b: Box, edges: tuple, depth: int) -> np.ndarray:
     """The rows of the lattice ``edges`` that the cover keeps, in order; a
     row left out provably maps wholly outside the box.
 
-    Every level is a lattice whose rows ``_lattice_cells`` builds: the grid
-    of ``edges`` at the top, and at each split level the 3 x 3 x 3 lattice
-    of each split cell (``_halved_edges``).  One pass per split level,
-    ``depth`` splits deep.  ``root`` maps each live sub-cell to its
-    top-level cell.  The answer is that of the enclosures alone: each level
-    splits the sub-cells whose F3 enclosure meets [z_l, z_r], and a cell is
-    kept when a sub-cell of the last level still meets.  Cheap first, to
-    the same answer: the plain range before the mean-value form, a filter
-    that changes no mask, and before each split a sample-point test that
-    keeps a cell outright, after which its other sub-cells are dropped,
-    since they can no longer change the answer.  The sample points are the
-    vertices and cell centres of each level's lattice (``_lattice_keep``);
-    a vertex stands for the corner of every cell that shares it.
+    A depth-first split, ``depth`` levels deep.  Each call tests one set
+    of lattices (``_lattice_cells``): the grid of ``edges``, or the
+    3 x 3 x 3 lattices (``_halved_edges``) of up to ``_CHUNK // 8``
+    parents, whose children come parent by parent, eight each.  The answer
+    is that of the enclosures alone: a row whose F3 enclosure meets
+    [z_l, z_r] is split, and kept when a child is kept or, at the last
+    level, when it meets.  Cheap first, to the same answer: the plain range
+    before the mean-value form, a filter that changes no mask, and above
+    the last level a sample-point test at the lattices' vertices and cell
+    centres (``_lattice_keep``) that keeps a row outright.  Alive at once:
+    the top lattice plus at most ``MAX_SPLIT_DEPTH * _CHUNK`` split rows,
+    one lattice set per open call, whatever the two tests leave open.
 
-    Why a sample point keeps only cells the enclosures keep: let P, the
-    centre or a corner of a live sub-cell, have a float F3 inside
+    Why a sample point keeps only rows the enclosures keep: let P, the
+    centre or a corner of a row, have a float F3 inside
     [z_l + RETAIN_MARGIN, z_r - RETAIN_MARGIN].  The float F3 of a point
     of R is far closer than that margin to the true one (a few ulps of a
-    number of order 1), so the true F3(P) lies in [z_l, z_r].  Every
-    sub-cell that contains P has an outward F3 enclosure containing F3(P),
-    so it meets and is split; one of its children contains P again.  So
-    some sub-cell at the last level contains P and meets, and the cell is
+    number of order 1), so the true F3(P) lies in [z_l, z_r].  Every row
+    that contains P has an outward F3 enclosure containing F3(P), so it
+    meets and is split; one of its children contains P again.  So some
+    row at the last level below it contains P and meets, and the row is
     kept at the latest there.
 
     Only F3 is enclosed.  Every cell lies in the certified box R, so C4
@@ -288,21 +287,21 @@ def _kept_cells(p: Params, b: Box, edges: tuple, depth: int) -> np.ndarray:
     a sound cover.  For the same reason the sample points test F3 alone:
     C4 and C5 already put F1 and F2 of each point inside R.
     """
-    top = cells = _lattice_cells(*edges)
-    kept = np.zeros(cells.shape[0], dtype=bool)
-    root = np.arange(cells.shape[0])
-    for level in range(depth, -1, -1):
-        if level > 0:
-            kept[root[_lattice_keep(p, b, *edges)]] = True
-            live = ~kept[root]
-            cells, root = cells[live], root[live]
-        meets = ~_image_misses_box(p, cells, b)
-        if level == 0:
-            kept[root[meets]] = True
-        else:
-            edges = _halved_edges(cells[meets])
-            cells, root = _lattice_cells(*edges), np.repeat(root[meets], 8)
-    return top[kept]
+    def keep(cells, edges, depth):
+        kept = _lattice_keep(p, b, *edges) if depth else np.zeros(cells.shape[0], dtype=bool)
+        rows = np.flatnonzero(~kept)
+        rows = rows[~_image_misses_box(p, cells[rows], b)]
+        if depth == 0:
+            kept[rows] = True
+            return kept
+        for i in range(0, rows.size, _CHUNK // 8):
+            split = rows[i:i + _CHUNK // 8]
+            sub = _halved_edges(cells[split])
+            kept[split] = keep(_lattice_cells(*sub), sub, depth - 1).reshape(-1, 8).any(axis=1)
+        return kept
+
+    cells = _lattice_cells(*edges)
+    return cells[keep(cells, edges, depth)]
 
 
 def build_K_enclosures(

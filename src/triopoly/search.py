@@ -22,7 +22,8 @@ together with the condition that killed it, and ``killed_by`` counts, per
 sub-inequality (H2a ... H5e), the candidates it killed.
 
 Candidates are never judged one object at a time.  Unit-cube rows are
-decoded in chunks of 16384 as (n, 5) arrays; ``_judge`` evaluates the
+drawn and decoded in chunks of 16384 as (n, 5) arrays, so a search's
+memory does not grow with its budget; ``_judge`` evaluates the
 H inequalities of :func:`triopoly.certificate.h_inequalities` (the same
 definition ``check_H`` builds its records from) over the whole chunk and
 replays the record, rank and binding-failure rules of ``check_H`` per
@@ -67,7 +68,7 @@ __all__ = ["NearMiss", "SearchResult", "search_boxes", "RANK_IDS"]
 RANK_IDS = ("H2", "H3", "H4", "H5")
 
 _PAD = 1e-9          # interior padding for open windows
-_CHUNK = 16384       # rows decoded and judged per array pass
+_CHUNK = 16384       # rows drawn, decoded and judged per array pass
 _STRATEGIES = ("grid", "random", "refine")
 
 
@@ -423,11 +424,10 @@ class _Scan:
         return {sid: int(c) for sid, c in zip(self.kill_ids, self.killed) if c}
 
 
-def _scan_rows(rows: np.ndarray, base, scale: float, scan: _Scan) -> None:
-    """Decode unit-cube rows into candidates and fold them into ``scan``,
-    one chunk of rows at a time."""
-    for start in range(0, len(rows), _CHUNK):
-        block = rows[start:start + _CHUNK]
+def _scan_rows(blocks, base, scale: float, scan: _Scan) -> None:
+    """Decode blocks of unit-cube rows into candidates and fold them into
+    ``scan``, one block at a time."""
+    for block in blocks:
         cand = _decode_near(block, base, scale) if base is not None else _decode_skeleton(block, scan.p)
         if cand is None:
             return
@@ -438,13 +438,24 @@ def _scan_rows(rows: np.ndarray, base, scale: float, scan: _Scan) -> None:
 # strategies
 # ---------------------------------------------------------------------------
 
-def _grid_rows(budget: int) -> np.ndarray:
+def _random_rows(seed, count: int):
+    """The rows of ``default_rng(seed).random((count, 5))``, drawn
+    ``_CHUNK`` at a time."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, count, _CHUNK):
+        yield rng.random((min(_CHUNK, count - start), 5))
+
+
+def _grid_rows(budget: int):
+    """The n^5 <= ``budget`` cell midpoints of the unit cube's largest
+    grid, last coordinate fastest, ``_CHUNK`` rows at a time."""
     n = 1
     while (n + 1) ** 5 <= budget:
         n += 1
     mids = (np.arange(n) + 0.5) / n
-    grids = np.meshgrid(*([mids] * 5), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    for start in range(0, n ** 5, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, n ** 5))
+        yield mids[np.stack(np.unravel_index(idx, (n,) * 5), axis=1)]
 
 
 def _climb(p: Params, vec0, budget: int):
@@ -634,15 +645,13 @@ def search_boxes(
     if strategy == "grid":
         _scan_rows(_grid_rows(budget), base, scale, scan)
     elif strategy == "random":
-        rng = np.random.default_rng(seed)
-        _scan_rows(rng.random((budget, 5)), base, scale, scan)
+        _scan_rows(_random_rows(seed, budget), base, scale, scan)
     else:
         start = base
         if base is None:
             boot = budget // 2
             if boot > 0:
-                rng = np.random.default_rng(seed)
-                _scan_rows(rng.random((boot, 5)), None, scale, scan)
+                _scan_rows(_random_rows(seed, boot), None, scale, scan)
             pool = scan.hits or ([] if scan.miss is None else [(scan.miss.margin, scan.miss.box)])
             if pool:
                 start = _vec_of(max(pool, key=lambda t: t[0])[1])

@@ -176,12 +176,20 @@ class TestConfigFile:
          "--start needs 3 comma-separated numbers, got '1,2'"),
         (["simulate", "--preset", "paper", "--steps", "2"], "start", "nan,0,0",
          "coordinate x must be finite"),
+        # counts below their floor, which the library would report by its
+        # own parameter names
+        (["certify", "--preset", "paper"], "budget", "-1", "expected an integer >= 1, got '-1'"),
+        (["search", "--preset", "paper"], "budget", "0", "expected an integer >= 1, got '0'"),
+        (["search", "--preset", "paper"], "max_hits", "-1", "expected an integer >= 1, got '-1'"),
+        (["bifurcate", "--preset", "paper", "--alpha-range", "8,9"], "samples", "1",
+         "expected an integer >= 2, got '1'"),
     ])
     def test_a_malformed_value_prints_its_reason_as_flag_and_config_key(
             self, capsys, tmp_path, argv, key, value, reason):
-        code, out, err = run(capsys, *argv, f"--{key}", value)
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run(capsys, *argv, flag, value)
         assert code == 3 and out == ""
-        assert f"error: argument --{key}: {reason}" in err
+        assert f"error: argument {flag}: {reason}" in err
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
         code, out, err2 = run(capsys, *argv, "--config", str(cfg))

@@ -410,6 +410,32 @@ class TestKEnclosures:
         assert seen == {"plain": 18668, "refined": 3441, "points": 78264,
                         "full map": 0, "split": 1936}
 
+    def test_split_memory_is_bounded_whatever_the_tests_leave_open(self, monkeypatch):
+        """With a keep test that keeps nothing and an exclusion that drops
+        nothing, every cell of the res-2 grid splits ``MAX_SPLIT_DEPTH``
+        levels deep, 8^5 sub-cells each, yet no lattice below the top holds
+        more than ``_CHUNK`` rows."""
+        cells, edges = _cube(PAPER_BOX, 2)
+        sizes = []
+        lattice = horseshoe._lattice_cells
+
+        def counted(xe, ye, ze):
+            out = lattice(xe, ye, ze)
+            sizes.append(out.shape[0])
+            return out
+
+        def keeps_nothing(p, b, xe, ye, ze):
+            return np.zeros(lattice(xe, ye, ze).shape[0], dtype=bool)
+
+        monkeypatch.setattr(horseshoe, "_lattice_cells", counted)
+        monkeypatch.setattr(horseshoe, "_lattice_keep", keeps_nothing)
+        monkeypatch.setattr(horseshoe, "_image_misses_box",
+                            lambda p, rows, b: np.zeros(rows.shape[0], dtype=bool))
+        got = _kept_cells(P, PAPER_BOX, edges, MAX_SPLIT_DEPTH)
+        assert got.tobytes() == cells.tobytes()
+        assert sizes[0] == 8 and sum(sizes[1:]) == sum(8 ** k for k in range(2, 7))
+        assert max(sizes[1:]) <= horseshoe._CHUNK
+
     @pytest.mark.parametrize("res", [16, 32])
     def test_a_centre_kept_cell_has_an_enclosure_that_meets_the_box(self, res):
         """The sample-point test may run first only because it never keeps a

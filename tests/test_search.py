@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -317,6 +318,25 @@ def test_search_jsonl_bytes_are_frozen(case):
 
 def test_frozen_budgets_straddle_the_chunk_size():
     assert 16_389 % _CHUNK and 33_000 % _CHUNK and 33_000 > 2 * _CHUNK
+
+
+def _traced_peak(*args):
+    tracemalloc.start()
+    try:
+        search_boxes(PAPER_PARAMS, *args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("strategy", ["random", "grid", "refine"])
+def test_memory_does_not_grow_with_the_budget(strategy):
+    """The unit-cube rows are drawn one chunk at a time: a budget of ~12
+    chunks (refine's bootstrap pass is half of it) peaks within 1 MB of a
+    one-chunk random search.  Drawing all rows at once costs 40 B a row,
+    +7 MB here."""
+    one_chunk = _traced_peak("random", _CHUNK)
+    assert _traced_peak(strategy, 200_000) <= one_chunk + 1_000_000
 
 
 # ---------------------------------------------------------------------------
