@@ -3,14 +3,18 @@
 Two stacked layers:
 
 * ``check_H``   -- the five closed-form hypothesis groups (H1)-(H5) on the
-  box corners.  Pure float arithmetic, margins are reported per atomic
-  inequality.
+  box corners, with a margin per atomic inequality.
 * ``check_C_analytic`` -- the five covering conditions (C1), (C2), (C3'),
   (C4), (C5) on the map image, each reduced to a one-dimensional monotone
-  section whose extremum has a closed form.  The reductions only apply when
-  their monotonicity preconditions hold; a violated precondition yields an
-  ``inapplicable`` record (distinct from ``fail``: the condition itself may
-  still be true, this engine just cannot decide it).
+  section whose extremum has a closed form.
+
+Both layers build their records by one rule.  A condition is a list of
+preconditions and a list of atoms ``lhs relation rhs``; ``_sub_check``
+decides each atom and ``_record`` makes the condition's record.  When a
+precondition fails the record is ``inapplicable`` and its note names each
+violated precondition (distinct from ``fail``: the condition itself may
+still be true, this engine just cannot decide it).  Only the exact C1
+record and the H1 equality stand outside the rule.
 
 What the full certificate buys: every path joining the bottom face z = z_l
 to the top face z = z_r has two disjoint subpaths, one per half-box, whose
@@ -18,7 +22,7 @@ images again join the two faces while staying inside the box cross-section.
 That is the stretching-along-paths property on two symbols, and it forces a
 topological horseshoe: periodic points of every word and entropy >= log 2.
 
-``certify_box`` merges the layers and optionally cross-checks the C layer
+``certify_box`` joins the layers and optionally cross-checks the C layer
 against the rigorous interval oracle in :mod:`triopoly.bounds`.  Both
 layers here are decided in round-to-nearest floats, not under outward
 rounding; only that interval oracle rounds outward.  Deciding them under
@@ -153,16 +157,6 @@ class Certificate:
         ]
         return min(vals) if vals else float("nan")
 
-    def merged_with(self, other: "Certificate", engine: str) -> "Certificate":
-        conds = list(self.conditions) + list(other.conditions)
-        return Certificate(
-            params=self.params,
-            box=self.box,
-            conditions=conds,
-            engine=engine,
-            tol=self.tol if self.tol is not None else other.tol,
-        )
-
     def as_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
@@ -215,36 +209,30 @@ def condition_record(cid, subchecks, engine, note="", interval=None) -> Conditio
 
 
 # ---------------------------------------------------------------------------
-# atomic inequality helpers
+# the one record rule of both analytic layers
 # ---------------------------------------------------------------------------
 
-def _strict(cid, lhs, rhs, note="") -> SubCheck:
+def _sub_check(cid, relation, lhs, rhs, note) -> SubCheck:
+    """One atom ``lhs relation rhs`` with margin lhs - rhs: ``">"`` passes
+    when the margin is above DEFAULT_MIN_MARGIN, ``">="`` when it is >= 0."""
     margin = lhs - rhs
-    status = PASS if margin > DEFAULT_MIN_MARGIN else FAIL
-    return SubCheck(cid, lhs, rhs, ">", margin, status, note)
+    holds = margin > DEFAULT_MIN_MARGIN if relation == ">" else margin >= 0.0
+    return SubCheck(cid, lhs, rhs, relation, margin, PASS if holds else FAIL, note)
 
 
-def _weak(cid, lhs, rhs, note="") -> SubCheck:
-    margin = lhs - rhs
-    status = PASS if margin >= 0.0 else FAIL
-    return SubCheck(cid, lhs, rhs, ">=", margin, status, note)
+def _record(cid, preconditions, subchecks, note="", relation="") -> ConditionRecord:
+    """The analytic record of one condition.
 
-
-def _undefined(cid, relation, note) -> SubCheck:
-    return SubCheck(cid, None, None, relation, None, FAIL, note)
-
-
-def _inapplicable(cid, note, relation="") -> ConditionRecord:
-    return ConditionRecord(
-        cid=cid,
-        status=INAPPLICABLE,
-        lhs=None,
-        rhs=None,
-        relation=relation,
-        margin=None,
-        engine="analytic",
-        note=note,
-    )
+    ``preconditions`` lists ``(holds, note)`` pairs.  When any fails the
+    record is ``inapplicable`` and its note joins the notes of the violated
+    ones; otherwise it is the :func:`condition_record` of ``subchecks()``,
+    which is called only then, so its sides may assume the preconditions.
+    """
+    blocked = [text for holds, text in preconditions if not holds]
+    if blocked:
+        return ConditionRecord(cid, INAPPLICABLE, None, None, relation, None, "analytic",
+                               note="; ".join(blocked))
+    return condition_record(cid, subchecks(), "analytic", note)
 
 
 def _sqrt_or_nan(v: float) -> float:
@@ -348,20 +336,15 @@ def check_H(p: Params, b: Box) -> Certificate:
         if root is not None and operands[root] < 0.0:
             if root not in undefined:
                 undefined.add(root)
-                subs[cid].append(
-                    _undefined(sid, relation, f"sqrt of negative operand ({root} < 0)"))
-        elif relation == ">":
-            subs[cid].append(_strict(sid, lhs, rhs, note))
+                subs[cid].append(SubCheck(sid, None, None, relation, None, FAIL,
+                                          f"sqrt of negative operand ({root} < 0)"))
         else:
-            subs[cid].append(_weak(sid, lhs, rhs, note))
+            subs[cid].append(_sub_check(sid, relation, lhs, rhs, note))
 
-    if p.gradient_bound_defined:
-        h2 = condition_record("H2", subs["H2"], "analytic")
-    else:
-        h2 = _inapplicable(
-            "H2", f"alpha*c3 = {p.alpha * p.c3} <= 1: escape bound undefined", ">=")
-    records = [h1, h2] + [condition_record(cid, subs[cid], "analytic")
-                          for cid in ("H3", "H4", "H5")]
+    escape = (p.gradient_bound_defined,
+              f"alpha*c3 = {p.alpha * p.c3} <= 1: escape bound undefined")
+    records = [h1, _record("H2", [escape], lambda: subs["H2"], relation=">=")]
+    records += [condition_record(cid, subs[cid], "analytic") for cid in ("H3", "H4", "H5")]
     return Certificate(params=p, box=b, conditions=records, engine="analytic")
 
 
@@ -393,96 +376,56 @@ def check_C_analytic(p: Params, b: Box) -> Certificate:
     * C5: F2 = psi(D) with D = x+z decreasing for D > 1/(4c2), so the range
       over the box is [psi(x_r+z_r), psi(x_l+z_l)] and must sit in [y_l,y_r].
 
-    A violated monotonicity precondition yields ``inapplicable`` naming the
-    precondition, so callers can distinguish "condition is false" from
-    "this reduction cannot decide".  The closed forms, the preconditions
-    and the margins are all evaluated in round-to-nearest floats.
+    Each row of the table below gives a condition's monotonicity
+    preconditions, a thunk of its atoms ``_sub_check(id, relation, lhs,
+    rhs, note)`` and its note; the atoms are formed only when every
+    precondition holds, since C5's square roots and ``_f3_point``'s
+    division assume them.  A violated precondition yields ``inapplicable``
+    naming it, so callers can distinguish "condition is false" from "this
+    reduction cannot decide".  The closed forms, the preconditions and the
+    margins are all evaluated in round-to-nearest floats.
     """
     xl, xr, yl, yr, zl, zr = b.as_tuple()
     z_mid = b.z_mid
-
-    # C1 ----------------------------------------------------------------
-    if zl == 0.0:
-        c1_rec = ConditionRecord(
-            cid="C1",
-            status=PASS,
-            lhs=0.0,
-            rhs=0.0,
-            relation="==",
-            margin=0.0,
-            engine="analytic",
-            note="F3 vanishes identically on the bottom face (exact z-factor)",
-        )
-    else:
-        c1_rec = _inapplicable("C1", "analytic C1 needs z_l = 0 (H1)")
-
-    # C2 ----------------------------------------------------------------
-    if not (xl + yl > zr):
-        c2_rec = _inapplicable(
-            "C2", "precondition x_l+y_l > z_r violated: top-face section not monotone"
-        )
-    else:
-        worst = _f3_point(p, xl, yl, zr)
-        sub = _weak("C2", 0.0, worst, "max F3 on top face <= 0")
-        c2_rec = condition_record("C2", [sub], "analytic",
-                                  note="max F3 on top face at (x_l, y_l, z_r)")
-
-    # C3' ---------------------------------------------------------------
-    if not (xl + yl > z_mid):
-        c3_rec = _inapplicable(
-            "C3p", "precondition x_l+y_l > z_mid violated: midplane section not monotone"
-        )
-    else:
-        worst = _f3_point(p, xr, yr, z_mid)
-        sub = _strict("C3p", worst, zr, "min F3 on midplane > z_r")
-        c3_rec = condition_record("C3p", [sub], "analytic",
-                                  note="min F3 on midplane at (x_r, y_r, z_mid)")
-
-    # C4 ----------------------------------------------------------------
     b_lo, b_hi = yl + zl, yr + zr
-    half = 0.5 / p.c1
-    crit_lo = half - xr  # argmax of Phi(x_r, .)
-    pre_notes = []
-    if not (b_lo <= crit_lo <= b_hi):
-        pre_notes.append("1/(2c1) - x_r outside [y_l+z_l, y_r+z_r]")
-    if not (1.0 / p.c1 - b_hi > xr):
-        pre_notes.append("Phi not increasing in x up to x_r")
-    if not (xl <= half * (1.0 - p.c1 * (yl + yr + zl + zr))):
-        pre_notes.append("min-candidate ordering needs the vertex-sum bound")
-    if pre_notes:
-        c4_rec = _inapplicable("C4", "; ".join(pre_notes))
-    else:
-        phi_max = 0.5 * (xr + 0.25 / p.c1)
-        phi_min = 0.5 * (2.0 * xl + b_lo - p.c1 * (xl + b_lo) ** 2)
-        subs = [
-            _weak("C4max", xr, phi_max, "max F1 <= x_r"),
-            _weak("C4min", phi_min, xl, "min F1 >= x_l"),
-        ]
-        c4_rec = condition_record("C4", subs, "analytic",
-                                  note="extrema at (x_r, 1/(2c1)-x_r) and (x_l, y_l+z_l)")
-
-    # C5 ----------------------------------------------------------------
     d_lo, d_hi = xl + zl, xr + zr
-    if not (d_lo > 0.25 / p.c2):
-        c5_rec = _inapplicable(
-            "C5", "precondition x_l+z_l > 1/(4c2) violated: psi not decreasing on box"
-        )
-    else:
-        psi_hi = math.sqrt(d_lo / p.c2) - d_lo
-        psi_lo = math.sqrt(d_hi / p.c2) - d_hi
-        subs = [
-            _weak("C5max", yr, psi_hi, "max F2 <= y_r"),
-            _weak("C5min", psi_lo, yl, "min F2 >= y_l"),
-        ]
-        c5_rec = condition_record("C5", subs, "analytic",
-                                  note="extrema at D = x_l+z_l and D = x_r+z_r")
+    half = 0.5 / p.c1
 
-    return Certificate(
-        params=p,
-        box=b,
-        conditions=[c1_rec, c2_rec, c3_rec, c4_rec, c5_rec],
-        engine="analytic",
-    )
+    # C1 is exact, not an atom: the z-factor of F3 vanishes on z = 0
+    c1 = (ConditionRecord("C1", PASS, 0.0, 0.0, "==", 0.0, "analytic",
+                          note="F3 vanishes identically on the bottom face (exact z-factor)")
+          if zl == 0.0 else _record("C1", [(False, "analytic C1 needs z_l = 0 (H1)")], None))
+    rows = [
+        ("C2",
+         [(xl + yl > zr, "precondition x_l+y_l > z_r violated: top-face section not monotone")],
+         lambda: [_sub_check("C2", ">=", 0.0, _f3_point(p, xl, yl, zr),
+                             "max F3 on top face <= 0")],
+         "max F3 on top face at (x_l, y_l, z_r)"),
+        ("C3p",
+         [(xl + yl > z_mid,
+           "precondition x_l+y_l > z_mid violated: midplane section not monotone")],
+         lambda: [_sub_check("C3p", ">", _f3_point(p, xr, yr, z_mid), zr,
+                             "min F3 on midplane > z_r")],
+         "min F3 on midplane at (x_r, y_r, z_mid)"),
+        ("C4",
+         [(b_lo <= half - xr <= b_hi, "1/(2c1) - x_r outside [y_l+z_l, y_r+z_r]"),
+          (1.0 / p.c1 - b_hi > xr, "Phi not increasing in x up to x_r"),
+          (xl <= half * (1.0 - p.c1 * (yl + yr + zl + zr)),
+           "min-candidate ordering needs the vertex-sum bound")],
+         lambda: [_sub_check("C4max", ">=", xr, 0.5 * (xr + 0.25 / p.c1), "max F1 <= x_r"),
+                  _sub_check("C4min", ">=",
+                             0.5 * (2.0 * xl + b_lo - p.c1 * ((xl + b_lo) * (xl + b_lo))),
+                             xl, "min F1 >= x_l")],
+         "extrema at (x_r, 1/(2c1)-x_r) and (x_l, y_l+z_l)"),
+        ("C5",
+         [(d_lo > 0.25 / p.c2,
+           "precondition x_l+z_l > 1/(4c2) violated: psi not decreasing on box")],
+         lambda: [_sub_check("C5max", ">=", yr, math.sqrt(d_lo / p.c2) - d_lo, "max F2 <= y_r"),
+                  _sub_check("C5min", ">=", math.sqrt(d_hi / p.c2) - d_hi, yl, "min F2 >= y_l")],
+         "extrema at D = x_l+z_l and D = x_r+z_r"),
+    ]
+    return Certificate(params=p, box=b, conditions=[c1] + [_record(*row) for row in rows],
+                       engine="analytic")
 
 
 # ---------------------------------------------------------------------------
@@ -533,46 +476,37 @@ def certify_box(
     _check_tol(tol)
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    h_cert = check_H(p, b)
+    h = check_H(p, b).conditions
 
     if engine == "analytic":
-        return h_cert.merged_with(check_C_analytic(p, b), engine="analytic")
+        return Certificate(params=p, box=b, conditions=h + check_C_analytic(p, b).conditions,
+                           engine="analytic")
 
     from .bounds import verify_C_rigorous  # deferred: bounds imports Box types
 
     i_cert = verify_C_rigorous(p, b, tol=tol, budget=budget)
     if engine == "interval":
-        return h_cert.merged_with(i_cert, engine="interval")
+        return Certificate(params=p, box=b, conditions=h + i_cert.conditions,
+                           engine="interval", tol=tol)
 
     a_cert = check_C_analytic(p, b)
     fused: list[ConditionRecord] = []
     for cid in C_IDS:
         ra = a_cert.condition(cid)
         ri = i_cert.condition(cid)
-        status = _merge_status(ra.status, ri.status)
-        confirmed = [
-            name
-            for name, rec in (("analytic", ra), ("interval", ri))
-            if rec.status == PASS
-        ]
-        rec = ConditionRecord(
+        confirmed = ",".join(name for name, rec in (("analytic", ra), ("interval", ri))
+                             if rec.status == PASS)
+        fused.append(ConditionRecord(
             cid=cid,
-            status=status,
+            status=_merge_status(ra.status, ri.status),
             lhs=ra.lhs if ra.lhs is not None else ri.lhs,
             rhs=ra.rhs if ra.rhs is not None else ri.rhs,
             relation=ra.relation or ri.relation,
             margin=ra.margin if ra.margin is not None else ri.margin,
             engine="analytic+interval",
             subchecks=list(ra.subchecks),
-            note="; ".join(n for n in (ra.note, ri.note) if n),
+            note="; ".join(n for n in (ra.note, ri.note, "confirmed by: " + (confirmed or "none"))
+                           if n),
             interval=ri.interval,
-        )
-        rec.note = (rec.note + ("; " if rec.note else "") + "confirmed by: " + (",".join(confirmed) or "none"))
-        fused.append(rec)
-    return Certificate(
-        params=p,
-        box=b,
-        conditions=list(h_cert.conditions) + fused,
-        engine="both",
-        tol=tol,
-    )
+        ))
+    return Certificate(params=p, box=b, conditions=h + fused, engine="both", tol=tol)

@@ -316,12 +316,7 @@ class StabilityReport:
             "eigenvalues": [[v.real, v.imag] for v in self.eigenvalues],
             "moduli": list(self.moduli),
             "classification": self.classification,
-            "params": {
-                "c1": self.params.c1,
-                "c2": self.params.c2,
-                "c3": self.params.c3,
-                "alpha": self.params.alpha,
-            },
+            "params": self.params.as_dict(),
             "tol": self.tol,
         }
 

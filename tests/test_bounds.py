@@ -670,6 +670,7 @@ _FROZEN_BOXES = {
     # the interval engine raises DomainError on this box
     "negative-sqrt": (P, B.replace(x_l=-0.5), {}),
     "c4-starved": (P, B.replace(x_r=0.6249), {"budget": 2}),  # C4 inconclusive
+    "c4-preconditions": (P, Box(2.0, 2.5, 0.3, 0.4, 0.0, 0.3), {}),  # all three C4 ones fail
 }
 
 _FROZEN_CERTS = {
@@ -711,6 +712,12 @@ _FROZEN_CERTS = {
     ("c4-starved", "interval"):
         "b614107a3cceb63178246c9a6e8aa912149e18d627385cfb4d46242ef5e462d5",
     ("c4-starved", "both"): "623516835b93e42948ec24c74c9180ba31a6c528c1c8e8a1284a0d2db1c8f1d7",
+    ("c4-preconditions", "analytic"):
+        "b678f397ef2adbbdeefe76d6605aaa38e096c5efc28412fba7ee668e9d4be6f6",
+    ("c4-preconditions", "interval"):
+        "db15dafbbac54c010cf3c6862f89f4f2a5e989ac1b7936bc999486c3ef2a5a66",
+    ("c4-preconditions", "both"):
+        "1e901005561ba02ea2db71540aecd2083e66a41ca29e287ca18072918d237208",
 }
 
 
@@ -727,13 +734,17 @@ def test_certificate_bytes_are_frozen(name, engine):
 
 def test_frozen_rows_reach_every_record_path():
     """The frozen table covers the inapplicable H2 record, a violated C
-    precondition, an undefined square root and a budget-starved record."""
+    precondition, the joined notes of several violated ones, an undefined
+    square root and a budget-starved record."""
     def statuses(name, engine):
         p, box, kwargs = _FROZEN_BOXES[name]
         return {r.cid: r for r in certify_box(p, box, engine=engine, **kwargs).conditions}
 
     assert statuses("h2-inapplicable", "analytic")["H2"].status == "inapplicable"
     assert statuses("c2-precondition", "analytic")["C2"].status == "inapplicable"
+    assert statuses("c4-preconditions", "analytic")["C4"].note == (
+        "1/(2c1) - x_r outside [y_l+z_l, y_r+z_r]; Phi not increasing in x up to x_r; "
+        "min-candidate ordering needs the vertex-sum bound")
     h5 = statuses("negative-sqrt", "analytic")["H5"]
     assert any(s.margin is None for s in h5.subchecks) and h5.status == "fail"
     c4 = statuses("c4-starved", "interval")["C4"]

@@ -117,6 +117,15 @@ class TestCertify:
         _, out, _ = run(capsys, "certify", "--preset", "paper")
         assert "0.57666666680000001" in out
 
+    def test_a_c4_minimum_past_the_float_range_fails_c4_with_exit_1(self, capsys):
+        # (x_l + y_l + z_l)^2 overflows: squaring by a product gives -inf and
+        # a failed C4, where pow raised OverflowError, a runtime failure
+        code, out, _ = run(capsys, "certify", "--params", PAPER_PARAMS_ARG,
+                           "--box=0.5,0.6,-1e200,0.4,0,0.3")
+        assert code == 1
+        c4 = json.loads(out)["conditions"][8]
+        assert (c4["id"], c4["status"]) == ("C4", "fail")
+
     def test_domain_escape_is_a_runtime_failure_exit_4(self, capsys):
         # a well-formed box on which x+z < 0: the interval engine's domain
         # check raises DomainError, a runtime failure, not invalid input
