@@ -15,29 +15,28 @@ candidates at each alpha and its share of the failed ones.
 """
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import sys
 
 import numpy as np
 
 from triopoly import PAPER_PARAMS, search_boxes
+from triopoly.cli import _Parser, _parse_count, _parse_pair, _parse_positive
 from triopoly.jsonio import write_csv
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--alpha-range", default="10,17",
+    ap = _Parser(description=__doc__)
+    ap.add_argument("--alpha-range", type=_parse_pair, default="10,17",
                     help="lo,hi inclusive lattice endpoints")
-    ap.add_argument("--samples", type=int, default=8, help="lattice points")
-    ap.add_argument("--budget", type=int, default=10**5,
+    ap.add_argument("--samples", type=_parse_positive, default=8, help="lattice points")
+    ap.add_argument("--budget", type=_parse_positive, default=10**5,
                     help="candidate evaluations per alpha")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_parse_count, default=0)
     ap.add_argument("--out", help="CSV destination (default: stdout only)")
     args = ap.parse_args(argv)
 
-    lo, hi = (float(s) for s in args.alpha_range.split(","))
-    alphas = np.linspace(lo, hi, args.samples)
+    alphas = np.linspace(*args.alpha_range, args.samples)
 
     rows, killers = [], []
     for alpha in alphas:

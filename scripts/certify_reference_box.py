@@ -3,28 +3,31 @@
 
 Runs the analytic engine and the interval engine separately so their
 timings and margins can be compared side by side, then the merged run
-that the library reports by default.  An interval margin is a certified
+of both engines (``engine="both"``).  An interval margin is a certified
 distance from the threshold: each search stops once its enclosure decides
 the condition, so it can read below the analytic margin.  Exit code follows the certificate:
-0 certified, 1 failed, 2 inconclusive.
+0 certified, 1 failed, 2 inconclusive, 3 a malformed flag.
 """
 from __future__ import annotations
 
-import argparse
+import math
 import sys
 import time
 
 from triopoly import PAPER_BOX, PAPER_PARAMS, certify_box
+from triopoly.cli import _Parser, _parse_float, _parse_positive
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tol", type=float, default=1e-8,
+    ap = _Parser(description=__doc__)
+    ap.add_argument("--tol", type=_parse_float, default=1e-8,
                     help="interval engine: the enclosure width at which a search "
                          "that has not decided its threshold gives up")
-    ap.add_argument("--budget", type=int, default=10**6,
+    ap.add_argument("--budget", type=_parse_positive, default=10**6,
                     help="branch-and-bound expansion budget")
     args = ap.parse_args(argv)
+    if not 0.0 < args.tol < math.inf:
+        ap.error(f"argument --tol: expected a positive finite number, got {args.tol!r}")
 
     print(f"params: {PAPER_PARAMS.as_dict()}")
     print(f"box:    {PAPER_BOX.as_tuple()}")

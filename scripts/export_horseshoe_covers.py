@@ -10,21 +10,23 @@ lists.
 """
 from __future__ import annotations
 
-import argparse
+import math
 import sys
 
 from triopoly import PAPER_BOX, PAPER_PARAMS, OrientedBox, certify_box
+from triopoly.cli import _Parser, _int_in
 from triopoly.horseshoe import build_K_enclosures
 
 
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    resolution = _int_in(2, math.inf, "an integer >= 2")
+    ap = _Parser(description=__doc__)
     ap.add_argument("--resolutions", default="8,16,32,64",
+                    type=lambda text: [resolution(s) for s in text.split(",")],
                     help="comma-separated grid resolutions, coarse to fine")
     ap.add_argument("--export-prefix",
                     help="write {prefix}-k0.csv/{prefix}-k1.csv at the finest level")
     args = ap.parse_args(argv)
-    resolutions = [int(s) for s in args.resolutions.split(",")]
 
     cert = certify_box(PAPER_PARAMS, PAPER_BOX, engine="analytic")
     if not cert.passed:
@@ -36,7 +38,7 @@ def main(argv=None) -> int:
     print(f"{'res':>4s} {'cells0':>7s} {'cells1':>7s} "
           f"{'vol0/box':>9s} {'vol1/box':>9s} {'disjoint':>8s}")
     finest = None
-    for res in resolutions:
+    for res in args.resolutions:
         k0, k1 = build_K_enclosures(PAPER_PARAMS, ob, res, cert=cert)
         disjoint = k0.is_disjoint_from(k1)
         print(f"{res:4d} {k0.cell_count:7d} {k1.cell_count:7d} "

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .boxes import Box
-from .core import Params
+from .core import DomainError, Params
 
 __all__ = [
     "SubCheck",
@@ -354,7 +354,10 @@ def check_H(p: Params, b: Box) -> Certificate:
 
 def _f3_point(p: Params, x: float, y: float, z: float) -> float:
     q = x + y + z
-    return z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / (q * q))
+    q2 = q * q
+    if q2 == 0.0:
+        raise DomainError(f"x + y + z = {q}: (x+y+z)^2 underflows to 0")
+    return z * (1.0 - p.alpha * p.c3 + p.alpha * (x + y) / q2)
 
 
 def check_C_analytic(p: Params, b: Box) -> Certificate:

@@ -391,6 +391,13 @@ def _cmd_bifurcate(args) -> int:
                              s0_policy=args.policy, transient=args.transient,
                              seed=args.seed)
     table.to_csv(_sink(args.out))
+    rows = table.rows
+    summary = [("first positive leading exponent",
+                next((r.alpha for r in rows if not r.escaped and r.lyap1 > 0.0), None)),
+               ("first escaping orbit", next((r.alpha for r in rows if r.escaped), None))]
+    for what, alpha in summary:
+        if alpha is not None:
+            sys.stderr.write(f"{what} at alpha = {alpha:g}\n")
     return 0
 
 

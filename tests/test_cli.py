@@ -126,6 +126,14 @@ class TestCertify:
         c4 = json.loads(out)["conditions"][8]
         assert (c4["id"], c4["status"]) == ("C4", "fail")
 
+    def test_an_underflowing_f3_divisor_is_a_runtime_failure_exit_4(self, capsys):
+        # (x_l + y_l + z_r)^2 = (3e-170)^2 underflows to 0 in C2's corner value
+        # of F3: the analytic engine names that divisor, as core's map does
+        code, out, err = run(capsys, "certify", "--params", PAPER_PARAMS_ARG,
+                             "--box=1e-170,2e-170,1e-170,2e-170,0,1e-170")
+        assert code == 4 and out == ""
+        assert "(x+y+z)^2 underflows" in err and "division by zero" not in err
+
     def test_domain_escape_is_a_runtime_failure_exit_4(self, capsys):
         # a well-formed box on which x+z < 0: the interval engine's domain
         # check raises DomainError, a runtime failure, not invalid input
@@ -503,6 +511,7 @@ _VALUES = {"params": PAPER_PARAMS_ARG, "box": PAPER_BOX_ARG, "tol": "1e-8", "see
 
 @pytest.mark.parametrize("command,option", [
     ("search", "threads"),
+    ("bifurcate", "threads"),
     # coverings are decided from exact endpoint images, nothing is sampled
     ("demo-logistic", "samples"),
     # options the subcommand's handler never read
@@ -601,6 +610,11 @@ _FROZEN = {
     "bifurcate": (["bifurcate", "--params", "0.4,0.55,0.6,10", "--alpha-range", "9,10.5",
                    "--samples", "4", "--transient", "100"],
                   {"": "28edf3927a6599ecd26987999ef6ebabb630debcdd2004d90cf03a5c12b21115"}),
+    # the route-to-chaos sweep on the reference costs, recorded from the
+    # sweep script that ``bifurcate`` replaced
+    "bifurcate-paper": (["bifurcate", "--preset", "paper", "--alpha-range", "7,10.5",
+                         "--samples", "141"],
+                        {"": "57a5e458a279f64f49dc53096afde9fc3e154898a63755cb84844216454538b8"}),
     "demo-logistic": (["demo-logistic", "--mu", "3.88"],
                       {"": "dd6d33931cdb40d45d570e337212514dacbe3bb4c3005280ea959c8263be250e"}),
     # no pair at 3.2, 3.5 and 3.83, the second iterate's at 4.0, both at 4.2
@@ -619,10 +633,21 @@ _FROZEN = {
 }
 
 
-@pytest.mark.parametrize("argv,digests", _FROZEN.values(), ids=_FROZEN)
-def test_cli_bytes_are_frozen(capsys, tmp_path, argv, digests):
+# stderr of the frozen runs that write one: bifurcate's regime summary, in
+# the wording of the sweep script it replaced
+_FROZEN_STDERR = {
+    "bifurcate": "first positive leading exponent at alpha = 9\n"
+                 "first escaping orbit at alpha = 10\n",
+    "bifurcate-paper": "first positive leading exponent at alpha = 8.775\n"
+                       "first escaping orbit at alpha = 9.875\n",
+}
+
+
+@pytest.mark.parametrize("name", list(_FROZEN))
+def test_cli_bytes_are_frozen(capsys, tmp_path, name):
+    argv, digests = _FROZEN[name]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
-    capsys.readouterr()
+    assert capsys.readouterr().err == _FROZEN_STDERR.get(name, "")
     got = {suffix: hashlib.sha256((tmp_path / f"out{suffix}").read_bytes()).hexdigest()
            for suffix in digests}
     assert got == digests

@@ -696,7 +696,9 @@ class TestLockstepScan:
 
 
 # the frozen full-length scans: the 36-sample alpha-sweep scan, the CLI's
-# ``bifurcate`` case and the 141-sample script default
+# ``bifurcate`` case and the 141-sample ``triopoly bifurcate --preset paper
+# --alpha-range 7,10.5 --samples 141`` sweep (key "script": it was the
+# default of the sweep script that command replaced)
 _FROZEN_SCANS = {
     "alpha-sweep": (P, dict(alpha_range=(7, 10.5), samples=36, seed=12)),
     "cli": (Params(0.4, 0.55, 0.6, 10.0), dict(alpha_range=(9.0, 10.5), samples=4,

@@ -1,12 +1,16 @@
 """Smoke runs of the experiment scripts at tiny sizes."""
 import csv
 import hashlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def _main(name):
@@ -49,27 +53,6 @@ def test_alpha_feasibility_scan_is_frozen(tmp_path, capsys):
     ]
 
 
-def test_bifurcation_sweep(tmp_path, capsys):
-    out = tmp_path / "bif.csv"
-    code = _main("bifurcation_sweep.py")(
-        ["--alpha-range", "8,9", "--samples", "3", "--transient", "50", "--out", str(out)])
-    assert code == 0
-    assert _header(out)[:4] == ["alpha", "escaped", "lyap1", "z00"]
-
-
-def test_bifurcation_sweep_default_bytes_are_frozen(tmp_path, capsys):
-    # 141 samples over [7, 10.5]; sha256 recorded with the one-vector exponent
-    out = tmp_path / "bif.csv"
-    assert _main("bifurcation_sweep.py")(["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-        "57a5e458a279f64f49dc53096afde9fc3e154898a63755cb84844216454538b8"
-
-
-def test_bifurcation_sweep_has_no_threads_flag(capsys):
-    with pytest.raises(SystemExit):
-        _main("bifurcation_sweep.py")(["--threads", "2"])
-
-
 def test_certify_reference_box(capsys):
     code = _main("certify_reference_box.py")(["--budget", "10000"])
     out = capsys.readouterr().out
@@ -86,3 +69,30 @@ def test_export_horseshoe_covers(tmp_path, capsys):
     for k in (0, 1):
         assert _header(f"{prefix}-k{k}.csv") == ["x_lo", "x_hi", "y_lo", "y_hi", "z_lo", "z_hi"]
     assert "disjoint" in capsys.readouterr().out
+
+
+# one malformed flag per script; every script parses with the CLI's checked
+# parser and casters, so a script missing here fails
+_BAD_FLAG = {
+    "alpha_feasibility_scan.py": ("--alpha-range", "10"),
+    "certify_reference_box.py": ("--tol", "-1"),
+    "export_horseshoe_covers.py": ("--resolutions", "1"),
+}
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in SCRIPTS.glob("*.py")))
+def test_a_malformed_flag_exits_3_naming_it(script):
+    assert script in _BAD_FLAG, f"{script} has no malformed-flag case"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [v for v in [os.environ.get("PYTHONPATH")] if v]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, str(SCRIPTS / script), *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    flag, value = _BAD_FLAG[script]
+    done = run(flag, value)
+    assert done.returncode == 3, done.stderr
+    assert flag in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == ""
+    assert run("--help").returncode == 0
