@@ -10,12 +10,17 @@ and to sanity-check the certified statements against plain numerics.
 ``bifurcation_scan`` steps all its alpha samples in lockstep instead, in
 one walk per row: the live rows advance as arrays through the map, each
 row records its z tail up to its last recorded state, and from there a
-tangent vector, not a QR frame, gives its largest exponent.  Each step
-forms the sums x + y, x + z, x + y + z and their powers once
-(``core._sums``) and shares them between the domain masks, the map and
-the tangent; each row's 1 - alpha*c3 is fixed for the whole scan.  One
-orbit stays scalar because a numpy step on one row costs about ten
-scalar steps.
+tangent vector, not a QR frame, gives its largest exponent.  The rows
+walk a block of up to 64 steps with no checks, storing each state; then
+the escape masks, and after the last recorded state the Jacobian, its
+masks and the log of each tangent norm, are formed over the whole block
+in one array operation each.  A row that fails inside a block is cut
+back to its first failing step.  Every operation is elementwise per row,
+so it keeps the bits that a check at each step would give it.  A walk
+step forms the sums x + y, x + z, x + y + z and their powers once
+(``core._sums``) for the map; each row's 1 - alpha*c3 is fixed for the
+whole scan.  One orbit stays scalar because a numpy step on one row
+costs about ten scalar steps.
 
 The one-dimensional covering-interval demo on the logistic family is the
 exception: its verdict is a proof.  Two intervals cover their hull under
@@ -406,6 +411,29 @@ def _keep(mask: np.ndarray, *arrays) -> tuple:
     return tuple(a[mask] for a in arrays)
 
 
+# the steps a block walks before its rows are checked: any length from 32 to
+# 256 runs the scan within a few per cent of the fastest
+_BLOCK = 64
+
+
+def _walk(p: Params, alpha: np.ndarray, g: np.ndarray, moving: np.ndarray, s: np.ndarray,
+          k: int) -> np.ndarray:
+    """The (3, k + 1, m) states x_0 .. x_k of each column of the (3, m) states
+    ``s``, unchecked: a row off the map's domain walks on in inf and nan,
+    and a row where ``moving`` is false keeps its state."""
+    w = np.empty((3, k + 1, s.shape[1]))
+    w[:, 0] = s
+    if not moving.any():
+        w[:, 1:] = s[:, None]
+        return w
+    everyone = moving.all()
+    x, y, z = s
+    for j in range(1, k + 1):
+        f = _map_from_sums(p, g, x, y, z, _sums(p, alpha, x, y, z), np.sqrt)
+        x, y, z = w[:, j] = f if everyone else np.where(moving, f, (x, y, z))
+    return w
+
+
 def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, n: int,
                lo: float, hi: float):
     """Each row's escape flag, z tail and largest exponent, all rows stepping
@@ -426,80 +454,86 @@ def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, 
     averages all of them, and one stopped at x_S has no estimate (nan).
     Escaped rows have no estimate either.
 
+    The rows walk in blocks of up to ``_BLOCK`` steps with no checks
+    (``_walk``; the caller's ``np.errstate`` silences the inf and nan of a
+    row that left), and then each block is checked at once: a record block
+    for a map off the domain at any state but its last, or a state outside
+    the cube; a tangent block for a row that stops before step j + 1, where
+    the map is off at state j or the cube or the Jacobian fails at state
+    j + 1.  Every operation is elementwise per row, so the states a row
+    reaches before it leaves carry the bits of a walk that checks each step,
+    and a row cut back to its first failing step keeps them.  Its norms are
+    logged once per block and summed in step order by ``np.cumsum``, so a
+    row cut back mid-block takes the partial sum ``acc += log`` gives there.
+    Record blocks end at x_S, so the last one holds every tail; tangent
+    blocks end at the warm-up and at ``n``.  The hand-off at x_S checks the
+    map there, the cube at x_{S+1} (and at x_S, the start when there is no
+    record step), and the Jacobian, once.
+
     A row pinned to a rest point (as ``simulate`` pins it at the start, and
-    ``lyapunov_spectrum`` at x_S) keeps its state.  When every row is pinned
-    from the start, the record steps are skipped.  Each step forms the next
-    state's sums after the move, so no step forms any once every row left
-    is pinned.  Every start must lie in the map's domain.
+    ``lyapunov_spectrum`` at x_S) keeps its state, and a block in which
+    every row is pinned walks no map step.  Every start must lie in the
+    map's domain.
     """
     m = s.shape[1]
     escaped = np.zeros(m, dtype=bool)
     lyap1 = np.full(m, math.nan)
-    tails = np.repeat(s[2][:, None], kz, axis=1)    # a pinned start's if no record step runs
+    tails = np.full((m, kz), math.nan)
     rows = np.arange(m)
-    x, y, z = s
     g = _own_rate(p, alpha)
-    moving = ~(_residual_rows(eval_map_arrays(p, x, y, z, alpha=alpha), s) < FIXED_POINT_PIN)
-    any_pinned, pinned_only = not moving.all(), not moving.any()
-    va, vb, vc = np.ones(m), np.zeros(m), np.zeros(m)
-    acc = np.zeros(m)       # sum of log |Jv| since the warm-up, or within it
+    moving = ~(_residual_rows(eval_map_arrays(p, *s, alpha=alpha), s) < FIXED_POINT_PIN)
+    w = s[:, None]      # x_S is the start when there is no record step
+    # the record blocks end at x_S, so the last one holds the kz <= 32 tail states
+    edges = sorted({0, *range(last, 0, -_BLOCK)})
+    for t0, t1 in zip(edges, edges[1:]):
+        w = _walk(p, alpha, g, moving, w[:, -1], t1 - t0)
+        leave = (_map_off(_sums(p, alpha, *w[:, :-1])).any(axis=0)
+                 | ~_inside_rows(*w, lo, hi).all(axis=0))
+        escaped[rows[leave]] = True
+        rows, alpha, g, moving = _keep(~leave, rows, alpha, g, moving)
+        w = w[..., ~leave]
+    # the hand-off: simulate's last checks, the pin and the Jacobian at x_S
+    tails[rows] = w[2, -kz:].T
+    x, y, z = s = w[:, -1]
+    sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
+    f = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
+    leave = _map_off(sums) | ~(_inside_rows(x, y, z, lo, hi)
+                               & _inside_rows(*np.where(moving, f, s), lo, hi))
+    escaped[rows[leave]] = True
+    moving = ~(_residual_rows(f, s) < FIXED_POINT_PIN)
+    leave |= _jacobian_off(sums)     # not escaped; its lyap1 stays nan
+    rows, alpha, g, moving = _keep(~leave, rows, alpha, g, moving)
+    s = s[:, ~leave]
+    va, vb, vc = np.ones(rows.size), np.zeros(rows.size), np.zeros(rows.size)
+    acc = np.zeros(rows.size)       # sum of log |Jv| since the warm-up, or within it
     warmup = min(256, n // 4)
-    sums = _sums(p, alpha, x, y, z)
-    leave = ~_inside_rows(x, y, z, lo, hi)
-    for t in range(last if pinned_only else 0, last + n + 1):
-        k = t - last        # the tangent's step; negative before x_S
-        if k == 0:
-            sums = _with_jacobian_sums(p, tuple(sums))     # a list after a drop
-            f, here = _map_from_sums(p, g, x, y, z, sums, np.sqrt), (x, y, z)
-            # simulate's last checks: the map at x_S, the cube at x_{S+1}
-            leave |= _map_off(sums) | ~_inside_rows(*np.where(moving, f, here), lo, hi)
-            escaped[rows[leave]] = True
-            moving = ~(_residual_rows(f, here) < FIXED_POINT_PIN)
-            leave |= _jacobian_off(sums)     # not escaped; its lyap1 stays nan
-        elif k == n:
-            leave = np.ones(rows.size, dtype=bool)
-        # every row's z, x_S's included for rows that leave at x_S with an
-        # undefined Jacobian (an escaped row's tail is never read)
-        if k <= 0 and t > last - kz:
-            tails[rows, kz - 1 + k] = z
-        # the rows that leave here: escapes up to x_S, and after it stops
-        # with k factors
-        if k == 0 or leave.any():
-            if k < 0:
-                escaped[rows[leave]] = True
-            elif k > 0:
-                lyap1[rows[leave]] = acc[leave] / (k - warmup if k > warmup else k)
-            rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums = _keep(
-                ~leave, rows, x, y, z, alpha, g, moving, va, vb, vc, acc, *sums)
-            if not rows.size:
-                break
-            any_pinned, pinned_only = not moving.all(), not moving.any()
-        if k >= 0:
-            if k == warmup:
-                acc[:] = 0.0
-            j11, j12, j21, j31, j33 = _jacobian_from_sums(p, alpha, g, z, sums, np.sqrt)
-            na, nb, nc = j11 * va + j12 * (vb + vc), j21 * (va + vc), j31 * (va + vb) + j33 * vc
-            norm = np.hypot(np.hypot(na, nb), nc)
-            acc += np.log(norm)
+    edges = [*range(0, warmup, _BLOCK), *range(warmup, n, _BLOCK), n]
+    for k0, k1 in zip(edges, edges[1:]):
+        if not rows.size:
+            break
+        w = _walk(p, alpha, g, moving, s, k1 - k0)
+        sums = _with_jacobian_sums(p, _sums(p, alpha, *w))
+        stop = _map_off(sums)[:-1] | ~_inside_rows(*w[:, 1:], lo, hi) | _jacobian_off(sums)[1:]
+        if k1 == n:
+            stop[-1] = True
+        j11, j12, j21, j31, j33 = _jacobian_from_sums(p, alpha, g, w[2, :-1],
+                                                      [v[:-1] for v in sums], np.sqrt)
+        r = np.empty((k1 - k0 + 1, rows.size))     # acc, then each step's |Jv|
+        r[0] = 0.0 if k0 == warmup else acc
+        for j in range(k1 - k0):
+            na, nb, nc = (j11[j] * va + j12[j] * (vb + vc), j21[j] * (va + vc),
+                          j31[j] * (va + vb) + j33[j] * vc)
+            norm = np.hypot(np.hypot(na, nb), nc, out=r[j + 1])
             norm = np.maximum(norm, 5e-324)   # > 0 is kept; an annihilated v stays 0, not 0/0
             va, vb, vc = na / norm, nb / norm, nc / norm
-        if pinned_only:
-            leave = moving      # all false: no row moves, so none stops
-            continue
-        if k == 0:      # the hand-off's image; the rows off the map left there
-            off, (fx, fy, fz) = False, _keep(~leave, *f)
-        else:
-            off = _map_off(sums)
-            fx, fy, fz = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
-        if any_pinned:
-            x, y, z = np.where(moving, fx, x), np.where(moving, fy, y), np.where(moving, fz, z)
-        else:
-            x, y, z = fx, fy, fz
-        sums = _sums(p, alpha, x, y, z)
-        leave = off | ~_inside_rows(x, y, z, lo, hi)
-        if k >= 0:
-            sums = _with_jacobian_sums(p, sums)
-            leave |= _jacobian_off(sums)
+        np.log(r[1:], out=r[1:])
+        r = np.cumsum(r, axis=0)    # in step order, as acc += log
+        ends = stop.any(axis=0)
+        done = np.flatnonzero(ends)
+        k = k0 + 1 + stop[:, done].argmax(axis=0)     # the steps each stopped row made
+        lyap1[rows[done]] = r[k - k0, done] / np.where(k > warmup, k - warmup, k)
+        rows, alpha, g, moving, va, vb, vc = _keep(~ends, rows, alpha, g, moving, va, vb, vc)
+        acc, s = r[-1, ~ends], w[:, -1, ~ends]
     return escaped, lyap1, tails
 
 
@@ -527,8 +561,9 @@ def bifurcation_scan(
     identical arguments.
 
     The samples run in lockstep, one walk per row (``_scan_rows``): every
-    map step and tangent step of all live rows is one array operation,
-    and a row leaves the arrays when it escapes or its exponent stops.
+    map step and tangent step of all live rows is one array operation.
+    The rows are checked once per block of steps, and a row leaves the
+    arrays after the block in which it escapes or its exponent stops.
     ``threads`` is accepted and has no effect; it must be at least 1.
     """
     a_lo, a_hi = float(alpha_range[0]), float(alpha_range[1])

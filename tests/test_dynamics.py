@@ -26,6 +26,7 @@ from triopoly.core import (
 from triopoly.dynamics import (
     DEFAULT_SAFETY,
     FIXED_POINT_PIN,
+    _BLOCK,
     BifurcationRow,
     BifurcationTable,
     CoveringIntervals,
@@ -498,6 +499,26 @@ def _between_live_rows(p, rng):
     return interior_fixed_point(p)
 
 
+def _starts_by_alpha(starts):
+    """A start policy: the start listed for the row's alpha to two decimals,
+    else the rest point, where the row is pinned."""
+    def policy(p, rng):
+        s = starts.get(round(p.alpha, 2))
+        return State(*s) if s else interior_fixed_point(p)
+    return policy
+
+
+# starts by alpha near 9.9, where an orbit near the attractor of alpha 9.5
+# wanders for hundreds of steps before it leaves: with 1000 tangent steps
+# (warm-up 250) the one at 9.88 stops on the cube at step 817 and the one
+# at 9.92 with its Jacobian undefined at step 338
+_LATE_STOPS = _starts_by_alpha({9.88: (0.62, 0.36, 0.15), 9.92: (0.59, 0.39, 0.14)})
+# the same, stopping with the Jacobian undefined at steps 699, 192 and 64:
+# on a block's first step and on the last steps of two blocks
+_EDGE_STOPS = _starts_by_alpha({9.88: (0.64, 0.34, 0.14), 9.9: (0.63, 0.37, 0.16),
+                                9.92: (0.62, 0.38, 0.15)})
+
+
 # each case reaches the paths named in _SCAN_PATHS
 _SCAN_CASES = {
     "all-escaping": dict(alpha_range=(16.0, 20.0), samples=5, transient=200, n_record=20,
@@ -543,6 +564,17 @@ _SCAN_CASES = {
     "jacobian-off-moved-last-record": dict(alpha_range=(1.0, 1.5), samples=2,
                                            s0_policy=_falling_start, transient=1, n_record=2,
                                            lyap_steps=20),
+    # tangent stops past the warm-up's block; a warm-up of 250 is not a
+    # multiple of _BLOCK, and the pinned rows walk every block
+    "stops-in-later-blocks": dict(alpha_range=(9.86, 9.94), samples=5, s0_policy=_LATE_STOPS,
+                                  transient=0, n_record=1, lyap_steps=1000),
+    "stops-on-block-edges": dict(alpha_range=(9.86, 9.94), samples=5, s0_policy=_EDGE_STOPS,
+                                 transient=0, n_record=1, lyap_steps=1000),
+    # the rows at 9.9 and 9.92 escape in the record phase at steps 193 and 65,
+    # past its first block
+    "record-escape-in-a-later-block": dict(alpha_range=(9.86, 9.94), samples=5,
+                                           s0_policy=_EDGE_STOPS, transient=300, n_record=5,
+                                           lyap_steps=60),
 }
 _SCAN_PATHS = {
     "all-escaping": {"escaped"},
@@ -559,6 +591,12 @@ _SCAN_PATHS = {
     "jacobian-off-last-record-bounded": {"bounded", "Jacobian undefined at x_S"},
     "jacobian-off-last-record-escaped": {"escaped", "escaped at x_S+1, Jacobian undefined at x_S"},
     "jacobian-off-moved-last-record": {"bounded", "Jacobian undefined at a moved x_S"},
+    "stops-in-later-blocks": {"bounded", "pinned", "cube stop in a later block",
+                              "Jacobian stop in a later block", "warm-up off the block grid"},
+    "stops-on-block-edges": {"bounded", "pinned", "stop on a block's first step",
+                             "stop on a block's last step"},
+    "record-escape-in-a-later-block": {"escaped", "bounded", "pinned",
+                                       "escaped after the first block"},
 }
 
 
@@ -566,7 +604,21 @@ def _paths(kw) -> set:
     """The paths the per-sample scan of the case ``kw`` takes."""
     table, notes = _oracle_scan(P, **kw)
     out = {"escaped" if r.escaped else "bounded" for r in table.rows}
+    n = kw.get("lyap_steps", 2000)
+    warmup = min(256, n // 4)
+    # the scan's tangent blocks: up to _BLOCK steps, ending at the warm-up and at n
+    edges = {*range(0, warmup, _BLOCK), *range(warmup, n, _BLOCK)}
     for note in notes:
+        # a stop's note names the tangent steps the row made
+        k = int(note.split(" at step ")[1].split(";")[0]) if " at step " in note else None
+        later = k is not None and k > warmup + _BLOCK
+        out |= {tag for tag, hit in [
+            ("cube stop in a later block", later and "safety region" in note),
+            ("Jacobian stop in a later block", later and "Jacobian undefined" in note),
+            ("stop on a block's first step", k is not None and k - 1 in edges - {0}),
+            ("stop on a block's last step", k is not None and k in edges),
+            ("warm-up off the block grid", warmup % _BLOCK != 0 and "warmup" not in note)]
+            if hit}
         out |= {tag for tag, hit in [
             ("pinned", "pinned" in note),
             ("partial", "partial" in note),
@@ -580,6 +632,8 @@ def _paths(kw) -> set:
     record = {key: v for key, v in kw.items() if key != "lyap_steps"}
     n_record = record.get("n_record", 200)
     for pa, rec in _recorded_orbits(P, **record):
+        if rec.escaped and rec.escape_step > _BLOCK:
+            out.add("escaped after the first block")
         if rec.n_recorded == n_record and rec.escape_step == rec.transient + n_record:
             x_s = State(*rec.points[-1])
             if not _undefined(eval_map, pa, x_s) and _undefined(eval_jacobian, pa, x_s):
@@ -607,9 +661,9 @@ def _scan_args(draw):
                                           (lo, draw(st.floats(lo, 20.0)))])),
         samples=draw(st.integers(2, 8)),
         s0_policy=draw(st.sampled_from(["perturbed-nash", "nash", _random_start, _tiny_start])),
-        transient=draw(st.integers(0, 40)),
+        transient=draw(st.integers(0, 200)),
         n_record=draw(st.integers(1, 40)),
-        lyap_steps=draw(st.integers(1, 120)),
+        lyap_steps=draw(st.integers(1, 400)),
         seed=draw(st.integers(0, 2**32 - 1)),
         safety=draw(st.sampled_from([DEFAULT_SAFETY, (0.0, 0.7), (0.1, 0.65), (0.05, 0.5)])),
     )
@@ -634,6 +688,9 @@ class TestLockstepScan:
     @example(_SCAN_CASES["jacobian-off-last-record-bounded"])
     @example(_SCAN_CASES["jacobian-off-last-record-escaped"])
     @example(_SCAN_CASES["jacobian-off-moved-last-record"])
+    @example(_SCAN_CASES["stops-in-later-blocks"])
+    @example(_SCAN_CASES["stops-on-block-edges"])
+    @example(_SCAN_CASES["record-escape-in-a-later-block"])
     def test_csv_bytes_equal_the_per_sample_scan(self, kw):
         want, _ = _oracle_scan(P, **kw)
         assert _csv(bifurcation_scan(P, **kw)) == _csv(want)
@@ -679,7 +736,11 @@ class TestLockstepScan:
         ``np.hypot`` and ``np.log`` over an array give each element the
         bits of the call on that element alone; checked here on random
         arrays of every length up to 48, with zeros, subnormals, huge and
-        non-finite values mixed in."""
+        non-finite values mixed in.  A tangent block logs its (K, m) norms
+        in one call and sums them with ``np.cumsum`` along the steps, so
+        the log must hold per element on 2-D arrays of the block's shapes
+        too, and the cumsum of a stacked [acc; logs] must give, row by
+        row, the bits of the running ``acc += row``."""
         rng = np.random.default_rng(20261019)
         special = np.array([0.0, -0.0, 5e-324, 1e-310, 1e200, -1e200, 1.7e308, np.inf, np.nan])
         with np.errstate(all="ignore"):
@@ -693,6 +754,22 @@ class TestLockstepScan:
                 for i in range(m):
                     assert np.hypot(a[i], b[i]).tobytes() == h[i].tobytes()
                     assert np.log(h[i]).tobytes() == logs[i].tobytes()
+            shapes = [(1, 1), (_BLOCK, 48), (_BLOCK, 1), (1, 48)]
+            shapes += zip(rng.integers(1, _BLOCK + 1, 12), rng.integers(1, 49, 12))
+            for k, m in shapes:
+                norms = np.abs(rng.normal(size=(k, m)) * 10.0 ** rng.uniform(-300, 300, (k, m)))
+                norms[rng.random((k, m)) < 0.1] = rng.choice(np.abs(special))
+                logs = np.log(norms)
+                for j, i in np.ndindex(k, m):
+                    assert np.log(norms[j, i]).tobytes() == logs[j, i].tobytes()
+                acc = rng.normal(size=m) * 10.0 ** rng.uniform(-5, 5, m)
+                acc[rng.random(m) < 0.3] = rng.choice([-np.inf, np.nan, 5e-324, -1e-310, 0.0])
+                total = np.cumsum(np.vstack([acc, logs]), axis=0)
+                run = acc.copy()
+                assert total[0].tobytes() == run.tobytes()
+                for j in range(k):
+                    run += logs[j]
+                    assert total[j + 1].tobytes() == run.tobytes()
 
 
 # the frozen full-length scans: the 36-sample alpha-sweep scan, the CLI's
@@ -781,6 +858,21 @@ class TestOneVectorExponent:
         got = _largest_exponent(p, np.array([s.as_tuple()]).T, 3)[0]
         qr = lyapunov_spectrum(p, s, 3).exponents
         assert math.isfinite(got) and min(abs(e - got) for e in qr) <= 1e-12
+
+    def test_a_map_off_where_the_jacobian_is_defined_stops_the_row(self):
+        # with c2 = 2 the map sends the start to x_1 = (0, ~7e-11, 5e-324),
+        # where (x + z)/c2 = 2.5e-324 rounds to 0, so the map is off, while
+        # c2 (x + z) and (x+y+z)^3 are not, so the Jacobian is defined: the
+        # row makes its tangent step at x_1 and stops after 2 steps,
+        # mid-block, and the row beside it runs on.  With c2 < 1 a map off
+        # the domain always has its Jacobian off too.
+        p = Params(0.5, 2.0, 0.5, 1.0)
+        starts = (State(1e-20, 2.0, 5e-324), State(0.3, 0.3, 0.3))
+        assert "left the domain at step 2;" in _one_vector_exponent(p, starts[0], 40)[1]
+        with np.errstate(all="ignore"):
+            got = _largest_exponent(p, np.array([s.as_tuple() for s in starts]).T, 40)
+        want = np.array([_one_vector_exponent(p, s, 40)[0] for s in starts])
+        assert got.tobytes() == want.tobytes()
 
     def test_an_annihilated_vector_gives_minus_inf_not_nan(self):
         # c1 q = 1, c2 d = 1/4 and z = 0 make J e1 exactly 0 at the start;
