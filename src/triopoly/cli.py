@@ -352,11 +352,11 @@ def _cmd_periodic(args) -> int:
         return 1
     ob = OrientedBox(args.box)
     if args.word is not None:
-        results = [find_periodic_orbit(args.params, ob, args.word, tol=args.tol, cert=cert)]
+        results = [find_periodic_orbit(args.params, ob, args.word, cert=cert)]
     else:
         results = []
         for k in range(1, args.max_k + 1):
-            results.extend(count_periodic_words(args.params, ob, k, tol=args.tol,
+            results.extend(count_periodic_words(args.params, ob, k,
                                                 dedupe_cyclic=args.dedupe_cyclic,
                                                 cert=cert))
     orbits_to_csv(results, _sink(args.out))

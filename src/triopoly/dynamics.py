@@ -12,15 +12,17 @@ one walk per row: the live rows advance as arrays through the map, each
 row records its z tail up to its last recorded state, and from there a
 tangent vector, not a QR frame, gives its largest exponent.  The rows
 walk a block of up to 64 steps with no checks, storing each state; then
-the escape masks, and after the last recorded state the Jacobian, its
+the escape masks, and from the last recorded state on the Jacobian, its
 masks and the log of each tangent norm, are formed over the whole block
-in one array operation each.  A row that fails inside a block is cut
-back to its first failing step.  Every operation is elementwise per row,
-so it keeps the bits that a check at each step would give it.  A walk
-step forms the sums x + y, x + z, x + y + z and their powers once
-(``core._sums``) for the map; each row's 1 - alpha*c3 is fixed for the
-whole scan.  One orbit stays scalar because a numpy step on one row
-costs about ten scalar steps.
+in one array operation each.  The record blocks run one state past the
+last recorded one, so they carry all of ``simulate``'s escape checks,
+and each tangent block checks the Jacobian at the state it starts from.
+A row that fails inside a block is cut back to its first failing step.
+Every operation is elementwise per row, so it keeps the bits that a
+check at each step would give it.  A walk step forms the sums x + y,
+x + z, x + y + z and their powers once (``core._sums``) for the map;
+each row's 1 - alpha*c3 is fixed for the whole scan.  One orbit stays
+scalar because a numpy step on one row costs about ten scalar steps.
 
 The one-dimensional covering-interval demo on the logistic family is the
 exception: its verdict is a proof.  Two intervals cover their hull under
@@ -458,17 +460,17 @@ def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, 
     (``_walk``; the caller's ``np.errstate`` silences the inf and nan of a
     row that left), and then each block is checked at once: a record block
     for a map off the domain at any state but its last, or a state outside
-    the cube; a tangent block for a row that stops before step j + 1, where
-    the map is off at state j or the cube or the Jacobian fails at state
-    j + 1.  Every operation is elementwise per row, so the states a row
-    reaches before it leaves carry the bits of a walk that checks each step,
-    and a row cut back to its first failing step keeps them.  Its norms are
-    logged once per block and summed in step order by ``np.cumsum``, so a
-    row cut back mid-block takes the partial sum ``acc += log`` gives there.
-    Record blocks end at x_S, so the last one holds every tail; tangent
-    blocks end at the warm-up and at ``n``.  The hand-off at x_S checks the
-    map there, the cube at x_{S+1} (and at x_S, the start when there is no
-    record step), and the Jacobian, once.
+    the cube; a tangent block for a row that stops at state j, where its
+    Jacobian is undefined, or where the cube fails or the map was off at
+    state j - 1.  Every operation is elementwise per row, so the states a
+    row reaches before it leaves carry the bits of a walk that checks each
+    step, and a row cut back to its first failing step keeps them.  Its
+    norms are logged once per block and summed in step order by
+    ``np.cumsum``, so a row cut back mid-block takes the partial sum
+    ``acc += log`` gives there.  Record blocks end at x_{S+1}, so their
+    masks are the whole of ``simulate``'s escape rule and the last one
+    holds every tail; tangent blocks end at the warm-up and at ``n``, and
+    the first one checks the Jacobian at x_S.
 
     A row pinned to a rest point (as ``simulate`` pins it at the start, and
     ``lyapunov_spectrum`` at x_S) keeps its state, and a block in which
@@ -482,9 +484,9 @@ def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, 
     rows = np.arange(m)
     g = _own_rate(p, alpha)
     moving = ~(_residual_rows(eval_map_arrays(p, *s, alpha=alpha), s) < FIXED_POINT_PIN)
-    w = s[:, None]      # x_S is the start when there is no record step
-    # the record blocks end at x_S, so the last one holds the kz <= 32 tail states
-    edges = sorted({0, *range(last, 0, -_BLOCK)})
+    w = s[:, None]
+    # the record blocks end at x_{S+1}, so the last one holds x_S and the kz <= 32 tail states
+    edges = sorted({0, *range(last + 1, 0, -_BLOCK)})
     for t0, t1 in zip(edges, edges[1:]):
         w = _walk(p, alpha, g, moving, w[:, -1], t1 - t0)
         leave = (_map_off(_sums(p, alpha, *w[:, :-1])).any(axis=0)
@@ -492,18 +494,10 @@ def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, 
         escaped[rows[leave]] = True
         rows, alpha, g, moving = _keep(~leave, rows, alpha, g, moving)
         w = w[..., ~leave]
-    # the hand-off: simulate's last checks, the pin and the Jacobian at x_S
-    tails[rows] = w[2, -kz:].T
-    x, y, z = s = w[:, -1]
-    sums = _with_jacobian_sums(p, _sums(p, alpha, x, y, z))
-    f = _map_from_sums(p, g, x, y, z, sums, np.sqrt)
-    leave = _map_off(sums) | ~(_inside_rows(x, y, z, lo, hi)
-                               & _inside_rows(*np.where(moving, f, s), lo, hi))
-    escaped[rows[leave]] = True
-    moving = ~(_residual_rows(f, s) < FIXED_POINT_PIN)
-    leave |= _jacobian_off(sums)     # not escaped; its lyap1 stays nan
-    rows, alpha, g, moving = _keep(~leave, rows, alpha, g, moving)
-    s = s[:, ~leave]
+    tails[rows] = w[2, -kz - 1:-1].T
+    # a row pinned at the start holds x_S at x_{S+1}: residual 0, so it stays pinned
+    s = w[:, -2]
+    moving = ~(_residual_rows(w[:, -1], s) < FIXED_POINT_PIN)
     va, vb, vc = np.ones(rows.size), np.zeros(rows.size), np.zeros(rows.size)
     acc = np.zeros(rows.size)       # sum of log |Jv| since the warm-up, or within it
     warmup = min(256, n // 4)
@@ -513,7 +507,10 @@ def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, 
             break
         w = _walk(p, alpha, g, moving, s, k1 - k0)
         sums = _with_jacobian_sums(p, _sums(p, alpha, *w))
-        stop = _map_off(sums)[:-1] | ~_inside_rows(*w[:, 1:], lo, hi) | _jacobian_off(sums)[1:]
+        # a row stops at state j (k0 + j steps) where its Jacobian is undefined, or where it
+        # left the cube or the map was off at j - 1; a later block's state 0 passed before
+        stop = _jacobian_off(sums)
+        stop[1:] |= _map_off(sums)[:-1] | ~_inside_rows(*w[:, 1:], lo, hi)
         if k1 == n:
             stop[-1] = True
         j11, j12, j21, j31, j33 = _jacobian_from_sums(p, alpha, g, w[2, :-1],
@@ -530,7 +527,8 @@ def _scan_rows(p: Params, alpha: np.ndarray, s: np.ndarray, last: int, kz: int, 
         r = np.cumsum(r, axis=0)    # in step order, as acc += log
         ends = stop.any(axis=0)
         done = np.flatnonzero(ends)
-        k = k0 + 1 + stop[:, done].argmax(axis=0)     # the steps each stopped row made
+        k = k0 + stop[:, done].argmax(axis=0)     # the steps each stopped row made
+        # no step from x_S (Jacobian undefined): r[0] / 0 is 0/0, nan under the caller's errstate
         lyap1[rows[done]] = r[k - k0, done] / np.where(k > warmup, k - warmup, k)
         rows, alpha, g, moving, va, vb, vc = _keep(~ends, rows, alpha, g, moving, va, vb, vc)
         acc, s = r[-1, ~ends], w[:, -1, ~ends]

@@ -258,7 +258,6 @@ def find_periodic_orbit(
     p: Params,
     ob: OrientedBox,
     w,
-    tol: float = 1e-10,
     cert: Certificate | None = None,
 ) -> PeriodicOrbitResult:
     """Periodic point realizing the symbol word w.
@@ -270,12 +269,12 @@ def find_periodic_orbit(
     over all words of one length in lockstep, each word with its own stop
     rule, so a word gets the same bits either way.  ``residual`` is
     max|F^k(s) - s| at the returned point s and ``realized`` its k-step
-    itinerary; the word is converged when the residual is below ``tol``
+    itinerary; the word is converged when the residual is below 1e-10
     and the itinerary equals the word.
     """
     word = normalize_word(w)
     cert = _require_certified(p, ob.box, cert)
-    return _realize_words(p, ob, [word], tol, cert)[0]
+    return _realize_words(p, ob, [word], 1e-10, cert)[0]
 
 
 def count_periodic_words(

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from triopoly import PAPER_BOX, PAPER_PARAMS, cli
+from triopoly import PAPER_BOX, PAPER_PARAMS, cli, symbolic
 from triopoly.cli import main
 from triopoly.core import eval_map_xyz
 from triopoly.symbolic import _check_orbits
@@ -444,10 +444,18 @@ class TestPeriodic:
         assert code == 3 and out == ""
         assert "tol must be positive" in err
 
-    def test_stalled_newton_writes_csv_then_exits_4(self, capsys):
-        # the 2-cycle is found, but no float residual is below 1e-300
-        code, out, err = run(capsys, "periodic", "--preset", "paper",
-                             "--word", "01", "--tol", "1e-300")
+    def test_tol_is_the_certificate_tolerance_only(self, capsys):
+        # a word converges below the library's residual of 1e-10, whatever --tol
+        code, out, _ = run(capsys, "periodic", "--preset", "paper",
+                           "--word", "01", "--tol", "1e-300")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out)))[1][5] == "True"
+
+    def test_stalled_newton_writes_csv_then_exits_4(self, capsys, monkeypatch):
+        # Newton stops 1e-6 off the 2-cycle, far above the residual of 1e-10
+        shoot = symbolic._shoot
+        monkeypatch.setattr(symbolic, "_shoot", lambda *args: shoot(*args) + 1e-6)
+        code, out, err = run(capsys, "periodic", "--preset", "paper", "--word", "01")
         assert code == 4
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[1][0] == "01" and rows[1][5] == "False"

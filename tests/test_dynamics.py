@@ -560,6 +560,11 @@ _SCAN_CASES = {
     "jacobian-off-last-record-escaped": dict(alpha_range=(3.5, 6.0), samples=6,
                                              s0_policy=_tiny_start, transient=0, n_record=1,
                                              lyap_steps=20, seed=7, safety=(0.0, 0.7)),
+    # the same with no warm-up: the first tangent block's sum starts at 0.0,
+    # and a row that makes no step reads 0/0
+    "jacobian-off-last-record-no-warmup": dict(alpha_range=(0.5, 2.8), samples=6,
+                                               s0_policy=_tiny_start, transient=0, n_record=1,
+                                               lyap_steps=3, seed=7, safety=(0.0, 0.7)),
     # the Jacobian is undefined at x_S = x_2, which the orbit reached by moving
     "jacobian-off-moved-last-record": dict(alpha_range=(1.0, 1.5), samples=2,
                                            s0_policy=_falling_start, transient=1, n_record=2,
@@ -575,6 +580,9 @@ _SCAN_CASES = {
     "record-escape-in-a-later-block": dict(alpha_range=(9.86, 9.94), samples=5,
                                            s0_policy=_EDGE_STOPS, transient=300, n_record=5,
                                            lyap_steps=60),
+    # x_{S+1} = x_128 closes the second record block, the tail just before it
+    "record-ends-on-a-block-edge": dict(alpha_range=(7.0, 10.5), samples=6, transient=88,
+                                        n_record=40, lyap_steps=50, seed=5),
 }
 _SCAN_PATHS = {
     "all-escaping": {"escaped"},
@@ -590,6 +598,7 @@ _SCAN_PATHS = {
     "pinned-at-the-last-record": {"bounded", "pinned"},
     "jacobian-off-last-record-bounded": {"bounded", "Jacobian undefined at x_S"},
     "jacobian-off-last-record-escaped": {"escaped", "escaped at x_S+1, Jacobian undefined at x_S"},
+    "jacobian-off-last-record-no-warmup": {"bounded", "Jacobian undefined at x_S, no warm-up"},
     "jacobian-off-moved-last-record": {"bounded", "Jacobian undefined at a moved x_S"},
     "stops-in-later-blocks": {"bounded", "pinned", "cube stop in a later block",
                               "Jacobian stop in a later block", "warm-up off the block grid"},
@@ -597,6 +606,7 @@ _SCAN_PATHS = {
                              "stop on a block's last step"},
     "record-escape-in-a-later-block": {"escaped", "bounded", "pinned",
                                        "escaped after the first block"},
+    "record-ends-on-a-block-edge": {"escaped", "bounded", "x_S+1 closes a block"},
 }
 
 
@@ -625,7 +635,9 @@ def _paths(kw) -> set:
             ("warmup not reached", "warmup not reached" in note),
             ("partial after warmup", "partial" in note and "warmup" not in note),
             ("Jacobian undefined", "Jacobian undefined" in note),
-            ("Jacobian undefined at x_S", "Jacobian undefined at step 0;" in note)] if hit}
+            ("Jacobian undefined at x_S", "Jacobian undefined at step 0;" in note),
+            ("Jacobian undefined at x_S, no warm-up",
+             "Jacobian undefined at step 0;" in note and warmup == 0)] if hit}
     # an orbit that records all its states, has no Jacobian at the last one,
     # x_S, and escapes next although the map is defined at x_S: its x_{S+1}
     # left the cube
@@ -634,6 +646,8 @@ def _paths(kw) -> set:
     for pa, rec in _recorded_orbits(P, **record):
         if rec.escaped and rec.escape_step > _BLOCK:
             out.add("escaped after the first block")
+        if not rec.escaped and (rec.transient + n_record) % _BLOCK == 0:
+            out.add("x_S+1 closes a block")
         if rec.n_recorded == n_record and rec.escape_step == rec.transient + n_record:
             x_s = State(*rec.points[-1])
             if not _undefined(eval_map, pa, x_s) and _undefined(eval_jacobian, pa, x_s):
@@ -687,10 +701,12 @@ class TestLockstepScan:
     @example(_SCAN_CASES["pinned-at-the-last-record"])
     @example(_SCAN_CASES["jacobian-off-last-record-bounded"])
     @example(_SCAN_CASES["jacobian-off-last-record-escaped"])
+    @example(_SCAN_CASES["jacobian-off-last-record-no-warmup"])
     @example(_SCAN_CASES["jacobian-off-moved-last-record"])
     @example(_SCAN_CASES["stops-in-later-blocks"])
     @example(_SCAN_CASES["stops-on-block-edges"])
     @example(_SCAN_CASES["record-escape-in-a-later-block"])
+    @example(_SCAN_CASES["record-ends-on-a-block-edge"])
     def test_csv_bytes_equal_the_per_sample_scan(self, kw):
         want, _ = _oracle_scan(P, **kw)
         assert _csv(bifurcation_scan(P, **kw)) == _csv(want)

@@ -63,6 +63,8 @@ ALLOWED_PARAMETERS = {
     "dynamics.simulate.safety",
     "dynamics.lyapunov_spectrum.safety",
     "dynamics.bifurcation_scan.safety",
+    # the acceptance gate passes the residual below which a word converges
+    "symbolic.count_periodic_words.tol",
     # the acceptance gate checks the bound for more than two symbols
     "symbolic.entropy_lower_bound.m",
     # README's quick start passes it

@@ -155,10 +155,6 @@ class TestFindPeriodicOrbit:
         with pytest.raises(ValueError, match="certif"):
             find_periodic_orbit(P, bad, "01")
 
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            find_periodic_orbit(P, OB, "01", tol=0.0)
-
 
 class TestCountPeriodicWords:
     @pytest.mark.parametrize("k,expected", [(1, 2), (2, 4), (3, 8)])
@@ -200,6 +196,10 @@ class TestCountPeriodicWords:
             count_periodic_words(P, OB, 0)
         with pytest.raises(ValueError):
             count_periodic_words(P, OB, MAX_WORD_LENGTH + 1)
+
+    def test_bad_tol_rejected(self):
+        with pytest.raises(ValueError):
+            count_periodic_words(P, OB, 2, tol=0.0)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_every_word_of_length_5_and_6_is_realized(self, seed):
